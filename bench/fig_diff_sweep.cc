@@ -5,8 +5,7 @@
  * suite under two L1D sizes (configuration A = 64 KB, B = 16 KB by
  * default), stores both sides, joins them with sched::SuiteDiff on
  * the `l1d_kb` axis and emits the per-workload A/B delta table —
- * ΔAVF with its sampling confidence interval, Δclass counts,
- * Δinjection runs and Δearly-exit rate.
+ * ΔAVF with its sampling confidence interval and Δclass counts.
  *
  * Flags (bench/common.hh) plus:
  *   --l1d-a=KB --l1d-b=KB   the two swept sizes (default 64 / 16)
@@ -57,7 +56,6 @@ runSide(const std::vector<std::string> &names, unsigned l1d_kb,
 
     sched::SuiteOptions sopts;
     sopts.jobs = opts.jobs;
-    sopts.recordTiming = false;
     sopts.select = select;
     sched::SuiteResult suite =
         sched::SuiteScheduler(specs, sopts).run();

@@ -11,12 +11,10 @@
 
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <string>
 
 #include "bench/common.hh"
 #include "faultsim/runner.hh"
-#include "io/result_store.hh"
 #include "isa/interp.hh"
 #include "merlin/campaign.hh"
 #include "merlin/grouping.hh"
@@ -502,71 +500,6 @@ BM_SuiteScheduler(benchmark::State &state)
 }
 BENCHMARK(BM_SuiteScheduler)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-/**
- * Section-keyed incremental re-run against the cold sectioned run of
- * the same suite.  The cold run (once, outside the timing loop) fills
- * the store's section tables; each timed iteration strips the
- * whole-campaign entries — so the full-entry cache cannot answer —
- * and resumes, serving every section from the store and injecting
- * nothing.  What remains is the irreducible warm cost (profile +
- * compose); "warm_speedup" is the payoff number, also recorded as
- * bench.sectioned_warm_speedup for --json.
- */
-void
-BM_SuiteSectionedResume(benchmark::State &state)
-{
-    const auto specs = suiteSpecs();
-    const std::string path = (std::filesystem::temp_directory_path() /
-                              "merlin_bench_sections.json")
-                                 .string();
-    sched::SuiteOptions opts;
-    opts.jobs = 4;
-    opts.sections = 8;
-    opts.recordTiming = false;
-    opts.storePath = path;
-
-    std::filesystem::remove(path);
-    const auto t0 = std::chrono::steady_clock::now();
-    sched::SuiteScheduler(specs, opts).run();
-    const double cold_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-
-    opts.reuseCached = true;
-    std::uint64_t n = 0;
-    double warm_seconds = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        {
-            io::ResultStore store(path);
-            store.load();
-            for (const auto &spec : specs)
-                store.erase(spec.key());
-            store.save();
-        }
-        state.ResumeTiming();
-        const auto t1 = std::chrono::steady_clock::now();
-        sched::SuiteResult r = sched::SuiteScheduler(specs, opts).run();
-        warm_seconds += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t1)
-                            .count();
-        benchmark::DoNotOptimize(r.results.data());
-        n += specs.size();
-    }
-    std::filesystem::remove(path);
-    std::filesystem::remove_all(path + ".journal");
-    const double batches =
-        static_cast<double>(n) / static_cast<double>(specs.size());
-    const double speedup =
-        warm_seconds > 0 ? cold_seconds * batches / warm_seconds : 0.0;
-    state.counters["campaigns/s"] = benchmark::Counter(
-        static_cast<double>(n), benchmark::Counter::kIsRate);
-    state.counters["warm_speedup"] = speedup;
-    merlin::bench::record("bench.sectioned_warm_speedup", speedup);
-}
-BENCHMARK(BM_SuiteSectionedResume)->Unit(benchmark::kMillisecond);
 
 void
 BM_Sampling(benchmark::State &state)

@@ -55,13 +55,6 @@ faultKey(const Fault &f)
            (static_cast<std::uint64_t>(f.bit) << 58);
 }
 
-/** Injection cycle recovered from a faultKey() packing. */
-inline Cycle
-faultKeyCycle(std::uint64_t key)
-{
-    return key & ((1ULL << 40) - 1);
-}
-
 /**
  * Identity hash for already-packed fault keys: the low bits are the
  * fault cycle, which is as good a bucket index as any mixed hash, and

@@ -226,8 +226,8 @@ struct RunnerOptions
      * trace and let each injection skip its pre-divergence head
      * (consult the trace, classify dead flips Masked outright, resume
      * live ones from the latest pre-divergence checkpoint).  Outcome-
-     * invariant by construction; like earlyExit it is a provenance
-     * knob, not a result knob.  Automatically disabled while an
+     * invariant by construction; like earlyExit it is an engine knob,
+     * never part of a result.  Automatically disabled while an
      * injectHook is set — the hook observes every simulated cycle, so
      * skipping cycles would change what tests see.
      */

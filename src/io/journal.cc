@@ -20,7 +20,7 @@ namespace merlin::io
 namespace
 {
 
-constexpr const char *kJournalTag = "merlin-journal-v1";
+constexpr const char *kJournalTag = "merlin-journal-v2";
 
 /** Journal instruments, resolved once (the lookup takes a mutex). */
 struct JournalMetrics
@@ -72,30 +72,19 @@ OutcomeJournal::~OutcomeJournal()
     }
 }
 
-OutcomeJournal::Restored
+std::vector<faultsim::QuarantineRecord>
 OutcomeJournal::restore(
     const std::function<void(std::uint64_t, faultsim::Outcome)> &sink)
 {
-    return restore([&sink](std::uint64_t key, faultsim::Outcome outcome,
-                           const faultsim::InjectDetail &) {
-        sink(key, outcome);
-    });
-}
-
-OutcomeJournal::Restored
-OutcomeJournal::restore(
-    const std::function<void(std::uint64_t, faultsim::Outcome,
-                             const faultsim::InjectDetail &)> &sink)
-{
-    Restored r;
+    std::vector<faultsim::QuarantineRecord> quarantine;
     if (path_.empty())
-        return r;
+        return quarantine;
     std::string text;
     {
         std::ifstream in(path_, std::ios::binary);
         if (!in) {
             restored_ = true; // nothing to resume, but appends are fresh
-            return r;
+            return quarantine;
         }
         std::stringstream ss;
         ss << in.rdbuf();
@@ -108,6 +97,7 @@ OutcomeJournal::restore(
     // appends after well-formed bytes.
     std::size_t valid = 0;
     std::size_t pos = 0;
+    std::uint64_t entries = 0;
     while (pos < text.size()) {
         const std::size_t nl = text.find('\n', pos);
         if (nl == std::string::npos) {
@@ -133,8 +123,12 @@ OutcomeJournal::restore(
                   "campaign from scratch");
         }
         if (!headerPresent_) {
-            if (!j.isObject() || j.strOr("format", "") != kJournalTag)
-                fatal("outcome journal '", path_, "': unknown format");
+            const std::string format =
+                j.isObject() ? j.strOr("format", "") : std::string();
+            if (format != kJournalTag)
+                fatal("outcome journal '", path_, "' has format '", format,
+                      "', not ", kJournalTag,
+                      "; delete it to drop the resume data");
             const std::string spec = j.strOr("spec", "");
             if (spec != specKey_)
                 fatal("outcome journal '", path_, "': records spec ",
@@ -142,12 +136,7 @@ OutcomeJournal::restore(
                       " — stale file from a different suite?");
             headerPresent_ = true;
         } else {
-            // Sizes 6/7 carry the replay fields; 3/4 are the legacy
-            // shape without them (the optional extra element is the
-            // quarantine reason either way).
-            if (!j.isArray() ||
-                (j.size() != 3 && j.size() != 4 && j.size() != 6 &&
-                 j.size() != 7))
+            if (!j.isArray() || (j.size() != 2 && j.size() != 3))
                 fatal("outcome journal '", path_,
                       "': malformed entry; delete the journal to drop "
                       "the resume data");
@@ -157,36 +146,11 @@ OutcomeJournal::restore(
                 fatal("outcome journal '", path_,
                       "': entry carries outcome ", o,
                       ", beyond this build's outcome classes");
-            faultsim::InjectDetail detail;
-            detail.earlyExit = j[2].asU64() != 0;
-            ++r.runs;
-            if (detail.earlyExit)
-                ++r.earlyExits;
-            if (j.size() >= 6) {
-                const std::uint64_t action = j[3].asU64();
-                if (action ==
-                    static_cast<std::uint64_t>(
-                        faultsim::ReplayAction::Masked)) {
-                    detail.replay = faultsim::ReplayAction::Masked;
-                    ++r.replayMasked;
-                } else if (action ==
-                           static_cast<std::uint64_t>(
-                               faultsim::ReplayAction::Handoff)) {
-                    detail.replay = faultsim::ReplayAction::Handoff;
-                    ++r.replayHandoffs;
-                }
-                detail.replayCyclesSkipped = j[4].asU64();
-                detail.replayHeadCycles = j[5].asU64();
-                r.replayCyclesSkipped += detail.replayCyclesSkipped;
-                r.replayHeadCycles += detail.replayHeadCycles;
-            }
-            if (j.size() == 4 || j.size() == 7) {
-                detail.quarantined = true;
-                detail.reason = j[j.size() - 1].asString();
-                r.quarantine.push_back(faultsim::QuarantineRecord{
-                    key, detail.reason});
-            }
-            sink(key, static_cast<faultsim::Outcome>(o), detail);
+            if (j.size() == 3)
+                quarantine.push_back(
+                    faultsim::QuarantineRecord{key, j[2].asString()});
+            ++entries;
+            sink(key, static_cast<faultsim::Outcome>(o));
         }
         pos = nl + 1;
         valid = pos;
@@ -200,8 +164,8 @@ OutcomeJournal::restore(
                   path_, "': ", ec.message());
     }
     restored_ = true;
-    journalMetrics().restored.add(r.runs);
-    return r;
+    journalMetrics().restored.add(entries);
+    return quarantine;
 }
 
 void
@@ -246,10 +210,6 @@ OutcomeJournal::append(std::uint64_t key, faultsim::Outcome outcome,
     Json e = Json::array();
     e.push(key);
     e.push(static_cast<std::uint64_t>(outcome));
-    e.push(static_cast<std::uint64_t>(detail.earlyExit ? 1 : 0));
-    e.push(static_cast<std::uint64_t>(detail.replay));
-    e.push(detail.replayCyclesSkipped);
-    e.push(detail.replayHeadCycles);
     if (detail.quarantined)
         e.push(detail.reason);
     const std::string line = e.dump() + "\n";

@@ -13,17 +13,15 @@
  * function of their fault, the resumed campaign's result (and the
  * saved store) is byte-identical to an uninterrupted run's.
  *
- * Format: one header line `{"format":"merlin-journal-v1","spec":K}`
- * then one compact JSON array per entry,
- * `[key, outcome, early_exit, replay, cycles_skipped, head_cycles]`
- * with a seventh element — the quarantine reason — when the injection
- * was quarantined (`replay` is the numeric ReplayAction).  Legacy
- * 3/4-element entries without the replay fields restore fine, counting
- * zero toward the replay totals.  A torn final line is the expected
- * crash artifact
- * and is truncated away on restore; garbage in a COMPLETE line is real
- * corruption and fatal.  The journal is removed once the campaign's
- * result reaches the store, whose atomic save takes over from there.
+ * Format: one header line `{"format":"merlin-journal-v2","spec":K}`
+ * then one compact JSON array per entry, `[key, outcome]`, or
+ * `[key, outcome, reason]` when the injection was quarantined.  Only
+ * outcomes are journaled: how the engine reached them is not part of
+ * the result.  A journal in any other format is refused by name.  A
+ * torn final line is the expected crash artifact and is truncated away
+ * on restore; garbage in a COMPLETE line is real corruption and fatal.
+ * The journal is removed once the campaign's result reaches the store,
+ * whose atomic save takes over from there.
  */
 
 #ifndef MERLIN_IO_JOURNAL_HH
@@ -44,25 +42,6 @@ namespace merlin::io
 class OutcomeJournal
 {
   public:
-    /** What restore() recovered from a previous, interrupted run. */
-    struct Restored
-    {
-        /** Completed injection runs replayed from the journal. */
-        std::uint64_t runs = 0;
-        /** Of which ended at a golden-reconvergence checkpoint. */
-        std::uint64_t earlyExits = 0;
-        /** Of which the replay fast path proved dead (Masked). */
-        std::uint64_t replayMasked = 0;
-        /** Of which replay handed off to full simulation. */
-        std::uint64_t replayHandoffs = 0;
-        /** Full-simulation cycles the replay fast path avoided. */
-        std::uint64_t replayCyclesSkipped = 0;
-        /** Total pre-divergence head cycles of replayed entries. */
-        std::uint64_t replayHeadCycles = 0;
-        /** Quarantined injections, with their recorded reasons. */
-        std::vector<faultsim::QuarantineRecord> quarantine;
-    };
-
     /** Entries are fsync'd at least this often (and on close()). */
     static constexpr unsigned kFlushInterval = 32;
 
@@ -82,28 +61,16 @@ class OutcomeJournal
     /**
      * Replay an existing journal file, feeding every complete entry to
      * @p sink (the caller seeds its OutcomeMemo with them) and
-     * returning the recovered counters.  A torn final line — the
-     * artifact of a mid-append crash — is truncated off the file so a
-     * later open() appends after the valid prefix; a torn HEADER means
-     * no entry ever landed, so the file is discarded with a warning.
-     * A complete-but-malformed line, or a header naming a different
-     * spec, is real corruption and fatal.  Missing file or disabled
-     * journal: returns zeros.
+     * returning the quarantine records among them.  A torn final line
+     * — the artifact of a mid-append crash — is truncated off the file
+     * so a later open() appends after the valid prefix; a torn HEADER
+     * means no entry ever landed, so the file is discarded with a
+     * warning.  A complete-but-malformed line, a foreign format, or a
+     * header naming a different spec is fatal.  Missing file or
+     * disabled journal: feeds nothing.
      */
-    Restored
+    std::vector<faultsim::QuarantineRecord>
     restore(const std::function<void(std::uint64_t, faultsim::Outcome)>
-                &sink);
-
-    /**
-     * Like restore(sink), but hands the sink the full per-injection
-     * detail reconstructed from the entry (replay action, skipped and
-     * head cycles, quarantine flag + reason).  Sectioned campaigns use
-     * this to re-attribute every restored injection to its section;
-     * the detail-free overload above is a thin wrapper.
-     */
-    Restored
-    restore(const std::function<void(std::uint64_t, faultsim::Outcome,
-                                     const faultsim::InjectDetail &)>
                 &sink);
 
     /**

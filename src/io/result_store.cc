@@ -13,7 +13,6 @@
 #endif
 
 #include "base/logging.hh"
-#include "base/parse.hh"
 #include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -29,11 +28,10 @@ using core::HomogeneityReport;
 namespace
 {
 
-// Written format.  v1 files (whole-campaign entries only, no
-// "sections" member) still load; their entries are served as
-// all-sections hits by the suite scheduler.
-constexpr const char *kFormatTag = "merlin-store-v2";
-constexpr const char *kFormatTagV1 = "merlin-results-v1";
+// Written, and the only readable, format.  Earlier formats keyed
+// results by engine knobs too and stored engine provenance; their keys
+// do not match today's specs, so they are refused, not read.
+constexpr const char *kFormatTag = "merlin-store-v3";
 
 Json
 classCountsToJson(const ClassCounts &c)
@@ -167,12 +165,6 @@ resultToJson(const CampaignResult &r)
     }
     j.set("speedup_ace", r.speedupAce);
     j.set("speedup_total", r.speedupTotal);
-    j.set("injection_runs", r.injectionRuns);
-    j.set("early_exits", r.earlyExits);
-    j.set("replay_masked", r.replayMasked);
-    j.set("replay_handoffs", r.replayHandoffs);
-    j.set("replay_cycles_skipped", r.replayCyclesSkipped);
-    j.set("replay_head_cycles", r.replayHeadCycles);
     if (!r.quarantine.empty()) {
         // Only when non-empty, so stores of clean campaigns keep their
         // pre-quarantine bytes.  Entries are (packed fault key, reason)
@@ -181,9 +173,6 @@ resultToJson(const CampaignResult &r)
         // so each record pins down one reproducible injection.
         j.set("quarantine", quarantineToJson(r.quarantine));
     }
-    j.set("profile_seconds", r.profileSeconds);
-    j.set("injection_seconds", r.injectionSeconds);
-    j.set("seconds_per_injection", r.secondsPerInjection);
     return j;
 }
 
@@ -225,51 +214,9 @@ resultFromJson(const Json &j, std::size_t *skipped_quarantine)
     }
     r.speedupAce = j.at("speedup_ace").asDouble();
     r.speedupTotal = j.at("speedup_total").asDouble();
-    // Tolerant reads: absent in pre-early-exit / pre-replay stores.
-    r.injectionRuns = j.u64Or("injection_runs", 0);
-    r.earlyExits = j.u64Or("early_exits", 0);
-    r.replayMasked = j.u64Or("replay_masked", 0);
-    r.replayHandoffs = j.u64Or("replay_handoffs", 0);
-    r.replayCyclesSkipped = j.u64Or("replay_cycles_skipped", 0);
-    r.replayHeadCycles = j.u64Or("replay_head_cycles", 0);
     if (const Json *q = j.find("quarantine"))
         quarantineFromJson(*q, r.quarantine, skipped_quarantine);
-    r.profileSeconds = j.numOr("profile_seconds", 0.0);
-    r.injectionSeconds = j.numOr("injection_seconds", 0.0);
-    r.secondsPerInjection = j.numOr("seconds_per_injection", 0.0);
     return r;
-}
-
-Json
-sectionDataToJson(const core::SectionData &s)
-{
-    Json j = Json::object();
-    j.set("estimate", classCountsToJson(s.estimate));
-    j.set("injection_runs", s.injectionRuns);
-    j.set("early_exits", s.earlyExits);
-    j.set("replay_masked", s.replayMasked);
-    j.set("replay_handoffs", s.replayHandoffs);
-    j.set("replay_cycles_skipped", s.replayCyclesSkipped);
-    j.set("replay_head_cycles", s.replayHeadCycles);
-    if (!s.quarantine.empty())
-        j.set("quarantine", quarantineToJson(s.quarantine));
-    return j;
-}
-
-core::SectionData
-sectionDataFromJson(const Json &j, std::size_t *skipped_quarantine)
-{
-    core::SectionData s;
-    s.estimate = classCountsFromJson(j.at("estimate"));
-    s.injectionRuns = j.at("injection_runs").asU64();
-    s.earlyExits = j.at("early_exits").asU64();
-    s.replayMasked = j.at("replay_masked").asU64();
-    s.replayHandoffs = j.at("replay_handoffs").asU64();
-    s.replayCyclesSkipped = j.at("replay_cycles_skipped").asU64();
-    s.replayHeadCycles = j.at("replay_head_cycles").asU64();
-    if (const Json *q = j.find("quarantine"))
-        quarantineFromJson(*q, s.quarantine, skipped_quarantine);
-    return s;
 }
 
 // ---------------------------------------------------------- ResultStore
@@ -317,10 +264,12 @@ ResultStore::load()
               "`merlin_cli store merge`) before resuming");
     }
     const std::string format = doc.strOr("format", "");
-    if (format != kFormatTag && format != kFormatTagV1)
-        fatal("result store '", path_, "': unknown format");
+    if (format != kFormatTag)
+        fatal("result store '", path_, "' has format '", format,
+              "', not ", kFormatTag, " (stores written by older builds "
+              "keyed results by engine knobs and are not read); re-run "
+              "the suite or delete the file");
     entries_.clear();
-    sections_.clear();
     selection_.reset();
     if (const Json *sel = doc.find("selection"))
         selection_ = *sel;
@@ -333,19 +282,6 @@ ResultStore::load()
         // not the lookup that happens to hit it mid-suite.
         resultFromJson(entry.at("result"), &skipped);
         entries_[key] = Entry{entry.at("spec"), entry.at("result")};
-    }
-    if (const Json *secs = doc.find("sections")) {
-        for (const auto &[key, tbl] : secs->members()) {
-            SectionTable table;
-            table.spec = tbl.at("spec");
-            table.goldenCycles = tbl.at("golden_cycles").asU64();
-            for (const auto &[idx, data] : tbl.at("entries").members()) {
-                sectionDataFromJson(data, &skipped); // eager validation
-                table.entries[base::parseU32(
-                    idx, "result store section index")] = data;
-            }
-            sections_[key] = std::move(table);
-        }
     }
     if (skipped > 0)
         warn("result store '", path_, "': skipped ", skipped,
@@ -369,24 +305,6 @@ ResultStore::toJson() const
     if (selection_)
         doc.set("selection", *selection_);
     doc.set("campaigns", campaigns);
-    if (!sections_.empty()) {
-        // Only when non-empty, so unsectioned stores keep their
-        // pre-section bytes (modulo the format tag).  Table keys sort
-        // lexically, entry keys numerically — both pure functions of
-        // the contents.
-        Json secs = Json::object();
-        for (const auto &[key, table] : sections_) {
-            Json t = Json::object();
-            t.set("spec", table.spec);
-            t.set("golden_cycles", table.goldenCycles);
-            Json entries = Json::object();
-            for (const auto &[idx, data] : table.entries)
-                entries.set(std::to_string(idx), data);
-            t.set("entries", entries);
-            secs.set(key, t);
-        }
-        doc.set("sections", secs);
-    }
     return doc;
 }
 
@@ -463,46 +381,6 @@ ResultStore::erase(const std::string &key)
     return entries_.erase(key) != 0;
 }
 
-ResultStore::SectionLookup
-ResultStore::lookupSections(const std::string &key) const
-{
-    SectionLookup out;
-    auto it = sections_.find(key);
-    if (it == sections_.end())
-        return out;
-    out.found = true;
-    out.goldenCycles = it->second.goldenCycles;
-    std::size_t skipped = 0; // load() already warned once
-    for (const auto &[idx, data] : it->second.entries)
-        out.sections[idx] = sectionDataFromJson(data, &skipped);
-    return out;
-}
-
-void
-ResultStore::putSections(const std::string &key, Json spec,
-                         std::uint64_t golden_cycles,
-                         const std::vector<core::SectionData> &table)
-{
-    SectionTable t;
-    t.spec = std::move(spec);
-    t.goldenCycles = golden_cycles;
-    for (std::size_t i = 0; i < table.size(); ++i)
-        t.entries[static_cast<unsigned>(i)] = sectionDataToJson(table[i]);
-    sections_[key] = std::move(t);
-}
-
-void
-ResultStore::putSectionTable(const std::string &key, SectionTable table)
-{
-    sections_[key] = std::move(table);
-}
-
-bool
-ResultStore::eraseSections(const std::string &key)
-{
-    return sections_.erase(key) != 0;
-}
-
 ResultStore::MergeStats
 ResultStore::merge(const ResultStore &other, bool force_theirs)
 {
@@ -530,45 +408,6 @@ ResultStore::merge(const ResultStore &other, bool force_theirs)
                   "merge with --force-theirs");
         it->second = theirs;
         ++stats.replaced;
-    }
-    // Section tables fold per key and per section index under the
-    // same bit-identity rule: sections are deterministic slices of
-    // deterministic campaigns, so two stores disagreeing on a slice's
-    // bytes means one of them is corrupt.
-    for (const auto &[key, theirs] : other.sections_) {
-        auto it = sections_.find(key);
-        if (it == sections_.end()) {
-            stats.sectionEntriesAdded += theirs.entries.size();
-            sections_[key] = theirs;
-            continue;
-        }
-        SectionTable &ours = it->second;
-        if (ours.spec.dump() != theirs.spec.dump() ||
-            ours.goldenCycles != theirs.goldenCycles) {
-            if (!force_theirs)
-                fatal("result store merge: section table '", key,
-                      "' has conflicting spec/golden-cycle payloads; "
-                      "re-run one side or merge with --force-theirs");
-            stats.sectionEntriesAdded += theirs.entries.size();
-            ours = theirs;
-            continue;
-        }
-        for (const auto &[idx, data] : theirs.entries) {
-            auto eit = ours.entries.find(idx);
-            if (eit == ours.entries.end()) {
-                ours.entries[idx] = data;
-                ++stats.sectionEntriesAdded;
-                continue;
-            }
-            if (eit->second.dump() == data.dump())
-                continue;
-            if (!force_theirs)
-                fatal("result store merge: section ", idx,
-                      " of table '", key,
-                      "' has conflicting payloads; re-run one side "
-                      "or merge with --force-theirs");
-            eit->second = data;
-        }
     }
     return stats;
 }

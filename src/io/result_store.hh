@@ -7,8 +7,8 @@
  * get three things from it:
  *
  *   --out results.json   the suite's deliverable (all class counts,
- *                        group models, homogeneity and timing, one
- *                        entry per campaign);
+ *                        group models and homogeneity, one entry per
+ *                        campaign);
  *   cache hits           a spec whose key is already in the store is
  *                        not re-run — its stored result is returned;
  *   --resume             the store is saved after every campaign
@@ -20,12 +20,10 @@
  * function of its contents — byte-identical for any job count or
  * campaign completion order.
  *
- * Stores are written in the merlin-store-v2 shape, which adds an
- * optional "sections" member beside "campaigns": section-keyed tables
- * (reduced spec x golden-run section) that let the suite scheduler
- * serve PARTIAL hits — re-running only the sections a knob change
- * actually misses.  Legacy merlin-results-v1 files load unchanged
- * (their whole-campaign entries are served as all-sections hits).
+ * Stores are written in the merlin-store-v3 shape: outcome-only
+ * results keyed by the outcome-relevant spec members.  Files in any
+ * other format (including the older store formats, which keyed by
+ * engine knobs too) are refused with the format they declare.
  *
  * Not internally synchronized: concurrent writers must serialize
  * access (the suite scheduler holds one mutex across put()+save()).
@@ -59,14 +57,6 @@ core::CampaignResult
 resultFromJson(const Json &j,
                std::size_t *skipped_quarantine = nullptr);
 
-/** SectionData -> JSON (one section-store table entry). */
-Json sectionDataToJson(const core::SectionData &s);
-
-/** Inverse of sectionDataToJson (same quarantine-skip contract). */
-core::SectionData
-sectionDataFromJson(const Json &j,
-                    std::size_t *skipped_quarantine = nullptr);
-
 class ResultStore
 {
   public:
@@ -77,37 +67,12 @@ class ResultStore
         Json result;
     };
 
-    /**
-     * One section-keyed table (the merlin-store-v2 addition): the
-     * per-section slices of every campaign sharing one reduced spec —
-     * the spec minus the swept knobs, plus the section count.  Tables
-     * are always written COMPLETE (one entry per section index, empty
-     * sections included) and pin the golden-run length they were cut
-     * from, so a reader can verify the sectioning still lines up
-     * before serving partial hits.
-     */
-    struct SectionTable
-    {
-        Json spec; ///< the reduced spec the table key hashes
-        std::uint64_t goldenCycles = 0;
-        std::map<unsigned, Json> entries; ///< section index -> data
-    };
-
-    /** A lookupSections() answer: the decoded table, if any. */
-    struct SectionLookup
-    {
-        bool found = false;
-        std::uint64_t goldenCycles = 0;
-        std::map<unsigned, core::SectionData> sections;
-    };
-
     /** What a merge() did, for reporting. */
     struct MergeStats
     {
         std::size_t added = 0;     ///< keys new to this store
         std::size_t identical = 0; ///< keys present with identical payload
         std::size_t replaced = 0;  ///< conflicts resolved force-theirs
-        std::size_t sectionEntriesAdded = 0; ///< new section slices
     };
 
     /** @p path may be empty for a memory-only store (no load/save IO). */
@@ -140,32 +105,6 @@ class ResultStore
 
     /** Remove the entry for @p key.  @return true if it existed. */
     bool erase(const std::string &key);
-
-    /** Decode the section table stored under @p key (found == false
-     *  when the store has none). */
-    SectionLookup lookupSections(const std::string &key) const;
-
-    /**
-     * Insert or replace the COMPLETE section table for @p key:
-     * @p table must carry one SectionData per section (index = vector
-     * position), @p spec the reduced spec the key hashes, and
-     * @p golden_cycles the golden-run length the sections cut up.
-     */
-    void putSections(const std::string &key, Json spec,
-                     std::uint64_t golden_cycles,
-                     const std::vector<core::SectionData> &table);
-
-    /** Copy one raw table in (shard spill / merge plumbing). */
-    void putSectionTable(const std::string &key, SectionTable table);
-
-    /** Remove the section table for @p key.  @return true if present. */
-    bool eraseSections(const std::string &key);
-
-    /** All section tables, sorted by reduced key. */
-    const std::map<std::string, SectionTable> &sectionTables() const
-    {
-        return sections_;
-    }
 
     /**
      * Which suite selection produced this store, for distributed
@@ -205,7 +144,6 @@ class ResultStore
   private:
     std::string path_;
     std::map<std::string, Entry> entries_; ///< sorted => stable dumps
-    std::map<std::string, SectionTable> sections_; ///< v2 tables
     std::optional<Json> selection_;        ///< worker share, if any
 };
 

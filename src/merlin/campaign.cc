@@ -5,7 +5,6 @@
 
 #include "base/logging.hh"
 #include "base/threadpool.hh"
-#include "obs/clock.hh"
 #include "obs/trace.hh"
 
 namespace merlin::core
@@ -45,108 +44,6 @@ double
 CampaignResult::merlinFit(std::uint64_t bits, double raw_fit_per_bit) const
 {
     return fitRate(merlinEstimate.avf(), bits, raw_fit_per_bit);
-}
-
-// ------------------------------------------------- sectioned campaigns
-
-void
-SectionData::addRun(std::uint64_t fault_key,
-                    const faultsim::InjectDetail &detail)
-{
-    ++injectionRuns;
-    if (detail.earlyExit)
-        ++earlyExits;
-    if (detail.replay == faultsim::ReplayAction::Masked)
-        ++replayMasked;
-    else if (detail.replay == faultsim::ReplayAction::Handoff)
-        ++replayHandoffs;
-    replayCyclesSkipped += detail.replayCyclesSkipped;
-    replayHeadCycles += detail.replayHeadCycles;
-    if (detail.quarantined)
-        quarantine.push_back(
-            faultsim::QuarantineRecord{fault_key, detail.reason});
-}
-
-unsigned
-sectionOfCycle(Cycle cycle, Cycle golden_cycles, unsigned sections)
-{
-    MERLIN_ASSERT(sections > 0 && golden_cycles > 0,
-                  "sectionOfCycle on an unsectionable campaign");
-    // cycle < 2^40 (the faultKey packing bound) and sections is a
-    // small CLI knob, so the product stays well inside 64 bits.
-    const std::uint64_t s = cycle * static_cast<std::uint64_t>(sections) /
-                            golden_cycles;
-    return static_cast<unsigned>(
-        std::min<std::uint64_t>(s, sections - 1));
-}
-
-bool
-sectionable(const PreparedCampaign &prep)
-{
-    if (prep.groupingOnly || prep.injectAll ||
-        prep.result.goldenCycles == 0)
-        return false;
-    for (const FaultGroup &g : prep.grouping.groups) {
-        if (g.representatives.size() != 1)
-            return false;
-    }
-    return true;
-}
-
-std::vector<unsigned>
-groupSections(const PreparedCampaign &prep, unsigned sections)
-{
-    MERLIN_ASSERT(sectionable(prep), "campaign is not sectionable");
-    // One representative per group means prep.faults[g] is exactly
-    // group g's representative (prepare() pushes them in group order).
-    MERLIN_ASSERT(prep.faults.size() == prep.grouping.groups.size(),
-                  "representative/group mismatch");
-    std::vector<unsigned> out;
-    out.reserve(prep.faults.size());
-    for (const faultsim::Fault &f : prep.faults)
-        out.push_back(sectionOfCycle(f.cycle, prep.result.goldenCycles,
-                                     sections));
-    return out;
-}
-
-CampaignResult
-composeSectioned(PreparedCampaign prep, std::vector<SectionData> &table,
-                 double injection_seconds, std::size_t fresh_faults)
-{
-    CampaignResult res = std::move(prep.result);
-    for (SectionData &s : table) {
-        for (std::size_t c = 0; c < s.estimate.counts.size(); ++c)
-            res.merlinSurvivorEstimate.counts[c] += s.estimate.counts[c];
-        res.injectionRuns += s.injectionRuns;
-        res.earlyExits += s.earlyExits;
-        res.replayMasked += s.replayMasked;
-        res.replayHandoffs += s.replayHandoffs;
-        res.replayCyclesSkipped += s.replayCyclesSkipped;
-        res.replayHeadCycles += s.replayHeadCycles;
-        std::sort(s.quarantine.begin(), s.quarantine.end(),
-                  [](const faultsim::QuarantineRecord &a,
-                     const faultsim::QuarantineRecord &b) {
-                      return a.faultKey != b.faultKey
-                                 ? a.faultKey < b.faultKey
-                                 : a.reason < b.reason;
-                  });
-        res.quarantine.insert(res.quarantine.end(), s.quarantine.begin(),
-                              s.quarantine.end());
-    }
-    res.merlinEstimate = res.merlinSurvivorEstimate;
-    res.merlinEstimate.add(Outcome::Masked, res.aceMasked);
-    std::sort(res.quarantine.begin(), res.quarantine.end(),
-              [](const faultsim::QuarantineRecord &a,
-                 const faultsim::QuarantineRecord &b) {
-                  return a.faultKey != b.faultKey ? a.faultKey < b.faultKey
-                                                  : a.reason < b.reason;
-              });
-    res.injectionSeconds = injection_seconds;
-    res.secondsPerInjection =
-        fresh_faults ? injection_seconds /
-                           static_cast<double>(fresh_faults)
-                     : 0.0;
-    return res;
 }
 
 Campaign::Campaign(const isa::Program &prog, const CampaignConfig &cfg)
@@ -197,13 +94,11 @@ Campaign::prepare(bool inject_all, bool relyzer, unsigned path_depth,
     runner_ = std::make_unique<InjectionRunner>(prog_, cfg_.core, ropts);
 
     // ---- Phase 1: preprocessing (profiled golden run + fault list) ----
-    const obs::TimePoint t0 = obs::now();
     profile::AceProfiler profiler(cfg_.core.numPhysIntRegs,
                                   cfg_.core.sqEntries,
                                   cfg_.core.l1d.totalWords());
     golden_ = runner_->golden(&profiler);
     profiler.finalize();
-    res.profileSeconds = obs::secondsSince(t0);
     res.goldenCycles = golden_.stats.cycles;
     res.goldenInstret = golden_.stats.instret;
 
@@ -260,8 +155,7 @@ Campaign::prepare(bool inject_all, bool relyzer, unsigned path_depth,
 
 CampaignResult
 Campaign::finish(PreparedCampaign prep,
-                 const std::vector<Outcome> &outcomes,
-                 double injection_seconds) const
+                 const std::vector<Outcome> &outcomes) const
 {
     obs::Span span("campaign", "finish " + prog_.name);
     CampaignResult res = std::move(prep.result);
@@ -315,23 +209,10 @@ Campaign::finish(PreparedCampaign prep,
         res.homogeneity = computeHomogeneity(per_group);
     }
 
-    // Early-exit and quarantine accounting from this campaign's runner
-    // (counts are a pure function of the fault list, so they are as
-    // deterministic as the outcomes themselves).
-    const faultsim::InjectionStats is = runner_->injectionStats();
-    res.injectionRuns = is.runs;
-    res.earlyExits = is.earlyExits;
-    res.replayMasked = is.replayMasked;
-    res.replayHandoffs = is.replayHandoffs;
-    res.replayCyclesSkipped = is.replayCyclesSkipped;
-    res.replayHeadCycles = is.replayHeadCycles;
+    // Quarantine records are part of the outcome (each counted Crash);
+    // the runner keeps them sorted, so they are as deterministic as
+    // the outcomes themselves.
     res.quarantine = runner_->quarantineRecords();
-
-    res.injectionSeconds = injection_seconds;
-    res.secondsPerInjection =
-        prep.faults.empty()
-            ? 0.0
-            : injection_seconds / static_cast<double>(prep.faults.size());
     return res;
 }
 
@@ -350,12 +231,11 @@ Campaign::runImpl(bool inject_all, bool relyzer, unsigned path_depth)
     // no cross-batch memo is needed.
     const unsigned jobs =
         cfg_.jobs ? cfg_.jobs : base::ThreadPool::hardwareThreads();
-    const obs::TimePoint t0 = obs::now();
     const std::vector<Outcome> outcomes = [&] {
         obs::Span span("campaign", "inject-batch " + prog_.name);
         return runner_->injectBatch(prep.faults, golden_, jobs);
     }();
-    return finish(std::move(prep), outcomes, obs::secondsSince(t0));
+    return finish(std::move(prep), outcomes);
 }
 
 } // namespace merlin::core

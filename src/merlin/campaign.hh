@@ -81,7 +81,14 @@ struct CampaignConfig
     std::function<void(const faultsim::Fault &, Cycle)> injectHook;
 };
 
-/** Outcome of one campaign. */
+/**
+ * Outcome of one campaign: a pure function of the program, the target
+ * structure, the core geometry and the sampling/grouping/timeout
+ * choices — never of the engine knobs (checkpoints, early exit,
+ * replay, COW chunk size), the job count or the wall clock.  How the
+ * engine got there is reported by InjectionRunner::injectionStats()
+ * and the inject.* counters, not stored here.
+ */
 struct CampaignResult
 {
     // Golden-run facts.
@@ -113,17 +120,6 @@ struct CampaignResult
     double speedupAce = 0.0;   ///< initial / survivors
     double speedupTotal = 0.0; ///< initial / injections
 
-    // Early-exit accounting (faulty runs that provably reconverged
-    // with the golden state and were cut short).
-    std::uint64_t injectionRuns = 0; ///< distinct faulty runs simulated
-    std::uint64_t earlyExits = 0;    ///< of which ended at a checkpoint
-
-    // Replay-fast-path accounting (golden-trace consults).
-    std::uint64_t replayMasked = 0;   ///< proved dead, zero simulation
-    std::uint64_t replayHandoffs = 0; ///< diverged into full simulation
-    std::uint64_t replayCyclesSkipped = 0; ///< full-sim cycles avoided
-    std::uint64_t replayHeadCycles = 0;    ///< pre-divergence head total
-
     /**
      * Injections the quarantine guard caught (escaped simulator
      * exceptions, wall-clock-watchdog trips), sorted by (fault key,
@@ -131,40 +127,6 @@ struct CampaignResult
      * campaign completed despite them.  Empty in the common case.
      */
     std::vector<faultsim::QuarantineRecord> quarantine;
-
-    // Wall-clock facts for Figure 11 / Table 3.
-    double profileSeconds = 0.0;     ///< golden + profiling run
-    double injectionSeconds = 0.0;   ///< total time injecting reps
-    double secondsPerInjection = 0.0;
-
-    /** Fraction of simulated runs cut short by early exit. */
-    double
-    earlyExitRate() const
-    {
-        return injectionRuns ? static_cast<double>(earlyExits) /
-                                   static_cast<double>(injectionRuns)
-                             : 0.0;
-    }
-
-    /** Fraction of replay-consulted runs that diverged into full sim. */
-    double
-    replayDivergenceRate() const
-    {
-        const std::uint64_t consulted = replayMasked + replayHandoffs;
-        return consulted ? static_cast<double>(replayHandoffs) /
-                               static_cast<double>(consulted)
-                         : 0.0;
-    }
-
-    /** Fraction of the total pre-divergence head replay skipped. */
-    double
-    replaySkipRate() const
-    {
-        return replayHeadCycles
-                   ? static_cast<double>(replayCyclesSkipped) /
-                         static_cast<double>(replayHeadCycles)
-                   : 0.0;
-    }
 
     /** Truth over the full initial list (survivorTruth + ACE Masked). */
     ClassCounts fullTruth() const;
@@ -197,85 +159,6 @@ struct PreparedCampaign
     bool injectAll = false;
     bool groupingOnly = false;
 };
-
-/**
- * One section's slice of a sectioned campaign: the golden run is cut
- * into `sections` equal cycle intervals, every fault group is
- * attributed to the section containing its representative's injection
- * cycle, and this struct carries everything the section contributed to
- * the campaign — the survivor-restricted extrapolated outcome counts
- * plus the per-run engine counters and quarantine records.  A complete
- * table of these (one per section) composes back into the exact
- * CampaignResult a cold full run produces, which is what lets the
- * result store serve *partial* hits: only missing sections' faults are
- * re-injected.
- */
-struct SectionData
-{
-    /** Extrapolated outcome counts over this section's groups
-     *  (survivor-restricted; ACE-masked faults are added once at
-     *  composition, not per section). */
-    ClassCounts estimate;
-    std::uint64_t injectionRuns = 0;
-    std::uint64_t earlyExits = 0;
-    std::uint64_t replayMasked = 0;
-    std::uint64_t replayHandoffs = 0;
-    std::uint64_t replayCyclesSkipped = 0;
-    std::uint64_t replayHeadCycles = 0;
-    /** Sorted by (fault key, reason), like CampaignResult::quarantine. */
-    std::vector<faultsim::QuarantineRecord> quarantine;
-
-    /** Fold one completed injection run's engine facts in (not the
-     *  outcome — estimates extrapolate per group, not per run). */
-    void addRun(std::uint64_t fault_key,
-                const faultsim::InjectDetail &detail);
-};
-
-/**
- * Section containing @p cycle when [0, golden_cycles) is cut into
- * @p sections equal cycle intervals (the remainder widens the last
- * section, and a cycle at/past golden_cycles clamps into it).
- */
-unsigned sectionOfCycle(Cycle cycle, Cycle golden_cycles,
-                        unsigned sections);
-
-/**
- * Can @p prep be run and cached section-by-section?  Requires a plain
- * estimate campaign (no ground-truth sweep, no grouping-only) whose
- * groups carry exactly one representative each: then prep.faults[g]
- * IS group g's representative, every group is attributed to the
- * section of that one injection cycle, and batch deduplication stays
- * section-local (duplicate faults share a cycle, hence a section) —
- * the properties that make per-section run accounting sum exactly to
- * a cold run's totals.
- */
-bool sectionable(const PreparedCampaign &prep);
-
-/**
- * Section index of every fault group of @p prep (prep must be
- * sectionable()): group g lands in the section containing its
- * representative's injection cycle.
- */
-std::vector<unsigned> groupSections(const PreparedCampaign &prep,
-                                    unsigned sections);
-
-/**
- * Compose a CampaignResult from a COMPLETE per-section table (stored
- * hits and freshly-run sections alike) — the sectioned counterpart of
- * Campaign::finish().  Sums the survivor-restricted estimates, adds
- * the ACE-masked faults once, sums the engine counters, and
- * concatenates + sorts the quarantine records; each section's own
- * quarantine list is also sorted in place so @p table serializes
- * deterministically.  Byte-identical to a cold full run's result by
- * construction (integer sums commute; every per-run fact is a pure
- * function of its fault).  @p fresh_faults is the number of faults
- * this process actually handed to the injection engine (the
- * seconds-per-injection denominator).
- */
-CampaignResult composeSectioned(PreparedCampaign prep,
-                                std::vector<SectionData> &table,
-                                double injection_seconds,
-                                std::size_t fresh_faults);
 
 /** Drives one (program, structure, configuration) campaign. */
 class Campaign
@@ -322,12 +205,10 @@ class Campaign
      * Phase 3 epilogue: @p outcomes must hold the outcome of
      * prep.faults[i] at index i (any injection driver; outcomes are a
      * pure function of the fault, so any schedule gives the same
-     * result).  @p injection_seconds is the caller-measured wall clock
-     * of the injection phase.
+     * result).
      */
     CampaignResult finish(PreparedCampaign prep,
-                          const std::vector<faultsim::Outcome> &outcomes,
-                          double injection_seconds = 0.0) const;
+                          const std::vector<faultsim::Outcome> &outcomes) const;
 
     /** The golden reference (valid after prepare()/run()/...). */
     const faultsim::GoldenRun &goldenRun() const { return golden_; }

@@ -159,8 +159,6 @@ SuiteDiff::run() const
     out.campaignsA = a_.entries().size();
     out.campaignsB = b_.entries().size();
 
-    std::uint64_t runsTotalA = 0, runsTotalB = 0;
-    std::uint64_t exitsTotalA = 0, exitsTotalB = 0;
     double ciSquares = 0.0;
     bool allMargins = true;
 
@@ -200,17 +198,10 @@ SuiteDiff::run() const
             out.dClassTotals[c] += d.dClasses[c];
         }
 
-        d.runsA = ea.res.injectionRuns;
-        d.runsB = eb.res.injectionRuns;
-        d.dRuns = static_cast<std::int64_t>(d.runsB) -
-                  static_cast<std::int64_t>(d.runsA);
         d.injectionsA = ea.res.injections;
         d.injectionsB = eb.res.injections;
         d.dInjections = static_cast<std::int64_t>(d.injectionsB) -
                         static_cast<std::int64_t>(d.injectionsA);
-        d.eeRateA = ea.res.earlyExitRate();
-        d.eeRateB = eb.res.earlyExitRate();
-        d.dEeRate = d.eeRateB - d.eeRateA;
 
         out.meanDAvf += d.dAvf;
         out.meanAbsDAvf += std::abs(d.dAvf);
@@ -218,11 +209,6 @@ SuiteDiff::run() const
             ciSquares += *d.dAvfCi * *d.dAvfCi;
         else
             allMargins = false;
-        out.dRuns += d.dRuns;
-        runsTotalA += d.runsA;
-        runsTotalB += d.runsB;
-        exitsTotalA += ea.res.earlyExits;
-        exitsTotalB += eb.res.earlyExits;
 
         out.deltas.push_back(std::move(d));
     }
@@ -239,13 +225,6 @@ SuiteDiff::run() const
         if (allMargins)
             out.meanDAvfCi = std::sqrt(ciSquares) / n;
     }
-    const auto pooledRate = [](std::uint64_t exits, std::uint64_t runs) {
-        return runs ? static_cast<double>(exits) /
-                          static_cast<double>(runs)
-                    : 0.0;
-    };
-    out.dEeRate = pooledRate(exitsTotalB, runsTotalB) -
-                  pooledRate(exitsTotalA, runsTotalA);
     return out;
 }
 
@@ -278,15 +257,9 @@ SuiteDiffResult::toJson() const
         r.set("d_avf_ci", d.dAvfCi ? Json(*d.dAvfCi) : Json());
         r.set("d_classes", classDeltaJson(d.dClasses));
         r.set("d_class_fracs", classFracJson(d.dClassFracs));
-        r.set("runs_a", d.runsA);
-        r.set("runs_b", d.runsB);
-        r.set("d_runs", d.dRuns);
         r.set("injections_a", d.injectionsA);
         r.set("injections_b", d.injectionsB);
         r.set("d_injections", d.dInjections);
-        r.set("early_exit_rate_a", d.eeRateA);
-        r.set("early_exit_rate_b", d.eeRateB);
-        r.set("d_early_exit_rate", d.dEeRate);
         rows.push(r);
     }
     doc.set("deltas", rows);
@@ -298,8 +271,6 @@ SuiteDiffResult::toJson() const
     agg.set("mean_abs_d_avf", meanAbsDAvf);
     agg.set("mean_d_avf_ci", meanDAvfCi ? Json(*meanDAvfCi) : Json());
     agg.set("d_class_totals", classDeltaJson(dClassTotals));
-    agg.set("d_runs", dRuns);
-    agg.set("d_early_exit_rate", dEeRate);
     doc.set("aggregate", agg);
     return doc;
 }
@@ -323,9 +294,8 @@ SuiteDiffResult::table() const
     emit("axis: %s   confidence: %.3g%%\n",
          axisNames.empty() ? "(exact join)" : axisNames.c_str(),
          100.0 * confidence);
-    emit("%-14s %-4s %-13s %14s %9s %9s %10s %9s %8s %8s\n", "workload",
-         "tgt", "mode", "axis A->B", "AVF A%", "AVF B%", "dAVF pp",
-         "+-CI pp", "dRuns", "dEE pp");
+    emit("%-14s %-4s %-13s %14s %9s %9s %10s %9s\n", "workload", "tgt",
+         "mode", "axis A->B", "AVF A%", "AVF B%", "dAVF pp", "+-CI pp");
     for (const CampaignDelta &d : deltas) {
         const std::string axisAB =
             axisLabel(d.axisA) + " -> " + axisLabel(d.axisB);
@@ -337,13 +307,11 @@ SuiteDiffResult::table() const
             std::snprintf(ci, sizeof ci, "%9.3f", 100.0 * *d.dAvfCi);
         else
             std::snprintf(ci, sizeof ci, "%9s", "-");
-        emit("%-14s %-4s %-13s %14s %9.3f %9.3f %+10.3f %s %+8lld "
-             "%+8.2f\n",
+        emit("%-14s %-4s %-13s %14s %9.3f %9.3f %+10.3f %s\n",
              d.maskedSpec.strOr("workload", "*").c_str(),
              d.maskedSpec.strOr("structure", "*").c_str(), mode.c_str(),
              axisAB.c_str(), 100.0 * d.avfA, 100.0 * d.avfB,
-             100.0 * d.dAvf, ci, static_cast<long long>(d.dRuns),
-             100.0 * d.dEeRate);
+             100.0 * d.dAvf, ci);
     }
     emit("\n%zu campaigns joined (A: %zu, B: %zu; only-A: %zu, "
          "only-B: %zu)\n",
@@ -352,16 +320,13 @@ SuiteDiffResult::table() const
     if (!deltas.empty()) {
         if (meanDAvfCi) {
             emit("aggregate: mean dAVF %+.3f pp (+- %.3f pp at %.3g%%), "
-                 "mean |dAVF| %.3f pp, dRuns %+lld, dEE %+.2f pp\n",
+                 "mean |dAVF| %.3f pp\n",
                  100.0 * meanDAvf, 100.0 * *meanDAvfCi,
-                 100.0 * confidence, 100.0 * meanAbsDAvf,
-                 static_cast<long long>(dRuns), 100.0 * dEeRate);
+                 100.0 * confidence, 100.0 * meanAbsDAvf);
         } else {
             emit("aggregate: mean dAVF %+.3f pp (CI -: a zero-fault "
-                 "side has no sampling margin), mean |dAVF| %.3f pp, "
-                 "dRuns %+lld, dEE %+.2f pp\n",
-                 100.0 * meanDAvf, 100.0 * meanAbsDAvf,
-                 static_cast<long long>(dRuns), 100.0 * dEeRate);
+                 "side has no sampling margin), mean |dAVF| %.3f pp\n",
+                 100.0 * meanDAvf, 100.0 * meanAbsDAvf);
         }
     }
     for (const UnpairedCampaign &u : onlyA)

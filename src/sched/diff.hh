@@ -13,8 +13,8 @@
  * one-sided.
  *
  * Per joined pair the diff reports B - A deltas: ΔAVF, per-class
- * count and fraction deltas, Δinjection-runs and Δearly-exit rate —
- * each AVF/fraction delta with a confidence interval from the
+ * count and fraction deltas and Δinjected representatives — each
+ * AVF/fraction delta with a confidence interval from the
  * paper's statistical sampling model (Leveugle et al.): each side's
  * estimate derives from an initial sample of n faults, so its margin
  * at confidence c is e = z(c) * sqrt(p(1-p)/n) with the conservative
@@ -103,15 +103,9 @@ struct CampaignDelta
     std::array<std::int64_t, faultsim::NUM_OUTCOMES> dClasses{};
     std::array<double, faultsim::NUM_OUTCOMES> dClassFracs{};
 
-    std::uint64_t runsA = 0; ///< distinct faulty runs simulated
-    std::uint64_t runsB = 0;
-    std::int64_t dRuns = 0;
     std::uint64_t injectionsA = 0; ///< injected representatives
     std::uint64_t injectionsB = 0;
     std::int64_t dInjections = 0;
-    double eeRateA = 0.0; ///< early-exit rate
-    double eeRateB = 0.0;
-    double dEeRate = 0.0;
 };
 
 /** A campaign present in only one store (no partner across the axis). */
@@ -143,8 +137,6 @@ struct SuiteDiffResult
      */
     std::optional<double> meanDAvfCi;
     std::array<std::int64_t, faultsim::NUM_OUTCOMES> dClassTotals{};
-    std::int64_t dRuns = 0;
-    double dEeRate = 0.0; ///< pooled-rate delta (total exits / runs)
 
     /** Deterministic JSON document (fixed member order, sorted rows). */
     io::Json toJson() const;

@@ -5,8 +5,8 @@
  *
  * CampaignService owns everything a suite run used to create and tear
  * down per invocation — the shared ThreadPool, the ResultStore, the
- * outcome-journal directory, the section tables and the built-workload
- * cache — and accepts campaign submissions at ANY time.  The one-shot
+ * outcome-journal directory and the built-workload cache — and
+ * accepts campaign submissions at ANY time.  The one-shot
  * SuiteScheduler is now a thin submit-all-and-wait wrapper over it,
  * and merlin_serve keeps one instance resident behind a Unix socket.
  *
@@ -17,8 +17,7 @@
  *     looping driver tasks whose injections fan into the SAME pool
  *     (cross-campaign work stealing);
  *   - with reuseCached, a submitted spec whose content hash is in the
- *     store is served from it without running, and section-eligible
- *     specs serve PARTIAL hits from the section tables;
+ *     store is served from it without running;
  *   - every completed campaign is persisted (put + atomic save) under
  *     one store mutex, with optional single-entry shard spill;
  *   - a crash-safe outcome journal protects each running campaign, and
@@ -57,21 +56,6 @@
 namespace merlin::sched
 {
 
-/**
- * Can @p spec take part in sectioned (partial-hit) caching?  The
- * spec-level half of the test — the runtime half is
- * core::sectionable() on the prepared campaign.
- */
-bool sectionEligible(const CampaignSpec &spec);
-
-/**
- * The reduced spec a section table is keyed by: the full spec minus
- * the swept knobs (members a sweep varies WITHOUT changing campaign
- * outcomes, currently {mem_chunk_bytes}) plus the section count.
- */
-io::Json reducedSpecFor(const CampaignSpec &spec, unsigned sections);
-std::string reducedKeyFor(const CampaignSpec &spec, unsigned sections);
-
 class CampaignService
 {
   public:
@@ -89,10 +73,6 @@ class CampaignService
          * beside its store.
          */
         std::string journalDir;
-        /** Section count for incremental campaigns (0 = off). */
-        unsigned sections = 0;
-        /** Zero wall-clock fields so stored bytes are reproducible. */
-        bool recordTiming = true;
         /** Quarantine knobs (operational, never part of a spec). */
         double injectWallLimit = 0.0;
         bool quarantineFail = false;
@@ -130,9 +110,6 @@ class CampaignService
         bool cached = false;
         /** Coalesced onto another submission's simulation. */
         bool coalesced = false;
-        /** Section-store accounting (zero when sectioning is off). */
-        std::uint32_t sectionsHit = 0;
-        std::uint32_t sectionsMissed = 0;
     };
 
     /** Per-submission knobs (the per-client half of SuiteOptions). */
@@ -276,16 +253,11 @@ class CampaignService
     std::string journalPathFor(const CampaignSpec &spec) const;
     void spillShardLocked(const std::string &shard_dir,
                           const CampaignSpec &spec,
-                          const core::CampaignResult &res,
-                          const std::string &section_key = std::string(),
-                          const io::ResultStore::SectionTable *table =
-                              nullptr);
+                          const core::CampaignResult &res);
     void maybeSpawnDriverLocked();
     void driverLoop();
     std::shared_ptr<Job> popNextLocked();
     void runJob(Job &job);
-    void runSectioned(Job &job, core::Campaign &camp,
-                      core::PreparedCampaign prep);
     void settleLocked(const std::shared_ptr<Job> &job, State state,
                       std::exception_ptr err);
     std::vector<std::string> shardDirsOf(const Job &job);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <set>
 
 #include "base/logging.hh"
@@ -100,10 +101,8 @@ const char *const kSpecMembers[] = {
     "sq_entries",    "l1d_kb",         "window",
     "faults",        "confidence",     "error_margin",
     "split",         "max_group_size", "reps_per_group",
-    "seed",          "checkpoint_interval", "max_checkpoints",
-    "early_exit",    "replay",         "timeout_factor",
-    "mem_chunk_bytes",
-    "mode",          "relyzer",        "path_depth",
+    "seed",          "timeout_factor", "mode",
+    "relyzer",       "path_depth",
 };
 
 void
@@ -114,6 +113,17 @@ checkSpecMembers(const Json &j, const char *what)
         if (!isSpecMember(name))
             fatal("suite ", what, ": unknown member '", name, "'");
     }
+}
+
+/** Member @p name of @p j for an `unsigned` field; fatal() by name when
+ *  the value does not fit instead of truncating it. */
+unsigned
+u32Member(const Json &j, const char *name, unsigned def)
+{
+    const std::uint64_t v = j.u64Or(name, def);
+    if (v > std::numeric_limits<unsigned>::max())
+        fatal("suite spec: ", name, " ", v, " does not fit in 32 bits");
+    return static_cast<unsigned>(v);
 }
 
 } // namespace
@@ -144,14 +154,9 @@ CampaignSpec::campaignConfig(const workloads::BuiltWorkload &w) const
     cc.grouping = grouping;
     cc.seed = seed;
     // Intra-campaign parallelism comes from the shared suite pool, not
-    // from a per-campaign pool.
+    // from a per-campaign pool.  The engine knobs keep their defaults.
     cc.jobs = 1;
-    cc.checkpointInterval = checkpointInterval;
-    cc.maxCheckpoints = maxCheckpoints;
-    cc.earlyExit = earlyExit;
-    cc.replay = replay;
     cc.timeoutFactor = timeoutFactor;
-    cc.core.memChunkBytes = memChunkBytes;
     return cc;
 }
 
@@ -178,12 +183,7 @@ CampaignSpec::toJson() const
     j.set("max_group_size", grouping.maxGroupSize);
     j.set("reps_per_group", grouping.repsPerGroup);
     j.set("seed", seed);
-    j.set("checkpoint_interval", checkpointInterval);
-    j.set("max_checkpoints", maxCheckpoints);
-    j.set("early_exit", earlyExit);
-    j.set("replay", replay);
     j.set("timeout_factor", timeoutFactor);
-    j.set("mem_chunk_bytes", memChunkBytes);
     j.set("mode", modeTag(mode));
     j.set("relyzer", relyzer);
     j.set("path_depth", pathDepth);
@@ -199,10 +199,23 @@ CampaignSpec::fromJson(const Json &j)
     if (s.workload.empty())
         fatal("suite spec: missing 'workload'");
     s.structure = structureFromTag(j.strOr("structure", "rf"));
-    s.regs = static_cast<unsigned>(j.u64Or("regs", s.regs));
-    s.sqEntries =
-        static_cast<unsigned>(j.u64Or("sq_entries", s.sqEntries));
-    s.l1dKb = static_cast<unsigned>(j.u64Or("l1d_kb", s.l1dKb));
+    // Geometry is checked against the same predicates the core and
+    // cache assert, so a bad manifest or wire spec fails here, by
+    // member name, instead of mid-suite inside the simulator.
+    s.regs = u32Member(j, "regs", s.regs);
+    if (!uarch::CoreConfig::validPhysIntRegs(s.regs))
+        fatal("suite spec: regs ", s.regs, " must exceed the ",
+              isa::NUM_RENAMEABLE_REGS,
+              " renameable architectural registers and be at most 65535");
+    s.sqEntries = u32Member(j, "sq_entries", s.sqEntries);
+    if (!uarch::CoreConfig::validSqEntries(s.sqEntries))
+        fatal("suite spec: sq_entries ", s.sqEntries,
+              " must be at least 1");
+    s.l1dKb = u32Member(j, "l1d_kb", s.l1dKb);
+    if (s.l1dKb > std::numeric_limits<std::uint32_t>::max() / 1024 ||
+        !uarch::CoreConfig{}.withL1dKb(s.l1dKb).l1d.validGeometry())
+        fatal("suite spec: l1d_kb ", s.l1dKb,
+              " is not a buildable L1D size");
     if (const Json *w = j.find("window")) {
         if (!w->isNull())
             s.window = w->asU64();
@@ -216,29 +229,15 @@ CampaignSpec::fromJson(const Json &j)
             j.numOr("error_margin", s.sampling.errorMargin);
     }
     s.grouping.split = splitFromTag(j.strOr("split", "byte"));
-    s.grouping.maxGroupSize = static_cast<unsigned>(
-        j.u64Or("max_group_size", s.grouping.maxGroupSize));
-    s.grouping.repsPerGroup = static_cast<unsigned>(
-        j.u64Or("reps_per_group", s.grouping.repsPerGroup));
+    s.grouping.maxGroupSize =
+        u32Member(j, "max_group_size", s.grouping.maxGroupSize);
+    s.grouping.repsPerGroup =
+        u32Member(j, "reps_per_group", s.grouping.repsPerGroup);
     s.seed = j.u64Or("seed", s.seed);
-    s.checkpointInterval =
-        j.u64Or("checkpoint_interval", s.checkpointInterval);
-    s.maxCheckpoints = static_cast<unsigned>(
-        j.u64Or("max_checkpoints", s.maxCheckpoints));
-    s.earlyExit = j.boolOr("early_exit", s.earlyExit);
-    s.replay = j.boolOr("replay", s.replay);
-    s.timeoutFactor = static_cast<unsigned>(
-        j.u64Or("timeout_factor", s.timeoutFactor));
-    const std::uint64_t chunk =
-        j.u64Or("mem_chunk_bytes", s.memChunkBytes);
-    if (!isa::isValidChunkBytes(chunk))
-        fatal("suite spec: mem_chunk_bytes ", chunk,
-              " is not a power of two >= 64");
-    s.memChunkBytes = static_cast<std::uint32_t>(chunk);
+    s.timeoutFactor = u32Member(j, "timeout_factor", s.timeoutFactor);
     s.mode = modeFromTag(j.strOr("mode", "estimate"));
     s.relyzer = j.boolOr("relyzer", false);
-    s.pathDepth =
-        static_cast<unsigned>(j.u64Or("path_depth", s.pathDepth));
+    s.pathDepth = u32Member(j, "path_depth", s.pathDepth);
     return s;
 }
 
@@ -309,8 +308,6 @@ SuiteScheduler::run()
     out.results.resize(specs_.size());
     out.cached.assign(specs_.size(), false);
     out.selected.assign(specs_.size(), true);
-    out.sectionsHit.assign(specs_.size(), 0);
-    out.sectionsMissed.assign(specs_.size(), 0);
     if (opts_.select) {
         for (std::size_t i = 0; i < specs_.size(); ++i)
             out.selected[i] = opts_.select->selects(i, specs_[i].key());
@@ -332,7 +329,7 @@ SuiteScheduler::run()
     // config derivations (journal placement, store loading only under
     // --resume) are exactly the one-shot scheduler's old rules.
     // startPaused preserves the batch phase structure: every cache
-    // hit and section lookup resolves against the loaded store BEFORE
+    // hit resolves against the loaded store BEFORE
     // any campaign mutates it, so reports and store bytes cannot
     // depend on submission/completion races.
     CampaignService::Config cfg;
@@ -343,8 +340,6 @@ SuiteScheduler::run()
             ? opts_.shardDir
             : (opts_.storePath.empty() ? std::string()
                                        : opts_.storePath + ".journal");
-    cfg.sections = opts_.sections;
-    cfg.recordTiming = opts_.recordTiming;
     cfg.injectWallLimit = opts_.injectWallLimit;
     cfg.quarantineFail = opts_.quarantineFail;
     cfg.loadStore = opts_.reuseCached;
@@ -389,25 +384,6 @@ SuiteScheduler::run()
             }
             for (const std::string &key : foreign)
                 store.erase(key);
-            // Section tables are foreign under the same rule, against
-            // the reduced keys this worker's share can produce (none
-            // at all when sectioning is off).
-            std::set<std::string> mineSections;
-            if (opts_.sections > 0) {
-                for (std::size_t i = 0; i < specs_.size(); ++i) {
-                    if (out.selected[i] && sectionEligible(specs_[i]))
-                        mineSections.insert(
-                            reducedKeyFor(specs_[i], opts_.sections));
-                }
-            }
-            std::vector<std::string> foreignSections;
-            for (const auto &[key, table] : store.sectionTables()) {
-                (void)table;
-                if (!mineSections.count(key))
-                    foreignSections.push_back(key);
-            }
-            for (const std::string &key : foreignSections)
-                store.eraseSections(key);
         } else {
             // A full run owns the whole suite; a worker store being
             // promoted back to a single-host store sheds its selection.
@@ -463,8 +439,6 @@ SuiteScheduler::run()
         const CampaignService::Outcome &o = tickets[i]->outcome();
         out.results[i] = o.result;
         out.cached[i] = o.cached;
-        out.sectionsHit[i] = o.sectionsHit;
-        out.sectionsMissed[i] = o.sectionsMissed;
         if (!o.cached)
             ++ran;
     }

@@ -40,10 +40,14 @@ namespace merlin::sched
 {
 
 /**
- * Everything that defines one campaign of a suite — a value type, so
+ * Everything that can change one campaign's outcome — a value type, so
  * it can be hashed, serialized into manifests/results, and compared.
- * The job count is deliberately NOT part of a spec: it never changes
- * the result, so it must not change the cache key.
+ * The spec is the result's identity: anything that never changes the
+ * result is deliberately NOT part of it, so it cannot change the cache
+ * key.  That covers the job count and the engine knobs (checkpoint
+ * cadence, early exit, golden-trace replay, COW chunk size), which
+ * keep their defaults here and are only settable per campaign on
+ * core::CampaignConfig.
  */
 struct CampaignSpec
 {
@@ -68,24 +72,11 @@ struct CampaignSpec
     core::SamplingSpec sampling;
     core::GroupingOptions grouping;
     std::uint64_t seed = 1;
-    Cycle checkpointInterval =
-        faultsim::InjectionRunner::kDefaultCheckpointInterval;
-    unsigned maxCheckpoints =
-        faultsim::InjectionRunner::kDefaultMaxCheckpoints;
-    /**
-     * Engine knobs, part of the spec value and therefore of the
-     * content hash: a result must record exactly how it was produced.
-     * earlyExit, replay and memChunkBytes never change campaign
-     * outcomes (early exit and the golden-trace replay fast path are
-     * classification-preserving, the chunk size only shapes COW detach
-     * cost); timeoutFactor DOES move the Timeout classification
-     * boundary — the paper's rule is the default 3.
-     */
-    bool earlyExit = true;
-    bool replay = true;
+    /** Moves the Timeout classification boundary (the paper's rule is
+     *  the default 3x golden), so unlike the engine knobs it is part of
+     *  the outcome. */
     unsigned timeoutFactor =
         faultsim::RunnerOptions::kDefaultTimeoutFactor;
-    std::uint32_t memChunkBytes = isa::SegmentedMemory::kDefaultChunkBytes;
 
     Mode mode = Mode::Estimate;
     bool relyzer = false;   ///< Relyzer grouping baseline (Fig. 17)
@@ -98,7 +89,12 @@ struct CampaignSpec
     /** Canonical JSON (fixed member order — the hash input). */
     io::Json toJson() const;
 
-    /** Inverse of toJson(); unknown members are fatal(). */
+    /**
+     * Inverse of toJson().  Unknown members, and values the engine
+     * could not run (a geometry the core or cache would reject, an
+     * integer that does not fit its field), are fatal() by member
+     * name.
+     */
     static CampaignSpec fromJson(const io::Json &j);
 
     /**
@@ -141,29 +137,6 @@ struct SuiteOptions
      * overwrite.
      */
     bool reuseCached = false;
-    /**
-     * Section count for incremental campaigns (--sections; 0 = off).
-     * With N > 0 every eligible campaign's golden run is cut into N
-     * equal cycle intervals, each sampled fault is attributed to the
-     * section containing its injection cycle, and the per-section
-     * outcome slices are stored in the result store keyed at (spec
-     * minus the swept knobs, currently {mem_chunk_bytes}) x section.
-     * A later run whose spec differs only in a swept knob then serves
-     * the stored sections as PARTIAL cache hits: only missing
-     * sections' faults are re-injected, and the composed result is
-     * byte-identical to a cold full run.  Eligible campaigns are
-     * estimate-mode specs with reps_per_group == 1 (the paper's
-     * configuration); others always run whole.  Deliberately NOT a
-     * spec member — like jobs, it never changes a campaign's result,
-     * so it must not change the cache key.
-     */
-    unsigned sections = 0;
-    /**
-     * Record wall-clock fields in the results.  Off zeroes them so
-     * the serialized store is byte-identical across runs — the suite
-     * determinism guarantee in testable form.
-     */
-    bool recordTiming = true;
     /**
      * Per-injection real-wall-clock watchdog in seconds (0 = off),
      * and what to do when the quarantine guard fires.  Operational
@@ -209,15 +182,6 @@ struct SuiteResult
      * --select).  results[i] is meaningful only when selected[i].
      */
     std::vector<bool> selected;
-    /**
-     * Per-spec section-store accounting (all zero when sectioning is
-     * off or the spec is not section-eligible): how many of the
-     * SuiteOptions::sections slices were served from the store and how
-     * many had to run.  A whole-campaign cache hit on an eligible spec
-     * counts as all sections hit.
-     */
-    std::vector<std::uint32_t> sectionsHit;
-    std::vector<std::uint32_t> sectionsMissed;
     std::uint64_t campaignsRun = 0;
     /**
      * Injections this run simulated or replayed from journals (cache

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -13,7 +12,6 @@
 #include "isa/memory.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sched/diff.hh"
 
 namespace merlin::tools
 {
@@ -243,11 +241,6 @@ suiteOptionsFromArgs(const Args &args)
     opts.storePath = args.get("out");
     opts.shardDir = args.get("out-dir");
     opts.reuseCached = args.has("resume");
-    opts.recordTiming = !args.has("no-timing");
-    opts.sections = args.getU32("sections", 0);
-    if (args.has("sections") &&
-        (opts.sections == 0 || opts.sections > 4096))
-        fatal("--sections must be in [1, 4096]");
     opts.injectWallLimit = args.getD("inject-wall-limit", 0.0);
     opts.quarantineFail = parseQuarantineFail(args);
     // --progress / --progress=SECS: periodic stderr line (a bare flag
@@ -278,11 +271,6 @@ serviceConfigFromArgs(const Args &args)
     // campaign engine — where the one-shot suite defaults to 1.
     cfg.jobs = args.getU32("jobs", 0);
     cfg.storePath = args.get("store");
-    cfg.sections = args.getU32("sections", 0);
-    if (args.has("sections") &&
-        (cfg.sections == 0 || cfg.sections > 4096))
-        fatal("--sections must be in [1, 4096]");
-    cfg.recordTiming = !args.has("no-timing");
     cfg.injectWallLimit = args.getD("inject-wall-limit", 0.0);
     cfg.quarantineFail = parseQuarantineFail(args);
     // The daemon always warms from its store: a persistent cache is
@@ -339,27 +327,6 @@ printCampaign(const core::CampaignResult &r, std::uint64_t bits)
                     r.merlinEstimate.maxInaccuracyVs(r.fullTruth()),
                     r.homogeneity->fine);
     }
-    if (r.injectionRuns) {
-        std::printf("early exit: %llu of %llu runs reconverged with the "
-                    "golden state (%.1f%%)\n",
-                    static_cast<unsigned long long>(r.earlyExits),
-                    static_cast<unsigned long long>(r.injectionRuns),
-                    100.0 * r.earlyExitRate());
-    }
-    if (r.replayMasked + r.replayHandoffs) {
-        std::printf("replay: %llu dead flips shortcut Masked, %llu "
-                    "handed off to simulation (divergence rate %.1f%%)"
-                    "\n",
-                    static_cast<unsigned long long>(r.replayMasked),
-                    static_cast<unsigned long long>(r.replayHandoffs),
-                    100 * r.replayDivergenceRate());
-        std::printf("replay: %llu of %llu head cycles skipped "
-                    "(%.1f%%)\n",
-                    static_cast<unsigned long long>(
-                        r.replayCyclesSkipped),
-                    static_cast<unsigned long long>(r.replayHeadCycles),
-                    100 * r.replaySkipRate());
-    }
     if (!r.quarantine.empty()) {
         std::printf("quarantined: %zu injection%s failed the simulator "
                     "and %s counted Crash:\n",
@@ -371,10 +338,39 @@ printCampaign(const core::CampaignResult &r, std::uint64_t bits)
                         static_cast<unsigned long long>(q.faultKey),
                         q.reason.c_str());
     }
-    std::printf("wall clock: %.2fs profile + %.2fs injections "
-                "(%.3f ms/injection)\n",
-                r.profileSeconds, r.injectionSeconds,
-                1e3 * r.secondsPerInjection);
+}
+
+void
+printEngineStats(const faultsim::InjectionStats &s, double seconds)
+{
+    if (s.runs) {
+        std::printf("early exit: %llu of %llu runs reconverged with the "
+                    "golden state (%.1f%%)\n",
+                    static_cast<unsigned long long>(s.earlyExits),
+                    static_cast<unsigned long long>(s.runs),
+                    100.0 * static_cast<double>(s.earlyExits) /
+                        static_cast<double>(s.runs));
+    }
+    if (const std::uint64_t consulted = s.replayMasked + s.replayHandoffs) {
+        std::printf("replay: %llu dead flips shortcut Masked, %llu "
+                    "handed off to simulation (divergence rate %.1f%%)"
+                    "\n",
+                    static_cast<unsigned long long>(s.replayMasked),
+                    static_cast<unsigned long long>(s.replayHandoffs),
+                    100.0 * static_cast<double>(s.replayHandoffs) /
+                        static_cast<double>(consulted));
+        std::printf("replay: %llu of %llu head cycles skipped "
+                    "(%.1f%%)\n",
+                    static_cast<unsigned long long>(s.replayCyclesSkipped),
+                    static_cast<unsigned long long>(s.replayHeadCycles),
+                    s.replayHeadCycles
+                        ? 100.0 *
+                              static_cast<double>(s.replayCyclesSkipped) /
+                              static_cast<double>(s.replayHeadCycles)
+                        : 0.0);
+    }
+    std::printf("wall clock: %.2fs (%llu injection runs)\n", seconds,
+                static_cast<unsigned long long>(s.runs));
 }
 
 void
@@ -382,39 +378,20 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                  const sched::SuiteResult &suite,
                  const sched::SuiteOptions &opts)
 {
-    // New columns go AFTER ee%: downstream consumers (CI's awk among
-    // them) address AVF% as whitespace-separated field 7.
-    std::printf("%-14s %-4s %-13s %10s %10s %10s %8s %6s %6s %6s %s\n",
-                "workload", "tgt", "mode", "initial", "survivors",
-                "injected", "AVF%", "ee%", "skip%", "div%", "");
+    // Downstream consumers (CI's awk among them) address AVF% as
+    // whitespace-separated field 7; the [cached] tag trails it.
+    std::printf("%-14s %-4s %-13s %10s %10s %10s %8s\n", "workload",
+                "tgt", "mode", "initial", "survivors", "injected", "AVF%");
     std::uint64_t cached = 0;
     std::uint64_t selected = 0;
-    std::uint64_t sectionsHit = 0;
-    std::uint64_t sectionsMissed = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         if (!suite.selected[i])
             continue; // another worker's share
         const auto &r = suite.results[i];
         ++selected;
         cached += suite.cached[i] ? 1 : 0;
-        sectionsHit += suite.sectionsHit[i];
-        sectionsMissed += suite.sectionsMissed[i];
-        // Trailing tags, strictly after every numeric column:
-        // [cached] for whole-campaign hits, [sections h/N] for the
-        // section-eligible campaigns of a --sections run.
-        std::string tag = suite.cached[i] ? "[cached]" : "";
-        if (suite.sectionsHit[i] + suite.sectionsMissed[i] > 0) {
-            if (!tag.empty())
-                tag += ' ';
-            tag += "[sections " + std::to_string(suite.sectionsHit[i]) +
-                   "/" +
-                   std::to_string(suite.sectionsHit[i] +
-                                  suite.sectionsMissed[i]) +
-                   "]";
-        }
         std::printf(
-            "%-14s %-4s %-13s %10llu %10llu %10llu %7.3f%% %5.1f%% "
-            "%5.1f%% %5.1f%% %s\n",
+            "%-14s %-4s %-13s %10llu %10llu %10llu %7.3f%% %s\n",
             specs[i].workload.c_str(),
             uarch::structureName(specs[i].structure),
             specs[i].mode == sched::CampaignSpec::Mode::GroupingOnly
@@ -425,9 +402,8 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
             static_cast<unsigned long long>(r.initialFaults),
             static_cast<unsigned long long>(r.survivors),
             static_cast<unsigned long long>(r.injections),
-            100 * r.merlinEstimate.avf(), 100 * r.earlyExitRate(),
-            100 * r.replaySkipRate(), 100 * r.replayDivergenceRate(),
-            tag.c_str());
+            100 * r.merlinEstimate.avf(),
+            suite.cached[i] ? "[cached]" : "");
     }
     std::printf("\n%llu campaigns (%llu run, %llu cached) in %.2fs "
                 "with --jobs %u\n",
@@ -435,39 +411,6 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                 static_cast<unsigned long long>(suite.campaignsRun),
                 static_cast<unsigned long long>(cached),
                 suite.wallSeconds, opts.jobs);
-    if (opts.sections > 0) {
-        std::printf("sections (--sections %u): %llu hit, %llu missed\n",
-                    opts.sections,
-                    static_cast<unsigned long long>(sectionsHit),
-                    static_cast<unsigned long long>(sectionsMissed));
-        // Composed per-campaign AVF with its Leveugle sampling margin:
-        // the CI is a function of the INITIAL sample size, so partial
-        // composition leaves it — like the AVF itself — identical to
-        // a cold full run's.
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            if (!suite.selected[i] ||
-                suite.sectionsHit[i] + suite.sectionsMissed[i] == 0)
-                continue;
-            const auto &r = suite.results[i];
-            const double confidence = specs[i].sampling.confidence;
-            const std::optional<double> margin =
-                sched::samplingMargin(r.initialFaults, confidence);
-            if (margin) {
-                std::printf("  %-14s %-4s composed AVF %7.3f%% +- "
-                            "%.3fpp at %.3g%% confidence\n",
-                            specs[i].workload.c_str(),
-                            uarch::structureName(specs[i].structure),
-                            100 * r.merlinEstimate.avf(), 100 * *margin,
-                            100 * confidence);
-            } else {
-                std::printf("  %-14s %-4s composed AVF %7.3f%% (no "
-                            "sampling margin: zero initial faults)\n",
-                            specs[i].workload.c_str(),
-                            uarch::structureName(specs[i].structure),
-                            100 * r.merlinEstimate.avf());
-            }
-        }
-    }
     if (suite.injectionsSimulated && suite.wallSeconds > 0.0) {
         std::printf("throughput: %llu injections at %.0f/s\n",
                     static_cast<unsigned long long>(

@@ -86,7 +86,7 @@ std::vector<sched::CampaignSpec>
 loadManifestFile(const std::string &path);
 
 /**
- * The one-shot suite knobs (--jobs/--out/--resume/--sections/...),
+ * The one-shot suite knobs (--jobs/--out/--resume/--select/...),
  * validations included — the single derivation both `suite` and any
  * batch-flavored front end use.
  */
@@ -94,7 +94,7 @@ sched::SuiteOptions suiteOptionsFromArgs(const Args &args);
 
 /**
  * The daemon-lifetime service knobs from the SAME flag grammar
- * (--jobs/--store/--sections/--no-timing/quarantine).  The daemon
+ * (--jobs/--store/quarantine).  The daemon
  * always loads its store — a warm cache is its reason to exist.
  */
 sched::CampaignService::Config serviceConfigFromArgs(const Args &args);
@@ -102,14 +102,20 @@ sched::CampaignService::Config serviceConfigFromArgs(const Args &args);
 /** Print one campaign's reliability report (`campaign` / `result`). */
 void printCampaign(const core::CampaignResult &r, std::uint64_t bits);
 
+/**
+ * Print how the engine produced a campaign run in this process — early
+ * exits, replay, wall clock — from the runner's own counters.  Never
+ * part of a stored result, so only commands that simulated print it.
+ */
+void printEngineStats(const faultsim::InjectionStats &s, double seconds);
+
 /** Target-structure bit count for FIT math, from a resolved config. */
 std::uint64_t structureBits(const core::CampaignConfig &cc);
 
 /**
  * Print the suite report table + summary blocks exactly as
- * `merlin_cli suite` always has (byte-identical contract: CI awks
- * these columns).  @p opts supplies jobs/sections/select/store paths
- * for the trailer lines.
+ * `merlin_cli suite` always has (CI awks these columns).  @p opts
+ * supplies jobs/select/store paths for the trailer lines.
  */
 void printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                       const sched::SuiteResult &suite,

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "merlin/campaign.hh"
+#include "obs/clock.hh"
 #include "tools/cli_cmds.hh"
 #include "uarch/core.hh"
 #include "workloads/workloads.hh"
@@ -26,13 +27,16 @@ cmdCampaign(const Args &args)
     core::CampaignConfig cc = campaignConfig(
         args, args.has("window") ? 0 : w.suggestedWindow);
     startTelemetry(args);
+    const obs::TimePoint t0 = obs::now();
     core::Campaign camp(w.program, cc);
     auto r = args.has("relyzer") ? camp.runRelyzer(args.has("truth"))
                                  : camp.run(args.has("truth"));
+    const double seconds = obs::secondsSince(t0);
     finishTelemetry(args);
     std::printf("== %s / %s ==\n", w.program.name.c_str(),
                 uarch::structureName(cc.target));
     printCampaign(r, structureBits(cc));
+    printEngineStats(camp.runner().injectionStats(), seconds);
     return 0;
 }
 

@@ -33,7 +33,7 @@ namespace
 {
 
 /** Connect to --socket and run the hello handshake; fills @p hello_ok
- *  with the daemon's `ok` reply (jobs, sections, store path). */
+ *  with the daemon's `ok` reply (jobs, store path). */
 io::WireConnection
 connectDaemon(const Args &args, io::Json &hello_ok)
 {
@@ -109,8 +109,6 @@ cmdSubmit(const std::string &manifest_path, const Args &args)
     suite.results.resize(specs.size());
     suite.cached.assign(specs.size(), false);
     suite.selected.assign(specs.size(), true);
-    suite.sectionsHit.assign(specs.size(), 0);
-    suite.sectionsMissed.assign(specs.size(), 0);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         io::Json msg = io::Json::object();
         msg.set("type", "result");
@@ -125,14 +123,8 @@ cmdSubmit(const std::string &manifest_path, const Args &args)
                       : std::string());
         suite.results[i] = io::resultFromJson(reply.at("result"));
         suite.cached[i] = reply.boolOr("cached", false);
-        suite.sectionsHit[i] = static_cast<std::uint32_t>(
-            reply.u64Or("sections_hit", 0));
-        suite.sectionsMissed[i] = static_cast<std::uint32_t>(
-            reply.u64Or("sections_missed", 0));
-        if (!suite.cached[i]) {
+        if (!suite.cached[i])
             ++suite.campaignsRun;
-            suite.injectionsSimulated += suite.results[i].injectionRuns;
-        }
     }
     suite.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -141,7 +133,6 @@ cmdSubmit(const std::string &manifest_path, const Args &args)
 
     sched::SuiteOptions ropts;
     ropts.jobs = static_cast<unsigned>(hello_ok.u64Or("jobs", 0));
-    ropts.sections = static_cast<unsigned>(hello_ok.u64Or("sections", 0));
     ropts.storePath = hello_ok.strOr("store", "");
     printSuiteReport(specs, suite, ropts);
     return 0;

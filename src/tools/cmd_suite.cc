@@ -99,10 +99,9 @@ cmdSuite(const std::string &manifest_path, const Args &args)
         return cmdSuitePlan(specs, args);
     }
     requireKnownFlags(args,
-                      {"jobs", "out", "out-dir", "resume", "no-timing",
-                       "sections", "select", "select-hash", "quarantine",
-                       "inject-wall-limit", "trace", "metrics",
-                       "progress", "progress-json"},
+                      {"jobs", "out", "out-dir", "resume", "select",
+                       "select-hash", "quarantine", "inject-wall-limit",
+                       "trace", "metrics", "progress", "progress-json"},
                       "suite");
 
     sched::SuiteOptions opts = suiteOptionsFromArgs(args);

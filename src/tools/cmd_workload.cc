@@ -7,6 +7,7 @@
 #include "base/logging.hh"
 #include "masm/asm.hh"
 #include "merlin/campaign.hh"
+#include "obs/clock.hh"
 #include "tools/cli_cmds.hh"
 #include "uarch/core.hh"
 #include "workloads/workloads.hh"
@@ -89,9 +90,12 @@ cmdAsm(const Args &args)
         Args a2 = args;
         a2.kv["structure"] = args.get("campaign");
         core::CampaignConfig cc = campaignConfig(a2, 0);
+        const obs::TimePoint t0 = obs::now();
         core::Campaign camp(prog, cc);
         auto res = camp.run(a2.has("truth"));
         printCampaign(res, 64ULL * 64);
+        printEngineStats(camp.runner().injectionStats(),
+                         obs::secondsSince(t0));
     }
     return 0;
 }

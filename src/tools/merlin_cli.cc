@@ -27,7 +27,10 @@
  *       (classification-preserving; on by default — off only for A/B
  *       validation).  --mem-chunk-bytes sets the copy-on-write chunk
  *       granularity of memory/cache state (power of two >= 64).
- *       Neither changes campaign outcomes.  --timeout-factor scales
+ *       None of these engine knobs changes campaign outcomes, so they
+ *       are `campaign`-only flags, never suite spec members; the
+ *       report's early-exit, replay and wall-clock lines describe this
+ *       run only.  --timeout-factor scales
  *       the paper's 3x-golden timeout rule — it moves the Timeout
  *       classification boundary, so keep the default when comparing
  *       against paper numbers.
@@ -40,7 +43,6 @@
  *       instead (default: continue).
  *   merlin_cli suite manifest.json
  *       [--jobs N] [--out results.json] [--out-dir DIR] [--resume]
- *       [--no-timing] [--sections N]
  *       [--select i/n | --select-hash i/n]
  *       [--quarantine=fail|continue] [--inject-wall-limit SECONDS]
  *       [--trace trace.json] [--metrics metrics.json]
@@ -49,25 +51,16 @@
  *       on one shared worker pool: profiles overlap and workers steal
  *       injections across campaigns, with bit-identical results for
  *       any --jobs.  --out persists every CampaignResult keyed by a
- *       content hash of its spec; with --resume, specs already in the
- *       file are served from it (cache hits / crash recovery), and a
+ *       content hash of its spec (the outcome-relevant members only;
+ *       results hold outcomes only, so the file is byte-identical
+ *       across runs, job counts and schedules); with --resume, specs
+ *       already in the file are served from it (cache hits / crash
+ *       recovery), and a
  *       campaign that was KILLED midway resumes from its outcome
  *       journal (an append-only fsync'd file beside the shard spill)
  *       with results byte-identical to an uninterrupted run.
  *       --out-dir additionally spills every campaign as a single-entry
- *       shard file DIR/<key>.json for `store merge`.  --no-timing
- *       zeroes wall-clock fields so the results file is byte-identical
- *       across runs.
- *       --sections N turns on incremental (partial-hit) caching: each
- *       eligible campaign's golden run is cut into N equal cycle
- *       intervals, per-section outcome slices are stored keyed at
- *       (spec minus swept knobs, currently mem_chunk_bytes) x section
- *       in the merlin-store-v2 shape, and a --resume whose spec
- *       differs only in a swept knob re-injects ONLY the sections the
- *       store is missing — with the composed result byte-identical to
- *       a cold full run.  The report tags eligible campaigns with
- *       [sections hit/N] and prints each composed AVF with its
- *       Leveugle sampling margin.
+ *       shard file DIR/<key>.json for `store merge`.
  *       Telemetry (all strictly out-of-band — results and store bytes
  *       are byte-identical with or without it): --trace records every
  *       scheduler/campaign/injection/store span as Chrome trace_event
@@ -98,8 +91,8 @@
  *       Differential sweep: join two result stores on the spec content
  *       hash modulo the swept --axis knobs (manifest member names,
  *       e.g. l1d_kb) and report per-campaign and aggregate B-A deltas
- *       (AVF, class counts, injection runs, early-exit rate), each
- *       with a sampling confidence interval.  Output is deterministic:
+ *       (AVF, class counts, injected representatives), each with a
+ *       sampling confidence interval.  Output is deterministic:
  *       sorted rows, byte-stable JSON with --out.
  *   merlin_cli store merge --out merged.json [--force-theirs]
  *       input... (store files and/or shard directories)
@@ -179,7 +172,6 @@ main(int argc, char **argv)
                              "usage: merlin_cli suite manifest.json "
                              "[--jobs N] [--out results.json] "
                              "[--out-dir DIR] [--resume] "
-                             "[--no-timing] [--sections N] "
                              "[--select i/n | --select-hash i/n] "
                              "[--quarantine=fail|continue] "
                              "[--inject-wall-limit SECONDS] "

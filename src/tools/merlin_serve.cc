@@ -3,14 +3,13 @@
  * merlin_serve — the campaign service as a daemon.
  *
  *   merlin_serve --socket /run/merlin.sock [--store results.json]
- *       [--jobs N] [--sections N] [--no-timing]
- *       [--inject-wall-limit SECONDS] [--quarantine=fail|continue]
+ *       [--jobs N] [--inject-wall-limit SECONDS]
+ *       [--quarantine=fail|continue]
  *       [--trace trace.json] [--metrics metrics.json]
  *
  * One resident sched::CampaignService behind a Unix domain socket
  * speaking merlin-wire-v1 (docs/wire-protocol.md).  Clients submit
- * campaign specs at any time; the daemon serves whole and sectioned
- * store hits, coalesces identical in-flight specs across clients
+ * campaign specs at any time; the daemon serves store hits, coalesces identical in-flight specs across clients
  * (single-flight: the simulation runs ONCE, every subscriber gets the
  * byte-identical result), schedules round-robin across clients, and
  * persists every completed campaign to --store exactly as a batch
@@ -151,8 +150,6 @@ ticketResultReply(const sched::CampaignService::TicketPtr &ticket)
         const auto &o = ticket->outcome();
         reply.set("cached", o.cached);
         reply.set("coalesced", o.coalesced);
-        reply.set("sections_hit", std::uint64_t(o.sectionsHit));
-        reply.set("sections_missed", std::uint64_t(o.sectionsMissed));
         reply.set("spec", ticket->spec().toJson());
         reply.set("result", io::resultToJson(o.result));
     } else if (state == sched::CampaignService::State::Failed) {
@@ -271,8 +268,6 @@ handleRequest(sched::CampaignService &svc, const std::string &client,
             reply.set("state", "done");
             reply.set("cached", true);
             reply.set("coalesced", false);
-            reply.set("sections_hit", std::uint64_t(0));
-            reply.set("sections_missed", std::uint64_t(0));
             reply.set("spec", it->second.spec);
             reply.set("result", it->second.result);
         });
@@ -340,7 +335,6 @@ runSession(const std::shared_ptr<Session> &session,
         ok.set("type", "ok");
         ok.set("format", io::kWireFormat);
         ok.set("jobs", std::uint64_t(svc.config().jobs));
-        ok.set("sections", std::uint64_t(svc.config().sections));
         ok.set("store", svc.config().storePath);
         bytes_served.add(session->conn.write(ok));
 
@@ -387,12 +381,11 @@ serve(const Args &args)
     std::signal(SIGPIPE, SIG_IGN);
 
     const int listen_fd = io::wireListen(socket_path);
-    std::printf("merlin_serve: listening on %s (store %s, jobs %u, "
-                "sections %u)\n",
+    std::printf("merlin_serve: listening on %s (store %s, jobs %u)\n",
                 socket_path.c_str(),
                 cfg.storePath.empty() ? "<memory>"
                                       : cfg.storePath.c_str(),
-                cfg.jobs, cfg.sections);
+                cfg.jobs);
     std::fflush(stdout);
 
     SessionRegistry registry;
@@ -456,9 +449,9 @@ main(int argc, char **argv)
     try {
         const Args args = Args::parse(argc, argv, 1);
         tools::requireKnownFlags(args,
-                                 {"socket", "store", "jobs", "sections",
-                                  "no-timing", "inject-wall-limit",
-                                  "quarantine", "trace", "metrics"},
+                                 {"socket", "store", "jobs",
+                                  "inject-wall-limit", "quarantine",
+                                  "trace", "metrics"},
                                  "merlin_serve");
         return serve(args);
     } catch (const std::exception &e) {

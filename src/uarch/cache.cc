@@ -16,8 +16,7 @@ Cache::Cache(std::string name, const CacheConfig &cfg, Cache *lower,
 {
     MERLIN_ASSERT((lower_ == nullptr) != (mem_ == nullptr),
                   "cache needs exactly one backing level");
-    MERLIN_ASSERT(cfg_.numSets() > 0 && (cfg_.lineSize % 8) == 0,
-                  "bad cache geometry");
+    MERLIN_ASSERT(cfg_.validGeometry(), "bad cache geometry");
     lines_.assign(std::size_t(cfg_.numSets()) * cfg_.ways, Line{});
     // A chunk must hold whole lines so that line views never span
     // chunks; both values are powers of two, so max() suffices.

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <string>
 
+#include "isa/isa.hh"
+
 namespace merlin::uarch
 {
 
@@ -41,6 +43,14 @@ struct CacheConfig
     totalWords() const
     {
         return sizeBytes / 8;
+    }
+    /** A geometry the cache model can build: at least one set, lines
+     *  of whole 8-byte words. */
+    bool
+    validGeometry() const
+    {
+        return ways > 0 && lineSize > 0 && numSets() > 0 &&
+               lineSize % 8 == 0;
     }
 };
 
@@ -101,6 +111,23 @@ struct CoreConfig
 
     /** Stop committing after this many macro instructions (0 = off). */
     std::uint64_t instructionWindowEnd = 0;
+
+    /**
+     * Register-file sizes the core can rename with: more physical than
+     * renameable architectural registers, and every index below the
+     * 16-bit "no register" tag.
+     */
+    static constexpr bool
+    validPhysIntRegs(std::uint64_t n)
+    {
+        return n > isa::NUM_RENAMEABLE_REGS && n <= 0xffff;
+    }
+    /** Store-queue sizes the core can slot stores into. */
+    static constexpr bool
+    validSqEntries(std::uint64_t n)
+    {
+        return n > 0;
+    }
 
     // Fluent size variants used throughout the evaluation.
     CoreConfig

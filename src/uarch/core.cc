@@ -29,8 +29,11 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
       ras_(cfg.rasEntries),
       fetchPc_(prog.entry)
 {
-    MERLIN_ASSERT(cfg_.numPhysIntRegs > isa::NUM_RENAMEABLE_REGS,
-                  "need more physical than architectural registers");
+    MERLIN_ASSERT(CoreConfig::validPhysIntRegs(cfg_.numPhysIntRegs),
+                  "need more physical than architectural registers, "
+                  "each addressable by a 16-bit tag");
+    MERLIN_ASSERT(CoreConfig::validSqEntries(cfg_.sqEntries),
+                  "need a store queue");
     l2_.setMemLatency(cfg_.memLatency);
 
     prf_.assign(cfg_.numPhysIntRegs, 0);

@@ -160,7 +160,6 @@ TEST_F(ChaosFixture, KilledAndResumedStoreIsByteIdentical)
 
     SuiteOptions ref;
     ref.jobs = 1;
-    ref.recordTiming = false;
     ref.storePath = storePath("ref.json");
     SuiteScheduler(specs, ref).run();
     const std::string want = fileBytes(ref.storePath);
@@ -168,7 +167,6 @@ TEST_F(ChaosFixture, KilledAndResumedStoreIsByteIdentical)
     for (const unsigned jobs : {1u, 4u}) {
         SuiteOptions opts;
         opts.jobs = jobs;
-        opts.recordTiming = false;
         opts.reuseCached = true; // --resume
         opts.storePath =
             storePath("kill-j" + std::to_string(jobs) + ".json");
@@ -208,7 +206,6 @@ TEST_F(ChaosFixture, KilledWorkerShareMergesByteIdentical)
 
     SuiteOptions ref;
     ref.jobs = 1;
-    ref.recordTiming = false;
     ref.storePath = storePath("share-ref.json");
     SuiteScheduler(specs, ref).run();
     const std::string want = fileBytes(ref.storePath);
@@ -218,7 +215,6 @@ TEST_F(ChaosFixture, KilledWorkerShareMergesByteIdentical)
     for (int w = 0; w < 2; ++w) {
         SuiteOptions opts;
         opts.jobs = 2;
-        opts.recordTiming = false;
         opts.reuseCached = true;
         opts.storePath =
             storePath("worker-" + std::to_string(w) + ".json");

@@ -52,8 +52,7 @@ makeSpec(const std::string &workload, unsigned l1d_kb,
 /** A synthetic result with the fields the differ reads. */
 CampaignResult
 makeResult(std::uint64_t masked, std::uint64_t sdc, std::uint64_t due,
-           std::uint64_t initial, std::uint64_t runs,
-           std::uint64_t exits)
+           std::uint64_t initial, std::uint64_t injections)
 {
     CampaignResult r;
     r.goldenCycles = 1000;
@@ -62,15 +61,13 @@ makeResult(std::uint64_t masked, std::uint64_t sdc, std::uint64_t due,
     r.aceMasked = masked / 2;
     r.survivors = initial - masked / 2;
     r.numGroups = 10;
-    r.injections = runs;
+    r.injections = injections;
     r.merlinEstimate.add(Outcome::Masked, masked);
     r.merlinEstimate.add(Outcome::SDC, sdc);
     r.merlinEstimate.add(Outcome::DUE, due);
     r.merlinSurvivorEstimate.add(Outcome::SDC, sdc);
     r.speedupAce = 2.0;
     r.speedupTotal = 8.0;
-    r.injectionRuns = runs;
-    r.earlyExits = exits;
     return r;
 }
 
@@ -118,8 +115,8 @@ class MergeFixture : public ::testing::Test
 TEST_F(MergeFixture, DisjointStoresUnion)
 {
     ResultStore a, b;
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20, 4));
-    putSpec(b, makeSpec("fft", 64), makeResult(70, 20, 10, 100, 25, 6));
+    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putSpec(b, makeSpec("fft", 64), makeResult(70, 20, 10, 100, 25));
 
     const auto stats = a.merge(b);
     EXPECT_EQ(stats.added, 1u);
@@ -133,10 +130,10 @@ TEST_F(MergeFixture, OverlappingIdenticalPayloadsAreIdempotent)
 {
     ResultStore a, b;
     const CampaignSpec shared = makeSpec("qsort", 64);
-    const CampaignResult res = makeResult(80, 15, 5, 100, 20, 4);
+    const CampaignResult res = makeResult(80, 15, 5, 100, 20);
     putSpec(a, shared, res);
     putSpec(b, shared, res);
-    putSpec(b, makeSpec("sha", 64), makeResult(60, 30, 10, 100, 30, 2));
+    putSpec(b, makeSpec("sha", 64), makeResult(60, 30, 10, 100, 30));
 
     const auto stats = a.merge(b);
     EXPECT_EQ(stats.added, 1u);
@@ -149,8 +146,8 @@ TEST_F(MergeFixture, ConflictingPayloadsAreFatalUnlessForced)
 {
     const CampaignSpec shared = makeSpec("qsort", 64);
     ResultStore a, b;
-    putSpec(a, shared, makeResult(80, 15, 5, 100, 20, 4));
-    putSpec(b, shared, makeResult(80, 15, 5, 100, 20, 9999));
+    putSpec(a, shared, makeResult(80, 15, 5, 100, 20));
+    putSpec(b, shared, makeResult(80, 15, 5, 100, 9999));
 
     EXPECT_THROW(a.merge(b), FatalError);
 
@@ -158,14 +155,14 @@ TEST_F(MergeFixture, ConflictingPayloadsAreFatalUnlessForced)
     EXPECT_EQ(stats.replaced, 1u);
     CampaignResult out;
     ASSERT_TRUE(a.lookup(shared.key(), out));
-    EXPECT_EQ(out.earlyExits, 9999u);
+    EXPECT_EQ(out.injections, 9999u);
 }
 
 TEST_F(MergeFixture, MergeOrderDoesNotChangeTheBytes)
 {
     const auto mk = [&](const char *wl, unsigned kb) {
         ResultStore s;
-        putSpec(s, makeSpec(wl, kb), makeResult(80, 15, 5, 100, 20, 4));
+        putSpec(s, makeSpec(wl, kb), makeResult(80, 15, 5, 100, 20));
         return s;
     };
     const ResultStore s1 = mk("qsort", 64);
@@ -199,7 +196,6 @@ TEST_F(MergeFixture, ShardSpillPlusMergeEqualsSingleStoreBytes)
         testing::TempDir() + "merlin_merge_shards";
     SuiteOptions opts;
     opts.jobs = 2;
-    opts.recordTiming = false;
     opts.storePath = path("single");
     opts.shardDir = shardDir;
     SuiteScheduler(specs, opts).run();
@@ -265,10 +261,10 @@ TEST(SuiteDiff, JoinsAcrossTheMaskedAxisAndReportsOneSiders)
 {
     ResultStore a, b;
     // qsort pairs across the axis; fft exists only in A, sha only in B.
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20, 4));
-    putSpec(a, makeSpec("fft", 64), makeResult(70, 20, 10, 100, 25, 6));
-    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30, 2));
-    putSpec(b, makeSpec("sha", 16), makeResult(60, 30, 10, 100, 30, 2));
+    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putSpec(a, makeSpec("fft", 64), makeResult(70, 20, 10, 100, 25));
+    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
+    putSpec(b, makeSpec("sha", 16), makeResult(60, 30, 10, 100, 30));
 
     DiffOptions opts;
     opts.axis = {"l1d_kb"};
@@ -299,9 +295,7 @@ TEST(SuiteDiff, JoinsAcrossTheMaskedAxisAndReportsOneSiders)
     EXPECT_EQ(d.dClasses[static_cast<unsigned>(Outcome::Masked)], -10);
     EXPECT_EQ(d.dClasses[static_cast<unsigned>(Outcome::SDC)], 10);
     EXPECT_EQ(d.dClasses[static_cast<unsigned>(Outcome::DUE)], 0);
-    EXPECT_EQ(d.dRuns, 10);
-    EXPECT_DOUBLE_EQ(d.eeRateA, 0.20);
-    EXPECT_DOUBLE_EQ(d.eeRateB, 2.0 / 30.0);
+    EXPECT_EQ(d.dInjections, 10);
 
     // The CI is the paper's sampling margin per side, combined in
     // quadrature: e = z(c) * sqrt(0.25 / initialFaults).
@@ -345,8 +339,8 @@ TEST(SamplingMargin, ZeroFaultSideHasNoMarginNotZero)
 TEST(SamplingMargin, ZeroFaultPairPropagatesAbsenceIntoTheDiff)
 {
     ResultStore a, b;
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20, 4));
-    CampaignResult empty = makeResult(0, 0, 0, 100, 0, 0);
+    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    CampaignResult empty = makeResult(0, 0, 0, 100, 0);
     empty.initialFaults = 0; // the zero-fault side
     putSpec(b, makeSpec("qsort", 16), empty);
 
@@ -370,9 +364,9 @@ TEST(SamplingMargin, ZeroFaultPairPropagatesAbsenceIntoTheDiff)
 TEST(SuiteDiff, EmptyAxisMeansExactJoin)
 {
     ResultStore a, b;
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20, 4));
-    putSpec(b, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20, 4));
-    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30, 2));
+    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putSpec(b, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
 
     const SuiteDiffResult diff = SuiteDiff(a, b, {}).run();
     ASSERT_EQ(diff.deltas.size(), 1u);
@@ -395,9 +389,9 @@ TEST(SuiteDiff, AmbiguousJoinWithinOneStoreIsFatal)
     // Store A itself contains the sweep: qsort at 64 AND 32 KB both
     // collapse onto one join key once l1d_kb is masked.
     ResultStore a, b;
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20, 4));
-    putSpec(a, makeSpec("qsort", 32), makeResult(75, 20, 5, 100, 22, 4));
-    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30, 2));
+    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putSpec(a, makeSpec("qsort", 32), makeResult(75, 20, 5, 100, 22));
+    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
 
     DiffOptions opts;
     opts.axis = {"l1d_kb"};
@@ -412,8 +406,8 @@ TEST(SuiteDiff, MultiKnobAxisMasksEveryListedMember)
     CampaignSpec sa = makeSpec("qsort", 64);
     CampaignSpec sb = makeSpec("qsort", 16);
     sb.seed = 9; // second swept knob
-    putSpec(a, sa, makeResult(80, 15, 5, 100, 20, 4));
-    putSpec(b, sb, makeResult(70, 25, 5, 100, 30, 2));
+    putSpec(a, sa, makeResult(80, 15, 5, 100, 20));
+    putSpec(b, sb, makeResult(70, 25, 5, 100, 30));
 
     DiffOptions one;
     one.axis = {"l1d_kb"};
@@ -433,12 +427,12 @@ TEST(SuiteDiff, MultiKnobAxisMasksEveryListedMember)
 void
 buildSweep(ResultStore &a, ResultStore &b)
 {
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20, 4));
-    putSpec(a, makeSpec("fft", 64), makeResult(70, 20, 10, 120, 25, 6));
-    putSpec(a, makeSpec("sha", 64), makeResult(90, 8, 2, 80, 12, 1));
-    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30, 2));
-    putSpec(b, makeSpec("fft", 16), makeResult(60, 30, 10, 120, 33, 3));
-    putSpec(b, makeSpec("sha", 16), makeResult(85, 12, 3, 80, 16, 0));
+    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putSpec(a, makeSpec("fft", 64), makeResult(70, 20, 10, 120, 25));
+    putSpec(a, makeSpec("sha", 64), makeResult(90, 8, 2, 80, 12));
+    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
+    putSpec(b, makeSpec("fft", 16), makeResult(60, 30, 10, 120, 33));
+    putSpec(b, makeSpec("sha", 16), makeResult(85, 12, 3, 80, 16));
 }
 
 TEST(DiffInvariants, DiffAgainstItselfIsAllZero)
@@ -454,9 +448,7 @@ TEST(DiffInvariants, DiffAgainstItselfIsAllZero)
     EXPECT_TRUE(self.onlyB.empty());
     for (const CampaignDelta &d : self.deltas) {
         EXPECT_EQ(d.dAvf, 0.0);
-        EXPECT_EQ(d.dRuns, 0);
         EXPECT_EQ(d.dInjections, 0);
-        EXPECT_EQ(d.dEeRate, 0.0);
         for (unsigned c = 0; c < faultsim::NUM_OUTCOMES; ++c) {
             EXPECT_EQ(d.dClasses[c], 0);
             EXPECT_EQ(d.dClassFracs[c], 0.0);
@@ -466,8 +458,6 @@ TEST(DiffInvariants, DiffAgainstItselfIsAllZero)
     }
     EXPECT_EQ(self.meanDAvf, 0.0);
     EXPECT_EQ(self.meanAbsDAvf, 0.0);
-    EXPECT_EQ(self.dRuns, 0);
-    EXPECT_EQ(self.dEeRate, 0.0);
     for (unsigned c = 0; c < faultsim::NUM_OUTCOMES; ++c)
         EXPECT_EQ(self.dClassTotals[c], 0);
 }
@@ -494,9 +484,7 @@ TEST(DiffInvariants, DiffIsAntisymmetric)
         EXPECT_EQ(f.axisA.dump(), r.axisB.dump());
         // ...every delta negates...
         EXPECT_DOUBLE_EQ(f.dAvf, -r.dAvf);
-        EXPECT_EQ(f.dRuns, -r.dRuns);
         EXPECT_EQ(f.dInjections, -r.dInjections);
-        EXPECT_DOUBLE_EQ(f.dEeRate, -r.dEeRate);
         for (unsigned c = 0; c < faultsim::NUM_OUTCOMES; ++c) {
             EXPECT_EQ(f.dClasses[c], -r.dClasses[c]);
             EXPECT_DOUBLE_EQ(f.dClassFracs[c], -r.dClassFracs[c]);
@@ -511,8 +499,6 @@ TEST(DiffInvariants, DiffIsAntisymmetric)
     ASSERT_TRUE(ab.meanDAvfCi.has_value());
     ASSERT_TRUE(ba.meanDAvfCi.has_value());
     EXPECT_DOUBLE_EQ(*ab.meanDAvfCi, *ba.meanDAvfCi);
-    EXPECT_EQ(ab.dRuns, -ba.dRuns);
-    EXPECT_DOUBLE_EQ(ab.dEeRate, -ba.dEeRate);
     for (unsigned c = 0; c < faultsim::NUM_OUTCOMES; ++c)
         EXPECT_EQ(ab.dClassTotals[c], -ba.dClassTotals[c]);
 }
@@ -537,7 +523,6 @@ TEST(DiffInvariants, ReportInvariantToJobsAndShardOrder)
         const auto specs = sideSpecs(l1d_kb);
         SuiteOptions opts;
         opts.jobs = jobs;
-        opts.recordTiming = false;
         SuiteResult suite = SuiteScheduler(specs, opts).run();
         ResultStore store;
         for (std::size_t i = 0; i < specs.size(); ++i)
@@ -604,8 +589,8 @@ TEST(DiffGolden, ReportBytesMatchCommittedGolden)
     opts.confidence = 0.9;
     // An unpaired campaign on each side, so the golden locks the
     // only_a/only_b shape too.
-    putSpec(a, makeSpec("susan", 64), makeResult(88, 9, 3, 90, 14, 2));
-    putSpec(b, makeSpec("jpeg", 16), makeResult(66, 28, 6, 90, 28, 1));
+    putSpec(a, makeSpec("susan", 64), makeResult(88, 9, 3, 90, 14));
+    putSpec(b, makeSpec("jpeg", 16), makeResult(66, 28, 6, 90, 28));
 
     const std::string actual =
         SuiteDiff(a, b, opts).run().toJson().dump(2) + "\n";

@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "base/logging.hh"
+#include "io/result_store.hh"
 #include "merlin/campaign.hh"
 #include "workloads/workloads.hh"
 
@@ -443,6 +444,99 @@ TEST(Campaign, CheckpointedCampaignMatchesUncheckpointed)
 
     EXPECT_EQ(plain.merlinEstimate.counts, ck.merlinEstimate.counts);
     EXPECT_EQ(plain.injections, ck.injections);
+}
+
+/**
+ * Engine-knob invariance where the knobs live.  Checkpoint cadence,
+ * early exit, golden-trace replay and the COW chunk size are campaign
+ * configuration, never part of a result: the serialized result must be
+ * byte-identical across the whole knob grid and any job count.  Only
+ * the runner's own counters may tell the configurations apart.
+ */
+TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
+{
+    struct Knobs
+    {
+        bool replay;
+        bool earlyExit;
+        Cycle checkpointInterval;
+        std::uint32_t memChunkBytes;
+        const char *name;
+    };
+    const Cycle ck = faultsim::InjectionRunner::kDefaultCheckpointInterval;
+    const Knobs grid[] = {
+        {true, true, ck, 4096, "replay+exit, default cadence, 4K"},
+        {true, false, 64, 256, "replay, cadence 64, 256B"},
+        {false, true, 0, 65536, "exit, no checkpoints, 64K"},
+        {false, false, 64, 4096, "plain, cadence 64, 4K"},
+    };
+    struct Target
+    {
+        const char *workload;
+        uarch::CoreConfig core;
+        Structure structure;
+        std::uint64_t faults;
+        bool truth;
+    };
+    // L1D lines live far longer than registers or SQ slots, so with a
+    // tight cadence the replay handoff skips real head cycles.
+    const Target targets[] = {
+        {"qsort", uarch::CoreConfig{}.withRegisterFile(128),
+         Structure::RegisterFile, 120, true},
+        {"fft", uarch::CoreConfig{}.withStoreQueue(16),
+         Structure::StoreQueue, 120, false},
+        {"qsort", uarch::CoreConfig{}.withL1dKb(16), Structure::L1DCache,
+         80, false},
+    };
+
+    std::uint64_t exits = 0;
+    std::uint64_t skipped = 0;
+    for (const Target &t : targets) {
+        const auto w = workloads::buildWorkload(t.workload);
+        std::string ref;
+        for (const Knobs &k : grid) {
+            for (const unsigned jobs : {1u, 4u}) {
+                CampaignConfig cfg;
+                cfg.target = t.structure;
+                cfg.core = t.core;
+                cfg.core.memChunkBytes = k.memChunkBytes;
+                cfg.sampling = specFixed(t.faults);
+                cfg.seed = 5;
+                cfg.jobs = jobs;
+                cfg.replay = k.replay;
+                cfg.earlyExit = k.earlyExit;
+                cfg.checkpointInterval = k.checkpointInterval;
+                Campaign camp(w.program, cfg);
+                const std::string bytes =
+                    io::resultToJson(camp.run(t.truth)).dump();
+                if (ref.empty())
+                    ref = bytes;
+                EXPECT_EQ(bytes, ref) << t.workload << " ["
+                                      << k.name << "] jobs " << jobs;
+
+                // The counters record what actually happened: replay
+                // consults every run when on and none when off; the
+                // early exit never fires when off.
+                const faultsim::InjectionStats st =
+                    camp.runner().injectionStats();
+                if (k.replay) {
+                    EXPECT_EQ(st.replayMasked + st.replayHandoffs, st.runs)
+                        << k.name;
+                    skipped += st.replayCyclesSkipped;
+                } else {
+                    EXPECT_EQ(st.replayMasked, 0u) << k.name;
+                    EXPECT_EQ(st.replayHandoffs, 0u) << k.name;
+                    EXPECT_EQ(st.replayCyclesSkipped, 0u) << k.name;
+                }
+                if (k.earlyExit)
+                    exits += st.earlyExits;
+                else
+                    EXPECT_EQ(st.earlyExits, 0u) << k.name;
+            }
+        }
+    }
+    EXPECT_GT(exits, 0u) << "early exit never fired";
+    EXPECT_GT(skipped, 0u) << "replay never skipped any head cycles";
 }
 
 /**

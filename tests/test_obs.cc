@@ -376,7 +376,6 @@ TEST(TelemetryInvariance, StoreBytesIdenticalWithTelemetryOnOrOff)
 
             sched::SuiteOptions opts;
             opts.jobs = jobs;
-            opts.recordTiming = false;
             opts.storePath = store;
             if (telemetry) {
                 TraceWriter::global().start(trace);

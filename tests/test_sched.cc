@@ -15,7 +15,6 @@
 
 #include "base/logging.hh"
 #include "io/result_store.hh"
-#include "obs/metrics.hh"
 #include "sched/suite.hh"
 #include "workloads/workloads.hh"
 
@@ -73,10 +72,7 @@ TEST(CampaignSpec, EveryFieldChangesTheKey)
     s.grouping.maxGroupSize = 7;
     EXPECT_NE(s.key(), k);
     s = base;
-    s.earlyExit = false;
-    EXPECT_NE(s.key(), k);
-    s = base;
-    s.replay = false;
+    s.timeoutFactor = 4;
     EXPECT_NE(s.key(), k);
 }
 
@@ -94,8 +90,7 @@ TEST(CampaignSpec, JsonRoundTrip)
     s.grouping.maxGroupSize = 50;
     s.grouping.repsPerGroup = 3;
     s.seed = 99;
-    s.checkpointInterval = 256;
-    s.maxCheckpoints = 8;
+    s.timeoutFactor = 5;
     s.mode = CampaignSpec::Mode::Truth;
     s.relyzer = true;
     s.pathDepth = 7;
@@ -171,32 +166,57 @@ TEST(Manifest, IntegralDoublesAreAcceptedForIntegerKnobs)
     EXPECT_EQ(specs[0].sampling.fixedCount, 2000u);
 }
 
+/** parseManifest of one campaign entry must fail, naming @p member. */
+void
+expectRejected(const std::string &entry, const std::string &member)
+{
+    try {
+        parseManifest(Json::parse("{\"campaigns\":[{\"workload\":"
+                                  "\"qsort\"," + entry + "}]}"));
+        ADD_FAILURE() << entry << " was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(member), std::string::npos)
+            << entry << ": " << e.what();
+    }
+}
+
 TEST(Manifest, RejectsTyposAndMissingFields)
 {
     EXPECT_THROW(parseManifest(Json::parse("[]")), FatalError);
     EXPECT_THROW(parseManifest(Json::parse("{\"campaigns\":[]}")),
                  FatalError);
     // Unknown member: almost certainly a misspelled knob.
-    EXPECT_THROW(
-        parseManifest(Json::parse(
-            "{\"campaigns\":[{\"workload\":\"qsort\",\"fautls\":5}]}")),
-        FatalError);
+    expectRejected("\"fautls\":5", "fautls");
+    // Engine knobs never change an outcome, so they are not spec
+    // members (they are `campaign` flags only).
+    for (const char *knob : {"early_exit", "replay", "mem_chunk_bytes",
+                             "checkpoint_interval", "max_checkpoints"})
+        expectRejected("\"" + std::string(knob) + "\":1", knob);
     // Campaign without a workload.
     EXPECT_THROW(
         parseManifest(Json::parse("{\"campaigns\":[{\"seed\":1}]}")),
         FatalError);
-    // Bad COW chunk granularity must fail at parse time, not as an
-    // assertion deep inside core construction mid-suite.
-    EXPECT_THROW(
-        parseManifest(Json::parse(
-            "{\"campaigns\":[{\"workload\":\"qsort\","
-            "\"mem_chunk_bytes\":100}]}")),
-        FatalError);
-    EXPECT_THROW(
-        parseManifest(Json::parse(
-            "{\"campaigns\":[{\"workload\":\"qsort\","
-            "\"mem_chunk_bytes\":32}]}")),
-        FatalError);
+    // Values that would narrow or wrap silently, or that the core and
+    // cache would only reject mid-suite, fail at parse time by name.
+    expectRejected("\"regs\":4294967424", "regs");
+    expectRejected("\"regs\":0", "regs");
+    expectRejected("\"regs\":34", "regs");
+    expectRejected("\"regs\":65536", "regs");
+    expectRejected("\"l1d_kb\":4194305", "l1d_kb");
+    expectRejected("\"l1d_kb\":0", "l1d_kb");
+    expectRejected("\"sq_entries\":0", "sq_entries");
+    expectRejected("\"sq_entries\":4294967296", "sq_entries");
+    for (const char *member : {"max_group_size", "reps_per_group",
+                               "timeout_factor", "path_depth"})
+        expectRejected("\"" + std::string(member) + "\":4294967296",
+                       member);
+    // The edges of the accepted ranges still parse.
+    const auto specs = parseManifest(Json::parse(
+        "{\"campaigns\":[{\"workload\":\"qsort\",\"regs\":35,"
+        "\"sq_entries\":1,\"l1d_kb\":1}]}"));
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_EQ(specs[0].regs, 35u);
+    EXPECT_EQ(specs[0].l1dKb, 1u);
 }
 
 // ---------------------------------------------------- SuiteScheduler
@@ -323,9 +343,9 @@ TEST_F(SuiteFixture, ByteIdenticalAcrossJobsAndSpecOrder)
     const auto specs = testSpecs();
     ASSERT_GE(specs.size(), 4u);
 
+    // Results hold outcomes only, so whole store files compare: no
+    // wall-clock or engine field can differ between runs.
     SuiteOptions opts;
-    opts.recordTiming = false; // wall clock is the one impure field
-
     opts.jobs = 1;
     opts.storePath = storePath("j1");
     SuiteScheduler(specs, opts).run();
@@ -345,238 +365,6 @@ TEST_F(SuiteFixture, ByteIdenticalAcrossJobsAndSpecOrder)
     EXPECT_FALSE(j1.empty());
     EXPECT_EQ(j1, storeBytes(created_[1])) << "jobs 1 vs 4 differ";
     EXPECT_EQ(j1, storeBytes(created_[2])) << "spec order leaked in";
-}
-
-/**
- * Engine-knob invariance at suite level: early-exit on/off and any
- * COW chunk granularity must leave every campaign OUTCOME bit-
- * identical, for jobs 1 and 4.  (Whole-store comparison is the wrong
- * tool here: the knobs are part of the spec, so keys and the recorded
- * early-exit counters legitimately differ — the claim is about the
- * fault classifications.)
- */
-TEST_F(SuiteFixture, OutcomesInvariantToEarlyExitAndChunkSize)
-{
-    std::vector<CampaignSpec> base;
-    CampaignSpec s;
-    s.workload = "qsort";
-    s.structure = uarch::Structure::RegisterFile;
-    s.regs = 128;
-    s.window = 0;
-    s.sampling = core::specFixed(200);
-    s.seed = 5;
-    s.mode = CampaignSpec::Mode::Truth;
-    base.push_back(s);
-
-    s = CampaignSpec{};
-    s.workload = "fft";
-    s.structure = uarch::Structure::StoreQueue;
-    s.sqEntries = 16;
-    s.window = 0;
-    s.sampling = core::specFixed(200);
-    s.seed = 5;
-    base.push_back(s);
-
-    const auto variant = [&](bool early_exit,
-                             std::uint32_t chunk_bytes) {
-        auto specs = base;
-        for (auto &sp : specs) {
-            sp.earlyExit = early_exit;
-            sp.memChunkBytes = chunk_bytes;
-        }
-        return specs;
-    };
-    const auto runSuite = [&](std::vector<CampaignSpec> specs,
-                              unsigned jobs) {
-        SuiteOptions opts;
-        opts.jobs = jobs;
-        opts.recordTiming = false;
-        return SuiteScheduler(std::move(specs), opts).run();
-    };
-
-    const SuiteResult ref = runSuite(variant(true, 4096), 4);
-    const SuiteResult no_exit = runSuite(variant(false, 4096), 1);
-    const SuiteResult fine = runSuite(variant(true, 256), 4);
-    const SuiteResult coarse = runSuite(variant(true, 64 * 1024), 1);
-
-    const auto expectSameOutcomes = [&](const SuiteResult &got,
-                                        const char *what) {
-        for (std::size_t i = 0; i < base.size(); ++i) {
-            const auto &a = ref.results[i];
-            const auto &b = got.results[i];
-            EXPECT_EQ(a.merlinEstimate.counts, b.merlinEstimate.counts)
-                << what << " campaign " << i;
-            EXPECT_EQ(a.merlinSurvivorEstimate.counts,
-                      b.merlinSurvivorEstimate.counts)
-                << what << " campaign " << i;
-            EXPECT_EQ(a.initialFaults, b.initialFaults);
-            EXPECT_EQ(a.aceMasked, b.aceMasked);
-            EXPECT_EQ(a.survivors, b.survivors);
-            EXPECT_EQ(a.numGroups, b.numGroups);
-            EXPECT_EQ(a.injections, b.injections);
-            EXPECT_EQ(a.injectionRuns, b.injectionRuns);
-            ASSERT_EQ(a.survivorTruth.has_value(),
-                      b.survivorTruth.has_value());
-            if (a.survivorTruth) {
-                EXPECT_EQ(a.survivorTruth->counts,
-                          b.survivorTruth->counts)
-                    << what << " campaign " << i;
-            }
-        }
-    };
-    expectSameOutcomes(no_exit, "early-exit off");
-    expectSameOutcomes(fine, "256B chunks");
-    expectSameOutcomes(coarse, "64KB chunks");
-
-    // With the exit disabled the counter must be hard zero; enabled,
-    // the knob must be recorded as having done something somewhere.
-    std::uint64_t exits = 0;
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        EXPECT_EQ(no_exit.results[i].earlyExits, 0u);
-        EXPECT_EQ(ref.results[i].earlyExits, fine.results[i].earlyExits)
-            << "early-exit count depends on chunk size";
-        exits += ref.results[i].earlyExits;
-    }
-    EXPECT_GT(exits, 0u);
-}
-
-/**
- * Replay-knob invariance, the acceptance grid for the golden-trace
- * fast path: replay {on,off} x early-exit {on,off} x jobs {1,4}.
- * Per knob config the serialized store must be byte-identical across
- * job counts; across knob configs every campaign OUTCOME (and the
- * injection-run count) must match.  earlyExits is NOT compared across
- * replay variants: a dead flip that full simulation would early-exit
- * is classified Masked by the replay shortcut without ever reaching a
- * reconvergence checkpoint, so the counter legitimately differs —
- * which is exactly why replay is a spec member.
- */
-TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
-{
-    std::vector<CampaignSpec> base;
-    CampaignSpec s;
-    s.workload = "qsort";
-    s.structure = uarch::Structure::RegisterFile;
-    s.regs = 128;
-    s.window = 0;
-    s.sampling = core::specFixed(120);
-    s.seed = 5;
-    s.mode = CampaignSpec::Mode::Truth;
-    base.push_back(s);
-
-    s = CampaignSpec{};
-    s.workload = "fft";
-    s.structure = uarch::Structure::StoreQueue;
-    s.sqEntries = 16;
-    s.window = 0;
-    s.sampling = core::specFixed(120);
-    s.seed = 5;
-    base.push_back(s);
-
-    // L1D lines live far longer than registers or SQ slots, and the
-    // tight checkpoint cadence puts checkpoints between a fault and
-    // its first read — the case where the handoff actually skips
-    // head cycles instead of degenerating to the classic resume.
-    s = CampaignSpec{};
-    s.workload = "qsort";
-    s.structure = uarch::Structure::L1DCache;
-    s.l1dKb = 16;
-    s.window = 0;
-    s.sampling = core::specFixed(80);
-    s.seed = 5;
-    s.checkpointInterval = 64;
-    base.push_back(s);
-
-    struct Config
-    {
-        bool replay;
-        bool earlyExit;
-        const char *name;
-    };
-    const Config configs[] = {
-        {true, true, "r1e1"},
-        {true, false, "r1e0"},
-        {false, true, "r0e1"},
-        {false, false, "r0e0"},
-    };
-
-    std::vector<SuiteResult> results;
-    for (const Config &cfg : configs) {
-        auto specs = base;
-        for (auto &sp : specs) {
-            sp.replay = cfg.replay;
-            sp.earlyExit = cfg.earlyExit;
-        }
-        SuiteOptions opts;
-        opts.recordTiming = false;
-        opts.jobs = 1;
-        opts.storePath =
-            storePath((std::string(cfg.name) + "_j1").c_str());
-        SuiteScheduler(specs, opts).run();
-
-        opts.jobs = 4;
-        opts.storePath =
-            storePath((std::string(cfg.name) + "_j4").c_str());
-        results.push_back(SuiteScheduler(specs, opts).run());
-
-        const std::string j1 =
-            storeBytes(created_[created_.size() - 2]);
-        EXPECT_FALSE(j1.empty());
-        EXPECT_EQ(j1, storeBytes(created_.back()))
-            << cfg.name << ": jobs 1 vs 4 stores differ";
-    }
-
-    const SuiteResult &ref = results[0];
-    for (std::size_t c = 1; c < results.size(); ++c) {
-        for (std::size_t i = 0; i < base.size(); ++i) {
-            const auto &a = ref.results[i];
-            const auto &b = results[c].results[i];
-            EXPECT_EQ(a.merlinEstimate.counts, b.merlinEstimate.counts)
-                << configs[c].name << " campaign " << i;
-            EXPECT_EQ(a.merlinSurvivorEstimate.counts,
-                      b.merlinSurvivorEstimate.counts)
-                << configs[c].name << " campaign " << i;
-            EXPECT_EQ(a.initialFaults, b.initialFaults);
-            EXPECT_EQ(a.survivors, b.survivors);
-            EXPECT_EQ(a.injections, b.injections);
-            EXPECT_EQ(a.injectionRuns, b.injectionRuns);
-            ASSERT_EQ(a.survivorTruth.has_value(),
-                      b.survivorTruth.has_value());
-            if (a.survivorTruth) {
-                EXPECT_EQ(a.survivorTruth->counts,
-                          b.survivorTruth->counts)
-                    << configs[c].name << " campaign " << i;
-            }
-        }
-    }
-
-    // The replay counters record what actually happened: with the
-    // knob on every injection run was consulted (shortcut or
-    // handoff); with it off the counters are hard zero.  Campaign
-    // survivors are by construction faults whose entry IS read (the
-    // ACE-like analysis already dropped the dead flips without
-    // simulating them), so here the trace mostly hands off — the
-    // Masked shortcut itself is pinned by the runner-level tests.
-    std::uint64_t consulted = 0;
-    std::uint64_t skipped = 0;
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        for (std::size_t c = 0; c < 2; ++c) { // replay-on configs
-            const auto &r = results[c].results[i];
-            EXPECT_EQ(r.replayMasked + r.replayHandoffs,
-                      r.injectionRuns)
-                << configs[c].name << " campaign " << i;
-            consulted += r.replayMasked + r.replayHandoffs;
-            skipped += r.replayCyclesSkipped;
-        }
-        for (std::size_t c = 2; c < 4; ++c) { // replay-off configs
-            const auto &r = results[c].results[i];
-            EXPECT_EQ(r.replayMasked, 0u) << configs[c].name;
-            EXPECT_EQ(r.replayHandoffs, 0u) << configs[c].name;
-            EXPECT_EQ(r.replayCyclesSkipped, 0u) << configs[c].name;
-        }
-    }
-    EXPECT_GT(consulted, 0u);
-    EXPECT_GT(skipped, 0u) << "replay never skipped any head cycles";
 }
 
 TEST_F(SuiteFixture, ResumeServesCachedResultsWithoutRerunning)
@@ -644,195 +432,6 @@ TEST_F(SuiteFixture, PartialStoreResumesOnlyTheMissingCampaigns)
         EXPECT_EQ(resumed.results[i].merlinEstimate.counts,
                   full.results[i].merlinEstimate.counts);
     }
-}
-
-// --------------------------------------------- sectioned campaigns
-
-/**
- * The section-eligible pair (Estimate mode, one representative per
- * group): fft on the register file and on the store queue.
- */
-std::vector<CampaignSpec>
-sectionSpecs()
-{
-    const auto all = testSpecs();
-    return {all[1], all[2]};
-}
-
-/**
- * Turning sectioning on must not move a byte of any campaign entry:
- * the composed result of a cold sectioned run equals the unsectioned
- * run's, and ineligible specs (Truth, GroupingOnly) fall back to the
- * plain path untouched.
- */
-TEST_F(SuiteFixture, ColdSectionedRunComposesTheUnsectionedResults)
-{
-    const auto specs = testSpecs();
-    SuiteOptions opts;
-    opts.jobs = 2;
-    opts.recordTiming = false;
-    opts.storePath = storePath("sec_off");
-    SuiteScheduler(specs, opts).run();
-
-    opts.sections = 4;
-    opts.storePath = storePath("sec_on");
-    const SuiteResult sectioned = SuiteScheduler(specs, opts).run();
-
-    io::ResultStore off(created_[0]), on(created_[1]);
-    ASSERT_TRUE(off.load());
-    ASSERT_TRUE(on.load());
-    // Campaign entries byte-identical; only the sectioned store grows
-    // the v2 tables (one per eligible spec).
-    EXPECT_EQ(off.toJson().at("campaigns").dump(2),
-              on.toJson().at("campaigns").dump(2));
-    EXPECT_EQ(off.sectionTables().size(), 0u);
-    EXPECT_EQ(on.sectionTables().size(), 2u);
-
-    // A cold run consults no cache: eligible specs miss every
-    // section, ineligible specs stay out of the accounting.
-    ASSERT_EQ(sectioned.sectionsMissed.size(), specs.size());
-    EXPECT_EQ(sectioned.sectionsMissed[0], 0u); // Truth: ineligible
-    EXPECT_EQ(sectioned.sectionsMissed[1], 4u);
-    EXPECT_EQ(sectioned.sectionsMissed[2], 4u);
-    EXPECT_EQ(sectioned.sectionsMissed[3], 0u); // GroupingOnly
-    EXPECT_EQ(sectioned.sectionsHit[1], 0u);
-}
-
-/**
- * A whole-campaign cache hit under --sections counts as an
- * all-sections hit — which is exactly how a legacy v1 store (no
- * section tables at all) is promoted into the sectioned accounting.
- */
-TEST_F(SuiteFixture, FullEntryHitPromotesToAllSectionsHit)
-{
-    const auto specs = testSpecs();
-    SuiteOptions opts;
-    opts.jobs = 2;
-    opts.recordTiming = false;
-    opts.reuseCached = true;
-    opts.storePath = storePath("promote");
-    SuiteScheduler(specs, opts).run(); // unsectioned: no tables
-
-    opts.sections = 4;
-    const SuiteResult warm = SuiteScheduler(specs, opts).run();
-    EXPECT_EQ(warm.campaignsRun, 0u);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_TRUE(warm.cached[i]);
-        EXPECT_EQ(warm.sectionsMissed[i], 0u);
-    }
-    EXPECT_EQ(warm.sectionsHit[0], 0u); // Truth: ineligible
-    EXPECT_EQ(warm.sectionsHit[1], 4u);
-    EXPECT_EQ(warm.sectionsHit[2], 4u);
-    EXPECT_EQ(warm.sectionsHit[3], 0u); // GroupingOnly
-}
-
-/**
- * The tentpole acceptance grid: doctor a cold sectioned store down to
- * a partial table (campaign entries gone, even-indexed sections
- * gone), resume, and require (a) only the missing sections'
- * representatives re-ran, (b) the composed result and the final store
- * BYTES equal the cold run's — for jobs {1,4} x sections {1,4,16}.
- */
-TEST_F(SuiteFixture, PartialSectionHitsComposeByteIdenticalStores)
-{
-    const auto specs = sectionSpecs();
-    obs::Counter &injectRuns =
-        obs::Registry::global().counter("inject.runs");
-    for (const unsigned jobs : {1u, 4u}) {
-        for (const unsigned S : {1u, 4u, 16u}) {
-            const std::string name = "grid_j" + std::to_string(jobs) +
-                                     "_s" + std::to_string(S);
-            SuiteOptions opts;
-            opts.jobs = jobs;
-            opts.recordTiming = false;
-            opts.sections = S;
-            opts.storePath = storePath(name.c_str());
-
-            const std::uint64_t runs0 = injectRuns.total();
-            const SuiteResult cold = SuiteScheduler(specs, opts).run();
-            const std::uint64_t coldRuns = injectRuns.total() - runs0;
-            const std::string coldBytes = storeBytes(opts.storePath);
-            ASSERT_FALSE(coldBytes.empty());
-
-            // Doctor the store into a partial-hit shape.
-            io::ResultStore store(opts.storePath);
-            ASSERT_TRUE(store.load());
-            for (const CampaignSpec &sp : specs)
-                ASSERT_TRUE(store.erase(sp.key()));
-            std::vector<std::pair<std::string,
-                                  io::ResultStore::SectionTable>>
-                doctored;
-            for (const auto &[key, table] : store.sectionTables()) {
-                auto t = table;
-                for (unsigned s = 0; s < S; s += 2)
-                    t.entries.erase(s);
-                doctored.emplace_back(key, std::move(t));
-            }
-            ASSERT_EQ(doctored.size(), specs.size());
-            for (auto &[key, t] : doctored)
-                store.putSectionTable(key, std::move(t));
-            store.save();
-
-            opts.reuseCached = true;
-            const std::uint64_t runs1 = injectRuns.total();
-            const SuiteResult warm = SuiteScheduler(specs, opts).run();
-            const std::uint64_t warmRuns = injectRuns.total() - runs1;
-
-            EXPECT_EQ(warm.campaignsRun, specs.size());
-            const std::uint32_t hits = S / 2; // odd indices survived
-            for (std::size_t i = 0; i < specs.size(); ++i) {
-                EXPECT_EQ(warm.sectionsHit[i], hits) << name;
-                EXPECT_EQ(warm.sectionsMissed[i], S - hits) << name;
-                EXPECT_EQ(warm.results[i].merlinEstimate.counts,
-                          cold.results[i].merlinEstimate.counts)
-                    << name << " campaign " << i;
-                EXPECT_EQ(warm.results[i].injectionRuns,
-                          cold.results[i].injectionRuns);
-            }
-            // Strictly fewer injections when any section was served
-            // (S == 1 degenerates to a full re-run)...
-            if (S > 1) {
-                EXPECT_LT(warmRuns, coldRuns) << name;
-            } else {
-                EXPECT_EQ(warmRuns, coldRuns) << name;
-            }
-            // ...yet the final store is the cold store, byte for byte.
-            EXPECT_EQ(storeBytes(opts.storePath), coldBytes) << name;
-        }
-    }
-}
-
-/**
- * A stored table cut from a different golden run must be refused, not
- * silently composed into nonsense.
- */
-TEST_F(SuiteFixture, MismatchedGoldenRunFailsTheSectionedResume)
-{
-    const auto specs = sectionSpecs();
-    SuiteOptions opts;
-    opts.jobs = 2;
-    opts.recordTiming = false;
-    opts.sections = 4;
-    opts.storePath = storePath("golden_mismatch");
-    SuiteScheduler(specs, opts).run();
-
-    io::ResultStore store(opts.storePath);
-    ASSERT_TRUE(store.load());
-    for (const CampaignSpec &sp : specs)
-        ASSERT_TRUE(store.erase(sp.key()));
-    std::vector<std::pair<std::string, io::ResultStore::SectionTable>>
-        doctored;
-    for (const auto &[key, table] : store.sectionTables()) {
-        auto t = table;
-        t.goldenCycles += 1;
-        doctored.emplace_back(key, std::move(t));
-    }
-    for (auto &[key, t] : doctored)
-        store.putSectionTable(key, std::move(t));
-    store.save();
-
-    opts.reuseCached = true;
-    EXPECT_THROW(SuiteScheduler(specs, opts).run(), FatalError);
 }
 
 TEST_F(SuiteFixture, UnknownWorkloadFailsTheSuite)

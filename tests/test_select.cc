@@ -255,7 +255,6 @@ TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
 
     SuiteOptions ref_opts;
     ref_opts.jobs = 2;
-    ref_opts.recordTiming = false;
     ref_opts.storePath = scratch("ref.json");
     SuiteScheduler(specs, ref_opts).run();
     const std::string ref = fileBytes(ref_opts.storePath);
@@ -272,7 +271,6 @@ TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
                 for (std::uint64_t w = 0; w < n; ++w) {
                     SuiteOptions opts;
                     opts.jobs = jobs;
-                    opts.recordTiming = false;
                     opts.shardDir =
                         scratch(tag + "_w" + std::to_string(w));
                     SpecSelector sel;
@@ -328,7 +326,6 @@ TEST_F(DispatchFixture, ResumeSkipsForeignEntriesInsteadOfRespilling)
 
     SuiteOptions ref_opts;
     ref_opts.jobs = 2;
-    ref_opts.recordTiming = false;
     ref_opts.storePath = scratch("seed_ref.json");
     SuiteScheduler(specs, ref_opts).run();
     const std::string ref = fileBytes(ref_opts.storePath);
@@ -337,7 +334,6 @@ TEST_F(DispatchFixture, ResumeSkipsForeignEntriesInsteadOfRespilling)
     for (std::uint64_t w = 0; w < 2; ++w) {
         SuiteOptions opts;
         opts.jobs = 2;
-        opts.recordTiming = false;
         opts.reuseCached = true;
         opts.storePath =
             scratch("seed_w" + std::to_string(w) + ".json");
@@ -395,7 +391,6 @@ TEST_F(DispatchFixture, ResumingAnotherWorkersStoreIsRefused)
 
     SuiteOptions opts;
     opts.jobs = 2;
-    opts.recordTiming = false;
     opts.reuseCached = true;
     opts.storePath = scratch("overlap.json");
     SpecSelector sel;

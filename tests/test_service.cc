@@ -43,7 +43,6 @@ memoryConfig(unsigned jobs, bool paused)
 {
     CampaignService::Config cfg;
     cfg.jobs = jobs;
-    cfg.recordTiming = false;
     cfg.startPaused = paused;
     return cfg;
 }
@@ -100,9 +99,12 @@ TEST(CampaignService, SingleFlightCoalescesIdenticalSpecs)
     EXPECT_EQ(stats.cacheHits, 0u);
 
     // The simulation ran once: the global injection counter moved by
-    // exactly the one campaign's run count.
-    EXPECT_EQ(injectRuns.total() - runs0,
-              tickets.front()->outcome().result.injectionRuns);
+    // exactly one campaign's run count.
+    const std::uint64_t moved = injectRuns.total() - runs0;
+    const auto w = workloads::buildWorkload(spec.workload);
+    core::Campaign direct(w.program, spec.campaignConfig(w));
+    direct.run();
+    EXPECT_EQ(moved, direct.runner().injectionStats().runs);
 }
 
 TEST(CampaignService, WarmCacheServesRepeatSubmissionWithoutRunning)
@@ -223,7 +225,6 @@ TEST(CampaignService, BatchWrapperMatchesDirectServiceSubmissions)
 
     SuiteOptions sopts;
     sopts.jobs = 2;
-    sopts.recordTiming = false;
     SuiteResult batch = SuiteScheduler(specs, sopts).run();
 
     CampaignService svc(memoryConfig(2, /*paused=*/false));

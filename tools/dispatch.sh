@@ -191,7 +191,7 @@ launch_worker() {
         "$cli" suite "$manifest" "$select_flag" "$i/$workers" \
             --jobs "$jobs" --out "$store" --out-dir "$shard_dir" \
             --progress-json "$prog" \
-            --no-timing "${resume_args[@]}" >> "$log" 2>&1 &
+            "${resume_args[@]}" >> "$log" 2>&1 &
     else
         # Round-robin shares across the surviving hosts, rotated by
         # the attempt number.  The remote side needs the same
@@ -207,7 +207,7 @@ launch_worker() {
                 $select_flag $i/$workers --jobs $jobs \
                 --out '$remote_dir/worker.json' \
                 --out-dir '$remote_dir/shards' \
-                --progress-json '$remote_dir/progress.json' --no-timing \
+                --progress-json '$remote_dir/progress.json' \
                 ${resume_args[*]:-}" &&
             mkdir -p "$shard_dir" &&
             # A hash share can be legitimately empty: only scp shards
