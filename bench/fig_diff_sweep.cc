@@ -9,10 +9,11 @@
  *
  * Flags (bench/common.hh) plus:
  *   --l1d-a=KB --l1d-b=KB   the two swept sizes (default 64 / 16)
- *   --select=i/n            run only worker i's share of the sweep
- *                           (round-robin over the workload list on
- *                           BOTH sides, so each worker's diff covers
- *                           matching A/B pairs) — the same partition
+ *   --select=i/n            run only worker i's share of the sweep:
+ *                           both sides' spec lists are filtered
+ *                           round-robin over the workload list before
+ *                           running, so each worker's diff covers
+ *                           matching A/B pairs — the same partition
  *                           `merlin_cli suite --select` uses, for
  *                           distributing A/B sweeps across machines
  *
@@ -34,7 +35,8 @@ namespace
 
 using namespace merlin;
 
-/** Run one side of the sweep into an in-memory store. */
+/** Run one side of the sweep (this worker's share of it, with
+ *  @p select) into an in-memory store. */
 io::ResultStore
 runSide(const std::vector<std::string> &names, unsigned l1d_kb,
         const bench::Options &opts, std::uint64_t default_faults,
@@ -53,19 +55,17 @@ runSide(const std::vector<std::string> &names, unsigned l1d_kb,
         s.mode = sched::CampaignSpec::Mode::Estimate;
         specs.push_back(std::move(s));
     }
+    if (select)
+        specs = sched::selectSpecs(specs, *select);
 
     sched::SuiteOptions sopts;
     sopts.jobs = opts.jobs;
-    sopts.select = select;
     sched::SuiteResult suite =
         sched::SuiteScheduler(specs, sopts).run();
 
     io::ResultStore store;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (suite.selected[i])
-            store.put(specs[i].key(), specs[i].toJson(),
-                      suite.results[i]);
-    }
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        store.put(specs[i].key(), specs[i].toJson(), suite.results[i]);
     return store;
 }
 

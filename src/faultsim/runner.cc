@@ -163,19 +163,6 @@ InjectionRunner::InjectionRunner(const isa::Program &prog,
         opts_.maxCheckpoints = 1;
 }
 
-InjectionRunner::InjectionRunner(const isa::Program &prog,
-                                 const uarch::CoreConfig &cfg,
-                                 Cycle checkpoint_interval,
-                                 unsigned max_checkpoints)
-    : InjectionRunner(prog, cfg, [&] {
-          RunnerOptions o;
-          o.checkpointInterval = checkpoint_interval;
-          o.maxCheckpoints = max_checkpoints;
-          return o;
-      }())
-{
-}
-
 Cycle
 InjectionRunner::timeoutBudget(Cycle golden_cycles, unsigned factor)
 {

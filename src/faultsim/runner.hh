@@ -274,20 +274,9 @@ struct InjectionStats
 class InjectionRunner
 {
   public:
-    // Back-compat aliases (pre-RunnerOptions call sites).
-    static constexpr Cycle kDefaultCheckpointInterval =
-        RunnerOptions::kDefaultCheckpointInterval;
-    static constexpr unsigned kDefaultMaxCheckpoints =
-        RunnerOptions::kDefaultMaxCheckpoints;
-
     InjectionRunner(const isa::Program &prog,
                     const uarch::CoreConfig &cfg,
-                    const RunnerOptions &opts);
-
-    InjectionRunner(
-        const isa::Program &prog, const uarch::CoreConfig &cfg,
-        Cycle checkpoint_interval = kDefaultCheckpointInterval,
-        unsigned max_checkpoints = kDefaultMaxCheckpoints);
+                    const RunnerOptions &opts = {});
 
     /**
      * Execute the fault-free run (optionally with a profiler probe

@@ -6,8 +6,8 @@
  * The result store persists whole campaigns; a process killed
  * mid-campaign loses every injection it had already simulated.  The
  * journal closes that gap: as injections of a campaign complete, their
- * (fault key, outcome) pairs are appended to a per-spec file next to
- * the shard spill and fsync'd on a short cadence.  A resumed suite
+ * (fault key, outcome) pairs are appended to a per-spec file in
+ * `<store>.journal/` and fsync'd on a short cadence.  A resumed suite
  * (--resume) replays the journal into the batch memo, so only the
  * missing injections run again — and because outcomes are a pure
  * function of their fault, the resumed campaign's result (and the

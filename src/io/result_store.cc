@@ -1,6 +1,5 @@
 #include "io/result_store.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -231,13 +230,12 @@ ResultStore::load()
     obs::Span span("io", "store.load");
     // A directory at the store path opens "successfully" but reads
     // nothing, which would fall through to the empty-file diagnosis
-    // and blame a truncated save for what is a path mix-up (a shard
-    // --out-dir passed as --out, say).  Name the real problem.
+    // and blame a truncated save for what is a path mix-up (a work
+    // directory passed as --out, say).  Name the real problem.
     if (std::filesystem::is_directory(path_))
         fatal("result store '", path_,
               "' is a directory, not a store file — pass the store "
-              "FILE here (a shard directory merges with `merlin_cli "
-              "store merge`)");
+              "FILE here");
     std::ifstream in(path_);
     if (!in)
         return false;
@@ -252,16 +250,16 @@ ResultStore::load()
     if (text.find_first_not_of(" \t\r\n") == std::string::npos)
         fatal("result store '", path_,
               "' is empty — likely truncated by an interrupted save; "
-              "delete it (or restore it from shards with `merlin_cli "
-              "store merge`) before resuming");
+              "delete it, then re-run the suite or merge the worker "
+              "stores");
     Json doc;
     try {
         doc = Json::parse(text);
     } catch (const FatalError &e) {
         fatal("result store '", path_,
               "' is not a valid store (", e.what(),
-              "); delete it (or restore it from shards with "
-              "`merlin_cli store merge`) before resuming");
+              "); delete it, then re-run the suite or merge the worker "
+              "stores");
     }
     const std::string format = doc.strOr("format", "");
     if (format != kFormatTag)
@@ -270,9 +268,6 @@ ResultStore::load()
               "keyed results by engine knobs and are not read); re-run "
               "the suite or delete the file");
     entries_.clear();
-    selection_.reset();
-    if (const Json *sel = doc.find("selection"))
-        selection_ = *sel;
     // One aggregated warning per store for quarantine records a newer
     // writer extended, not one per record: a large store read by an
     // old binary must not flood stderr with identical lines.
@@ -302,8 +297,6 @@ ResultStore::toJson() const
     }
     Json doc = Json::object();
     doc.set("format", kFormatTag);
-    if (selection_)
-        doc.set("selection", *selection_);
     doc.set("campaigns", campaigns);
     return doc;
 }
@@ -412,39 +405,6 @@ ResultStore::merge(const ResultStore &other, bool force_theirs)
     return stats;
 }
 
-std::vector<std::string>
-gatherStoreFiles(const std::vector<std::string> &inputs)
-{
-    std::vector<std::string> files;
-    for (const std::string &in : inputs) {
-        if (std::filesystem::is_directory(in)) {
-            std::vector<std::string> shard_files;
-            for (const auto &e :
-                 std::filesystem::directory_iterator(in)) {
-                if (e.is_regular_file() &&
-                    e.path().extension() == ".json")
-                    shard_files.push_back(e.path().string());
-            }
-            if (shard_files.empty())
-                fatal("store gather: directory '", in,
-                      "' holds no .json shards");
-            // Sorted so the fold order is reproducible (merge is
-            // order-independent anyway unless --force-theirs resolves
-            // conflicts).
-            std::sort(shard_files.begin(), shard_files.end());
-            files.insert(files.end(), shard_files.begin(),
-                         shard_files.end());
-        } else if (std::filesystem::is_regular_file(in)) {
-            files.push_back(in);
-        } else {
-            fatal("store gather: '", in,
-                  "' is neither a store file nor a shard directory — "
-                  "did a worker fail to deliver its output?");
-        }
-    }
-    return files;
-}
-
 ResultStore::MergeStats
 mergeStoreFiles(ResultStore &into, const std::vector<std::string> &files,
                 bool force_theirs)
@@ -453,7 +413,8 @@ mergeStoreFiles(ResultStore &into, const std::vector<std::string> &files,
     for (const std::string &f : files) {
         ResultStore part(f);
         if (!part.load())
-            fatal("store gather: cannot open result store '", f, "'");
+            fatal("store merge: cannot open result store '", f,
+                  "' — did a worker fail to deliver its store?");
         const auto stats = into.merge(part, force_theirs);
         total.added += stats.added;
         total.identical += stats.identical;

@@ -33,7 +33,6 @@
 #define MERLIN_IO_RESULT_STORE_HH
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,28 +106,15 @@ class ResultStore
     bool erase(const std::string &key);
 
     /**
-     * Which suite selection produced this store, for distributed
-     * workers (`suite --select i/n --out worker.json`).  Recorded in
-     * the store file so a `--resume` against the wrong worker's store
-     * is refused instead of silently mixing shares.  Absent (the
-     * default) for single-host stores and merged stores — merge()
-     * never propagates it, which is what keeps a merged store
-     * byte-identical to the single-host run.
-     */
-    const std::optional<Json> &selection() const { return selection_; }
-    void setSelection(Json sel) { selection_ = std::move(sel); }
-    void clearSelection() { selection_.reset(); }
-
-    /**
      * Fold @p other into this store.  Content-hash keys make the
      * operation order-independent: a key present in both sides must
      * carry a bit-identical payload (spec and result dumps), because
      * the same spec always produces the same result — a mismatch
      * means one store is corrupt or was produced by a different
      * engine, and is fatal unless @p force_theirs resolves it by
-     * taking @p other's entry.  Merging the per-campaign shards of a
-     * suite therefore reproduces the single-store run byte-for-byte,
-     * in any shard order.
+     * taking @p other's entry.  Merging the worker stores of a
+     * distributed suite therefore reproduces the single-host store
+     * byte-for-byte, in any order.
      */
     MergeStats merge(const ResultStore &other, bool force_theirs = false);
 
@@ -144,24 +130,15 @@ class ResultStore
   private:
     std::string path_;
     std::map<std::string, Entry> entries_; ///< sorted => stable dumps
-    std::optional<Json> selection_;        ///< worker share, if any
 };
-
-/**
- * Expand a mixed list of store files and shard directories into the
- * store files to merge: directories contribute their *.json members,
- * sorted.  fatal() on a missing input or a directory with no shards —
- * a gather that silently skips a worker's output would "succeed" with
- * an incomplete store.
- */
-std::vector<std::string>
-gatherStoreFiles(const std::vector<std::string> &inputs);
 
 /**
  * Load every file of @p files and fold it into @p into (see
  * ResultStore::merge for the conflict rules).  The gather half of
- * distributed dispatch: inputs from any number of workers, in any
- * order, reassemble the single-host store.
+ * distributed dispatch: worker stores from any number of workers, in
+ * any order, reassemble the single-host store.  fatal() by name on a
+ * missing or unreadable input — a gather that silently skipped a
+ * worker's output would "succeed" with an incomplete store.
  */
 ResultStore::MergeStats
 mergeStoreFiles(ResultStore &into, const std::vector<std::string> &files,

@@ -50,10 +50,10 @@ struct CampaignConfig
     unsigned jobs = 1;
     /** Golden-run checkpoint cadence in cycles (0 = disabled). */
     Cycle checkpointInterval =
-        faultsim::InjectionRunner::kDefaultCheckpointInterval;
+        faultsim::RunnerOptions::kDefaultCheckpointInterval;
     /** Bound on retained checkpoints (the cadence doubles past it). */
     unsigned maxCheckpoints =
-        faultsim::InjectionRunner::kDefaultMaxCheckpoints;
+        faultsim::RunnerOptions::kDefaultMaxCheckpoints;
     /**
      * End faulty runs at the first golden checkpoint whose state they
      * provably reconverged with (classification-preserving; off only

@@ -67,8 +67,6 @@ ProgressSink::toJson(const char *state) const
     io::Json campaigns = io::Json::object();
     campaigns.set("total",
                   campaignsTotal.load(std::memory_order_relaxed));
-    campaigns.set("selected",
-                  campaignsSelected.load(std::memory_order_relaxed));
     campaigns.set("done", campaignsDone.load(std::memory_order_relaxed));
     campaigns.set("cached",
                   campaignsCached.load(std::memory_order_relaxed));
@@ -79,8 +77,6 @@ ProgressSink::toJson(const char *state) const
     doc.set("pid", processId());
     doc.set("epoch", epochSeconds());
     doc.set("elapsed_seconds", elapsed);
-    if (!opts_.selection.empty())
-        doc.set("selection", opts_.selection);
     doc.set("campaigns", campaigns);
     doc.set("injections", inj);
     doc.set("injections_per_sec",
@@ -94,8 +90,8 @@ ProgressSink::emit(const char *state) const
     if (opts_.stderrLine) {
         const std::uint64_t done =
             campaignsDone.load(std::memory_order_relaxed);
-        const std::uint64_t selected =
-            campaignsSelected.load(std::memory_order_relaxed);
+        const std::uint64_t total =
+            campaignsTotal.load(std::memory_order_relaxed);
         const std::uint64_t cached =
             campaignsCached.load(std::memory_order_relaxed);
         const std::uint64_t inj =
@@ -106,7 +102,7 @@ ProgressSink::emit(const char *state) const
             "progress: %llu/%llu campaigns (%llu cached), %llu "
             "injections, %.1f inj/s, %.1fs%s\n",
             static_cast<unsigned long long>(done),
-            static_cast<unsigned long long>(selected),
+            static_cast<unsigned long long>(total),
             static_cast<unsigned long long>(cached),
             static_cast<unsigned long long>(inj),
             elapsed > 0.0 ? static_cast<double>(inj) / elapsed : 0.0,

@@ -2,8 +2,7 @@
  * @file
  * Live progress for long suites: a periodic stderr line for humans
  * and an atomically-rewritten progress.json for machines (the
- * heartbeat/completeness source tools/dispatch.sh reads instead of
- * scraping logs).
+ * heartbeat source tools/dispatch.sh reads).
  *
  * The sink is a bundle of relaxed atomic counters the scheduler and
  * injection callbacks bump, plus an optional background emitter
@@ -20,8 +19,7 @@
  *     "pid": 12345,
  *     "epoch": 1754650000,          // unix seconds of this rewrite
  *     "elapsed_seconds": 12.5,
- *     "selection": "0/3 round-robin",   // only under --select
- *     "campaigns": {"total": 8, "selected": 8, "done": 3, "cached": 1},
+ *     "campaigns": {"total": 8, "done": 3, "cached": 1},
  *     "injections": 12345,
  *     "injections_per_sec": 456.7
  *   }
@@ -59,8 +57,6 @@ class ProgressSink
         bool stderrLine = false;
         /** Rewrite this progress.json each interval ("" = none). */
         std::string jsonPath;
-        /** Selection label for the json ("" = whole suite). */
-        std::string selection;
     };
 
     /** Inert sink: counters usable, nothing emitted. */
@@ -77,7 +73,6 @@ class ProgressSink
     // Engine-updated counters (relaxed; exactness per sample is not a
     // goal — the final "done" emit sees the settled values).
     std::atomic<std::uint64_t> campaignsTotal{0};
-    std::atomic<std::uint64_t> campaignsSelected{0};
     std::atomic<std::uint64_t> campaignsDone{0};
     std::atomic<std::uint64_t> campaignsCached{0};
     std::atomic<std::uint64_t> injections{0};

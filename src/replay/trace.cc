@@ -1,41 +1,12 @@
 #include "replay/trace.hh"
 
 #include <algorithm>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "base/logging.hh"
 
 namespace merlin::replay
 {
-
-namespace
-{
-
-constexpr char kMagic[8] = {'M', 'R', 'L', 'N', 'E', 'F', 'T', '1'};
-
-void
-writeRaw(std::ostream &out, const void *p, std::size_t n)
-{
-    out.write(static_cast<const char *>(p),
-              static_cast<std::streamsize>(n));
-}
-
-void
-readRaw(std::istream &in, void *p, std::size_t n, const std::string &what,
-        const char *field)
-{
-    in.read(static_cast<char *>(p), static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(in.gcount()) != n) {
-        fatal("effect trace ", what, ": truncated while reading ", field,
-              " (wanted ", n, " bytes, got ", in.gcount(),
-              ") — the trace was cut short and cannot drive replay; "
-              "re-record the golden run");
-    }
-}
-
-} // namespace
 
 EffectTrace::EffectTrace(unsigned rf_entries, unsigned sq_entries,
                          unsigned l1d_words)
@@ -111,53 +82,6 @@ EffectTrace::memoryBytes() const
     for (const auto &v : events_)
         n += v.capacity() * sizeof(std::uint64_t);
     return n;
-}
-
-void
-EffectTrace::serialize(std::ostream &out) const
-{
-    writeRaw(out, kMagic, sizeof(kMagic));
-    for (std::uint32_t c : counts_)
-        writeRaw(out, &c, sizeof(c));
-    for (const auto &v : events_) {
-        const std::uint64_t n = v.size();
-        writeRaw(out, &n, sizeof(n));
-        if (n)
-            writeRaw(out, v.data(), n * sizeof(std::uint64_t));
-    }
-}
-
-EffectTrace
-EffectTrace::deserialize(std::istream &in, const std::string &what)
-{
-    char magic[8];
-    readRaw(in, magic, sizeof(magic), what, "magic");
-    if (!std::equal(std::begin(magic), std::end(magic),
-                    std::begin(kMagic))) {
-        fatal("effect trace ", what,
-              ": bad magic — not an effect trace, or written by an "
-              "incompatible build");
-    }
-    std::uint32_t counts[3];
-    for (std::uint32_t &c : counts)
-        readRaw(in, &c, sizeof(c), what, "entry counts");
-    EffectTrace t(counts[0], counts[1], counts[2]);
-    for (std::size_t slot = 0; slot < t.events_.size(); ++slot) {
-        std::uint64_t n = 0;
-        readRaw(in, &n, sizeof(n), what, "event count");
-        if (n) {
-            t.events_[slot].resize(n);
-            readRaw(in, t.events_[slot].data(),
-                    n * sizeof(std::uint64_t), what, "events");
-        }
-    }
-    return t;
-}
-
-bool
-EffectTrace::operator==(const EffectTrace &o) const
-{
-    return counts_ == o.counts_ && events_ == o.events_;
 }
 
 } // namespace merlin::replay

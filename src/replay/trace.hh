@@ -33,8 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "base/types.hh"
@@ -71,8 +69,6 @@ class EffectTrace final : public uarch::EffectSink
     /** Cycle budget of the packing (55 bits of cycle). */
     static constexpr unsigned kCycleShift = 9;
 
-    EffectTrace() = default; ///< empty trace (deserialize target)
-
     EffectTrace(unsigned rf_entries, unsigned sq_entries,
                 unsigned l1d_words);
 
@@ -93,16 +89,6 @@ class EffectTrace final : public uarch::EffectSink
 
     /** Approximate heap footprint of the recorded events. */
     std::uint64_t memoryBytes() const;
-
-    /**
-     * Binary round-trip.  deserialize() raises FatalError with a
-     * diagnostic naming @p what on a truncated or foreign stream.
-     */
-    void serialize(std::ostream &out) const;
-    static EffectTrace deserialize(std::istream &in,
-                                   const std::string &what);
-
-    bool operator==(const EffectTrace &o) const;
 
   private:
     std::size_t slotOf(uarch::Structure s, EntryIndex entry) const;

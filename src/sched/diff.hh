@@ -23,7 +23,7 @@
  *
  * Everything about the result is deterministic: rows are sorted by
  * join key, serialization uses the io::Json byte-stable dump, and
- * the inputs are themselves byte-identical for any --jobs/shard
+ * the inputs are themselves byte-identical for any --jobs/merge
  * order — so a diff of two sweeps is a comparable, committable
  * artifact.
  */

@@ -6,8 +6,6 @@
 namespace merlin::sched
 {
 
-using io::Json;
-
 namespace
 {
 
@@ -19,17 +17,6 @@ modeTag(SpecSelector::Mode m)
       case SpecSelector::Mode::Hash:       return "hash";
     }
     panic("bad selector mode");
-}
-
-SpecSelector::Mode
-modeFromTag(const std::string &s)
-{
-    if (s == "round-robin")
-        return SpecSelector::Mode::RoundRobin;
-    if (s == "hash")
-        return SpecSelector::Mode::Hash;
-    fatal("selection: unknown mode '", s,
-          "' (use round-robin | hash)");
 }
 
 } // namespace
@@ -80,29 +67,6 @@ SpecSelector::describe() const
 {
     return std::to_string(index) + "/" + std::to_string(count) + " " +
            modeTag(mode);
-}
-
-Json
-SpecSelector::toJson() const
-{
-    Json j = Json::object();
-    j.set("mode", modeTag(mode));
-    j.set("index", index);
-    j.set("count", count);
-    return j;
-}
-
-SpecSelector
-SpecSelector::fromJson(const Json &j)
-{
-    SpecSelector s;
-    s.mode = modeFromTag(j.strOr("mode", ""));
-    s.index = j.at("index").asU64();
-    s.count = j.at("count").asU64();
-    if (s.count == 0 || s.index >= s.count)
-        fatal("selection: index ", s.index, "/", s.count,
-              " is out of range");
-    return s;
 }
 
 } // namespace merlin::sched

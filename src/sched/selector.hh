@@ -8,17 +8,16 @@
  * hash is congruent to i mod n (invariant to manifest reordering, and
  * it lands repeated specs on the same worker).  For a fixed mode and
  * n, the selections 0/n .. n-1/n are disjoint and complete, so the
- * per-worker shard spills merge back into exactly the single-host
+ * per-worker result stores merge back into exactly the single-host
  * store (`merlin_cli store merge`).
  */
 
 #ifndef MERLIN_SCHED_SELECTOR_HH
 #define MERLIN_SCHED_SELECTOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "io/json.hh"
 
 namespace merlin::sched
 {
@@ -51,17 +50,6 @@ struct SpecSelector
 
     /** "0/3 round-robin" — for reports and diagnostics. */
     std::string describe() const;
-
-    /** Canonical JSON, recorded in a worker's result store. */
-    io::Json toJson() const;
-
-    /** Inverse of toJson(); fatal() on malformed input. */
-    static SpecSelector fromJson(const io::Json &j);
-
-    bool operator==(const SpecSelector &o) const
-    {
-        return mode == o.mode && index == o.index && count == o.count;
-    }
 };
 
 } // namespace merlin::sched

@@ -147,17 +147,19 @@ struct CampaignService::WorkloadSlot
 
 CampaignService::CampaignService(Config cfg)
     : cfg_(std::move(cfg)),
+      journalRoot_(cfg_.storePath.empty() ? std::string()
+                                          : cfg_.storePath + ".journal"),
       pool_(cfg_.jobs ? cfg_.jobs : base::ThreadPool::hardwareThreads()),
       store_(cfg_.storePath), paused_(cfg_.startPaused)
 {
     if (cfg_.loadStore)
         store_.load();
-    if (!cfg_.journalDir.empty()) {
+    if (!journalRoot_.empty()) {
         std::error_code ec;
-        std::filesystem::create_directories(cfg_.journalDir, ec);
+        std::filesystem::create_directories(journalRoot_, ec);
         if (ec)
             fatal("campaign service: cannot create journal directory '",
-                  cfg_.journalDir, "': ", ec.message());
+                  journalRoot_, "': ", ec.message());
     }
 }
 
@@ -189,27 +191,11 @@ CampaignService::workloadFor(const std::string &name)
 std::string
 CampaignService::journalPathFor(const CampaignSpec &spec) const
 {
-    return cfg_.journalDir.empty()
+    return journalRoot_.empty()
                ? std::string()
-               : (std::filesystem::path(cfg_.journalDir) /
+               : (std::filesystem::path(journalRoot_) /
                   (spec.key() + ".journal"))
                      .string();
-}
-
-// One single-entry store per campaign, named by the spec key, so
-// `store merge` folds shards in any order into exactly the
-// single-store bytes.  Caller holds storeMu_ — two writers racing on one shard path (a
-// manifest may repeat a spec) must serialize.
-void
-CampaignService::spillShardLocked(const std::string &shard_dir,
-                                  const CampaignSpec &spec,
-                                  const core::CampaignResult &res)
-{
-    io::ResultStore shard(
-        (std::filesystem::path(shard_dir) / (spec.key() + ".json"))
-            .string());
-    shard.put(spec.key(), spec.toJson(), res);
-    shard.save();
 }
 
 CampaignService::TicketPtr
@@ -231,11 +217,7 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
     core::CampaignResult cachedRes;
     if (opts.reuseCached) {
         std::lock_guard<std::mutex> lock(storeMu_);
-        if (store_.lookup(key, cachedRes)) {
-            cacheHit = true;
-            if (!opts.shardDir.empty())
-                spillShardLocked(opts.shardDir, spec, cachedRes);
-        }
+        cacheHit = store_.lookup(key, cachedRes);
     }
 
     if (cacheHit) {
@@ -245,7 +227,7 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
         // A journal outliving a stored result means a previous run
         // died between the store save and the journal cleanup; the
         // store won, so the journal is stale.
-        if (!cfg_.journalDir.empty()) {
+        if (!journalRoot_.empty()) {
             std::error_code ec;
             std::filesystem::remove(journalPathFor(spec), ec);
         }
@@ -534,23 +516,6 @@ CampaignService::settleLocked(const std::shared_ptr<Job> &job, State state,
     }
 }
 
-std::vector<std::string>
-CampaignService::shardDirsOf(const Job &job)
-{
-    // Snapshot under the service mutex (subscribers may still be
-    // attaching); distinct dirs only — one shard file per campaign
-    // per directory, however many tickets share it.
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> dirs;
-    for (const TicketPtr &t : job.tickets) {
-        const std::string &d = t->opts_.shardDir;
-        if (!d.empty() &&
-            std::find(dirs.begin(), dirs.end(), d) == dirs.end())
-            dirs.push_back(d);
-    }
-    return dirs;
-}
-
 obs::ProgressSink *
 CampaignService::primaryProgress(const Job &job)
 {
@@ -636,15 +601,12 @@ CampaignService::runJob(Job &job)
                                  : a.reason < b.reason;
                   });
     }
-    const std::vector<std::string> shardDirs = shardDirsOf(job);
     {
         // Persist after EVERY campaign: an interrupted service
         // resumes from the completed prefix.
         std::lock_guard<std::mutex> lock(storeMu_);
         store_.put(spec.key(), spec.toJson(), res);
         store_.save();
-        for (const std::string &dir : shardDirs)
-            spillShardLocked(dir, spec, res);
     }
     // The store save is durable; the journal has nothing left to
     // protect (and must not shadow the next run of this spec).

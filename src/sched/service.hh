@@ -19,9 +19,9 @@
  *   - with reuseCached, a submitted spec whose content hash is in the
  *     store is served from it without running;
  *   - every completed campaign is persisted (put + atomic save) under
- *     one store mutex, with optional single-entry shard spill;
- *   - a crash-safe outcome journal protects each running campaign, and
- *     is removed once the store save lands.
+ *     one store mutex;
+ *   - a crash-safe outcome journal in `<storePath>.journal/` protects
+ *     each running campaign, and is removed once the store save lands.
  *
  * New, service-only semantics:
  *
@@ -64,15 +64,12 @@ class CampaignService
     {
         /** Shared-pool worker threads (0 = hardware concurrency). */
         unsigned jobs = 1;
-        /** Result-store path; empty = keep results in memory only. */
-        std::string storePath;
         /**
-         * Outcome-journal directory; empty = journaling off.  The
-         * batch wrapper derives it exactly as before (shard dir when
-         * spilling, else storePath + ".journal"); the daemon keeps it
-         * beside its store.
+         * Result-store path; empty = keep results in memory only.
+         * Outcome journals live beside a store file, in
+         * `<storePath>.journal/`; a memory-only store has none.
          */
-        std::string journalDir;
+        std::string storePath;
         /** Quarantine knobs (operational, never part of a spec). */
         double injectWallLimit = 0.0;
         bool quarantineFail = false;
@@ -117,8 +114,6 @@ class CampaignService
     {
         /** Serve store hits instead of re-running. */
         bool reuseCached = false;
-        /** Shard-spill directory; empty = off. */
-        std::string shardDir;
         /** Fairness queue / telemetry label for this submitter. */
         std::string client = "local";
         /** Optional live-progress counters to bump (not owned). */
@@ -230,9 +225,8 @@ class CampaignService
     bool draining() const;
 
     /**
-     * Run @p fn with exclusive access to the result store (the batch
-     * wrapper's selection canonicalization; the daemon's key
-     * queries).  Must not call back into the service.
+     * Run @p fn with exclusive access to the result store (the
+     * daemon's key queries).  Must not call back into the service.
      */
     void withStore(const std::function<void(io::ResultStore &)> &fn);
 
@@ -251,19 +245,18 @@ class CampaignService
     std::shared_ptr<const workloads::BuiltWorkload>
     workloadFor(const std::string &name);
     std::string journalPathFor(const CampaignSpec &spec) const;
-    void spillShardLocked(const std::string &shard_dir,
-                          const CampaignSpec &spec,
-                          const core::CampaignResult &res);
     void maybeSpawnDriverLocked();
     void driverLoop();
     std::shared_ptr<Job> popNextLocked();
     void runJob(Job &job);
     void settleLocked(const std::shared_ptr<Job> &job, State state,
                       std::exception_ptr err);
-    std::vector<std::string> shardDirsOf(const Job &job);
     obs::ProgressSink *primaryProgress(const Job &job);
 
     const Config cfg_;
+    /** `<storePath>.journal`; empty (journaling off) without a store
+     *  file. */
+    const std::string journalRoot_;
     base::ThreadPool pool_;
 
     io::ResultStore store_;

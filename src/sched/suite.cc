@@ -1,13 +1,9 @@
 #include "sched/suite.hh"
 
-#include <algorithm>
 #include <exception>
-#include <filesystem>
 #include <limits>
-#include <set>
 
 #include "base/logging.hh"
-#include "io/result_store.hh"
 #include "obs/clock.hh"
 #include "obs/progress.hh"
 #include "obs/trace.hh"
@@ -291,6 +287,17 @@ parseManifest(const Json &manifest)
     return specs;
 }
 
+std::vector<CampaignSpec>
+selectSpecs(const std::vector<CampaignSpec> &specs, const SpecSelector &sel)
+{
+    std::vector<CampaignSpec> share;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (sel.selects(i, specs[i].key()))
+            share.push_back(specs[i]);
+    }
+    return share;
+}
+
 // ------------------------------------------------------- SuiteScheduler
 
 SuiteScheduler::SuiteScheduler(std::vector<CampaignSpec> specs,
@@ -307,115 +314,38 @@ SuiteScheduler::run()
     SuiteResult out;
     out.results.resize(specs_.size());
     out.cached.assign(specs_.size(), false);
-    out.selected.assign(specs_.size(), true);
-    if (opts_.select) {
-        for (std::size_t i = 0; i < specs_.size(); ++i)
-            out.selected[i] = opts_.select->selects(i, specs_[i].key());
-    }
 
     // Live progress: inert unless an output is configured, so the
     // counters are maintained unconditionally at relaxed-atomic cost.
     obs::ProgressSink progress(obs::ProgressSink::Options{
-        opts_.progressInterval, opts_.progressStderr, opts_.progressPath,
-        opts_.select ? opts_.select->describe() : std::string()});
+        opts_.progressInterval, opts_.progressStderr, opts_.progressPath});
     progress.campaignsTotal.store(specs_.size(),
                                   std::memory_order_relaxed);
-    progress.campaignsSelected.store(
-        static_cast<std::uint64_t>(
-            std::count(out.selected.begin(), out.selected.end(), true)),
-        std::memory_order_relaxed);
 
-    // The engine: a CampaignService scoped to this one suite.  The
-    // config derivations (journal placement, store loading only under
-    // --resume) are exactly the one-shot scheduler's old rules.
-    // startPaused preserves the batch phase structure: every cache
-    // hit resolves against the loaded store BEFORE
-    // any campaign mutates it, so reports and store bytes cannot
-    // depend on submission/completion races.
+    // The engine: a CampaignService scoped to this one suite, loading
+    // the store only under --resume.  startPaused preserves the batch
+    // phase structure: every cache hit resolves against the loaded
+    // store BEFORE any campaign mutates it, so reports and store bytes
+    // cannot depend on submission/completion races.
     CampaignService::Config cfg;
     cfg.jobs = opts_.jobs;
     cfg.storePath = opts_.storePath;
-    cfg.journalDir =
-        !opts_.shardDir.empty()
-            ? opts_.shardDir
-            : (opts_.storePath.empty() ? std::string()
-                                       : opts_.storePath + ".journal");
     cfg.injectWallLimit = opts_.injectWallLimit;
     cfg.quarantineFail = opts_.quarantineFail;
     cfg.loadStore = opts_.reuseCached;
     cfg.startPaused = true;
     CampaignService svc(cfg);
 
-    svc.withStore([&](io::ResultStore &store) {
-        if (opts_.reuseCached && store.selection() && opts_.select) {
-            // Refuse overlapping resume stores: a store that records a
-            // different selection belongs to another worker, and
-            // resuming from it would mix two shares into one file (and
-            // clobber the other worker's entries on save).  (A store
-            // that failed to load has no selection, so this gate is
-            // the old load()-gated check unchanged.)
-            const SpecSelector recorded =
-                SpecSelector::fromJson(*store.selection());
-            if (!(recorded == *opts_.select))
-                fatal("suite --resume: store '", opts_.storePath,
-                      "' was produced under selection ",
-                      recorded.describe(), ", not ",
-                      opts_.select->describe(),
-                      " — give every worker its own --out store");
-        }
-        if (opts_.select) {
-            store.setSelection(opts_.select->toJson());
-            // Entries outside this worker's share — unselected
-            // manifest specs, or specs of some other suite entirely (a
-            // single-host store copied in to seed the resume) — are
-            // foreign: drop them so they are neither re-spilled as
-            // shards nor re-serialized into this worker's store, which
-            // would duplicate them across the merge inputs.
-            std::set<std::string> mine;
-            for (std::size_t i = 0; i < specs_.size(); ++i) {
-                if (out.selected[i])
-                    mine.insert(specs_[i].key());
-            }
-            std::vector<std::string> foreign;
-            for (const auto &[key, entry] : store.entries()) {
-                (void)entry;
-                if (!mine.count(key))
-                    foreign.push_back(key);
-            }
-            for (const std::string &key : foreign)
-                store.erase(key);
-        } else {
-            // A full run owns the whole suite; a worker store being
-            // promoted back to a single-host store sheds its selection.
-            store.clearSelection();
-        }
-    });
-    if (!opts_.shardDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opts_.shardDir, ec);
-        if (ec)
-            fatal("suite: cannot create shard directory '",
-                  opts_.shardDir, "': ", ec.message());
-    }
-
-    // Submit every selected spec; cache hits resolve immediately on
-    // this thread (the service is paused, so nothing mutates the
-    // store underneath the lookups), misses queue for the drivers.
+    // Submit every spec; cache hits resolve immediately on this thread
+    // (the service is paused, so nothing mutates the store underneath
+    // the lookups), misses queue for the drivers.
     CampaignService::SubmitOptions sopts;
     sopts.reuseCached = opts_.reuseCached;
-    sopts.shardDir = opts_.shardDir;
     sopts.client = "suite";
     sopts.progress = &progress;
     std::vector<CampaignService::TicketPtr> tickets(specs_.size());
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-        if (out.selected[i])
-            tickets[i] = svc.submit(specs_[i], sopts);
-    }
-    // Canonicalize a worker store up front: selection recorded and
-    // foreign entries gone even when every campaign is served from
-    // the cache and no per-campaign save would otherwise happen.
-    if (opts_.select && !opts_.storePath.empty())
-        svc.withStore([](io::ResultStore &store) { store.save(); });
+    for (std::size_t i = 0; i < specs_.size(); ++i)
+        tickets[i] = svc.submit(specs_[i], sopts);
 
     // Unpause: the drivers spin up (one per pool worker, at most) and
     // run the queued campaigns with cross-campaign work stealing.

@@ -116,21 +116,21 @@ std::vector<CampaignSpec> parseManifest(const io::Json &manifest);
 /** Is @p name a CampaignSpec JSON member (a valid sweep axis knob)? */
 bool isSpecMember(const std::string &name);
 
+/**
+ * The specs of @p specs that @p sel keeps, in manifest order: one
+ * worker's share of a distributed suite (`suite --select`, `--plan`).
+ * Running each share into its own store and merging the stores
+ * reproduces the single-host store byte-for-byte.
+ */
+std::vector<CampaignSpec> selectSpecs(const std::vector<CampaignSpec> &specs,
+                                      const SpecSelector &sel);
+
 struct SuiteOptions
 {
     /** Shared-pool worker threads (0 = hardware concurrency). */
     unsigned jobs = 1;
     /** Result-store path; empty = keep results in memory only. */
     std::string storePath;
-    /**
-     * Shard-spill directory (--out-dir); empty = off.  Every suite
-     * campaign — run or served from the cache — is additionally
-     * written as a single-entry store file `<dir>/<spec key>.json`,
-     * so machines of a distributed sweep can each spill their share
-     * and `merlin_cli store merge` folds the shards back into one
-     * store byte-identical to a single-store run.
-     */
-    std::string shardDir;
     /**
      * Reuse stored results for matching spec keys instead of
      * re-running (--resume / cache hits).  Off = re-run everything and
@@ -155,20 +155,6 @@ struct SuiteOptions
     double progressInterval = 1.0;
     bool progressStderr = false;
     std::string progressPath;
-    /**
-     * This worker's share of the suite (--select i/n /
-     * --select-hash i/n); nullopt = run everything.  Applied before
-     * dispatch: unselected specs are not run, not served from the
-     * cache, and not spilled as shards; their SuiteResult slots stay
-     * default-constructed with selected[i] == false.  The selection
-     * is recorded in the store file, and resuming from a store that
-     * records a DIFFERENT selection is fatal — two workers sharing
-     * one store would clobber each other's share.  Entries of a
-     * selection-free store (e.g. a copied single-host store) that
-     * fall outside the selection are foreign: dropped on load so
-     * they are neither re-spilled nor re-serialized.
-     */
-    std::optional<SpecSelector> select;
 };
 
 struct SuiteResult
@@ -177,11 +163,6 @@ struct SuiteResult
     std::vector<core::CampaignResult> results;
     /** Which specs were served from the store without running. */
     std::vector<bool> cached;
-    /**
-     * Which specs this worker's selection kept (all of them without
-     * --select).  results[i] is meaningful only when selected[i].
-     */
-    std::vector<bool> selected;
     std::uint64_t campaignsRun = 0;
     /**
      * Injections this run simulated or replayed from journals (cache

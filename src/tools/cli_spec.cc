@@ -214,10 +214,9 @@ campaignConfig(const Args &args, std::uint64_t default_window)
     cc.jobs = args.getU32("jobs", 1);
     cc.checkpointInterval = args.getU(
         "checkpoint-interval",
-        faultsim::InjectionRunner::kDefaultCheckpointInterval);
+        faultsim::RunnerOptions::kDefaultCheckpointInterval);
     cc.maxCheckpoints = args.getU32(
-        "max-checkpoints",
-        faultsim::InjectionRunner::kDefaultMaxCheckpoints);
+        "max-checkpoints", faultsim::RunnerOptions::kDefaultMaxCheckpoints);
     cc.earlyExit = args.getOnOff("early-exit", true);
     cc.replay = args.getOnOff("replay", true);
     cc.timeoutFactor = args.getU32(
@@ -239,7 +238,6 @@ suiteOptionsFromArgs(const Args &args)
     sched::SuiteOptions opts;
     opts.jobs = args.getU32("jobs", 1);
     opts.storePath = args.get("out");
-    opts.shardDir = args.get("out-dir");
     opts.reuseCached = args.has("resume");
     opts.injectWallLimit = args.getD("inject-wall-limit", 0.0);
     opts.quarantineFail = parseQuarantineFail(args);
@@ -251,15 +249,6 @@ suiteOptionsFromArgs(const Args &args)
     opts.progressPath = args.get("progress-json");
     if (opts.reuseCached && opts.storePath.empty())
         fatal("--resume requires --out <results.json>");
-    if (args.has("select") && args.has("select-hash"))
-        fatal("suite: --select and --select-hash are mutually "
-              "exclusive");
-    if (args.has("select"))
-        opts.select = sched::SpecSelector::parse(
-            args.get("select"), sched::SpecSelector::Mode::RoundRobin);
-    else if (args.has("select-hash"))
-        opts.select = sched::SpecSelector::parse(
-            args.get("select-hash"), sched::SpecSelector::Mode::Hash);
     return opts;
 }
 
@@ -276,8 +265,6 @@ serviceConfigFromArgs(const Args &args)
     // The daemon always warms from its store: a persistent cache is
     // the point of process-lifetime service.
     cfg.loadStore = !cfg.storePath.empty();
-    if (!cfg.storePath.empty())
-        cfg.journalDir = cfg.storePath + ".journal";
     return cfg;
 }
 
@@ -383,12 +370,8 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
     std::printf("%-14s %-4s %-13s %10s %10s %10s %8s\n", "workload",
                 "tgt", "mode", "initial", "survivors", "injected", "AVF%");
     std::uint64_t cached = 0;
-    std::uint64_t selected = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (!suite.selected[i])
-            continue; // another worker's share
         const auto &r = suite.results[i];
-        ++selected;
         cached += suite.cached[i] ? 1 : 0;
         std::printf(
             "%-14s %-4s %-13s %10llu %10llu %10llu %7.3f%% %s\n",
@@ -405,9 +388,9 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
             100 * r.merlinEstimate.avf(),
             suite.cached[i] ? "[cached]" : "");
     }
-    std::printf("\n%llu campaigns (%llu run, %llu cached) in %.2fs "
+    std::printf("\n%zu campaigns (%llu run, %llu cached) in %.2fs "
                 "with --jobs %u\n",
-                static_cast<unsigned long long>(selected),
+                specs.size(),
                 static_cast<unsigned long long>(suite.campaignsRun),
                 static_cast<unsigned long long>(cached),
                 suite.wallSeconds, opts.jobs);
@@ -418,18 +401,10 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                     static_cast<double>(suite.injectionsSimulated) /
                         suite.wallSeconds);
     }
-    if (opts.select) {
-        // The suite report records the selection: which share of the
-        // manifest this worker ran, and what it left for the others.
-        std::printf("selection %s: %llu of %zu manifest campaigns\n",
-                    opts.select->describe().c_str(),
-                    static_cast<unsigned long long>(selected),
-                    specs.size());
-    }
-    if (!opts.storePath.empty())
+    // An empty share (possible under --select-hash) runs nothing and
+    // writes no store.
+    if (!opts.storePath.empty() && !specs.empty())
         std::printf("results written to %s\n", opts.storePath.c_str());
-    if (!opts.shardDir.empty())
-        std::printf("shards spilled to %s/\n", opts.shardDir.c_str());
 }
 
 } // namespace merlin::tools

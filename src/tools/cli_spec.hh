@@ -86,9 +86,9 @@ std::vector<sched::CampaignSpec>
 loadManifestFile(const std::string &path);
 
 /**
- * The one-shot suite knobs (--jobs/--out/--resume/--select/...),
- * validations included — the single derivation both `suite` and any
- * batch-flavored front end use.
+ * The one-shot suite knobs (--jobs/--out/--resume/...), validations
+ * included — the single derivation both `suite` and any batch-flavored
+ * front end use.
  */
 sched::SuiteOptions suiteOptionsFromArgs(const Args &args);
 
@@ -115,7 +115,7 @@ std::uint64_t structureBits(const core::CampaignConfig &cc);
 /**
  * Print the suite report table + summary blocks exactly as
  * `merlin_cli suite` always has (CI awks these columns).  @p opts
- * supplies jobs/select/store paths for the trailer lines.
+ * supplies jobs and the store path for the trailer lines.
  */
 void printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                       const sched::SuiteResult &suite,

@@ -108,7 +108,6 @@ cmdSubmit(const std::string &manifest_path, const Args &args)
     sched::SuiteResult suite;
     suite.results.resize(specs.size());
     suite.cached.assign(specs.size(), false);
-    suite.selected.assign(specs.size(), true);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         io::Json msg = io::Json::object();
         msg.set("type", "result");

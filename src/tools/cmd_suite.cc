@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,12 +20,28 @@ namespace merlin::tools
 namespace
 {
 
+/** This worker's share (--select i/n | --select-hash i/n), if any. */
+std::optional<sched::SpecSelector>
+selectionFromArgs(const Args &args)
+{
+    if (args.has("select") && args.has("select-hash"))
+        fatal("suite: --select and --select-hash are mutually "
+              "exclusive");
+    if (args.has("select"))
+        return sched::SpecSelector::parse(
+            args.get("select"), sched::SpecSelector::Mode::RoundRobin);
+    if (args.has("select-hash"))
+        return sched::SpecSelector::parse(
+            args.get("select-hash"), sched::SpecSelector::Mode::Hash);
+    return std::nullopt;
+}
+
 /**
  * suite --plan n: emit one manifest per worker instead of running.
  * Each output holds that worker's selection, fully resolved (defaults
  * folded in, every member explicit), so running it — with or without
- * a further --select — spills shards that merge back into exactly the
- * single-host store.
+ * a further --select — writes a store that merges back into exactly
+ * the single-host store.
  */
 int
 cmdSuitePlan(const std::vector<sched::CampaignSpec> &specs,
@@ -53,10 +70,8 @@ cmdSuitePlan(const std::vector<sched::CampaignSpec> &specs,
         sel.index = i;
         sel.count = n;
         io::Json camps = io::Json::array();
-        for (std::size_t j = 0; j < specs.size(); ++j) {
-            if (sel.selects(j, specs[j].key()))
-                camps.push(specs[j].toJson());
-        }
+        for (const sched::CampaignSpec &spec : sched::selectSpecs(specs, sel))
+            camps.push(spec.toJson());
         if (camps.size() == 0)
             fatal("--plan: worker ", i, " of ", n, " selects no "
                   "campaigns under hash partitioning — use fewer "
@@ -99,12 +114,18 @@ cmdSuite(const std::string &manifest_path, const Args &args)
         return cmdSuitePlan(specs, args);
     }
     requireKnownFlags(args,
-                      {"jobs", "out", "out-dir", "resume", "select",
-                       "select-hash", "quarantine", "inject-wall-limit",
-                       "trace", "metrics", "progress", "progress-json"},
+                      {"jobs", "out", "resume", "select", "select-hash",
+                       "quarantine", "inject-wall-limit", "trace",
+                       "metrics", "progress", "progress-json"},
                       "suite");
 
     sched::SuiteOptions opts = suiteOptionsFromArgs(args);
+    // A worker's share is a filtered manifest: everything downstream
+    // (cache, journals, store, progress) sees only those specs.
+    const std::size_t manifest_size = specs.size();
+    const std::optional<sched::SpecSelector> sel = selectionFromArgs(args);
+    if (sel)
+        specs = sched::selectSpecs(specs, *sel);
 
     startTelemetry(args);
     sched::SuiteScheduler scheduler(specs, opts);
@@ -112,6 +133,13 @@ cmdSuite(const std::string &manifest_path, const Args &args)
     finishTelemetry(args);
 
     printSuiteReport(specs, suite, opts);
+    if (sel) {
+        // Which share of the manifest this worker ran; dispatch.sh
+        // sums these lines to check the shares cover the manifest.
+        std::printf("selection %s: %zu of %zu manifest campaigns\n",
+                    sel->describe().c_str(), specs.size(),
+                    manifest_size);
+    }
     return 0;
 }
 
@@ -165,22 +193,18 @@ cmdStoreMerge(int argc, char **argv, int start)
     if (out.empty())
         fatal("store merge requires --out <merged.json>");
     if (inputs.empty())
-        fatal("store merge requires at least one input store or "
-              "shard directory");
+        fatal("store merge requires at least one input store");
 
     // The gather half of distributed dispatch, shared with the tests:
-    // expand shard directories (sorted members), then fold every
-    // store into one.  Worker stores carry a recorded selection;
-    // merge() drops it, so the merged store is byte-identical to the
+    // fold every worker store into one, byte-identical to the
     // single-host run whatever the gather order.
-    const std::vector<std::string> files = io::gatherStoreFiles(inputs);
     io::ResultStore merged(out);
     const io::ResultStore::MergeStats total =
-        io::mergeStoreFiles(merged, files, force_theirs);
+        io::mergeStoreFiles(merged, inputs, force_theirs);
     merged.save();
     std::printf("merged %zu input%s -> %s: %zu campaigns "
                 "(%zu added, %zu identical, %zu replaced)\n",
-                files.size(), files.size() == 1 ? "" : "s",
+                inputs.size(), inputs.size() == 1 ? "" : "s",
                 out.c_str(), merged.size(), total.added,
                 total.identical, total.replaced);
     return 0;

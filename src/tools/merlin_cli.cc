@@ -42,7 +42,7 @@
  *       --quarantine=fail aborts on the first quarantined injection
  *       instead (default: continue).
  *   merlin_cli suite manifest.json
- *       [--jobs N] [--out results.json] [--out-dir DIR] [--resume]
+ *       [--jobs N] [--out results.json] [--resume]
  *       [--select i/n | --select-hash i/n]
  *       [--quarantine=fail|continue] [--inject-wall-limit SECONDS]
  *       [--trace trace.json] [--metrics metrics.json]
@@ -57,10 +57,8 @@
  *       already in the file are served from it (cache hits / crash
  *       recovery), and a
  *       campaign that was KILLED midway resumes from its outcome
- *       journal (an append-only fsync'd file beside the shard spill)
+ *       journal (an append-only fsync'd file in <out>.journal/)
  *       with results byte-identical to an uninterrupted run.
- *       --out-dir additionally spills every campaign as a single-entry
- *       shard file DIR/<key>.json for `store merge`.
  *       Telemetry (all strictly out-of-band — results and store bytes
  *       are byte-identical with or without it): --trace records every
  *       scheduler/campaign/injection/store span as Chrome trace_event
@@ -74,18 +72,22 @@
  *       --select i/n runs only worker i's share of the suite
  *       (round-robin over the manifest order); --select-hash i/n
  *       partitions on the spec content hash instead, so the share is
- *       invariant to manifest reordering.  Selections 0/n..n-1/n are
- *       disjoint and complete: run each share on its own machine with
- *       its own --out/--out-dir and `store merge` the gathered shards
- *       back into a store byte-identical to the single-host run (see
- *       tools/dispatch.sh).  The selection is recorded in the worker's
- *       store; resuming from another worker's store is fatal.
+ *       invariant to manifest reordering.  The filter applies to the
+ *       manifest before anything runs, so the worker's --out store
+ *       holds exactly its share.  Selections 0/n..n-1/n are disjoint
+ *       and complete: run each share on its own machine with its own
+ *       --out and `store merge` the worker stores back into a store
+ *       byte-identical to the single-host run (see tools/dispatch.sh).
+ *       The report ends with "selection i/n: X of Y manifest
+ *       campaigns"; an empty hash share runs nothing and writes no
+ *       store.
  *   merlin_cli suite manifest.json --plan n [--hash] [--plan-dir DIR]
  *       Instead of running, emit n per-worker manifests
  *       DIR/worker-<i>-of-<n>.json (defaults resolved, one fully
  *       explicit spec per campaign) partitioned round-robin (or by
  *       content hash with --hash) — for schedulers that ship a
- *       manifest per machine rather than passing --select.
+ *       manifest per machine rather than passing --select.  Their
+ *       --out stores merge exactly like --select workers' stores.
  *   merlin_cli suite --diff A.json B.json
  *       [--axis knob,...] [--confidence C] [--out diff.json]
  *       Differential sweep: join two result stores on the spec content
@@ -95,11 +97,12 @@
  *       sampling confidence interval.  Output is deterministic:
  *       sorted rows, byte-stable JSON with --out.
  *   merlin_cli store merge --out merged.json [--force-theirs]
- *       input... (store files and/or shard directories)
- *       Fold result stores/shards into one store.  A key on both sides
- *       must carry bit-identical payloads; --force-theirs resolves
- *       conflicts by taking the later input.  Merging a suite's
- *       --out-dir shards reproduces its --out store byte-for-byte.
+ *       store.json...
+ *       Fold result stores into one store; a missing input is fatal.
+ *       A key on both sides must carry bit-identical payloads;
+ *       --force-theirs resolves conflicts by taking the later input.
+ *       Merging the --out stores of a suite's --select workers
+ *       reproduces the single-host store byte-for-byte.
  *   merlin_cli asm --file prog.s [--campaign rf|sq|l1d]
  *       Assemble a user program, run it, optionally run a campaign.
  *
@@ -171,7 +174,7 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "usage: merlin_cli suite manifest.json "
                              "[--jobs N] [--out results.json] "
-                             "[--out-dir DIR] [--resume] "
+                             "[--resume] "
                              "[--select i/n | --select-hash i/n] "
                              "[--quarantine=fail|continue] "
                              "[--inject-wall-limit SECONDS] "
@@ -189,7 +192,7 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "usage: merlin_cli store merge --out "
                              "merged.json [--force-theirs] "
-                             "input...\n");
+                             "store.json...\n");
                 return 2;
             }
             return cmdStoreMerge(argc, argv, 3);

@@ -6,6 +6,7 @@
  * and bounded by a step budget.
  */
 
+#include <functional>
 #include <sstream>
 
 #include "workloads/emit.hh"
@@ -85,6 +86,16 @@ makeBytecode()
     return p;
 }
 
+/** @p a op @p b in std::uint64_t, cast back: the two's-complement wrap
+ *  the simulated add/sub/mul perform (std::int64_t overflow is UB). */
+template <typename Op>
+std::int64_t
+wrapping(std::int64_t a, std::int64_t b, Op op)
+{
+    return static_cast<std::int64_t>(
+        op(static_cast<std::uint64_t>(a), static_cast<std::uint64_t>(b)));
+}
+
 /** Reference interpreter mirroring the assembly exactly. */
 std::pair<std::uint64_t, std::uint64_t>
 refRun(const Prog &p, std::uint64_t max_steps)
@@ -102,19 +113,19 @@ refRun(const Prog &p, std::uint64_t max_steps)
           case OP_ADD: {
             auto b = stack.back();
             stack.pop_back();
-            stack.back() += b;
+            stack.back() = wrapping(stack.back(), b, std::plus<>());
             break;
           }
           case OP_SUB: {
             auto b = stack.back();
             stack.pop_back();
-            stack.back() -= b;
+            stack.back() = wrapping(stack.back(), b, std::minus<>());
             break;
           }
           case OP_MUL: {
             auto b = stack.back();
             stack.pop_back();
-            stack.back() *= b;
+            stack.back() = wrapping(stack.back(), b, std::multiplies<>());
             break;
           }
           case OP_DUP: stack.push_back(stack.back()); break;
@@ -128,7 +139,9 @@ refRun(const Prog &p, std::uint64_t max_steps)
                 pc = arg;
             break;
           }
-          case OP_DEC: stack.back() -= 1; break;
+          case OP_DEC:
+            stack.back() = wrapping(stack.back(), 1, std::minus<>());
+            break;
           case OP_XOR: {
             auto b = stack.back();
             stack.pop_back();

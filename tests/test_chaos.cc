@@ -96,14 +96,6 @@ class ChaosFixture : public ::testing::Test
         return p;
     }
 
-    std::string
-    dirPath(const std::string &name)
-    {
-        std::string p = testing::TempDir() + "merlin_chaos_" + name;
-        cleanup_.push_back(p);
-        return p;
-    }
-
     void
     TearDown() override
     {
@@ -194,11 +186,10 @@ TEST_F(ChaosFixture, KilledAndResumedStoreIsByteIdentical)
 
 /**
  * The distributed variant dispatch.sh leans on: one of the workers
- * (disjoint --select shares, private stores and shard spills) is
- * killed mid-run and re-dispatched with --resume; merging the shard
- * directories must still reproduce the single-host store
- * byte-for-byte.  One worker per campaign, so every share is
- * non-empty.
+ * (disjoint --select shares, each into a private store) is killed
+ * mid-run and re-dispatched with --resume; merging the worker stores
+ * must still reproduce the single-host store byte-for-byte.  One
+ * worker per campaign, so every share is non-empty.
  */
 TEST_F(ChaosFixture, KilledWorkerShareMergesByteIdentical)
 {
@@ -211,28 +202,27 @@ TEST_F(ChaosFixture, KilledWorkerShareMergesByteIdentical)
     const std::string want = fileBytes(ref.storePath);
 
     std::mt19937 rng(0xBADF00D);
-    std::vector<std::string> shard_dirs;
-    for (int w = 0; w < 2; ++w) {
+    std::vector<std::string> worker_stores;
+    for (std::uint64_t w = 0; w < 2; ++w) {
         SuiteOptions opts;
         opts.jobs = 2;
         opts.reuseCached = true;
         opts.storePath =
             storePath("worker-" + std::to_string(w) + ".json");
-        opts.shardDir = dirPath("shards-" + std::to_string(w));
-        opts.select = SpecSelector{SpecSelector::Mode::RoundRobin,
-                                   static_cast<std::uint64_t>(w), 2};
-        shard_dirs.push_back(opts.shardDir);
+        const auto share = selectSpecs(
+            specs, SpecSelector{SpecSelector::Mode::RoundRobin, w, 2});
+        worker_stores.push_back(opts.storePath);
 
         // Worker 1 is the casualty: killed mid-run, then re-dispatched.
         bool finished = w != 1;
         if (w == 1)
-            finished = runAndKill(specs, opts, rng);
+            finished = runAndKill(share, opts, rng);
         if (!finished || w != 1)
-            SuiteScheduler(specs, opts).run();
+            SuiteScheduler(share, opts).run();
     }
 
     io::ResultStore merged(storePath("share-merged.json"));
-    io::mergeStoreFiles(merged, io::gatherStoreFiles(shard_dirs));
+    io::mergeStoreFiles(merged, worker_stores);
     merged.save();
     EXPECT_EQ(fileBytes(merged.path()), want);
 }

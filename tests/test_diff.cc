@@ -1,9 +1,9 @@
 /**
  * @file
- * Differential-sweep tests: ResultStore::merge conflict policy, shard
- * spill + merge byte-fidelity against a single-store run, SuiteDiff
+ * Differential-sweep tests: ResultStore::merge conflict policy, worker
+ * store merge byte-fidelity against a single-store run, SuiteDiff
  * join/masking semantics, the reliability-invariant property suite
- * (diff(A,A) == 0, antisymmetry, --jobs and shard-order invariance)
+ * (diff(A,A) == 0, antisymmetry, --jobs and merge-order invariance)
  * and a golden-file regression lock on the diff report format.
  */
 
@@ -105,8 +105,13 @@ class MergeFixture : public ::testing::Test
     void
     TearDown() override
     {
-        for (const std::string &p : created_)
-            std::remove(p.c_str());
+        // A suite store leaves its (emptied) journal directory beside
+        // it.
+        for (const std::string &p : created_) {
+            std::error_code ec;
+            std::filesystem::remove(p, ec);
+            std::filesystem::remove_all(p + ".journal", ec);
+        }
     }
 
     std::vector<std::string> created_;
@@ -180,9 +185,9 @@ TEST_F(MergeFixture, MergeOrderDoesNotChangeTheBytes)
 }
 
 /**
- * The acceptance property: a suite spilling per-campaign shards
- * produces, after `store merge`, a file byte-for-byte equal to the
- * single-store run — in any shard fold order.
+ * The acceptance property: a suite split into --select worker shares,
+ * each run into its own store, produces after `store merge` a file
+ * byte-for-byte equal to the single-store run — in either fold order.
  */
 TEST_F(MergeFixture, ShardSpillPlusMergeEqualsSingleStoreBytes)
 {
@@ -192,67 +197,40 @@ TEST_F(MergeFixture, ShardSpillPlusMergeEqualsSingleStoreBytes)
     specs.push_back(makeSpec("fft", 64));
     specs.back().sampling = core::specFixed(150);
 
-    const std::string shardDir =
-        testing::TempDir() + "merlin_merge_shards";
     SuiteOptions opts;
     opts.jobs = 2;
     opts.storePath = path("single");
-    opts.shardDir = shardDir;
     SuiteScheduler(specs, opts).run();
 
-    std::vector<std::string> shards;
-    for (const auto &e :
-         std::filesystem::directory_iterator(shardDir)) {
-        shards.push_back(e.path().string());
-        created_.push_back(e.path().string());
+    std::vector<std::string> workers;
+    for (std::uint64_t w = 0; w < 2; ++w) {
+        SuiteOptions wopts;
+        wopts.jobs = 2;
+        wopts.storePath = path(w == 0 ? "worker0" : "worker1");
+        SuiteScheduler(
+            selectSpecs(specs,
+                        SpecSelector{SpecSelector::Mode::RoundRobin, w, 2}),
+            wopts)
+            .run();
+        workers.push_back(wopts.storePath);
     }
-    ASSERT_EQ(shards.size(), specs.size());
-    std::sort(shards.begin(), shards.end());
 
     const auto mergeAll = [&](const std::vector<std::string> &files,
-                              const std::string &out) {
-        ResultStore merged(out);
-        for (const std::string &f : files) {
-            ResultStore part(f);
-            EXPECT_TRUE(part.load());
-            merged.merge(part);
-        }
+                              const char *out) {
+        ResultStore merged(path(out));
+        io::mergeStoreFiles(merged, files);
         merged.save();
+        return fileBytes(merged.path());
     };
-    const std::string fwd = path("folded_fwd");
-    const std::string rev = path("folded_rev");
-    mergeAll(shards, fwd);
-    auto reversed = shards;
+    auto reversed = workers;
     std::reverse(reversed.begin(), reversed.end());
-    mergeAll(reversed, rev);
 
     const std::string single = fileBytes(opts.storePath);
     EXPECT_FALSE(single.empty());
-    EXPECT_EQ(single, fileBytes(fwd)) << "shard merge diverged";
-    EXPECT_EQ(single, fileBytes(rev)) << "shard order leaked in";
-
-    // A --resume re-run serves every campaign from the store; the
-    // shard directory must STILL come out complete, or a distributed
-    // gather over resumed workers would silently drop campaigns.
-    std::error_code ec;
-    std::filesystem::remove_all(shardDir, ec);
-    opts.reuseCached = true;
-    SuiteResult resumed = SuiteScheduler(specs, opts).run();
-    EXPECT_EQ(resumed.campaignsRun, 0u);
-    const std::string refolded = path("folded_resumed");
-    std::vector<std::string> reshards;
-    for (const auto &e :
-         std::filesystem::directory_iterator(shardDir)) {
-        reshards.push_back(e.path().string());
-        created_.push_back(e.path().string());
-    }
-    ASSERT_EQ(reshards.size(), specs.size());
-    std::sort(reshards.begin(), reshards.end());
-    mergeAll(reshards, refolded);
-    EXPECT_EQ(single, fileBytes(refolded))
-        << "cache hits skipped the shard spill";
-
-    std::filesystem::remove_all(shardDir, ec);
+    EXPECT_EQ(single, mergeAll(workers, "folded_fwd"))
+        << "worker-store merge diverged";
+    EXPECT_EQ(single, mergeAll(reversed, "folded_rev"))
+        << "merge order leaked in";
 }
 
 // -------------------------------------------------- SuiteDiff joins

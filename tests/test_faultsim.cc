@@ -328,8 +328,12 @@ TEST(Runner, CheckpointResumeMatchesFromScratch)
     auto w = workloads::buildWorkload("qsort");
     uarch::CoreConfig cfg;
     // Fine-grained checkpoints vs none at all.
-    InjectionRunner ck(w.program, cfg, /*checkpoint_interval=*/128);
-    InjectionRunner scratch(w.program, cfg, /*checkpoint_interval=*/0);
+    RunnerOptions fine;
+    fine.checkpointInterval = 128;
+    RunnerOptions none;
+    none.checkpointInterval = 0;
+    InjectionRunner ck(w.program, cfg, fine);
+    InjectionRunner scratch(w.program, cfg, none);
     auto g_ck = ck.golden();
     auto g_scratch = scratch.golden();
     ASSERT_FALSE(g_ck.checkpoints.empty());
@@ -354,11 +358,13 @@ TEST(Runner, CheckpointListIsAscendingAndBounded)
 {
     auto w = workloads::buildWorkload("qsort");
     uarch::CoreConfig cfg;
-    const unsigned max_ckpts = 8;
-    InjectionRunner runner(w.program, cfg, 64, max_ckpts);
+    RunnerOptions opts;
+    opts.checkpointInterval = 64;
+    opts.maxCheckpoints = 8;
+    InjectionRunner runner(w.program, cfg, opts);
     auto g = runner.golden();
     ASSERT_FALSE(g.checkpoints.empty());
-    EXPECT_LE(g.checkpoints.size(), max_ckpts);
+    EXPECT_LE(g.checkpoints.size(), opts.maxCheckpoints);
     for (std::size_t i = 1; i < g.checkpoints.size(); ++i)
         EXPECT_LT(g.checkpoints[i - 1].cycle(),
                   g.checkpoints[i].cycle());
@@ -379,7 +385,10 @@ TEST(Runner, ThinnedCheckpointsHoldBitIdenticalGoldenState)
     uarch::CoreConfig cfg;
     const Cycle interval = 64;
     for (const unsigned max_ckpts : {16u, 8u}) {
-        InjectionRunner runner(w.program, cfg, interval, max_ckpts);
+        RunnerOptions opts;
+        opts.checkpointInterval = interval;
+        opts.maxCheckpoints = max_ckpts;
+        InjectionRunner runner(w.program, cfg, opts);
         auto g = runner.golden();
         ASSERT_GE(g.checkpoints.size(), 2u);
 

@@ -339,7 +339,7 @@ class StoreFixture : public ::testing::Test
     void
     TearDown() override
     {
-        // remove_all: some tests track shard directories, not files.
+        // remove_all: some tests track directories, not files.
         for (const std::string &p : created_) {
             std::error_code ec;
             std::filesystem::remove_all(p, ec);
@@ -434,11 +434,11 @@ TEST_F(StoreFixture, TruncatedStoresAreDiagnosedByName)
 
 TEST_F(StoreFixture, DirectoryAtStorePathIsDiagnosedAsPathMixUp)
 {
-    // A shard --out-dir passed where the store FILE belongs: the
-    // directory opens "successfully" and reads nothing, so without a
-    // dedicated check this would be blamed on a truncated save.  The
-    // diagnosis must name the path, say it is a directory, and point
-    // at `store merge`.
+    // A directory passed where the store FILE belongs (to --out, or
+    // to `store merge`): it opens "successfully" and reads nothing, so
+    // without a dedicated check this would be blamed on a truncated
+    // save.  The diagnosis must name the path and say it is a
+    // directory.
     const std::string p = track(testing::TempDir() + "merlin_dirstore");
     std::filesystem::create_directory(p);
     ResultStore store(p);
@@ -449,7 +449,6 @@ TEST_F(StoreFixture, DirectoryAtStorePathIsDiagnosedAsPathMixUp)
         const std::string what = e.what();
         EXPECT_NE(what.find(p), std::string::npos);
         EXPECT_NE(what.find("is a directory"), std::string::npos);
-        EXPECT_NE(what.find("store merge"), std::string::npos);
     }
 }
 
@@ -463,40 +462,6 @@ TEST_F(StoreFixture, SaveFailureIsFatalNotSilent)
     EXPECT_THROW(store.save(), FatalError);
 }
 
-TEST_F(StoreFixture, SelectionRoundTripsAndMergeDropsIt)
-{
-    // A worker store records which suite share produced it; a merged
-    // store must NOT inherit that (it represents the whole suite
-    // again), or merged bytes would differ from a single-host run.
-    const std::string p = track(path("selection"));
-    Json sel = Json::object();
-    sel.set("mode", "round-robin");
-    sel.set("index", 1);
-    sel.set("count", 3);
-    {
-        ResultStore store(p);
-        store.put("k1", Json::object(), sampleResult(false));
-        store.setSelection(sel);
-        store.save();
-    }
-    ResultStore loaded(p);
-    ASSERT_TRUE(loaded.load());
-    ASSERT_TRUE(loaded.selection().has_value());
-    EXPECT_EQ(loaded.selection()->dump(), sel.dump());
-
-    ResultStore merged;
-    merged.merge(loaded);
-    EXPECT_FALSE(merged.selection().has_value());
-    EXPECT_EQ(merged.size(), 1u);
-
-    // A plain store without a selection parses back as selection-free.
-    loaded.clearSelection();
-    loaded.save();
-    ResultStore replain(p);
-    ASSERT_TRUE(replain.load());
-    EXPECT_FALSE(replain.selection().has_value());
-}
-
 TEST_F(StoreFixture, EraseRemovesEntries)
 {
     ResultStore store;
@@ -508,47 +473,36 @@ TEST_F(StoreFixture, EraseRemovesEntries)
     EXPECT_TRUE(store.contains("b"));
 }
 
-TEST_F(StoreFixture, GatherExpandsDirectoriesAndRejectsGaps)
+TEST_F(StoreFixture, GatherMergesWorkerStoresAndRejectsGaps)
 {
-    // Two shard files in a directory plus one loose store file.
-    const std::string dir = track(testing::TempDir() + "merlin_shards");
-    std::filesystem::create_directories(dir);
-    const auto shard = [&](const char *name, const char *key) {
-        ResultStore s(dir + "/" + name);
-        s.put(key, Json::object(), sampleResult(false));
-        s.save();
-        track(dir + "/" + name);
-    };
-    shard("bb.json", "k2");
-    shard("aa.json", "k1");
-    std::ofstream(dir + "/notes.txt") << "ignored";
-    track(dir + "/notes.txt");
-    const std::string loose = track(path("loose"));
+    // Two worker stores fold into one.
+    const std::string w0 = track(path("worker0"));
+    const std::string w1 = track(path("worker1"));
     {
-        ResultStore s(loose);
+        ResultStore s(w0);
+        s.put("k1", Json::object(), sampleResult(false));
+        s.save();
+    }
+    {
+        ResultStore s(w1);
+        s.put("k2", Json::object(), sampleResult(false));
         s.put("k3", Json::object(), sampleResult(true));
         s.save();
     }
-
-    const auto files = gatherStoreFiles({dir, loose});
-    ASSERT_EQ(files.size(), 3u);
-    // Directory members come sorted; non-.json files are skipped.
-    EXPECT_EQ(files[0], dir + "/aa.json");
-    EXPECT_EQ(files[1], dir + "/bb.json");
-    EXPECT_EQ(files[2], loose);
-
     ResultStore merged;
-    const auto stats = mergeStoreFiles(merged, files);
+    const auto stats = mergeStoreFiles(merged, {w0, w1});
     EXPECT_EQ(stats.added, 3u);
     EXPECT_EQ(merged.size(), 3u);
 
-    // A missing input or a shard-less directory is a gather error —
-    // a silently skipped worker would yield an incomplete store.
-    EXPECT_THROW(gatherStoreFiles({path("no_such_input")}), FatalError);
-    const std::string empty_dir =
-        track(testing::TempDir() + "merlin_empty_shards");
-    std::filesystem::create_directories(empty_dir);
-    EXPECT_THROW(gatherStoreFiles({empty_dir}), FatalError);
+    // A missing input is a gather error, named — a silently skipped
+    // worker would yield an incomplete store.
+    const std::string missing = path("no_such_input");
+    try {
+        mergeStoreFiles(merged, {w0, missing});
+        FAIL() << "missing input merged";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(missing), std::string::npos);
+    }
 }
 
 TEST_F(StoreFixture, SerializationIsIndependentOfInsertionOrder)

@@ -463,7 +463,7 @@ TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
         std::uint32_t memChunkBytes;
         const char *name;
     };
-    const Cycle ck = faultsim::InjectionRunner::kDefaultCheckpointInterval;
+    const Cycle ck = faultsim::RunnerOptions::kDefaultCheckpointInterval;
     const Knobs grid[] = {
         {true, true, ck, 4096, "replay+exit, default cadence, 4K"},
         {true, false, 64, 256, "replay, cadence 64, 256B"},

@@ -301,7 +301,6 @@ TEST(Progress, InertSinkCountsWithoutEmitting)
 {
     ProgressSink sink;
     sink.campaignsTotal.store(4);
-    sink.campaignsSelected.store(4);
     sink.campaignsDone.store(2);
     sink.injections.store(100);
     const io::Json j = sink.toJson("running");
@@ -309,7 +308,6 @@ TEST(Progress, InertSinkCountsWithoutEmitting)
     EXPECT_EQ(j.strOr("state", ""), "running");
     EXPECT_EQ(j.at("campaigns").at("done").asU64(), 2u);
     EXPECT_EQ(j.at("injections").asU64(), 100u);
-    EXPECT_FALSE(j.find("selection")); // only present under --select
     sink.finish(); // nothing configured: a no-op
 }
 
@@ -320,17 +318,14 @@ TEST(Progress, WritesFinalJsonOnFinish)
         ProgressSink::Options opts;
         opts.intervalSeconds = 3600.0; // only the final emit matters
         opts.jsonPath = path;
-        opts.selection = "0/3 round-robin";
         ProgressSink sink(opts);
         sink.campaignsTotal.store(3);
-        sink.campaignsSelected.store(1);
         sink.campaignsDone.store(1);
         sink.injections.store(42);
         sink.finish();
     }
     const io::Json j = io::Json::parse(fileBytes(path));
     EXPECT_EQ(j.strOr("state", ""), "done");
-    EXPECT_EQ(j.strOr("selection", ""), "0/3 round-robin");
     EXPECT_EQ(j.at("campaigns").at("total").asU64(), 3u);
     EXPECT_EQ(j.at("injections").asU64(), 42u);
     EXPECT_GT(j.at("epoch").asU64(), 0u);
@@ -358,8 +353,8 @@ invarianceSpecs()
 /**
  * The telemetry guarantee in testable form: store bytes are identical
  * with every telemetry channel on vs off, for jobs 1 and 4.  (The
- * per-campaign journals are removed on completion, so the store and
- * shard bytes are the entire durable output.)
+ * per-campaign journals are removed on completion, so the store bytes
+ * are the entire durable output.)
  */
 TEST(TelemetryInvariance, StoreBytesIdenticalWithTelemetryOnOrOff)
 {

@@ -1,23 +1,21 @@
 /**
  * @file
- * Effect-trace tests: packing/query semantics, binary round-trip with
- * truncation diagnostics, and exact-cycle divergence detection against
- * two independent observers (the committed-read Probe on a branch-free
- * program, and the per-cycle injectHook seam).
+ * Effect-trace tests: packing/query semantics and exact-cycle
+ * divergence detection against two independent observers (the
+ * committed-read Probe on a branch-free program, and the per-cycle
+ * injectHook seam).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "base/logging.hh"
 #include "faultsim/runner.hh"
 #include "masm/asm.hh"
 #include "replay/trace.hh"
-#include "workloads/workloads.hh"
 
 namespace merlin::replay
 {
@@ -70,66 +68,6 @@ TEST(EffectTrace, FirstTouchReturnsExactCycleAndKind)
               Touch::None);
     EXPECT_EQ(t.firstTouch(Structure::StoreQueue, 1, 0, 0).kind,
               Touch::None);
-}
-
-TEST(EffectTrace, SerializeRoundTripsBitExactly)
-{
-    // A real trace, not a toy: record qsort's golden run.
-    auto w = workloads::buildWorkload("qsort");
-    InjectionRunner runner(w.program, uarch::CoreConfig{});
-    auto g = runner.golden();
-    ASSERT_NE(g.trace, nullptr);
-    ASSERT_GT(g.trace->numEvents(), 0u);
-
-    std::ostringstream out;
-    g.trace->serialize(out);
-    std::istringstream in(out.str());
-    const EffectTrace back = EffectTrace::deserialize(in, "round-trip");
-    EXPECT_TRUE(back == *g.trace);
-    EXPECT_EQ(back.numEvents(), g.trace->numEvents());
-}
-
-TEST(EffectTrace, TruncatedOrForeignStreamIsFatalWithDiagnostic)
-{
-    EffectTrace t(/*rf=*/2, /*sq=*/1, /*l1d=*/1);
-    t.onEffect(Structure::RegisterFile, 0, 5, 0xff, true);
-    t.onEffect(Structure::L1DCache, 0, 9, 0x0f, false);
-    std::ostringstream out;
-    t.serialize(out);
-    const std::string bytes = out.str();
-
-    // Every proper prefix is a truncation: magic, counts, slot counts,
-    // or event payload — all must fail loudly, never parse partially.
-    for (const std::size_t len :
-         {std::size_t{0}, std::size_t{4}, std::size_t{8},
-          std::size_t{14}, std::size_t{24}, bytes.size() - 9,
-          bytes.size() - 1}) {
-        std::istringstream in(bytes.substr(0, len));
-        EXPECT_THROW(EffectTrace::deserialize(in, "truncated"),
-                     FatalError)
-            << "prefix of " << len << " bytes parsed";
-    }
-    try {
-        std::istringstream in(bytes.substr(0, bytes.size() - 1));
-        EffectTrace::deserialize(in, "campaign-X");
-        FAIL() << "truncated stream deserialized";
-    } catch (const FatalError &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("campaign-X"), std::string::npos);
-        EXPECT_NE(what.find("truncated"), std::string::npos);
-    }
-
-    // A foreign stream fails on the magic, with its own diagnostic.
-    std::string foreign = bytes;
-    foreign[0] = 'X';
-    try {
-        std::istringstream in(foreign);
-        EffectTrace::deserialize(in, "foreign");
-        FAIL() << "foreign stream deserialized";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("bad magic"),
-                  std::string::npos);
-    }
 }
 
 namespace

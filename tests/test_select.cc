@@ -1,11 +1,11 @@
 /**
  * @file
  * Distributed-dispatch tests: SpecSelector parsing and partition
- * laws (disjoint + complete for both modes), the headline scatter/
- * gather property — per-worker shard spills merged back are
- * byte-identical to the single-host store for any worker count,
- * job count and gather order — and the --select x --resume rules
- * (foreign entries skipped, overlapping worker stores refused).
+ * laws (disjoint + complete for both modes), and the headline
+ * scatter/gather property — per-worker stores of the filtered spec
+ * lists, merged back, are byte-identical to the single-host store for
+ * any worker count, job count and gather order, including workers
+ * resumed from a copied single-host store.
  */
 
 #include <gtest/gtest.h>
@@ -66,25 +66,6 @@ TEST(SpecSelector, RejectsGarbageAndOutOfRange)
     EXPECT_THROW(parse("1/3x"), FatalError);
     EXPECT_THROW(parse("0x1/3"), FatalError);
     EXPECT_THROW(parse("1/99999999999999999999"), FatalError);
-}
-
-TEST(SpecSelector, JsonRoundTrip)
-{
-    SpecSelector s;
-    s.mode = SpecSelector::Mode::Hash;
-    s.index = 3;
-    s.count = 7;
-    const SpecSelector r =
-        SpecSelector::fromJson(Json::parse(s.toJson().dump()));
-    EXPECT_TRUE(s == r);
-    EXPECT_THROW(SpecSelector::fromJson(
-                     Json::parse("{\"mode\":\"hash\",\"index\":7,"
-                                 "\"count\":7}")),
-                 FatalError);
-    EXPECT_THROW(SpecSelector::fromJson(
-                     Json::parse("{\"mode\":\"quux\",\"index\":0,"
-                                 "\"count\":1}")),
-                 FatalError);
 }
 
 /** A spread of distinct specs, cheap to hash (never run). */
@@ -223,11 +204,14 @@ fileBytes(const std::string &path)
 class DispatchFixture : public ::testing::Test
 {
   protected:
+    /** A scratch store path, removed (with its journal directory) on
+     *  teardown. */
     std::string
     scratch(const std::string &name)
     {
         const std::string p = testing::TempDir() + "merlin_sel_" + name;
         created_.push_back(p);
+        created_.push_back(p + ".journal");
         return p;
     }
 
@@ -243,11 +227,22 @@ class DispatchFixture : public ::testing::Test
     std::vector<std::string> created_;
 };
 
+/** Merge @p stores in order into @p path; @return the merged bytes. */
+std::string
+mergedBytes(const std::vector<std::string> &stores, const std::string &path)
+{
+    io::ResultStore merged(path);
+    io::mergeStoreFiles(merged, stores);
+    merged.save();
+    return fileBytes(path);
+}
+
 /**
  * The acceptance property: split the suite --select i/n across n
- * "workers", each spilling its own shards; merging the shards (in
- * forward or reverse gather order) reproduces the single-host store
- * byte-for-byte, for n in {1,2,3} x jobs in {1,4} and both modes.
+ * "workers", each running its filtered spec list into its own store;
+ * merging the worker stores (in forward or reverse gather order)
+ * reproduces the single-host store byte-for-byte, for n in {1,2,3} x
+ * jobs in {1,4} and both modes.
  */
 TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
 {
@@ -266,45 +261,39 @@ TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
                 const std::string tag =
                     std::to_string(static_cast<int>(mode)) + "_" +
                     std::to_string(n) + "_" + std::to_string(jobs);
-                std::vector<std::string> shard_dirs;
-                std::uint64_t selected_total = 0;
+                std::vector<std::string> worker_stores;
+                std::size_t selected_total = 0;
                 for (std::uint64_t w = 0; w < n; ++w) {
+                    const auto share =
+                        selectSpecs(specs, SpecSelector{mode, w, n});
+                    selected_total += share.size();
+                    // Hash shares can legitimately be empty and write
+                    // no store; gather only the workers that ran
+                    // something (what tools/dispatch.sh does after
+                    // checking worker exit codes).
+                    if (share.empty())
+                        continue;
                     SuiteOptions opts;
                     opts.jobs = jobs;
-                    opts.shardDir =
-                        scratch(tag + "_w" + std::to_string(w));
-                    SpecSelector sel;
-                    sel.mode = mode;
-                    sel.index = w;
-                    sel.count = n;
-                    opts.select = sel;
-                    SuiteResult r = SuiteScheduler(specs, opts).run();
-                    std::uint64_t mine = 0;
-                    for (std::size_t i = 0; i < specs.size(); ++i)
-                        mine += r.selected[i] ? 1 : 0;
-                    selected_total += mine;
-                    // Hash shares can legitimately be empty; gather
-                    // only the workers that spilled something (what
-                    // tools/dispatch.sh does after checking worker
-                    // exit codes).
-                    if (mine > 0)
-                        shard_dirs.push_back(opts.shardDir);
+                    opts.storePath =
+                        scratch(tag + "_w" + std::to_string(w) + ".json");
+                    SuiteScheduler(share, opts).run();
+                    worker_stores.push_back(opts.storePath);
                 }
                 EXPECT_EQ(selected_total, specs.size())
                     << tag << ": shares are not a partition";
 
                 // Gather forward and reverse: same bytes either way.
                 for (const bool reverse : {false, true}) {
-                    auto inputs = shard_dirs;
+                    auto inputs = worker_stores;
                     if (reverse)
                         std::reverse(inputs.begin(), inputs.end());
-                    const std::string merged_path = scratch(
-                        tag + (reverse ? "_rev" : "_fwd") + ".json");
-                    io::ResultStore merged(merged_path);
-                    io::mergeStoreFiles(merged,
-                                        io::gatherStoreFiles(inputs));
-                    merged.save();
-                    EXPECT_EQ(fileBytes(merged_path), ref)
+                    EXPECT_EQ(mergedBytes(inputs,
+                                          scratch(tag +
+                                                  (reverse ? "_rev"
+                                                           : "_fwd") +
+                                                  ".json")),
+                              ref)
                         << tag << (reverse ? " reverse" : " forward");
                 }
             }
@@ -313,12 +302,11 @@ TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
 }
 
 /**
- * Regression (--select x --resume): a worker resuming from a store
- * that contains out-of-selection entries — here a full single-host
- * store copied to every worker — must treat them as foreign: serve
- * its own share from the cache, spill ONLY its share as shards, and
- * drop the foreign entries from its store instead of re-serializing
- * them, so the gathered shards still merge to the single-host bytes.
+ * --select x --resume: a worker resuming from a store seeded with the
+ * FULL single-host store serves its whole share from the cache with no
+ * runs, and the worker stores still merge to the single-host bytes —
+ * the entries outside a worker's share are identical duplicates, which
+ * merge folds away.
  */
 TEST_F(DispatchFixture, ResumeSkipsForeignEntriesInsteadOfRespilling)
 {
@@ -330,99 +318,27 @@ TEST_F(DispatchFixture, ResumeSkipsForeignEntriesInsteadOfRespilling)
     SuiteScheduler(specs, ref_opts).run();
     const std::string ref = fileBytes(ref_opts.storePath);
 
-    std::vector<std::string> shard_dirs;
+    std::vector<std::string> worker_stores;
     for (std::uint64_t w = 0; w < 2; ++w) {
         SuiteOptions opts;
         opts.jobs = 2;
         opts.reuseCached = true;
         opts.storePath =
             scratch("seed_w" + std::to_string(w) + ".json");
-        opts.shardDir = scratch("seed_shards" + std::to_string(w));
-        SpecSelector sel;
-        sel.index = w;
-        sel.count = 2;
-        opts.select = sel;
-        // Seed the worker store with the FULL single-host store.
         std::filesystem::copy_file(ref_opts.storePath, opts.storePath);
 
-        SuiteResult r = SuiteScheduler(specs, opts).run();
-        shard_dirs.push_back(opts.shardDir);
+        const auto share = selectSpecs(
+            specs, SpecSelector{SpecSelector::Mode::RoundRobin, w, 2});
+        SuiteResult r = SuiteScheduler(share, opts).run();
+        worker_stores.push_back(opts.storePath);
 
-        // Every selected spec came from the cache; nothing re-ran.
-        EXPECT_EQ(r.campaignsRun, 0u);
-        std::size_t mine = 0;
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            if (r.selected[i]) {
-                ++mine;
-                EXPECT_TRUE(r.cached[i]);
-            }
-        }
-
-        // The shard directory holds exactly this worker's share —
-        // foreign entries were not re-spilled.
-        std::size_t shards = 0;
-        for (const auto &e :
-             std::filesystem::directory_iterator(opts.shardDir)) {
-            (void)e;
-            ++shards;
-        }
-        EXPECT_EQ(shards, mine) << "worker " << w;
-
-        // And the worker store was canonicalized: only its share,
-        // with the selection recorded.
-        io::ResultStore worker(opts.storePath);
-        ASSERT_TRUE(worker.load());
-        EXPECT_EQ(worker.size(), mine);
-        ASSERT_TRUE(worker.selection().has_value());
-        EXPECT_TRUE(SpecSelector::fromJson(*worker.selection()) == sel);
+        EXPECT_EQ(r.campaignsRun, 0u) << "worker " << w;
+        for (std::size_t i = 0; i < share.size(); ++i)
+            EXPECT_TRUE(r.cached[i]) << "worker " << w << " spec " << i;
     }
 
-    // Foreign-entry handling must not have cost us completeness.
-    const std::string merged_path = scratch("seed_merged.json");
-    io::ResultStore merged(merged_path);
-    io::mergeStoreFiles(merged, io::gatherStoreFiles(shard_dirs));
-    merged.save();
-    EXPECT_EQ(fileBytes(merged_path), ref);
-}
-
-TEST_F(DispatchFixture, ResumingAnotherWorkersStoreIsRefused)
-{
-    const auto specs = suiteSpecs();
-
-    SuiteOptions opts;
-    opts.jobs = 2;
-    opts.reuseCached = true;
-    opts.storePath = scratch("overlap.json");
-    SpecSelector sel;
-    sel.index = 0;
-    sel.count = 2;
-    opts.select = sel;
-    SuiteScheduler(specs, opts).run();
-
-    // Same store, different share: refused, not silently mixed.
-    SuiteOptions other = opts;
-    other.select->index = 1;
-    EXPECT_THROW(SuiteScheduler(specs, other).run(), FatalError);
-
-    // Different worker count too.
-    other.select->index = 0;
-    other.select->count = 3;
-    EXPECT_THROW(SuiteScheduler(specs, other).run(), FatalError);
-
-    // The rightful owner still resumes cleanly, fully cached.
-    SuiteResult again = SuiteScheduler(specs, opts).run();
-    EXPECT_EQ(again.campaignsRun, 0u);
-
-    // And a selection-free run promotes the store back to a plain
-    // single-host store (selection cleared, missing share re-run).
-    SuiteOptions full = opts;
-    full.select.reset();
-    SuiteResult whole = SuiteScheduler(specs, full).run();
-    EXPECT_GT(whole.campaignsRun, 0u);
-    io::ResultStore store(opts.storePath);
-    ASSERT_TRUE(store.load());
-    EXPECT_FALSE(store.selection().has_value());
-    EXPECT_EQ(store.size(), specs.size());
+    EXPECT_EQ(mergedBytes(worker_stores, scratch("seed_merged.json")),
+              ref);
 }
 
 } // namespace

@@ -4,9 +4,9 @@
 # Partitions one suite manifest across n workers with the CLI's
 # deterministic `--select i/n` filter, runs every worker (local
 # processes by default, or one per SSH host with --hosts), gathers the
-# per-campaign shard directories, and folds them with `merlin_cli
-# store merge` into a single store that is byte-identical to a
-# single-host run of the same manifest — in any gather order.
+# per-worker --out stores, and folds them with `merlin_cli store
+# merge` into a single store that is byte-identical to a single-host
+# run of the same manifest — in any gather order.
 #
 # Fault tolerance: every --hosts entry is preflighted with a
 # short-timeout ssh no-op (unreachable hosts are dropped from the
@@ -30,7 +30,7 @@
 #   --workers       number of shares (--select 0/n .. n-1/n)
 #   --cli           merlin_cli binary (local path; with --hosts it must
 #                   exist at this same path on every host)
-#   --work-dir      scratch directory for worker stores/shards/logs
+#   --work-dir      scratch directory for worker stores/logs
 #   --jobs          per-worker thread count (default 1)
 #   --out           merged store path (default <work-dir>/merged.json)
 #   --hash          partition by spec content hash (--select-hash) so
@@ -42,14 +42,13 @@
 #   --retry-backoff base seconds between retry rounds, doubling each
 #                   round (default 5)
 #   --stall-timeout kill a local worker whose share shows no progress
-#                   (progress.json injections, or the shard count when
-#                   the file is absent) for S seconds, turning a hang
-#                   into a retryable failure (default 0 = off; local
-#                   mode only — remote progress is not visible until
-#                   scp)
+#                   (progress.json injection and campaign counters) for
+#                   S seconds, turning a hang into a retryable failure
+#                   (default 0 = off; local mode only — remote progress
+#                   is not visible until scp)
 #   --hosts         run workers over ssh, round-robin across the listed
-#                   hosts, instead of as local processes; shards are
-#                   gathered back with scp
+#                   hosts, instead of as local processes; worker stores
+#                   are copied back with scp
 #   --reference     after merging, byte-compare the merged store
 #                   against this single-host store and fail on any
 #                   difference
@@ -163,11 +162,10 @@ fi
 
 # ------------------------------------------------------------ scatter
 # One suite invocation per worker share.  Each worker gets a private
-# store (resume state), a private shard directory (the merge inputs),
-# and private progress/heartbeat files, so nothing below shares a
-# file.  Workers run with --progress-json so the monitor and the
-# gather completeness check can read structured progress instead of
-# scraping logs.
+# store (its resume state and the merge input) and private
+# progress/heartbeat files, so nothing below shares a file.  Workers
+# run with --progress-json so the monitor can read structured
+# progress instead of scraping logs.
 #
 # launch_worker SHARE ATTEMPT starts the share in the background and
 # leaves its pid in $launched_pid (NOT echoed: a command substitution
@@ -178,7 +176,6 @@ fi
 # resume the half-done one.
 launch_worker() {
     local i="$1" attempt="$2"
-    local shard_dir="$work_dir/shards-$i"
     local store="$work_dir/worker-$i.json"
     local log="$work_dir/worker-$i.log"
     local prog="$work_dir/worker-$i.progress.json"
@@ -189,14 +186,13 @@ launch_worker() {
     rm -f "$prog"
     if [ ${#host_list[@]} -eq 0 ]; then
         "$cli" suite "$manifest" "$select_flag" "$i/$workers" \
-            --jobs "$jobs" --out "$store" --out-dir "$shard_dir" \
-            --progress-json "$prog" \
+            --jobs "$jobs" --out "$store" --progress-json "$prog" \
             "${resume_args[@]}" >> "$log" 2>&1 &
     else
         # Round-robin shares across the surviving hosts, rotated by
         # the attempt number.  The remote side needs the same
         # merlin_cli path; the manifest is shipped to a per-worker
-        # scratch directory and the shards scp'd back.
+        # scratch directory and the worker store scp'd back.
         local host="${host_list[$(((i + attempt) % ${#host_list[@]}))]}"
         local remote_dir
         remote_dir=".merlin-dispatch/$(basename "$work_dir")/worker-$i"
@@ -206,17 +202,13 @@ launch_worker() {
             ssh "$host" "'$cli' suite '$remote_dir/manifest.json' \
                 $select_flag $i/$workers --jobs $jobs \
                 --out '$remote_dir/worker.json' \
-                --out-dir '$remote_dir/shards' \
                 --progress-json '$remote_dir/progress.json' \
                 ${resume_args[*]:-}" &&
-            mkdir -p "$shard_dir" &&
-            # A hash share can be legitimately empty: only scp shards
-            # that exist, or the glob's failure would mark the worker
-            # dead after a perfectly good run.
-            { ! ssh "$host" \
-                  "ls '$remote_dir'/shards/*.json > /dev/null 2>&1" ||
-              scp -q "$host:$remote_dir/shards/*.json" "$shard_dir/"; } &&
-            scp -q "$host:$remote_dir/worker.json" "$store" &&
+            # A hash share can be legitimately empty and write no
+            # store: only scp one that exists, or the failure would
+            # mark the worker dead after a perfectly good run.
+            { ! ssh "$host" "test -f '$remote_dir/worker.json'" ||
+              scp -q "$host:$remote_dir/worker.json" "$store"; } &&
             # The final progress.json feeds the gather summary; losing
             # it only degrades reporting, never the merge.
             { scp -q "$host:$remote_dir/progress.json" "$prog" || true; }
@@ -228,11 +220,10 @@ launch_worker() {
 # monitor_worker SHARE PID heartbeats "epoch signature" into
 # worker-SHARE.heartbeat every 2 s while the share runs.  The change
 # signature is the worker's own progress.json (injection and campaign
-# counters — fine-grained, moves within a campaign) when the file
-# exists, with the shard count as the fallback for workers that
-# cannot surface one (remote shares before scp, older CLIs).  With
-# --stall-timeout, a local worker whose signature stops changing is
-# killed so the retry loop can re-dispatch its share.
+# counters — fine-grained, moves within a campaign); it is empty until
+# the first rewrite, and for remote shares.  With --stall-timeout, a
+# local worker whose signature stops changing is killed so the retry
+# loop can re-dispatch its share.
 monitor_worker() {
     local i="$1" pid="$2"
     local hb="$work_dir/worker-$i.heartbeat"
@@ -242,10 +233,9 @@ monitor_worker() {
     while kill -0 "$pid" 2>/dev/null; do
         local now sig
         now=$(date +%s)
+        sig=""
         if [ -f "$prog" ]; then
             sig="inj=$(progress_field "$prog" injections) done=$(progress_field "$prog" done)"
-        else
-            sig="shards=$(find "$work_dir/shards-$i" -name '*.json' 2>/dev/null | wc -l)"
         fi
         echo "$now $sig" > "$hb"
         if [ "$sig" != "$last_sig" ]; then
@@ -319,48 +309,39 @@ fi
 # Every share exited 0, so together they ran the complete, disjoint
 # selection 0/n..n-1/n.  Double-check that before trusting the merge:
 # the per-worker selected counts must sum to exactly the manifest
-# size.  The counts come from each worker's final progress.json
-# (structured, "state": "done"); a worker without one — remote scp
-# lost it, or an older CLI — falls back to scraping its log for the
-# "selection i/n: X of Y manifest campaigns" line.
+# size.  Each count comes from the last "selection i/n: X of Y
+# manifest campaigns" line of the worker's log (logs append across
+# attempts, so the last line is the successful attempt's).
 total="" sum=0
 for i in $(seq 0 $((workers - 1))); do
-    prog="$work_dir/worker-$i.progress.json"
-    sel="" tot=""
-    if [ -f "$prog" ] && [ "$(progress_field "$prog" state)" = "done" ]; then
-        sel=$(progress_field "$prog" selected)
-        tot=$(progress_field "$prog" total)
-    fi
-    if [ -z "$sel" ] || [ -z "$tot" ]; then
-        line=$(grep 'manifest campaigns$' "$work_dir/worker-$i.log" | tail -1 || true)
-        [ -n "$line" ] || die "worker $i reported no selection (see $work_dir/worker-$i.log)"
-        sel=$(echo "$line" | awk '{print $(NF-4)}')
-        tot=$(echo "$line" | awk '{print $(NF-2)}')
-    fi
+    line=$(grep 'manifest campaigns$' "$work_dir/worker-$i.log" | tail -1 || true)
+    [ -n "$line" ] || die "worker $i reported no selection (see $work_dir/worker-$i.log)"
+    sel=$(echo "$line" | awk '{print $(NF-4)}')
+    tot=$(echo "$line" | awk '{print $(NF-2)}')
     [ -z "$total" ] || [ "$total" = "$tot" ] || die "workers disagree on the manifest size ($total vs $tot)"
     total=$tot
     sum=$((sum + sel))
 done
 [ "$sum" = "$total" ] || die "selection incomplete: workers covered $sum of $total manifest campaigns"
 
-# Fold every worker's shard directory into one store.  Merge is
-# order-independent (identical keys must carry identical payloads),
-# so any gather order reproduces the same bytes.  Every worker above
-# exited 0, so a shard-less directory here is a legitimately empty
-# share (possible under --hash), not a lost worker — skip it rather
-# than tripping `store merge`'s missing-shards check.
+# Fold every worker's store into one.  Merge is order-independent
+# (identical keys must carry identical payloads), so any gather order
+# reproduces the same bytes.  Every worker above exited 0, so a
+# missing store here is a legitimately empty share (possible under
+# --hash), not a lost worker — skip it rather than tripping `store
+# merge`'s missing-input check.
 [ -n "$out" ] || out="$work_dir/merged.json"
-shard_dirs=()
+stores=()
 for i in $(seq 0 $((workers - 1))); do
-    dir="$work_dir/shards-$i"
-    if compgen -G "$dir/*.json" > /dev/null; then
-        shard_dirs+=("$dir")
+    store="$work_dir/worker-$i.json"
+    if [ -f "$store" ]; then
+        stores+=("$store")
     else
         echo "dispatch.sh: worker $i had an empty share" >&2
     fi
 done
-[ ${#shard_dirs[@]} -gt 0 ] || die "no worker produced any shards"
-"$cli" store merge --out "$out" "${shard_dirs[@]}"
+[ ${#stores[@]} -gt 0 ] || die "no worker produced a store"
+"$cli" store merge --out "$out" "${stores[@]}"
 
 if [ -n "$reference" ]; then
     cmp "$reference" "$out" ||
