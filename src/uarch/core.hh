@@ -134,6 +134,11 @@ class Core
     const CoreStats &stats() const { return stats_; }
     const CoreConfig &config() const { return cfg_; }
 
+    /** The cache levels (read-only; hit/miss/write-back counters). */
+    const Cache &l1i() const { return l1i_; }
+    const Cache &l1d() const { return l1d_; }
+    const Cache &l2() const { return l2_; }
+
     // ---- fault-injection hooks (GeFIN-style bit flips) ----
     void flipRegisterFileBit(EntryIndex reg, unsigned bit);
     void flipStoreQueueBit(EntryIndex slot, unsigned bit);

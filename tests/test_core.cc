@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+
 #include "base/logging.hh"
+#include "io/json.hh"
 #include "isa/interp.hh"
 #include "masm/asm.hh"
 #include "uarch/core.hh"
 #include "workloads/random_program.hh"
+#include "workloads/workloads.hh"
 
 namespace merlin::uarch
 {
@@ -657,6 +663,134 @@ TEST(CoreSnapshot, RestoreAllowsTighterWatchdog)
     Core restored(p, tight, snap);
     auto r = restored.run();
     EXPECT_EQ(r.reason, isa::TerminateReason::CycleLimit);
+}
+
+// ------------------------------------------------- pinned statistics
+
+std::string
+hex64(std::uint64_t v)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string s(16, '0');
+    for (int i = 15; i >= 0; --i, v >>= 4)
+        s[static_cast<std::size_t>(i)] = digits[v & 0xf];
+    return s;
+}
+
+/** FNV-1a 64 of a byte stream. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+io::Json
+cacheRecord(const Cache &c)
+{
+    io::Json j = io::Json::object();
+    j.set("hits", c.hits());
+    j.set("misses", c.misses());
+    j.set("writebacks", c.writebacks());
+    return j;
+}
+
+/** Every simulated statistic of one finished run. */
+io::Json
+runRecord(const isa::Program &p, const CoreConfig &cfg)
+{
+    Core core(p, cfg);
+    const isa::ArchResult r = core.run();
+    const CoreStats &s = core.stats();
+    io::Json j = io::Json::object();
+    j.set("reason", static_cast<unsigned>(r.reason));
+    j.set("exit_code", r.exitCode);
+    j.set("instret", r.instret);
+    j.set("output_bytes", static_cast<std::uint64_t>(r.output.size()));
+    j.set("output_fnv", hex64(fnv1a(r.output)));
+    j.set("cycles", s.cycles);
+    j.set("stats_instret", s.instret);
+    j.set("uops_retired", s.uopsRetired);
+    j.set("branch_mispredicts", s.branchMispredicts);
+    j.set("cond_branches", s.condBranches);
+    j.set("squashes", s.squashes);
+    j.set("loads_executed", s.loadsExecuted);
+    j.set("store_forwards", s.storeForwards);
+    j.set("l1d_hits", s.l1dHits);
+    j.set("l1d_misses", s.l1dMisses);
+    j.set("l1i", cacheRecord(core.l1i()));
+    j.set("l1d", cacheRecord(core.l1d()));
+    j.set("l2", cacheRecord(core.l2()));
+    return j;
+}
+
+/**
+ * Pins every simulated statistic of every bundled workload across the
+ * evaluated machine variants, so a change to the core's host-side
+ * implementation provably moves no simulated event.  Grid: all
+ * workloads on the default core, on a 48 KB L1D (192 sets — the
+ * non-power-of-two set path) and on the smallest test config; the
+ * SPEC programs also on the Section 4.4.2.3 core over their window.
+ * Regenerate only for a deliberate timing-model change, by copying
+ * the *_actual.json file the failure message names into tests/golden/.
+ */
+TEST(CoreGolden, StatisticsMatchCommittedGolden)
+{
+    struct Variant
+    {
+        const char *name;
+        CoreConfig cfg;
+        bool specOnly;
+    };
+    CoreConfig spec = CoreConfig{}.withRegisterFile(128).withStoreQueue(16)
+                          .withL1dKb(32);
+    const Variant variants[] = {
+        {"default", CoreConfig{}, false},
+        {"spec", spec, true},
+        {"l1d48", CoreConfig{}.withL1dKb(48), false},
+        {"small",
+         CoreConfig{}.withRegisterFile(64).withStoreQueue(16).withL1dKb(16),
+         false},
+    };
+    const auto &specNames = workloads::specWorkloads();
+
+    io::Json actual = io::Json::object();
+    for (const std::string &name : workloads::allWorkloadNames()) {
+        const auto w = workloads::buildWorkload(name);
+        const bool is_spec = std::find(specNames.begin(), specNames.end(),
+                                       name) != specNames.end();
+        for (const Variant &v : variants) {
+            if (v.specOnly && !is_spec)
+                continue;
+            CoreConfig cfg = v.cfg;
+            if (v.specOnly)
+                cfg.instructionWindowEnd = w.suggestedWindow;
+            actual.set(name + "/" + v.name, runRecord(w.program, cfg));
+        }
+    }
+
+    const std::string goldenPath = std::string(MERLIN_SOURCE_DIR) +
+                                   "/tests/golden/core_stats.json";
+    const std::string actualPath =
+        testing::TempDir() + "core_stats_actual.json";
+    std::ofstream(actualPath, std::ios::trunc) << actual.dump(2) << "\n";
+
+    std::ifstream in(goldenPath);
+    ASSERT_TRUE(in.good()) << "missing golden file " << goldenPath
+                           << "; seed it from " << actualPath;
+    std::stringstream text;
+    text << in.rdbuf();
+    const io::Json golden = io::Json::parse(text.str());
+    ASSERT_EQ(golden.size(), actual.size()) << "grid changed";
+    for (const auto &[key, got] : actual.members()) {
+        const io::Json *want = golden.find(key);
+        ASSERT_NE(want, nullptr) << key << " missing from " << goldenPath;
+        EXPECT_EQ(want->dump(), got.dump()) << key;
+    }
 }
 
 } // namespace
