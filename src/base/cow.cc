@@ -1,69 +1,47 @@
 #include "base/cow.hh"
 
-#include <algorithm>
-#include <bit>
 #include <cstring>
-
-#include "base/logging.hh"
 
 namespace merlin::base
 {
 
 CowBytes::CowBytes(std::size_t size, std::uint32_t chunk_bytes)
-    : size_(size), chunkBytes_(chunk_bytes)
+    : chunkBytes_(chunk_bytes)
 {
     MERLIN_ASSERT(std::has_single_bit(chunk_bytes) && chunk_bytes >= 8,
                   "CowBytes chunk size must be a power of two >= 8");
     chunkShift_ = static_cast<std::uint32_t>(std::countr_zero(chunk_bytes));
-    const std::size_t n = (size + chunk_bytes - 1) >> chunkShift_;
-    chunks_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        chunks_.push_back(std::make_shared<Chunk>(chunk_bytes, 0));
-}
-
-std::uint8_t *
-CowBytes::chunkForWrite(std::size_t idx)
-{
-    std::shared_ptr<Chunk> &c = chunks_[idx];
-    // use_count() can transiently over-count under concurrent release;
-    // that only costs a spurious copy (see the header's thread note).
-    if (c.use_count() > 1) {
-        c = std::make_shared<Chunk>(*c);
-        bytesDetached_ += chunkBytes_;
-    }
-    return c->data();
+    arr_ = CowArray<std::uint8_t>(size, chunk_bytes);
 }
 
 const std::uint8_t *
 CowBytes::readPtr(std::size_t off, std::size_t len) const
 {
-    MERLIN_ASSERT(off + len <= size_ && len > 0, "CowBytes read range");
+    MERLIN_ASSERT(off + len <= size() && len > 0, "CowBytes read range");
     MERLIN_ASSERT((off >> chunkShift_) == ((off + len - 1) >> chunkShift_),
                   "CowBytes read spans chunks");
-    return chunks_[off >> chunkShift_]->data() +
-           (off & (chunkBytes_ - 1));
+    return arr_.chunk(off >> chunkShift_) + (off & (chunkBytes_ - 1));
 }
 
 std::uint8_t *
 CowBytes::writePtr(std::size_t off, std::size_t len)
 {
-    MERLIN_ASSERT(off + len <= size_ && len > 0, "CowBytes write range");
+    MERLIN_ASSERT(off + len <= size() && len > 0, "CowBytes write range");
     MERLIN_ASSERT((off >> chunkShift_) == ((off + len - 1) >> chunkShift_),
                   "CowBytes write spans chunks");
-    return chunkForWrite(off >> chunkShift_) + (off & (chunkBytes_ - 1));
+    return arr_.mutChunk(off >> chunkShift_) + (off & (chunkBytes_ - 1));
 }
 
 void
 CowBytes::read(std::size_t off, void *out, std::size_t len) const
 {
-    MERLIN_ASSERT(off + len <= size_, "CowBytes read range");
+    MERLIN_ASSERT(off + len <= size(), "CowBytes read range");
     auto *dst = static_cast<std::uint8_t *>(out);
     while (len > 0) {
         const std::size_t in_chunk = off & (chunkBytes_ - 1);
         const std::size_t run =
             std::min<std::size_t>(len, chunkBytes_ - in_chunk);
-        std::memcpy(dst, chunks_[off >> chunkShift_]->data() + in_chunk,
-                    run);
+        std::memcpy(dst, arr_.chunk(off >> chunkShift_) + in_chunk, run);
         off += run;
         dst += run;
         len -= run;
@@ -73,14 +51,13 @@ CowBytes::read(std::size_t off, void *out, std::size_t len) const
 void
 CowBytes::write(std::size_t off, const void *in, std::size_t len)
 {
-    MERLIN_ASSERT(off + len <= size_, "CowBytes write range");
+    MERLIN_ASSERT(off + len <= size(), "CowBytes write range");
     const auto *src = static_cast<const std::uint8_t *>(in);
     while (len > 0) {
         const std::size_t in_chunk = off & (chunkBytes_ - 1);
         const std::size_t run =
             std::min<std::size_t>(len, chunkBytes_ - in_chunk);
-        std::memcpy(chunkForWrite(off >> chunkShift_) + in_chunk, src,
-                    run);
+        std::memcpy(arr_.mutChunk(off >> chunkShift_) + in_chunk, src, run);
         off += run;
         src += run;
         len -= run;
@@ -90,30 +67,20 @@ CowBytes::write(std::size_t off, const void *in, std::size_t len)
 bool
 CowBytes::contentEquals(const CowBytes &o) const
 {
-    if (size_ != o.size_)
+    if (size() != o.size())
         return false;
-    if (chunkBytes_ == o.chunkBytes_) {
-        for (std::size_t i = 0; i < chunks_.size(); ++i) {
-            if (chunks_[i] == o.chunks_[i])
-                continue; // physically shared: equal by identity
-            if (std::memcmp(chunks_[i]->data(), o.chunks_[i]->data(),
-                            chunkBytes_) != 0) {
-                return false;
-            }
-        }
-        return true;
-    }
+    if (chunkBytes_ == o.chunkBytes_)
+        return arr_ == o.arr_;
     // Mixed granularities: compare the overlap of each chunk pair.
     std::size_t off = 0;
-    while (off < size_) {
+    while (off < size()) {
         const std::size_t a_room = chunkBytes_ - (off & (chunkBytes_ - 1));
         const std::size_t b_room =
             o.chunkBytes_ - (off & (o.chunkBytes_ - 1));
-        const std::size_t run =
-            std::min({a_room, b_room, size_ - off});
-        if (std::memcmp(chunks_[off >> chunkShift_]->data() +
+        const std::size_t run = std::min({a_room, b_room, size() - off});
+        if (std::memcmp(arr_.chunk(off >> chunkShift_) +
                             (off & (chunkBytes_ - 1)),
-                        o.chunks_[off >> o.chunkShift_]->data() +
+                        o.arr_.chunk(off >> o.chunkShift_) +
                             (off & (o.chunkBytes_ - 1)),
                         run) != 0) {
             return false;
@@ -121,33 +88,6 @@ CowBytes::contentEquals(const CowBytes &o) const
         off += run;
     }
     return true;
-}
-
-std::size_t
-CowBytes::sharedChunksWith(const CowBytes &o) const
-{
-    if (chunkBytes_ != o.chunkBytes_ || size_ != o.size_)
-        return 0;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < chunks_.size(); ++i)
-        n += chunks_[i] == o.chunks_[i] ? 1 : 0;
-    return n;
-}
-
-std::size_t
-CowBytes::exclusiveChunks() const
-{
-    std::size_t n = 0;
-    for (const auto &c : chunks_)
-        n += c.use_count() == 1 ? 1 : 0;
-    return n;
-}
-
-void
-CowBytes::detachAll()
-{
-    for (std::size_t i = 0; i < chunks_.size(); ++i)
-        chunkForWrite(i);
 }
 
 } // namespace merlin::base

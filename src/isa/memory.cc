@@ -146,6 +146,15 @@ SegmentedMemory::contentBytes() const
     return n;
 }
 
+std::uint64_t
+SegmentedMemory::tableBytes() const
+{
+    std::uint64_t n = segments_.size() * sizeof(Segment);
+    for (const auto &s : segments_)
+        n += s.bytes.tableBytes();
+    return n;
+}
+
 std::size_t
 SegmentedMemory::sharedChunksWith(const SegmentedMemory &other) const
 {

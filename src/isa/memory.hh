@@ -95,6 +95,9 @@ class SegmentedMemory
     /** Total mapped bytes across all segments. */
     std::uint64_t contentBytes() const;
 
+    /** Bytes of the COW chunk-pointer tables (what a copy duplicates). */
+    std::uint64_t tableBytes() const;
+
     /** Chunks physically shared with @p other (same layout assumed). */
     std::size_t sharedChunksWith(const SegmentedMemory &other) const;
 

@@ -1,5 +1,6 @@
 #include "uarch/branch.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/logging.hh"
@@ -114,15 +115,17 @@ TournamentPredictor::stateBytes() const
 }
 
 Btb::Btb(unsigned entries)
-    : entries_(entries)
+    : indexMask_(entries - 1)
 {
-    MERLIN_ASSERT((entries & (entries - 1)) == 0, "BTB size power of two");
+    MERLIN_ASSERT(entries != 0 && (entries & (entries - 1)) == 0,
+                  "BTB size power of two");
+    entries_ = base::CowArray<Entry>(entries, std::min(entries, 64u));
 }
 
 std::optional<Addr>
 Btb::lookup(Addr pc) const
 {
-    const Entry &e = entries_[(pc >> 3) & (entries_.size() - 1)];
+    const Entry &e = entries_[(pc >> 3) & indexMask_];
     if (e.valid && e.pc == pc)
         return e.target;
     return std::nullopt;
@@ -131,10 +134,13 @@ Btb::lookup(Addr pc) const
 void
 Btb::update(Addr pc, Addr target)
 {
-    Entry &e = entries_[(pc >> 3) & (entries_.size() - 1)];
-    e.valid = true;
-    e.pc = pc;
-    e.target = target;
+    const std::size_t idx = (pc >> 3) & indexMask_;
+    const Entry fresh{true, pc, target};
+    // Re-training an entry to the value it holds is a no-op; skipping
+    // it keeps a restored core's table chunk shared.
+    if (entries_[idx] == fresh)
+        return;
+    entries_.mut(idx) = fresh;
 }
 
 bool
@@ -143,46 +149,42 @@ Btb::stateEquals(const Btb &o) const
     return entries_ == o.entries_;
 }
 
-std::uint64_t
-Btb::stateBytes() const
-{
-    return entries_.size() * sizeof(Entry);
-}
-
 Ras::Ras(unsigned entries)
     : stack_(entries, 0)
 {
     MERLIN_ASSERT(entries > 0, "RAS must have entries");
 }
 
+std::uint32_t
+Ras::below(std::uint32_t i) const
+{
+    return i == 0 ? static_cast<std::uint32_t>(stack_.size() - 1) : i - 1;
+}
+
 Ras::Snapshot
 Ras::snapshot() const
 {
-    const std::uint32_t prev =
-        (top_ + stack_.size() - 1) % stack_.size();
-    return Snapshot{top_, stack_[prev]};
+    return Snapshot{top_, stack_[below(top_)]};
 }
 
 void
 Ras::restore(const Snapshot &snap)
 {
     top_ = snap.top;
-    const std::uint32_t prev =
-        (top_ + stack_.size() - 1) % stack_.size();
-    stack_[prev] = snap.topValue;
+    stack_[below(top_)] = snap.topValue;
 }
 
 void
 Ras::push(Addr ret_addr)
 {
     stack_[top_] = ret_addr;
-    top_ = (top_ + 1) % stack_.size();
+    top_ = top_ + 1 == stack_.size() ? 0 : top_ + 1;
 }
 
 Addr
 Ras::pop()
 {
-    top_ = (top_ + stack_.size() - 1) % stack_.size();
+    top_ = below(top_);
     return stack_[top_];
 }
 

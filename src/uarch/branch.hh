@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/cow.hh"
 #include "base/types.hh"
 #include "uarch/config.hh"
 
@@ -68,7 +69,11 @@ class TournamentPredictor
     std::uint32_t ghist_ = 0;
 };
 
-/** Direct-mapped branch target buffer. */
+/**
+ * Direct-mapped branch target buffer.  The table is copy-on-write
+ * (base::CowArray): a snapshot shares it, and a restored core copies
+ * only the chunks its committed indirect jumps actually change.
+ */
 class Btb
 {
   public:
@@ -77,8 +82,24 @@ class Btb
     std::optional<Addr> lookup(Addr pc) const;
     void update(Addr pc, Addr target);
 
+    /** Table equality; shared chunks compare by identity. */
     bool stateEquals(const Btb &o) const;
-    std::uint64_t stateBytes() const;
+
+    /** Chunk-pointer-table bytes a memberwise copy duplicates. */
+    std::uint64_t metaBytes() const { return entries_.tableBytes(); }
+
+    /** Entry bytes a memberwise copy shares. */
+    std::uint64_t cowBytes() const { return entries_.bytes(); }
+
+    /** Table chunks physically shared with @p o. */
+    std::size_t
+    sharedChunksWith(const Btb &o) const
+    {
+        return entries_.sharedChunksWith(o.entries_);
+    }
+
+    /** Privatize the whole table (a deep copy). */
+    void detachAll() { entries_.detachAll(); }
 
   private:
     struct Entry
@@ -89,7 +110,8 @@ class Btb
 
         bool operator==(const Entry &) const = default;
     };
-    std::vector<Entry> entries_;
+    base::CowArray<Entry> entries_;
+    Addr indexMask_;
 };
 
 /** Return address stack with single-entry squash repair. */
@@ -115,6 +137,9 @@ class Ras
     std::uint64_t stateBytes() const;
 
   private:
+    /** Slot below @p i, wrapping. */
+    std::uint32_t below(std::uint32_t i) const;
+
     std::vector<Addr> stack_;
     std::uint32_t top_ = 0; ///< index of next free slot (wraps)
 };

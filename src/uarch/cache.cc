@@ -1,6 +1,7 @@
 #include "uarch/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "base/bits.hh"
@@ -17,14 +18,30 @@ Cache::Cache(std::string name, const CacheConfig &cfg, Cache *lower,
     MERLIN_ASSERT((lower_ == nullptr) != (mem_ == nullptr),
                   "cache needs exactly one backing level");
     MERLIN_ASSERT(cfg_.validGeometry(), "bad cache geometry");
-    lines_.assign(std::size_t(cfg_.numSets()) * cfg_.ways, Line{});
+    numSets_ = cfg_.numSets();
+    pow2_ = std::has_single_bit(cfg_.lineSize) &&
+            std::has_single_bit(numSets_);
+    if (pow2_) {
+        lineShift_ = static_cast<std::uint32_t>(
+            std::countr_zero(cfg_.lineSize));
+        setShift_ = static_cast<std::uint32_t>(std::countr_zero(numSets_));
+        setMask_ = numSets_ - 1;
+    }
     // A chunk must hold whole lines so that line views never span
     // chunks; both values are powers of two, so max() suffices.
     const std::uint32_t chunk = std::max(
         chunk_bytes ? chunk_bytes : base::CowBytes::kDefaultChunkBytes,
         cfg_.lineSize);
-    data_ = base::CowBytes(
-        std::size_t(cfg_.numSets()) * cfg_.ways * cfg_.lineSize, chunk);
+    data_ = base::CowBytes(std::size_t(numSets_) * cfg_.ways * cfg_.lineSize,
+                           chunk);
+    // The tag table strides sets at a power of two so a set never
+    // spans chunks; a tag chunk holds at most as many bytes as a data
+    // chunk, and at least one set.
+    const std::uint32_t stride = std::bit_ceil(cfg_.ways);
+    strideShift_ = static_cast<std::uint32_t>(std::countr_zero(stride));
+    lines_ = base::CowArray<Line>(
+        std::size_t(numSets_) << strideShift_,
+        std::max<std::size_t>(stride, std::bit_floor(chunk / sizeof(Line))));
 }
 
 void
@@ -86,9 +103,11 @@ Cache::AccessResult
 Cache::access(Addr addr, bool is_write, Cycle now, Rip rip, Upc upc)
 {
     const Addr laddr = lineAddr(addr);
-    const std::uint32_t set = setOf(addr);
-    const Addr tag = tagOf(addr);
-    Line *set_lines = &lines_[std::size_t(set) * cfg_.ways];
+    std::uint32_t set;
+    Addr tag;
+    split(addr, set, tag);
+    // Every access stamps LRU, so the set is always written.
+    Line *set_lines = &lines_.mut(setBase(set));
 
     AccessResult res;
     res.set = set;
@@ -132,7 +151,7 @@ Cache::access(Addr addr, bool is_write, Cycle now, Rip rip, Upc upc)
     if (line.valid && line.dirty) {
         // Write-back: the whole victim line is read out of the array.
         const Addr victim_addr =
-            (line.tag * cfg_.numSets() + set) * cfg_.lineSize;
+            (line.tag * numSets_ + set) * cfg_.lineSize;
         if (sink_) {
             for (std::uint32_t o = 0; o < cfg_.lineSize; o += 8) {
                 sink_->onCacheWordWritebackRead(wordIndex(set, victim, o),
@@ -209,13 +228,12 @@ Cache::flipBit(EntryIndex word, unsigned bit)
 void
 Cache::applyDirtyLines(isa::SegmentedMemory &mem) const
 {
-    for (std::uint32_t set = 0; set < cfg_.numSets(); ++set) {
+    for (std::uint32_t set = 0; set < numSets_; ++set) {
         for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-            const Line &line = lines_[std::size_t(set) * cfg_.ways + w];
+            const Line &line = lines_[setBase(set) + w];
             if (!line.valid || !line.dirty)
                 continue;
-            const Addr addr =
-                (line.tag * cfg_.numSets() + set) * cfg_.lineSize;
+            const Addr addr = (line.tag * numSets_ + set) * cfg_.lineSize;
             mem.writeBlock(addr, lineData(set, w), cfg_.lineSize);
         }
     }
@@ -230,13 +248,6 @@ Cache::stateEquals(const Cache &o) const
     return lruCounter_ == o.lruCounter_ && hits_ == o.hits_ &&
            misses_ == o.misses_ && writebacks_ == o.writebacks_ &&
            lines_ == o.lines_ && data_.contentEquals(o.data_);
-}
-
-std::uint64_t
-Cache::metaBytes() const
-{
-    return lines_.size() * sizeof(Line) +
-           data_.numChunks() * sizeof(void *);
 }
 
 const char *

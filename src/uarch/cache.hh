@@ -12,11 +12,15 @@
  * the consumer's completion that many cycles later.  This keeps the
  * machine deterministic and fast while preserving miss/hit shapes.
  *
- * The data array is copy-on-write (base::CowBytes): a memberwise cache
- * copy (core snapshot) shares the array chunk-wise and a restored core
- * detaches only the lines it actually writes.  Tag/LRU metadata stays
- * a plain vector — it mutates on almost every access, so COW would
- * thrash there.
+ * Both the data array (base::CowBytes) and the tag/LRU table
+ * (base::CowArray) are copy-on-write: a memberwise cache copy (core
+ * snapshot) shares them chunk-wise, and a restored core detaches only
+ * the chunks of the sets it actually touches, so a restored run that
+ * stays in a few sets copies a few chunks of each, not whole tables.
+ *
+ * Set and tag extraction use a shift and a mask, computed once, when
+ * the line size and set count are powers of two; any other geometry
+ * (a 48 KB four-way L1D has 192 sets) keeps exact division.
  */
 
 #ifndef MERLIN_UARCH_CACHE_HH
@@ -130,24 +134,38 @@ class Cache
     /**
      * Full state equality with @p o (same geometry assumed): tags,
      * LRU, dirty bits, access counters, and the data array — shared
-     * data chunks compare by pointer identity.
+     * tag and data chunks compare by pointer identity.
      */
     bool stateEquals(const Cache &o) const;
 
-    /** Data-array bytes (COW-shared by a memberwise copy). */
-    std::uint64_t dataBytes() const { return data_.size(); }
-
-    /** Metadata bytes deep-copied by a memberwise copy. */
-    std::uint64_t metaBytes() const;
-
-    /** Data chunks physically shared with @p o. */
-    std::size_t sharedDataChunksWith(const Cache &o) const
+    /** Tag-table and data-array bytes (COW-shared by a copy). */
+    std::uint64_t
+    cowBytes() const
     {
-        return data_.sharedChunksWith(o.data_);
+        return lines_.bytes() + data_.size();
     }
 
-    /** Privatize the whole data array (emulates the old deep copy). */
-    void detachData() { data_.detachAll(); }
+    /** Chunk-pointer-table bytes a memberwise copy duplicates. */
+    std::uint64_t
+    metaBytes() const
+    {
+        return lines_.tableBytes() + data_.tableBytes();
+    }
+
+    /** Tag-table chunks physically shared with @p o. */
+    std::size_t
+    sharedTagChunksWith(const Cache &o) const
+    {
+        return lines_.sharedChunksWith(o.lines_);
+    }
+
+    /** Privatize the tag table and data array (a deep copy). */
+    void
+    detachAll()
+    {
+        lines_.detachAll();
+        data_.detachAll();
+    }
 
     const CacheConfig &config() const { return cfg_; }
     std::uint64_t hits() const { return hits_; }
@@ -171,11 +189,28 @@ class Cache
     };
 
     Addr lineAddr(Addr addr) const { return addr & ~Addr(cfg_.lineSize - 1); }
-    std::uint32_t setOf(Addr addr) const
+
+    /** Line number of @p addr split into (set, tag). */
+    void
+    split(Addr addr, std::uint32_t &set, Addr &tag) const
     {
-        return (addr / cfg_.lineSize) % cfg_.numSets();
+        if (pow2_) {
+            const Addr line = addr >> lineShift_;
+            set = static_cast<std::uint32_t>(line & setMask_);
+            tag = line >> setShift_;
+        } else {
+            const Addr line = addr / cfg_.lineSize;
+            set = static_cast<std::uint32_t>(line % numSets_);
+            tag = line / numSets_;
+        }
     }
-    Addr tagOf(Addr addr) const { return addr / cfg_.lineSize / cfg_.numSets(); }
+
+    /** First tag-table entry of @p set (its ways are contiguous). */
+    std::size_t
+    setBase(std::uint32_t set) const
+    {
+        return std::size_t(set) << strideShift_;
+    }
 
     std::size_t
     lineOffset(std::uint32_t set, std::uint32_t way) const
@@ -201,8 +236,16 @@ class Cache
     isa::SegmentedMemory *mem_;
     CacheEventSink *sink_ = nullptr;
 
-    std::vector<Line> lines_;  ///< sets x ways
-    base::CowBytes data_;      ///< sets x ways x lineSize, COW-chunked
+    std::uint32_t numSets_;
+    bool pow2_;                 ///< line size and set count powers of two
+    std::uint32_t lineShift_ = 0;
+    std::uint32_t setShift_ = 0;
+    Addr setMask_ = 0;
+    std::uint32_t strideShift_; ///< log2 of the tag table's set stride
+
+    /** sets x 2^strideShift_ entries (ways, padded to a power of two). */
+    base::CowArray<Line> lines_;
+    base::CowBytes data_;       ///< sets x ways x lineSize
     std::uint64_t lruCounter_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -1,6 +1,7 @@
 #include "uarch/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <tuple>
 #include <vector>
@@ -17,6 +18,12 @@ using isa::StaticUop;
 using isa::TrapKind;
 using isa::UopKind;
 
+namespace
+{
+/** The uop a fetch-trap entry carries (it never executes). */
+const StaticUop kNoUop{};
+} // namespace
+
 Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
     : cfg_(cfg),
       probe_(probe),
@@ -27,6 +34,7 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
       tournament_(cfg),
       btb_(cfg.btbEntries),
       ras_(cfg.rasEntries),
+      text_(decodeText(mem_)),
       fetchPc_(prog.entry)
 {
     MERLIN_ASSERT(CoreConfig::validPhysIntRegs(cfg_.numPhysIntRegs),
@@ -56,11 +64,41 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
         freeList_.push_back(static_cast<std::uint16_t>(p));
     }
 
-    rob_.assign(cfg_.robEntries, RobEntry{});
+    rob_.assign(std::bit_ceil(cfg_.robEntries), RobEntry{});
+    robMask_ = rob_.size() - 1;
+    if (probe_)
+        pending_.assign(rob_.size(), PendingReads{});
     iq_.reserve(cfg_.iqEntries);
     sq_.assign(cfg_.sqEntries, SqEntry{});
     sqData_.assign(cfg_.sqEntries, 0);
+    // Fetch stops at kUopQueueFetchLimit uops and then adds at most a
+    // full fetch group.
+    uopRing_.assign(kUopQueueFetchLimit +
+                        cfg_.fetchWidth * isa::MAX_UOPS_PER_MACRO,
+                    FetchedUop{&kNoUop});
     divBusyUntil_.assign(cfg_.complexCount, 0);
+}
+
+std::shared_ptr<const Core::DecodedText>
+Core::decodeText(const isa::SegmentedMemory &mem)
+{
+    // Program::buildMemory maps exactly one executable segment, at
+    // TEXT_BASE; the table covers every slot mem.fetch() accepts, so
+    // "slot in range and aligned" is the same decision fetch() makes.
+    auto text = std::make_shared<DecodedText>();
+    std::uint64_t raw = 0;
+    for (Addr pc = isa::layout::TEXT_BASE;
+         mem.fetch(pc, raw) == TrapKind::None; pc += isa::INSN_BYTES) {
+        DecodedInsn d;
+        if (auto insn = isa::decode(raw)) {
+            d.op = insn->op;
+            d.directTarget = static_cast<std::uint32_t>(insn->imm);
+            d.numUops =
+                static_cast<std::uint8_t>(isa::expand(*insn, pc, d.uops));
+        }
+        text->push_back(d);
+    }
+    return text;
 }
 
 // ---------------------------------------------------- snapshot / restore
@@ -72,6 +110,8 @@ Core::fixupAfterCopy()
     // run, and so does the effect-trace sink.
     probe_ = nullptr;
     esink_ = nullptr;
+    pending_.clear();
+    pending_.shrink_to_fit();
     l2_.repoint(nullptr, &mem_);
     l1i_.repoint(&l2_, nullptr);
     l1d_.repoint(&l2_, nullptr);
@@ -82,24 +122,24 @@ std::uint64_t
 Core::deepStateBytes() const
 {
     // Everything a memberwise copy duplicates byte-for-byte: the
-    // register machinery, the window, the LSQ, the frontend, predictor
-    // tables, cache tag/LRU metadata, and the COW chunk-pointer tables
-    // themselves.
+    // register machinery, the window, the LSQ, the frontend, the
+    // direction predictor, and the COW chunk-pointer tables themselves.
     std::uint64_t n = 0;
     n += prf_.size() * sizeof(std::uint64_t);
     n += prfReady_.size();
     n += freeList_.size() * sizeof(std::uint16_t);
     n += sizeof(renameMap_) + sizeof(commitMap_);
     n += rob_.size() * sizeof(RobEntry);
-    n += iq_.size() * sizeof(std::uint32_t);
+    n += pending_.size() * sizeof(PendingReads);
+    n += iq_.size() * sizeof(IqEntry);
     n += completions_.size() * sizeof(Completion);
     n += sq_.size() * sizeof(SqEntry);
     n += sqData_.size() * sizeof(std::uint64_t);
-    n += uopQueue_.size() * sizeof(FetchedUop);
+    n += uopRing_.size() * sizeof(FetchedUop);
     n += divBusyUntil_.size() * sizeof(Cycle);
-    n += tournament_.stateBytes() + btb_.stateBytes() + ras_.stateBytes();
+    n += tournament_.stateBytes() + btb_.metaBytes() + ras_.stateBytes();
     n += l2_.metaBytes() + l1i_.metaBytes() + l1d_.metaBytes();
-    n += (mem_.contentBytes() / mem_.chunkBytes() + 4) * sizeof(void *);
+    n += mem_.tableBytes();
     n += result_.output.size() +
          result_.traps.size() * sizeof(isa::TrapEvent);
     return n;
@@ -108,8 +148,20 @@ Core::deepStateBytes() const
 std::uint64_t
 Core::cowStateBytes() const
 {
-    return mem_.contentBytes() + l2_.dataBytes() + l1i_.dataBytes() +
-           l1d_.dataBytes();
+    // The decoded text is immutable and shared outright: it is never
+    // detached, so it is not counted as copied state either way.
+    return mem_.contentBytes() + l2_.cowBytes() + l1i_.cowBytes() +
+           l1d_.cowBytes() + btb_.cowBytes();
+}
+
+void
+Core::detachAll()
+{
+    mem_.detachAll();
+    l2_.detachAll();
+    l1i_.detachAll();
+    l1d_.detachAll();
+    btb_.detachAll();
 }
 
 Core::Snapshot
@@ -117,12 +169,8 @@ Core::snapshot(SnapshotStats *stats, bool deep) const
 {
     auto copy = std::shared_ptr<Core>(new Core(*this));
     copy->fixupAfterCopy();
-    if (deep) {
-        copy->mem_.detachAll();
-        copy->l2_.detachData();
-        copy->l1i_.detachData();
-        copy->l1d_.detachData();
-    }
+    if (deep)
+        copy->detachAll();
     if (stats) {
         stats->bytesCopied = deepStateBytes() + (deep ? cowStateBytes() : 0);
         stats->bytesShared = deep ? 0 : cowStateBytes();
@@ -163,12 +211,8 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg,
     cfg_.maxCycles = cfg.maxCycles;
     cfg_.deadlockCycles = cfg.deadlockCycles;
     cfg_.instructionWindowEnd = cfg.instructionWindowEnd;
-    if (deep) {
-        mem_.detachAll();
-        l2_.detachData();
-        l1i_.detachData();
-        l1d_.detachData();
-    }
+    if (deep)
+        detachAll();
     if (stats) {
         stats->bytesCopied = deepStateBytes() + (deep ? cowStateBytes() : 0);
         stats->bytesShared = deep ? 0 : cowStateBytes();
@@ -213,7 +257,7 @@ Core::stateEquals(const Core &o) const
     }
     if (sqData_ != o.sqData_ || sq_ != o.sq_)
         return false;
-    if (rob_ != o.rob_ || iq_ != o.iq_ || uopQueue_ != o.uopQueue_ ||
+    if (rob_ != o.rob_ || iq_ != o.iq_ || !uopQueueEquals(o) ||
         divBusyUntil_ != o.divBusyUntil_) {
         return false;
     }
@@ -302,13 +346,60 @@ Core::archMemoryView() const
 // -------------------------------------------------------------- helpers
 
 void
-Core::addPendingRead(RobEntry &e, Structure s, EntryIndex entry,
+Core::addPendingRead(const RobEntry &e, Structure s, EntryIndex entry,
                      Cycle cycle, std::uint8_t ph)
 {
     if (!probe_)
         return;
-    MERLIN_ASSERT(e.nPending < 4, "pending read overflow");
-    e.pending[e.nPending++] = PendingRead{s, entry, cycle, ph};
+    PendingReads &p = pending_[robSlot(e.seq)];
+    MERLIN_ASSERT(p.n < 4, "pending read overflow");
+    p.reads[p.n++] = PendingRead{s, entry, cycle, ph};
+}
+
+Core::FetchedUop &
+Core::uopQueueAppend(const StaticUop *su, Upc upc, bool last_uop,
+                     TrapKind trap)
+{
+    MERLIN_ASSERT(uopCount_ < uopRing_.size(), "uop queue overflow");
+    std::uint32_t tail = uopHead_ + uopCount_;
+    if (tail >= uopRing_.size())
+        tail -= static_cast<std::uint32_t>(uopRing_.size());
+    ++uopCount_;
+    // Only the fields every uop carries are written; the prediction
+    // fields of a non-control uop keep whatever the slot held and are
+    // never read (see FetchedUop::operator==).
+    FetchedUop &f = uopRing_[tail];
+    f.su = su;
+    f.rip = fetchPc_;
+    f.readyAt = cycle_ + cfg_.frontendDepth;
+    f.upc = upc;
+    f.lastUop = last_uop;
+    f.fetchTrap = trap;
+    f.isCtrl = false;
+    return f;
+}
+
+void
+Core::uopQueuePop()
+{
+    uopHead_ = uopHead_ + 1 == uopRing_.size() ? 0 : uopHead_ + 1;
+    --uopCount_;
+}
+
+bool
+Core::uopQueueEquals(const Core &o) const
+{
+    // Logical contents only: where the ring's head sits depends on
+    // history, not on the state that decides the future.
+    if (uopCount_ != o.uopCount_)
+        return false;
+    for (std::uint32_t i = 0; i < uopCount_; ++i) {
+        if (!(uopRing_[(uopHead_ + i) % uopRing_.size()] ==
+              o.uopRing_[(o.uopHead_ + i) % o.uopRing_.size()])) {
+            return false;
+        }
+    }
+    return true;
 }
 
 std::uint64_t
@@ -367,9 +458,7 @@ Core::L1dSink::onCacheWordReadMasked(EntryIndex word, std::uint8_t mask,
 void
 Core::scheduleCompletion(RobEntry &e, Cycle when)
 {
-    completions_.push(Completion{
-        when, e.seq, static_cast<std::uint32_t>(e.seq % cfg_.robEntries),
-        e.gen});
+    completions_.push(Completion{when, e.seq, robSlot(e.seq), e.gen});
 }
 
 void
@@ -397,18 +486,16 @@ Core::stageFetch()
 {
     if (fetchHalted_ || cycle_ < fetchResumeCycle_)
         return;
-    if (uopQueue_.size() >= 32)
+    if (uopCount_ >= kUopQueueFetchLimit)
         return;
 
     for (unsigned fetched = 0; fetched < cfg_.fetchWidth; ++fetched) {
-        // Permission / mapping check through functional memory.
-        std::uint64_t unused = 0;
-        if (mem_.fetch(fetchPc_, unused) != TrapKind::None) {
-            FetchedUop f;
-            f.rip = fetchPc_;
-            f.fetchTrap = TrapKind::PcOutOfText;
-            f.readyAt = cycle_ + cfg_.frontendDepth;
-            uopQueue_.push_back(f);
+        // Alignment / executable-range check: the decoded table holds
+        // exactly the slots SegmentedMemory::fetch() accepts.
+        const Addr text_off = fetchPc_ - isa::layout::TEXT_BASE;
+        if (text_off % isa::INSN_BYTES != 0 ||
+            text_off / isa::INSN_BYTES >= text_->size()) {
+            uopQueueAppend(&kNoUop, 0, true, TrapKind::PcOutOfText);
             fetchHalted_ = true;
             return;
         }
@@ -420,30 +507,24 @@ Core::stageFetch()
             fetchResumeCycle_ = cycle_ + ar.latency;
             return;
         }
-        const std::uint64_t raw = l1i_.readBytes(
-            ar.set, ar.way,
-            static_cast<std::uint32_t>(fetchPc_ & (cfg_.l1i.lineSize - 1)),
-            8);
-
-        auto decoded = isa::decode(raw);
-        if (!decoded) {
-            FetchedUop f;
-            f.rip = fetchPc_;
-            f.fetchTrap = TrapKind::IllegalInstruction;
-            f.readyAt = cycle_ + cfg_.frontendDepth;
-            uopQueue_.push_back(f);
+        // The bytes the L1I hit would return are the program image's:
+        // text is mapped read+exec only, so a store to it traps at
+        // execute and never drains; no level ever dirties a text line
+        // (Cache::flipBit does not set dirty, so an L1D flip in a text
+        // line is never written back to the L2 the L1I fills from).
+        // Decoding once per program is therefore exact.
+        const DecodedInsn &d = (*text_)[text_off / isa::INSN_BYTES];
+        if (d.numUops == 0) {
+            uopQueueAppend(&kNoUop, 0, true, TrapKind::IllegalInstruction);
             fetchHalted_ = true;
             return;
         }
-        const isa::Instruction insn = *decoded;
-
-        StaticUop uops[isa::MAX_UOPS_PER_MACRO];
-        const unsigned n = isa::expand(insn, fetchPc_, uops);
+        const unsigned n = d.numUops;
         const Addr fall = fetchPc_ + isa::INSN_BYTES;
 
         // Branch prediction for control-flow macros (control uop is
         // always the last uop of its macro).
-        bool is_ctrl = isa::isControlFlow(insn.op);
+        bool is_ctrl = isa::isControlFlow(d.op);
         bool pred_taken = false;
         Addr pred_target = fall;
         bool has_pred_state = false;
@@ -452,18 +533,15 @@ Core::stageFetch()
         Ras::Snapshot ras_snap{0, 0};
 
         if (is_ctrl) {
-            const StaticUop &ctrl = uops[n - 1];
-            if (isa::isCondBranch(insn.op)) {
+            const StaticUop &ctrl = d.uops[n - 1];
+            if (isa::isCondBranch(d.op)) {
                 pred_state = tournament_.predict(fetchPc_);
                 has_pred_state = true;
                 pred_taken = pred_state.taken;
-                pred_target = pred_taken
-                                  ? static_cast<std::uint32_t>(insn.imm)
-                                  : fall;
-            } else if (insn.op == Opcode::JMP ||
-                       insn.op == Opcode::CALL) {
+                pred_target = pred_taken ? d.directTarget : fall;
+            } else if (d.op == Opcode::JMP || d.op == Opcode::CALL) {
                 pred_taken = true;
-                pred_target = static_cast<std::uint32_t>(insn.imm);
+                pred_target = d.directTarget;
             } else {
                 // Indirect: JR or CALLR.
                 pred_taken = true;
@@ -486,12 +564,8 @@ Core::stageFetch()
         }
 
         for (unsigned i = 0; i < n; ++i) {
-            FetchedUop f;
-            f.su = uops[i];
-            f.rip = fetchPc_;
-            f.upc = static_cast<Upc>(i);
-            f.lastUop = (i == n - 1);
-            f.readyAt = cycle_ + cfg_.frontendDepth;
+            FetchedUop &f = uopQueueAppend(&d.uops[i], static_cast<Upc>(i),
+                                           i == n - 1, TrapKind::None);
             if (is_ctrl && i == n - 1) {
                 f.isCtrl = true;
                 f.predTaken = pred_taken;
@@ -501,10 +575,9 @@ Core::stageFetch()
                 f.rasValid = ras_valid;
                 f.rasSnap = ras_snap;
             }
-            uopQueue_.push_back(f);
         }
 
-        if (insn.op == Opcode::HALT) {
+        if (d.op == Opcode::HALT) {
             fetchHalted_ = true;
             return;
         }
@@ -519,16 +592,17 @@ Core::stageFetch()
 void
 Core::stageRename()
 {
-    for (unsigned n = 0; n < cfg_.renameWidth && !uopQueue_.empty(); ++n) {
-        FetchedUop &f = uopQueue_.front();
+    for (unsigned n = 0; n < cfg_.renameWidth && !uopQueueEmpty(); ++n) {
+        const FetchedUop &f = uopQueueFront();
         if (f.readyAt > cycle_ || robFull())
             return;
+        const StaticUop &su = *f.su;
 
-        const bool is_store = f.su.kind == UopKind::Store;
-        const bool is_load = f.su.kind == UopKind::Load;
+        const bool is_store = su.kind == UopKind::Store;
+        const bool is_load = su.kind == UopKind::Load;
         const bool needs_iq = f.fetchTrap == TrapKind::None &&
-                              f.su.kind != UopKind::Nop &&
-                              f.su.kind != UopKind::Halt;
+                              su.kind != UopKind::Nop &&
+                              su.kind != UopKind::Halt;
 
         if (needs_iq && iq_.size() >= cfg_.iqEntries)
             return;
@@ -536,7 +610,7 @@ Core::stageRename()
             return;
         if (is_load && lqOccupancy_ >= cfg_.lqEntries)
             return;
-        if (f.su.dst != isa::REG_NONE && freeList_.empty())
+        if (su.dst != isa::REG_NONE && freeList_.empty())
             return;
 
         const SeqNum seq = robTailSeq_++;
@@ -548,55 +622,63 @@ Core::stageRename()
         e.rip = f.rip;
         e.upc = f.upc;
         e.lastUop = f.lastUop;
-        e.su = f.su;
+        e.su = su;
         e.trap = f.fetchTrap;
-        e.isCtrl = f.isCtrl;
-        e.predTaken = f.predTaken;
-        e.predTarget = f.predTarget;
-        e.hasPredState = f.hasPredState;
-        e.predState = f.predState;
-        e.rasValid = f.rasValid;
-        e.rasSnap = f.rasSnap;
+        if (f.isCtrl) {
+            e.isCtrl = true;
+            e.predTaken = f.predTaken;
+            e.predTarget = f.predTarget;
+            e.hasPredState = f.hasPredState;
+            e.predState = f.predState;
+            e.rasValid = f.rasValid;
+            e.rasSnap = f.rasSnap;
+        }
 
-        if (f.su.src1 != isa::REG_NONE)
-            e.physSrc1 = renameMap_[f.su.src1];
-        if (f.su.src2 != isa::REG_NONE)
-            e.physSrc2 = renameMap_[f.su.src2];
-        if (f.su.dst != isa::REG_NONE) {
+        const std::uint16_t src1 =
+            su.src1 != isa::REG_NONE ? renameMap_[su.src1] : NO_PREG;
+        const std::uint16_t src2 =
+            su.src2 != isa::REG_NONE ? renameMap_[su.src2] : NO_PREG;
+        e.physSrc1 = src1;
+        e.physSrc2 = src2;
+        if (su.dst != isa::REG_NONE) {
             e.physDst = freeList_.back();
             freeList_.pop_back();
-            e.prevPhys = renameMap_[f.su.dst];
-            renameMap_[f.su.dst] = e.physDst;
+            e.prevPhys = renameMap_[su.dst];
+            renameMap_[su.dst] = e.physDst;
             prfReady_[e.physDst] = 0;
         }
 
         if (is_store) {
+            // The slot stays storeSeq % sqEntries: it is the SQ fault
+            // entry the injector and the profiler name.
             e.storeSeq = sqNextSeq_;
-            e.sqSlot = static_cast<std::int32_t>(sqNextSeq_ %
-                                                 cfg_.sqEntries);
+            e.sqSlot = static_cast<std::int32_t>(sqNextSlot_);
             SqEntry &q = sq_[e.sqSlot];
             q = SqEntry{};
             q.valid = true;
             q.storeSeq = sqNextSeq_;
-            q.robIdx = static_cast<std::uint32_t>(seq % cfg_.robEntries);
             q.seqNum = seq;
             q.rip = f.rip;
             q.upc = f.upc;
             ++sqNextSeq_;
+            sqNextSlot_ = sqNextSlot_ + 1 == cfg_.sqEntries ? 0
+                                                            : sqNextSlot_ + 1;
         }
         if (is_load) {
             e.isLoad = true;
             e.loadOlderStoreSeq = sqNextSeq_;
+            e.loadOlderSlot = sqNextSlot_;
             ++lqOccupancy_;
         }
+        if (probe_)
+            pending_[robSlot(seq)].n = 0;
 
         if (needs_iq)
-            iq_.push_back(static_cast<std::uint32_t>(seq %
-                                                     cfg_.robEntries));
+            iq_.push_back(IqEntry{robSlot(seq), src1, src2, su.kind});
         else
             e.done = true;
 
-        uopQueue_.pop_front();
+        uopQueuePop();
     }
 }
 
@@ -609,9 +691,9 @@ Core::loadBlocked(const RobEntry &e, Addr addr, unsigned size,
 {
     can_forward = false;
     // Scan older stores youngest-first; the closest overlap decides.
+    std::uint32_t slot = e.loadOlderSlot;
     for (std::uint64_t s = e.loadOlderStoreSeq; s-- > sqHeadSeq_;) {
-        const std::uint32_t slot =
-            static_cast<std::uint32_t>(s % cfg_.sqEntries);
+        slot = slot == 0 ? cfg_.sqEntries - 1 : slot - 1;
         const SqEntry &q = sq_[slot];
         if (!q.valid)
             continue; // squash hole (only transiently possible)
@@ -789,7 +871,9 @@ Core::executeUop(RobEntry &e)
       }
 
       case UopKind::Out: {
-        e.outValue = readPhysReg(e, e.physSrc2);
+        // OUT has no destination register: its value waits in
+        // resultValue and commits architecturally.
+        e.resultValue = readPhysReg(e, e.physSrc2);
         scheduleCompletion(e, cycle_ + 1);
         break;
       }
@@ -817,18 +901,16 @@ Core::stageIssue()
 
     for (auto it = iq_.begin();
          it != iq_.end() && issued < cfg_.issueWidth;) {
-        RobEntry &e = rob_[*it];
         const bool ready =
-            (e.physSrc1 == NO_PREG || prfReady_[e.physSrc1]) &&
-            (e.physSrc2 == NO_PREG || prfReady_[e.physSrc2]);
+            (it->src1 == NO_PREG || prfReady_[it->src1]) &&
+            (it->src2 == NO_PREG || prfReady_[it->src2]);
         if (!ready) {
             ++it;
             continue;
         }
-
         // Functional-unit availability.
         unsigned div_unit = 0;
-        switch (e.su.kind) {
+        switch (it->kind) {
           case UopKind::Alu:
           case UopKind::Branch:
           case UopKind::Jump:
@@ -875,7 +957,8 @@ Core::stageIssue()
 
         // Memory-ordering check for loads (no pending reads recorded on
         // a blocked attempt; the final successful issue records them).
-        if (e.su.kind == UopKind::Load) {
+        RobEntry &e = rob_[it->robIdx];
+        if (it->kind == UopKind::Load) {
             const Addr addr = prf_[e.physSrc1] + e.su.imm;
             // Scheduling read: the register value decides whether the
             // load can issue this cycle, so it is physically consumed
@@ -923,7 +1006,6 @@ Core::squashAfter(SeqNum branch_seq, Addr redirect_to)
     for (SeqNum s = robTailSeq_; s-- > branch_seq + 1;) {
         RobEntry &e = robAt(s);
         ++e.gen; // invalidate in-flight completions
-        e.nPending = 0;
         if (e.physDst != NO_PREG) {
             renameMap_[e.su.dst] = e.prevPhys;
             freeList_.push_back(e.physDst);
@@ -931,6 +1013,7 @@ Core::squashAfter(SeqNum branch_seq, Addr redirect_to)
         if (e.sqSlot >= 0) {
             sq_[e.sqSlot].valid = false;
             sqNextSeq_ = e.storeSeq;
+            sqNextSlot_ = static_cast<std::uint32_t>(e.sqSlot);
         }
         if (e.isLoad)
             --lqOccupancy_;
@@ -938,8 +1021,8 @@ Core::squashAfter(SeqNum branch_seq, Addr redirect_to)
     robTailSeq_ = branch_seq + 1;
 
     // Drop squashed entries from the issue queue.
-    std::erase_if(iq_, [&](std::uint32_t idx) {
-        return rob_[idx].seq > branch_seq;
+    std::erase_if(iq_, [&](const IqEntry &q) {
+        return rob_[q.robIdx].seq > branch_seq;
     });
 
     // Repair speculative predictor state.
@@ -957,7 +1040,7 @@ Core::squashAfter(SeqNum branch_seq, Addr redirect_to)
     fetchPc_ = redirect_to;
     fetchResumeCycle_ = cycle_ + cfg_.redirectPenalty;
     fetchHalted_ = false;
-    uopQueue_.clear();
+    uopCount_ = 0;
 }
 
 void
@@ -995,8 +1078,7 @@ Core::stageDrainStores()
 {
     if (sqHeadSeq_ >= sqNextSeq_)
         return;
-    const std::uint32_t slot =
-        static_cast<std::uint32_t>(sqHeadSeq_ % cfg_.sqEntries);
+    const std::uint32_t slot = sqHeadSlot_;
     SqEntry &q = sq_[slot];
     MERLIN_ASSERT(q.valid, "invalid store at SQ head");
     if (!q.committed)
@@ -1023,6 +1105,7 @@ Core::stageDrainStores()
     }
     q.valid = false;
     ++sqHeadSeq_;
+    sqHeadSlot_ = sqHeadSlot_ + 1 == cfg_.sqEntries ? 0 : sqHeadSlot_ + 1;
 }
 
 void
@@ -1046,8 +1129,9 @@ Core::stageCommit()
         }
 
         if (probe_) {
-            for (unsigned i = 0; i < e.nPending; ++i) {
-                const PendingRead &p = e.pending[i];
+            const PendingReads &pr = pending_[robSlot(e.seq)];
+            for (unsigned i = 0; i < pr.n; ++i) {
+                const PendingRead &p = pr.reads[i];
                 probe_->onCommittedRead(p.s, p.entry, p.cycle, p.phase,
                                         e.rip, e.upc, e.seq);
             }
@@ -1055,7 +1139,7 @@ Core::stageCommit()
 
         if (e.su.kind == UopKind::Out) {
             std::uint8_t buf[8];
-            storeLE(buf, e.outValue, 8);
+            storeLE(buf, e.resultValue, 8);
             result_.output.insert(result_.output.end(), buf,
                                   buf + e.su.memSize);
         }

@@ -17,13 +17,18 @@
  * Stage evaluation order within a cycle is commit -> writeback -> issue ->
  * rename/dispatch -> fetch, so dependent single-cycle ops execute on
  * back-to-back cycles, as in the gem5 O3 model.
+ *
+ * Host-side layout: the text segment is decoded and expanded once per
+ * program (fetch still pays the L1I access for timing); the ROB is a
+ * power-of-two ring and the SQ walks by decrement-with-wrap, so no
+ * per-cycle path divides; the uop queue is a fixed ring; issue-queue
+ * entries carry their source tags.
  */
 
 #ifndef MERLIN_UARCH_CORE_HH
 #define MERLIN_UARCH_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -83,8 +88,10 @@ class Core
     /**
      * Opaque, immutable checkpoint of the complete core state
      * (architectural + microarchitectural + memory hierarchy).
-     * Capture shares the memory image and cache data arrays
-     * copy-on-write, so both capture and copy are O(dirty state).
+     * Capture shares the memory image, the cache data and tag arrays,
+     * the BTB and the decoded text copy-on-write, so both capture and
+     * restore copy only the small remainder (~50 KiB on the default
+     * machine) and a restored run pays only for what it dirties.
      * Cheap to copy (shared ownership); safe to restore from multiple
      * threads concurrently.
      */
@@ -139,6 +146,9 @@ class Core
     const Cache &l1d() const { return l1d_; }
     const Cache &l2() const { return l2_; }
 
+    /** The branch target buffer (read-only). */
+    const Btb &btb() const { return btb_; }
+
     // ---- fault-injection hooks (GeFIN-style bit flips) ----
     void flipRegisterFileBit(EntryIndex reg, unsigned bit);
     void flipStoreQueueBit(EntryIndex slot, unsigned bit);
@@ -187,6 +197,9 @@ class Core
     /** Bytes a memberwise copy shares through COW chunks. */
     std::uint64_t cowStateBytes() const;
 
+    /** Give every COW structure private storage (a deep copy). */
+    void detachAll();
+
     static constexpr std::uint16_t NO_PREG = 0xffff;
 
     struct PendingRead
@@ -195,9 +208,35 @@ class Core
         EntryIndex entry;
         Cycle cycle;
         std::uint8_t phase;
-
-        bool operator==(const PendingRead &) const = default;
     };
+
+    /**
+     * Physical reads of one in-flight uop, reported to the probe only
+     * if it commits.  Kept beside the ROB, not in it, and only on a
+     * probed core: they never influence timing, injected cores never
+     * carry a probe, and the profiled golden core records them while
+     * probe-free restored cores cannot — so they are also excluded
+     * from stateEquals().
+     */
+    struct PendingReads
+    {
+        std::uint8_t n = 0;
+        PendingRead reads[4];
+    };
+
+    /** One text slot, decoded and expanded once per program. */
+    struct DecodedInsn
+    {
+        std::uint8_t numUops = 0; ///< 0: the slot is not a valid encoding
+        isa::Opcode op = isa::Opcode::NOP;
+        Addr directTarget = 0; ///< the immediate, as a direct target
+        isa::StaticUop uops[isa::MAX_UOPS_PER_MACRO];
+    };
+    using DecodedText = std::vector<DecodedInsn>;
+
+    /** Decode every instruction slot of @p mem's text segment. */
+    static std::shared_ptr<const DecodedText>
+    decodeText(const isa::SegmentedMemory &mem);
 
     /**
      * Forwards L1D data-array events to the probe with phase context,
@@ -225,90 +264,56 @@ class Core
             esink_->onEffect(s, entry, cycle_, mask, is_write);
     }
 
+    /** One ROB slot; fields grouped by width to keep the entry small. */
     struct RobEntry
     {
-        std::uint32_t gen = 0;
         SeqNum seq = 0;
         Rip rip = 0;
+        isa::StaticUop su;
+        std::uint32_t gen = 0;
         Upc upc = 0;
         bool lastUop = true;
-        isa::StaticUop su;
+        bool done = false;
+        isa::TrapKind trap = isa::TrapKind::None;
 
         std::uint16_t physDst = NO_PREG;
         std::uint16_t prevPhys = NO_PREG;
         std::uint16_t physSrc1 = NO_PREG;
         std::uint16_t physSrc2 = NO_PREG;
-
-        bool done = false;
-        bool inIq = false;
-        isa::TrapKind trap = isa::TrapKind::None;
-        std::uint64_t resultValue = 0;
+        std::uint64_t resultValue = 0; ///< also an OUT's value
 
         // Control flow.
+        Addr predTarget = 0;
+        Addr actualTarget = 0;
+        Ras::Snapshot rasSnap{0, 0};
+        PredictionState predState;
         bool isCtrl = false;
         bool predTaken = false;
         bool actualTaken = false;
-        Addr predTarget = 0;
-        Addr actualTarget = 0;
         bool hasPredState = false;
-        PredictionState predState;
         bool rasValid = false;
-        Ras::Snapshot rasSnap{0, 0};
 
         // Memory.
-        std::uint64_t storeSeq = 0;
-        std::int32_t sqSlot = -1;
         bool isLoad = false;
+        std::uint64_t storeSeq = 0;
         std::uint64_t loadOlderStoreSeq = 0; ///< youngest older store + 1
+        std::int32_t sqSlot = -1;
+        std::uint32_t loadOlderSlot = 0; ///< SQ slot of loadOlderStoreSeq
 
-        // Output buffering (OUT commits architecturally).
-        std::uint64_t outValue = 0;
-
-        std::uint8_t nPending = 0;
-        PendingRead pending[4];
-
-        /**
-         * Equality for the reconvergence check.  nPending / pending
-         * are deliberately excluded: they exist only to feed a probe
-         * at commit, injected cores never carry a probe, and the
-         * profiled golden core records them while the probe-free
-         * restored cores cannot — comparing them would make golden
-         * checkpoints permanently unequal to any injected run.
-         */
-        bool
-        operator==(const RobEntry &o) const
-        {
-            return gen == o.gen && seq == o.seq && rip == o.rip &&
-                   upc == o.upc && lastUop == o.lastUop && su == o.su &&
-                   physDst == o.physDst && prevPhys == o.prevPhys &&
-                   physSrc1 == o.physSrc1 && physSrc2 == o.physSrc2 &&
-                   done == o.done && inIq == o.inIq && trap == o.trap &&
-                   resultValue == o.resultValue && isCtrl == o.isCtrl &&
-                   predTaken == o.predTaken &&
-                   actualTaken == o.actualTaken &&
-                   predTarget == o.predTarget &&
-                   actualTarget == o.actualTarget &&
-                   hasPredState == o.hasPredState &&
-                   predState == o.predState && rasValid == o.rasValid &&
-                   rasSnap == o.rasSnap && storeSeq == o.storeSeq &&
-                   sqSlot == o.sqSlot && isLoad == o.isLoad &&
-                   loadOlderStoreSeq == o.loadOlderStoreSeq &&
-                   outValue == o.outValue;
-        }
+        bool operator==(const RobEntry &) const = default;
     };
 
     struct SqEntry
     {
+        Addr addr = 0;
+        std::uint64_t storeSeq = 0;
+        SeqNum seqNum = 0;
+        Rip rip = 0;
         bool valid = false;
         bool addrReady = false;
         bool dataReady = false;
         bool committed = false;
-        Addr addr = 0;
         std::uint8_t size = 0;
-        std::uint64_t storeSeq = 0;
-        std::uint32_t robIdx = 0;
-        SeqNum seqNum = 0;
-        Rip rip = 0;
         Upc upc = 0;
 
         bool operator==(const SqEntry &) const = default;
@@ -316,22 +321,55 @@ class Core
 
     struct FetchedUop
     {
-        isa::StaticUop su;
+        /** Into the shared decoded text (a placeholder on fetch traps). */
+        const isa::StaticUop *su = nullptr;
         Rip rip = 0;
+        Cycle readyAt = 0;
+        // Prediction attached to the control uop of the macro; set, and
+        // meaningful, only when isCtrl.
+        Addr predTarget = 0;
+        Ras::Snapshot rasSnap{0, 0};
+        PredictionState predState;
         Upc upc = 0;
         bool lastUop = true;
-        Cycle readyAt = 0;
         isa::TrapKind fetchTrap = isa::TrapKind::None;
-        // Prediction attached to the control uop of the macro.
         bool isCtrl = false;
         bool predTaken = false;
-        Addr predTarget = 0;
         bool hasPredState = false;
-        PredictionState predState;
         bool rasValid = false;
-        Ras::Snapshot rasSnap{0, 0};
 
-        bool operator==(const FetchedUop &) const = default;
+        /**
+         * Same fetched uop: within one program (rip, upc, fetchTrap)
+         * determine the static uop, and the prediction fields count
+         * only on a control uop.
+         */
+        bool
+        operator==(const FetchedUop &o) const
+        {
+            if (rip != o.rip || readyAt != o.readyAt || upc != o.upc ||
+                lastUop != o.lastUop || fetchTrap != o.fetchTrap ||
+                isCtrl != o.isCtrl) {
+                return false;
+            }
+            return !isCtrl ||
+                   (predTarget == o.predTarget && rasSnap == o.rasSnap &&
+                    predState == o.predState && predTaken == o.predTaken &&
+                    hasPredState == o.hasPredState &&
+                    rasValid == o.rasValid);
+        }
+    };
+
+    /** An issue-queue entry: its ROB slot, and the source tags and
+     *  uop kind the readiness and unit scan checks without touching
+     *  the ROB. */
+    struct IqEntry
+    {
+        std::uint32_t robIdx;
+        std::uint16_t src1;
+        std::uint16_t src2;
+        isa::UopKind kind;
+
+        bool operator==(const IqEntry &) const = default;
     };
 
     struct Completion
@@ -358,11 +396,13 @@ class Core
     void stageFetch();
 
     // Helpers.
-    RobEntry &robAt(SeqNum seq) { return rob_[seq % cfg_.robEntries]; }
-    const RobEntry &robAt(SeqNum seq) const
+    std::uint32_t
+    robSlot(SeqNum seq) const
     {
-        return rob_[seq % cfg_.robEntries];
+        return static_cast<std::uint32_t>(seq & robMask_);
     }
+    RobEntry &robAt(SeqNum seq) { return rob_[robSlot(seq)]; }
+    const RobEntry &robAt(SeqNum seq) const { return rob_[robSlot(seq)]; }
     bool robFull() const { return robTailSeq_ - robHeadSeq_ >= cfg_.robEntries; }
     bool robEmpty() const { return robTailSeq_ == robHeadSeq_; }
 
@@ -374,8 +414,21 @@ class Core
     void squashAfter(SeqNum branch_seq, Addr redirect_to);
     void terminate(isa::TerminateReason reason, int exit_code);
     void raiseTrapAtCommit(RobEntry &e);
-    void addPendingRead(RobEntry &e, Structure s, EntryIndex entry,
+    void addPendingRead(const RobEntry &e, Structure s, EntryIndex entry,
                         Cycle cycle, std::uint8_t phase);
+
+    // Uop queue (fixed ring).
+    bool uopQueueEmpty() const { return uopCount_ == 0; }
+    FetchedUop &uopQueueFront() { return uopRing_[uopHead_]; }
+    /** Append a uop fetched at fetchPc_ this cycle; the caller fills
+     *  the prediction fields of a control uop. */
+    FetchedUop &uopQueueAppend(const isa::StaticUop *su, Upc upc,
+                               bool last_uop, isa::TrapKind trap);
+    void uopQueuePop();
+    bool uopQueueEquals(const Core &o) const;
+
+    /** Fetch stops while the uop queue holds this many uops. */
+    static constexpr std::uint32_t kUopQueueFetchLimit = 32;
     std::uint64_t readPhysReg(RobEntry &e, std::uint16_t preg);
 
     CoreConfig cfg_;
@@ -401,10 +454,12 @@ class Core
     std::uint16_t commitMap_[isa::NUM_RENAMEABLE_REGS];
 
     // Window.
-    std::vector<RobEntry> rob_;
+    std::vector<RobEntry> rob_; ///< power-of-two ring, slot = seq & mask
+    SeqNum robMask_;
     SeqNum robHeadSeq_ = 0;
     SeqNum robTailSeq_ = 0;
-    std::vector<std::uint32_t> iq_; ///< rob indices, program order
+    std::vector<IqEntry> iq_; ///< program order
+    std::vector<PendingReads> pending_; ///< by ROB slot; probed cores only
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>>
         completions_;
@@ -414,13 +469,18 @@ class Core
     std::vector<std::uint64_t> sqData_; ///< persistent data-field storage
     std::uint64_t sqNextSeq_ = 0;
     std::uint64_t sqHeadSeq_ = 0;
+    std::uint32_t sqNextSlot_ = 0; ///< sqNextSeq_ % sqEntries
+    std::uint32_t sqHeadSlot_ = 0; ///< sqHeadSeq_ % sqEntries
     unsigned lqOccupancy_ = 0;
 
     // Frontend.
+    std::shared_ptr<const DecodedText> text_; ///< shared with snapshots
     Addr fetchPc_;
     Cycle fetchResumeCycle_ = 0;
     bool fetchHalted_ = false; ///< stop fetching until redirect
-    std::deque<FetchedUop> uopQueue_;
+    std::vector<FetchedUop> uopRing_;
+    std::uint32_t uopHead_ = 0;
+    std::uint32_t uopCount_ = 0;
 
     // Execution resources.
     std::vector<Cycle> divBusyUntil_;

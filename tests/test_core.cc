@@ -614,6 +614,70 @@ TEST(CoreSnapshot, RunsAfterRestoreNeverLeakIntoTheSnapshot)
     expectSameFinalState(first, second);
 }
 
+/** A default-machine qsort core snapshotted @p cycles into its run. */
+Core::Snapshot
+qsortSnapshot(const isa::Program &p, Cycle cycles)
+{
+    Core running(p, CoreConfig{});
+    while (running.cycle() < cycles && running.tick()) {
+    }
+    EXPECT_FALSE(running.finished());
+    return running.snapshot();
+}
+
+TEST(CoreSnapshot, RestoreOnTheDefaultMachineCopiesUnder64KiB)
+{
+    // Memory, cache data and tag arrays, and the BTB are all shared
+    // copy-on-write; a restore copies only the window, the direction
+    // predictor and the chunk-pointer tables.
+    const auto w = workloads::buildWorkload("qsort");
+    const Core::Snapshot snap = qsortSnapshot(w.program, 3000);
+    SnapshotStats st;
+    Core restored(w.program, CoreConfig{}, snap, &st);
+    EXPECT_LT(st.bytesCopied, 64u * 1024);
+    EXPECT_GT(st.bytesShared, 1024u * 1024);
+    // Two restores share every tag-table and BTB chunk.
+    Core other(w.program, CoreConfig{}, snap);
+    for (const auto &[a, b] :
+         {std::pair{&restored.l1i(), &other.l1i()},
+          std::pair{&restored.l1d(), &other.l1d()},
+          std::pair{&restored.l2(), &other.l2()}}) {
+        EXPECT_GT(a->sharedTagChunksWith(*b), 0u);
+        EXPECT_EQ(a->sharedTagChunksWith(*b), a->sharedTagChunksWith(*a));
+    }
+    EXPECT_EQ(restored.btb().sharedChunksWith(other.btb()),
+              restored.btb().sharedChunksWith(restored.btb()));
+}
+
+TEST(CoreSnapshot, RunAfterRestoreNeverLeaksIntoSnapshotTagsOrBtb)
+{
+    // qsort recurses, so its committed returns retrain the BTB, and it
+    // walks enough data to refill L1D and L2 sets.
+    const auto w = workloads::buildWorkload("qsort");
+    const CoreConfig cfg;
+    const Core::Snapshot snap = qsortSnapshot(w.program, 500);
+    // A deep restore owns private copies of everything: the reference.
+    Core reference(w.program, cfg, snap, nullptr, /*deep=*/true);
+
+    Core first(w.program, cfg, snap);
+    first.run();
+    ASSERT_FALSE(first.l1d().stateEquals(reference.l1d()));
+    ASSERT_FALSE(first.l2().stateEquals(reference.l2()));
+    ASSERT_FALSE(first.btb().stateEquals(reference.btb()));
+
+    // The run wrote only private chunks: a second restore still sees
+    // the snapshot's tags, LRU stamps and BTB entries.
+    Core second(w.program, cfg, snap);
+    EXPECT_TRUE(second.l1i().stateEquals(reference.l1i()));
+    EXPECT_TRUE(second.l1d().stateEquals(reference.l1d()));
+    EXPECT_TRUE(second.l2().stateEquals(reference.l2()));
+    EXPECT_TRUE(second.btb().stateEquals(reference.btb()));
+    // ...and the first run detached only the BTB chunks it retrained.
+    EXPECT_GT(first.btb().sharedChunksWith(second.btb()), 0u);
+    EXPECT_LT(first.btb().sharedChunksWith(second.btb()),
+              second.btb().sharedChunksWith(second.btb()));
+}
+
 TEST(CoreSnapshot, StateEqualsDetectsDivergenceAndReconvergence)
 {
     auto p = prog("movi a0, 1\nout.d a0\nhalt 0\n");
