@@ -208,8 +208,7 @@ CampaignSpec::fromJson(const Json &j)
         fatal("suite spec: sq_entries ", s.sqEntries,
               " must be at least 1");
     s.l1dKb = u32Member(j, "l1d_kb", s.l1dKb);
-    if (s.l1dKb > std::numeric_limits<std::uint32_t>::max() / 1024 ||
-        !uarch::CoreConfig{}.withL1dKb(s.l1dKb).l1d.validGeometry())
+    if (!uarch::CoreConfig::validL1dKb(s.l1dKb))
         fatal("suite spec: l1d_kb ", s.l1dKb,
               " is not a buildable L1D size");
     if (const Json *w = j.find("window")) {

@@ -197,10 +197,24 @@ campaignConfig(const Args &args, std::uint64_t default_window)
 {
     core::CampaignConfig cc;
     cc.target = parseStructure(args.get("structure", "rf"));
+    // Sizes are checked by flag name against the predicates the core,
+    // the cache and suite specs use, so a bad value fails here instead
+    // of as an assertion inside the simulator.
+    const unsigned regs = args.getU32("regs", 256);
+    if (!uarch::CoreConfig::validPhysIntRegs(regs))
+        fatal("--regs: ", regs, " must exceed the ",
+              isa::NUM_RENAMEABLE_REGS,
+              " renameable architectural registers and be at most 65535");
+    const unsigned sq = args.getU32("sq", 64);
+    if (!uarch::CoreConfig::validSqEntries(sq))
+        fatal("--sq: ", sq, " must be at least 1");
+    const unsigned l1d = args.getU32("l1d", 64);
+    if (!uarch::CoreConfig::validL1dKb(l1d))
+        fatal("--l1d: ", l1d, " KB is not a buildable L1D size");
     cc.core = uarch::CoreConfig{}
-                  .withRegisterFile(args.getU32("regs", 256))
-                  .withStoreQueue(args.getU32("sq", 64))
-                  .withL1dKb(args.getU32("l1d", 64));
+                  .withRegisterFile(regs)
+                  .withStoreQueue(sq)
+                  .withL1dKb(l1d);
     cc.core.instructionWindowEnd = args.getU("window", default_window);
     if (args.has("faults")) {
         cc.sampling = core::specFixed(args.getU("faults", 2000));

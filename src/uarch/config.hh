@@ -128,6 +128,15 @@ struct CoreConfig
     {
         return n > 0;
     }
+    /** L1D sizes (KB) the cache model can build at the default
+     *  associativity and line size. */
+    static bool
+    validL1dKb(std::uint64_t kb)
+    {
+        return kb <= UINT32_MAX / 1024 &&
+               CoreConfig{}.withL1dKb(static_cast<unsigned>(kb))
+                   .l1d.validGeometry();
+    }
 
     // Fluent size variants used throughout the evaluation.
     CoreConfig
