@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for base utilities: logging, RNG, statistics, bit helpers.
+ * Unit tests for base utilities: logging, RNG, statistics, bit helpers,
+ * and the typed copy-on-write array.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <set>
 
 #include "base/bits.hh"
+#include "base/cow.hh"
 #include "base/logging.hh"
 #include "base/parse.hh"
 #include "base/rng.hh"
@@ -242,6 +244,93 @@ TEST(Bits, Alignment)
     EXPECT_TRUE(isAligned(0x1000, 8));
     EXPECT_FALSE(isAligned(0x1001, 2));
     EXPECT_TRUE(isAligned(0x1001, 1));
+}
+
+// -------------------------------------------------------- base::CowArray
+
+struct Pair
+{
+    std::uint32_t a = 7;
+    std::uint64_t b = 0;
+
+    bool operator==(const Pair &) const = default;
+};
+
+TEST(CowArray, CopySharesEveryChunk)
+{
+    base::CowArray<Pair> a(64, 16);
+    EXPECT_EQ(a.numChunks(), 4u);
+    EXPECT_EQ(a[63].a, 7u); // filled with the default value
+    const base::CowArray<Pair> b = a;
+    EXPECT_EQ(b.sharedChunksWith(a), 4u);
+    EXPECT_EQ(a.exclusiveChunks(), 0u);
+    EXPECT_EQ(a.tableBytes(), b.tableBytes());
+    EXPECT_EQ(a.bytes(), 64 * sizeof(Pair));
+}
+
+TEST(CowArray, MutDetachesOnlyItsChunkAndLeavesTheDonorAlone)
+{
+    base::CowArray<Pair> a(64, 16, Pair{1, 2});
+    base::CowArray<Pair> b = a;
+    b.mut(20).b = 99;
+    EXPECT_EQ(b.sharedChunksWith(a), 3u);
+    EXPECT_EQ(b.bytesDetached() - a.bytesDetached(), 16 * sizeof(Pair));
+    EXPECT_EQ(b[20].b, 99u);
+    EXPECT_EQ(a[20].b, 2u); // the donor never sees the write
+    // A second write into the now-private chunk copies nothing.
+    const auto detached = b.bytesDetached();
+    b.mut(21).a = 5;
+    EXPECT_EQ(b.bytesDetached(), detached);
+    EXPECT_EQ(a[21].a, 1u);
+}
+
+TEST(CowArray, EqualityByIdentityAndByValue)
+{
+    base::CowArray<Pair> a(40, 8);
+    base::CowArray<Pair> b = a;
+    EXPECT_TRUE(a == b); // every chunk shared
+    b.mut(3) = Pair{};   // detached, same value
+    EXPECT_EQ(b.sharedChunksWith(a), a.numChunks() - 1);
+    EXPECT_TRUE(a == b);
+    b.mut(3).b = 1;
+    EXPECT_FALSE(a == b);
+    a.mut(3).b = 1; // independent arrays, equal values
+    EXPECT_TRUE(a == b);
+    // Arrays built separately share nothing but still compare by value.
+    EXPECT_TRUE(base::CowArray<Pair>(40, 8) == base::CowArray<Pair>(40, 8));
+    EXPECT_FALSE(base::CowArray<Pair>(40, 8) == base::CowArray<Pair>(41, 8));
+}
+
+TEST(CowArray, SizeNotAChunkMultiple)
+{
+    base::CowArray<std::uint16_t> a(37, 16, 3);
+    EXPECT_EQ(a.size(), 37u);
+    EXPECT_EQ(a.numChunks(), 3u);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        a.mut(i) = static_cast<std::uint16_t>(i);
+    base::CowArray<std::uint16_t> b = a;
+    b.mut(36) = 500; // last, partial chunk
+    EXPECT_EQ(b.sharedChunksWith(a), 2u);
+    EXPECT_EQ(a[36], 36u);
+    EXPECT_FALSE(a == b);
+    b.mut(36) = 36;
+    EXPECT_TRUE(a == b);
+}
+
+TEST(CowArray, DetachAllPrivatizesEveryChunk)
+{
+    base::CowArray<Pair> a(50, 16);
+    base::CowArray<Pair> b = a;
+    b.detachAll();
+    EXPECT_EQ(b.sharedChunksWith(a), 0u);
+    EXPECT_EQ(b.exclusiveChunks(), b.numChunks());
+    EXPECT_EQ(a.exclusiveChunks(), a.numChunks());
+    EXPECT_TRUE(a == b);
+}
+
+TEST(CowArray, RejectsNonPowerOfTwoChunks)
+{
+    EXPECT_THROW((base::CowArray<Pair>(10, 12)), SimAssertError);
 }
 
 } // namespace
