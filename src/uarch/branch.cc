@@ -115,7 +115,6 @@ TournamentPredictor::stateBytes() const
 }
 
 Btb::Btb(unsigned entries)
-    : indexMask_(entries - 1)
 {
     MERLIN_ASSERT(entries != 0 && (entries & (entries - 1)) == 0,
                   "BTB size power of two");
@@ -125,7 +124,7 @@ Btb::Btb(unsigned entries)
 std::optional<Addr>
 Btb::lookup(Addr pc) const
 {
-    const Entry &e = entries_[(pc >> 3) & indexMask_];
+    const Entry &e = entries_[(pc >> 3) & (entries_.size() - 1)];
     if (e.valid && e.pc == pc)
         return e.target;
     return std::nullopt;
@@ -134,7 +133,7 @@ Btb::lookup(Addr pc) const
 void
 Btb::update(Addr pc, Addr target)
 {
-    const std::size_t idx = (pc >> 3) & indexMask_;
+    const std::size_t idx = (pc >> 3) & (entries_.size() - 1);
     const Entry fresh{true, pc, target};
     // Re-training an entry to the value it holds is a no-op; skipping
     // it keeps a restored core's table chunk shared.

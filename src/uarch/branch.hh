@@ -111,7 +111,6 @@ class Btb
         bool operator==(const Entry &) const = default;
     };
     base::CowArray<Entry> entries_;
-    Addr indexMask_;
 };
 
 /** Return address stack with single-entry squash repair. */

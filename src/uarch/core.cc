@@ -73,9 +73,11 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
     sqData_.assign(cfg_.sqEntries, 0);
     // Fetch stops at kUopQueueFetchLimit uops and then adds at most a
     // full fetch group.
+    FetchedUop blank;
+    blank.su = &kNoUop;
     uopRing_.assign(kUopQueueFetchLimit +
                         cfg_.fetchWidth * isa::MAX_UOPS_PER_MACRO,
-                    FetchedUop{&kNoUop});
+                    blank);
     divBusyUntil_.assign(cfg_.complexCount, 0);
 }
 

@@ -90,7 +90,7 @@ class Core
      * (architectural + microarchitectural + memory hierarchy).
      * Capture shares the memory image, the cache data and tag arrays,
      * the BTB and the decoded text copy-on-write, so both capture and
-     * restore copy only the small remainder (~50 KiB on the default
+     * restore copy only the small remainder (~58 KiB on the default
      * machine) and a restored run pays only for what it dirties.
      * Cheap to copy (shared ownership); safe to restore from multiple
      * threads concurrently.
