@@ -85,6 +85,13 @@ class EffectTrace final : public uarch::EffectSink
     /** Entry count recorded for @p s. */
     unsigned entries(uarch::Structure s) const;
 
+    /** The packed events of one entry, in recording order. */
+    const std::vector<std::uint64_t> &
+    events(uarch::Structure s, EntryIndex entry) const
+    {
+        return events_[slotOf(s, entry)];
+    }
+
     std::uint64_t numEvents() const;
 
     /** Approximate heap footprint of the recorded events. */

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "base/logging.hh"
 #include "base/rng.hh"
 
 #include "faultsim/runner.hh"
+#include "io/json.hh"
 #include "masm/asm.hh"
 #include "profile/ace.hh"
 #include "uarch/core.hh"
@@ -264,6 +268,144 @@ TEST(AceProfiler, GroundTruth_PrunedFaultsAreMasked)
             << f.cycle;
     }
     EXPECT_EQ(tested, 40u);
+}
+
+// ------------------------------------------------ pinned recording
+
+/** FNV-1a 64 folded over 64-bit values. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (unsigned i = 0; i < 8; ++i, v >>= 8) {
+            h ^= v & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    std::string
+    hex() const
+    {
+        static const char digits[] = "0123456789abcdef";
+        std::string s(16, '0');
+        std::uint64_t v = h;
+        for (int i = 15; i >= 0; --i, v >>= 4)
+            s[static_cast<std::size_t>(i)] = digits[v & 0xf];
+        return s;
+    }
+};
+
+/** Everything the profiled golden run of @p p on @p cfg records. */
+io::Json
+recordingRecord(const isa::Program &p, const uarch::CoreConfig &cfg)
+{
+    faultsim::RunnerOptions opts;
+    opts.checkpointInterval = 0; // the recording is a function of the run
+    faultsim::InjectionRunner runner(p, cfg, opts);
+    AceProfiler profiler(cfg.numPhysIntRegs, cfg.sqEntries,
+                         cfg.l1d.totalWords());
+    const faultsim::GoldenRun g = runner.golden(&profiler);
+    profiler.finalize();
+    EXPECT_NE(g.trace, nullptr);
+    if (!g.trace)
+        return io::Json::object();
+
+    io::Json j = io::Json::object();
+    const std::pair<const char *, Structure> structures[] = {
+        {"rf", Structure::RegisterFile},
+        {"sq", Structure::StoreQueue},
+        {"l1d", Structure::L1DCache},
+    };
+    for (const auto &[key, s] : structures) {
+        const StructureProfile &prof = profiler.profile(s);
+        Fnv ace, eff;
+        std::uint64_t intervals = 0, events = 0;
+        for (EntryIndex e = 0; e < prof.numEntries(); ++e) {
+            for (const VulnerableInterval &iv : prof.intervals(e)) {
+                ace.mix(e);
+                ace.mix(iv.start);
+                ace.mix(iv.end);
+                ace.mix(iv.rip);
+                ace.mix(iv.upc);
+                ace.mix(iv.endSeq);
+                ++intervals;
+            }
+        }
+        for (EntryIndex e = 0; e < g.trace->entries(s); ++e) {
+            const auto &evs = g.trace->events(s, e);
+            if (evs.empty())
+                continue;
+            eff.mix(e);
+            eff.mix(evs.size());
+            for (std::uint64_t ev : evs)
+                eff.mix(ev);
+            events += evs.size();
+        }
+        io::Json r = io::Json::object();
+        r.set("intervals", intervals);
+        r.set("vulnerable_cycles", prof.totalVulnerableCycles());
+        r.set("intervals_fnv", ace.hex());
+        r.set("effect_events", events);
+        r.set("effect_fnv", eff.hex());
+        j.set(key, r);
+    }
+    Fnv br;
+    for (const BranchRecord &b : profiler.branchTrace()) {
+        br.mix(b.seq);
+        br.mix(b.rip);
+        br.mix(b.taken ? 1 : 0);
+    }
+    j.set("branches",
+          static_cast<std::uint64_t>(profiler.branchTrace().size()));
+    j.set("branches_fnv", br.hex());
+    j.set("effect_events", g.trace->numEvents());
+    return j;
+}
+
+/**
+ * Pins what the profiled golden run records -- every ACE interval, the
+ * committed branch trace and every effect-trace event -- for all
+ * bundled workloads on the default core and on test_core's smallest
+ * machine, so a change to how the core reports events provably moves
+ * none of them.  Regenerate only for a deliberate change of recording
+ * semantics, by copying the *_actual.json file the failure names into
+ * tests/golden/.
+ */
+TEST(GoldenRecording, MatchesCommittedGolden)
+{
+    const std::pair<const char *, uarch::CoreConfig> variants[] = {
+        {"default", uarch::CoreConfig{}},
+        {"small", uarch::CoreConfig{}.withRegisterFile(64)
+                      .withStoreQueue(16).withL1dKb(16)},
+    };
+    io::Json actual = io::Json::object();
+    for (const std::string &name : workloads::allWorkloadNames()) {
+        const auto w = workloads::buildWorkload(name);
+        for (const auto &[vname, cfg] : variants)
+            actual.set(name + "/" + vname, recordingRecord(w.program, cfg));
+    }
+
+    const std::string goldenPath = std::string(MERLIN_SOURCE_DIR) +
+                                   "/tests/golden/golden_recording.json";
+    const std::string actualPath =
+        testing::TempDir() + "golden_recording_actual.json";
+    std::ofstream(actualPath, std::ios::trunc) << actual.dump(2) << "\n";
+
+    std::ifstream in(goldenPath);
+    ASSERT_TRUE(in.good()) << "missing golden file " << goldenPath
+                           << "; seed it from " << actualPath;
+    std::stringstream text;
+    text << in.rdbuf();
+    const io::Json golden = io::Json::parse(text.str());
+    ASSERT_EQ(golden.size(), actual.size()) << "grid changed";
+    for (const auto &[key, got] : actual.members()) {
+        const io::Json *want = golden.find(key);
+        ASSERT_NE(want, nullptr) << key << " missing from " << goldenPath;
+        EXPECT_EQ(want->dump(), got.dump()) << key;
+    }
 }
 
 } // namespace
