@@ -97,7 +97,7 @@ BM_CacheAccess(benchmark::State &state)
     std::uint64_t n = 0;
     for (auto _ : state) {
         Addr a = 0x10000 + (rng.nextBelow((1 << 20) - 64) & ~7ULL);
-        auto r = l1.access(a, false, n, 0, 0);
+        auto r = l1.access(a, false);
         benchmark::DoNotOptimize(l1.readBytes(r.set, r.way, a & 63, 8));
         ++n;
     }

@@ -236,22 +236,24 @@ InjectionRunner::golden(uarch::Probe *probe) const
 {
     obs::Span span("campaign", "golden " + prog_.name);
     InjectMetrics &m = injectMetrics();
-    uarch::Core core(prog_, cfg_, probe);
     GoldenRun g;
 
-    // Record the effect trace for the replay fast path.  Attached after
-    // construction so reset-time initialisation is not mistaken for
-    // kill-writes; skipped entirely under an injectHook, whose tests
-    // observe every simulated cycle.
-    std::shared_ptr<replay::EffectTrace> trace;
+    // The effect trace for the replay fast path is recorded on the same
+    // run, by the caller's recorder or by an effect-only one; skipped
+    // entirely under an injectHook, whose tests observe every simulated
+    // cycle.
+    const bool record = opts_.replay && !opts_.injectHook;
+    std::optional<uarch::Probe> own;
     std::optional<obs::Span> tspan;
-    if (opts_.replay && !opts_.injectHook) {
+    if (record) {
         tspan.emplace("replay", "record " + prog_.name);
-        trace = std::make_shared<replay::EffectTrace>(
-            core.numRegisterFileEntries(), core.numStoreQueueEntries(),
-            core.numL1dWords());
-        core.setEffectSink(trace.get());
+        if (!probe) {
+            probe = &own.emplace(cfg_.numPhysIntRegs, cfg_.sqEntries,
+                                 cfg_.l1d.totalWords(), /*ace=*/false);
+        }
+        probe->recordEffects();
     }
+    uarch::Core core(prog_, cfg_, probe);
 
     if (opts_.checkpointInterval == 0) {
         g.arch = core.run();
@@ -290,7 +292,9 @@ InjectionRunner::golden(uarch::Probe *probe) const
         g.arch = core.result();
     }
 
-    if (trace) {
+    if (record) {
+        auto trace =
+            std::make_shared<replay::EffectTrace>(probe->takeEffects());
         m.traceBytes.set(static_cast<double>(trace->memoryBytes()));
         m.traceEvents.set(static_cast<double>(trace->numEvents()));
         g.trace = std::move(trace);

@@ -279,9 +279,11 @@ class InjectionRunner
                     const RunnerOptions &opts = {});
 
     /**
-     * Execute the fault-free run (optionally with a profiler probe
-     * attached) and capture the reference outcome plus periodic state
-     * checkpoints for fast injection resume.
+     * Execute the fault-free run (optionally recorded by @p probe, e.g.
+     * a profile::AceProfiler) and capture the reference outcome plus
+     * periodic state checkpoints for fast injection resume.  With
+     * replay on, the effect trace is recorded on @p probe too and moved
+     * out of it into GoldenRun::trace.
      */
     GoldenRun golden(uarch::Probe *probe = nullptr) const;
 

@@ -40,67 +40,17 @@ StructureProfile::aceAvf(Cycle total_cycles) const
 
 AceProfiler::AceProfiler(unsigned rf_entries, unsigned sq_entries,
                          unsigned l1d_words)
-    : rf_(rf_entries), sq_(sq_entries), l1d_(l1d_words)
+    : Probe(rf_entries, sq_entries, l1d_words),
+      profiles_{StructureProfile(rf_entries), StructureProfile(sq_entries),
+                StructureProfile(l1d_words)}
 {
-    rfEvents_.reserve(1 << 16);
-    sqEvents_.reserve(1 << 12);
-    l1dEvents_.reserve(1 << 14);
-}
-
-std::vector<AceProfiler::Event> &
-AceProfiler::events(Structure s)
-{
-    switch (s) {
-      case Structure::RegisterFile: return rfEvents_;
-      case Structure::StoreQueue:   return sqEvents_;
-      case Structure::L1DCache:     return l1dEvents_;
-    }
-    panic("bad structure");
-}
-
-StructureProfile &
-AceProfiler::mutableProfile(Structure s)
-{
-    switch (s) {
-      case Structure::RegisterFile: return rf_;
-      case Structure::StoreQueue:   return sq_;
-      case Structure::L1DCache:     return l1d_;
-    }
-    panic("bad structure");
 }
 
 const StructureProfile &
 AceProfiler::profile(Structure s) const
 {
     MERLIN_ASSERT(finalized_, "profile queried before finalize()");
-    switch (s) {
-      case Structure::RegisterFile: return rf_;
-      case Structure::StoreQueue:   return sq_;
-      case Structure::L1DCache:     return l1d_;
-    }
-    panic("bad structure");
-}
-
-void
-AceProfiler::onWrite(Structure s, EntryIndex entry, Cycle cycle,
-                     std::uint8_t phase)
-{
-    events(s).push_back(Event{cycle, 0, 0, entry, 0, phase, false});
-}
-
-void
-AceProfiler::onCommittedRead(Structure s, EntryIndex entry,
-                             Cycle read_cycle, std::uint8_t phase, Rip rip,
-                             Upc upc, SeqNum seq)
-{
-    events(s).push_back(
-        Event{read_cycle, rip, seq, entry, upc, phase, true});
-}
-
-void
-AceProfiler::onCommitBranch(Rip rip, bool taken, SeqNum seq)
-{
-    branches_.push_back(BranchRecord{seq, rip, taken});
+    return profiles_[idx(s)];
 }
 
 void
@@ -111,13 +61,14 @@ AceProfiler::finalize()
 
     for (Structure s : {Structure::RegisterFile, Structure::StoreQueue,
                         Structure::L1DCache}) {
-        auto &evs = events(s);
-        StructureProfile &prof = mutableProfile(s);
+        std::vector<uarch::AceEvent> &evs = events_[idx(s)];
+        StructureProfile &prof = profiles_[idx(s)];
 
         // Committed reads arrive at commit time, out of physical order;
         // restore it.  stable_sort keeps arrival order for exact ties.
         std::stable_sort(evs.begin(), evs.end(),
-                         [](const Event &a, const Event &b) {
+                         [](const uarch::AceEvent &a,
+                            const uarch::AceEvent &b) {
                              if (a.entry != b.entry)
                                  return a.entry < b.entry;
                              if (a.cycle != b.cycle)
@@ -127,21 +78,17 @@ AceProfiler::finalize()
 
         EntryIndex cur = ~EntryIndex(0);
         Cycle last = 0;
-        for (const Event &e : evs) {
+        for (const uarch::AceEvent &e : evs) {
             if (e.entry != cur) {
                 cur = e.entry;
                 last = 0; // implicit initial write at cycle 0
             }
-            if (e.isRead) {
-                if (e.cycle > last) {
-                    prof.perEntry_[e.entry].push_back(VulnerableInterval{
-                        last, e.cycle, e.rip, e.upc, e.seq});
-                    prof.totalVulnerable_ += e.cycle - last;
-                }
-                last = e.cycle;
-            } else {
-                last = e.cycle;
+            if (e.isRead && e.cycle > last) {
+                prof.perEntry_[e.entry].push_back(VulnerableInterval{
+                    last, e.cycle, e.rip, e.upc, e.seq});
+                prof.totalVulnerable_ += e.cycle - last;
             }
+            last = e.cycle;
         }
         evs.clear();
         evs.shrink_to_fit();

@@ -17,6 +17,7 @@
 #ifndef MERLIN_PROFILE_ACE_HH
 #define MERLIN_PROFILE_ACE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -75,17 +76,12 @@ class StructureProfile
     std::uint64_t totalVulnerable_ = 0;
 };
 
-/** A committed conditional branch (Relyzer control-path heuristic). */
-struct BranchRecord
-{
-    SeqNum seq = 0;
-    Rip rip = 0;
-    bool taken = false;
-};
+using uarch::BranchRecord;
 
 /**
- * The profiler: attach to a Core as its Probe for the golden run, then
- * finalize() once the run ends.
+ * The profiler: attach to a Core as its recorder for the golden run,
+ * then finalize() once the run ends to turn the recorded ACE view into
+ * interval lists.
  */
 class AceProfiler : public uarch::Probe
 {
@@ -93,14 +89,6 @@ class AceProfiler : public uarch::Probe
     /** Entry counts: physical registers, SQ slots, L1D 8-byte words. */
     AceProfiler(unsigned rf_entries, unsigned sq_entries,
                 unsigned l1d_words);
-
-    // Probe interface.
-    void onWrite(uarch::Structure s, EntryIndex entry, Cycle cycle,
-                 std::uint8_t phase) override;
-    void onCommittedRead(uarch::Structure s, EntryIndex entry,
-                         Cycle read_cycle, std::uint8_t phase, Rip rip,
-                         Upc upc, SeqNum seq) override;
-    void onCommitBranch(Rip rip, bool taken, SeqNum seq) override;
 
     /** Build interval lists; call exactly once, after the golden run. */
     void finalize();
@@ -110,7 +98,7 @@ class AceProfiler : public uarch::Probe
     /** Committed conditional-branch trace, ordered by sequence number. */
     const std::vector<BranchRecord> &branchTrace() const
     {
-        return branches_;
+        return branches();
     }
 
     /**
@@ -120,28 +108,8 @@ class AceProfiler : public uarch::Probe
     std::uint64_t pathSignature(SeqNum seq, unsigned depth = 5) const;
 
   private:
-    struct Event
-    {
-        Cycle cycle;
-        Rip rip;
-        SeqNum seq;
-        EntryIndex entry;
-        Upc upc;
-        std::uint8_t phase;
-        bool isRead;
-    };
-
-    StructureProfile &mutableProfile(uarch::Structure s);
-    std::vector<Event> &events(uarch::Structure s);
-
     bool finalized_ = false;
-    StructureProfile rf_;
-    StructureProfile sq_;
-    StructureProfile l1d_;
-    std::vector<Event> rfEvents_;
-    std::vector<Event> sqEvents_;
-    std::vector<Event> l1dEvents_;
-    std::vector<BranchRecord> branches_;
+    std::array<StructureProfile, 3> profiles_;
 };
 
 } // namespace merlin::profile

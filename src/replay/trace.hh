@@ -2,10 +2,11 @@
  * @file
  * Golden-run effect trace: the record that powers the replay fast path.
  *
- * The golden run is executed once with an EffectSink attached; every
- * physical touch of a target-structure byte (reads at consumption time,
- * writes at overwrite time — wrong-path and scheduling accesses
- * included) lands here as one packed event per (structure, entry).
+ * The golden run's recorder (uarch::Probe) keeps an effect view of the
+ * run: every physical touch of a target-structure byte (reads at
+ * consumption time, writes at overwrite time — wrong-path and
+ * scheduling accesses included) as one packed event per (structure,
+ * entry).  After the run the trace takes those streams over.
  *
  * An injection then asks one question: starting from the flip cycle,
  * what is the FIRST recorded event that covers the flipped byte?
@@ -31,7 +32,6 @@
 #ifndef MERLIN_REPLAY_TRACE_HH
 #define MERLIN_REPLAY_TRACE_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -56,24 +56,15 @@ struct FirstTouch
 };
 
 /**
- * Per-(structure, entry) streams of packed effect events.
- *
- * Event packing: cycle << 9 | byte_mask << 1 | is_write.  Events of one
- * entry are appended in nondecreasing cycle order (within a cycle, in
- * physical stage order), so the divergence query is a binary search to
- * the flip cycle plus a linear scan for the first covering byte mask.
+ * The golden run's effect streams (uarch::EffectStreams for the
+ * packing), queried per flip.  Events of one entry are in nondecreasing
+ * cycle order, so the divergence query is a binary search to the flip
+ * cycle plus a linear scan for the first covering byte mask.
  */
-class EffectTrace final : public uarch::EffectSink
+class EffectTrace
 {
   public:
-    /** Cycle budget of the packing (55 bits of cycle). */
-    static constexpr unsigned kCycleShift = 9;
-
-    EffectTrace(unsigned rf_entries, unsigned sq_entries,
-                unsigned l1d_words);
-
-    void onEffect(uarch::Structure s, EntryIndex entry, Cycle cycle,
-                  std::uint8_t byte_mask, bool is_write) override;
+    explicit EffectTrace(uarch::EffectStreams streams);
 
     /**
      * First recorded event at cycle >= @p from that covers the byte
@@ -89,7 +80,7 @@ class EffectTrace final : public uarch::EffectSink
     const std::vector<std::uint64_t> &
     events(uarch::Structure s, EntryIndex entry) const
     {
-        return events_[slotOf(s, entry)];
+        return s_.streams[s_.slot(s, entry)];
     }
 
     std::uint64_t numEvents() const;
@@ -98,13 +89,7 @@ class EffectTrace final : public uarch::EffectSink
     std::uint64_t memoryBytes() const;
 
   private:
-    std::size_t slotOf(uarch::Structure s, EntryIndex entry) const;
-
-    /** Entry counts per structure, indexed by Structure value. */
-    std::array<std::uint32_t, 3> counts_{};
-    /** events_ offset of each structure's first entry. */
-    std::array<std::size_t, 3> base_{};
-    std::vector<std::vector<std::uint64_t>> events_;
+    uarch::EffectStreams s_;
 };
 
 } // namespace merlin::replay

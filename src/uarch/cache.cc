@@ -6,7 +6,6 @@
 
 #include "base/bits.hh"
 #include "base/logging.hh"
-#include "uarch/probe.hh"
 
 namespace merlin::uarch
 {
@@ -51,7 +50,6 @@ Cache::repoint(Cache *lower, isa::SegmentedMemory *mem)
                   "cache needs exactly one backing level");
     lower_ = lower;
     mem_ = mem;
-    sink_ = nullptr;
 }
 
 const std::uint8_t *
@@ -67,11 +65,10 @@ Cache::lineDataMut(std::uint32_t set, std::uint32_t way)
 }
 
 std::uint32_t
-Cache::readLineFromBelow(Addr line_addr, std::uint8_t *out, Cycle now,
-                         Rip rip, Upc upc)
+Cache::readLineFromBelow(Addr line_addr, std::uint8_t *out)
 {
     if (lower_) {
-        AccessResult r = lower_->access(line_addr, false, now, rip, upc);
+        AccessResult r = lower_->access(line_addr, false);
         std::memcpy(out, lower_->lineData(r.set, r.way), cfg_.lineSize);
         return r.latency;
     }
@@ -82,25 +79,23 @@ Cache::readLineFromBelow(Addr line_addr, std::uint8_t *out, Cycle now,
     return memLatency_;
 }
 
-std::uint32_t
-Cache::writeLineBelow(Addr line_addr, const std::uint8_t *data, Cycle now,
-                      Rip rip, Upc upc)
+void
+Cache::writeLineBelow(Addr line_addr, const std::uint8_t *data)
 {
     if (lower_) {
-        AccessResult r = lower_->access(line_addr, true, now, rip, upc);
+        AccessResult r = lower_->access(line_addr, true);
         std::memcpy(lower_->lineDataMut(r.set, r.way), data,
                     cfg_.lineSize);
-        return r.latency;
+        return;
     }
     isa::TrapKind t = mem_->writeBlock(line_addr, data, cfg_.lineSize);
     MERLIN_ASSERT(t == isa::TrapKind::None,
                   "write-back to unmapped memory at 0x", std::hex,
                   line_addr);
-    return memLatency_;
 }
 
 Cache::AccessResult
-Cache::access(Addr addr, bool is_write, Cycle now, Rip rip, Upc upc)
+Cache::access(Addr addr, bool is_write)
 {
     const Addr laddr = lineAddr(addr);
     std::uint32_t set;
@@ -152,32 +147,17 @@ Cache::access(Addr addr, bool is_write, Cycle now, Rip rip, Upc upc)
         // Write-back: the whole victim line is read out of the array.
         const Addr victim_addr =
             (line.tag * numSets_ + set) * cfg_.lineSize;
-        if (sink_) {
-            for (std::uint32_t o = 0; o < cfg_.lineSize; o += 8) {
-                sink_->onCacheWordWritebackRead(wordIndex(set, victim, o),
-                                                now, rip, upc);
-                sink_->onCacheWordReadMasked(wordIndex(set, victim, o),
-                                             0xff, now);
-            }
-        }
-        writeLineBelow(victim_addr, lineData(set, victim), now, rip, upc);
+        writeLineBelow(victim_addr, lineData(set, victim));
         ++writebacks_;
+        res.wroteBack = true;
     }
 
     // Fill from below (overwrites the whole line's storage).
-    latency += readLineFromBelow(laddr, lineDataMut(set, victim), now,
-                                 rip, upc);
+    latency += readLineFromBelow(laddr, lineDataMut(set, victim));
     line.valid = true;
     line.dirty = is_write;
     line.tag = tag;
     line.lruStamp = ++lruCounter_;
-    if (sink_) {
-        for (std::uint32_t o = 0; o < cfg_.lineSize; o += 8) {
-            sink_->onCacheWordWrite(wordIndex(set, victim, o), now);
-            sink_->onCacheWordWriteMasked(wordIndex(set, victim, o),
-                                          0xff, now);
-        }
-    }
 
     res.way = victim;
     res.hit = false;
@@ -195,25 +175,10 @@ Cache::readBytes(std::uint32_t set, std::uint32_t way, std::uint32_t offset,
 
 void
 Cache::writeBytes(std::uint32_t set, std::uint32_t way, std::uint32_t offset,
-                  unsigned size, std::uint64_t value, Cycle now)
+                  unsigned size, std::uint64_t value)
 {
     MERLIN_ASSERT(offset + size <= cfg_.lineSize, "write past line end");
     storeLE(lineDataMut(set, way) + offset, value, size);
-    if (sink_) {
-        sink_->onCacheWordWrite(wordIndex(set, way, offset), now);
-        // A sub-word store may straddle a word boundary; report the
-        // exact bytes of every word it touches.
-        for (std::uint32_t b = offset; b < offset + size;) {
-            const std::uint32_t word_end = (b & ~7u) + 8;
-            const std::uint32_t run = std::min(offset + size, word_end);
-            std::uint8_t mask = 0;
-            for (std::uint32_t i = b; i < run; ++i)
-                mask |= static_cast<std::uint8_t>(1u << (i & 7u));
-            sink_->onCacheWordWriteMasked(wordIndex(set, way, b), mask,
-                                          now);
-            b = run;
-        }
-    }
 }
 
 void
@@ -248,17 +213,6 @@ Cache::stateEquals(const Cache &o) const
     return lruCounter_ == o.lruCounter_ && hits_ == o.hits_ &&
            misses_ == o.misses_ && writebacks_ == o.writebacks_ &&
            lines_ == o.lines_ && data_.contentEquals(o.data_);
-}
-
-const char *
-structureName(Structure s)
-{
-    switch (s) {
-      case Structure::RegisterFile: return "RF";
-      case Structure::StoreQueue:   return "SQ";
-      case Structure::L1DCache:     return "L1D";
-      default:                      return "<bad>";
-    }
 }
 
 } // namespace merlin::uarch

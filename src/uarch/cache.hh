@@ -37,39 +37,6 @@
 namespace merlin::uarch
 {
 
-/** Receives data-array events from the (single) profiled cache level. */
-class CacheEventSink
-{
-  public:
-    virtual ~CacheEventSink() = default;
-    /** An 8-byte word of the data array was overwritten. */
-    virtual void onCacheWordWrite(EntryIndex word, Cycle cycle) = 0;
-    /**
-     * A dirty line left the array (write-back read); attributed to the
-     * access that caused the eviction.
-     */
-    virtual void onCacheWordWritebackRead(EntryIndex word, Cycle cycle,
-                                          Rip rip, Upc upc) = 0;
-
-    /**
-     * Byte-granular physical events for the replay effect trace; the
-     * defaults ignore them so probe-only sinks are unaffected.  Unlike
-     * onCacheWordWrite (first word only, profiler semantics), the
-     * masked write fires once per touched word with the exact bytes
-     * overwritten; the masked read fires for every word physically
-     * read out of the array (write-back victims).
-     */
-    virtual void
-    onCacheWordWriteMasked(EntryIndex /*word*/, std::uint8_t /*mask*/,
-                           Cycle /*cycle*/)
-    {}
-
-    virtual void
-    onCacheWordReadMasked(EntryIndex /*word*/, std::uint8_t /*mask*/,
-                          Cycle /*cycle*/)
-    {}
-};
-
 /** One level of the hierarchy; lowest level backs onto SegmentedMemory. */
 class Cache
 {
@@ -88,15 +55,17 @@ class Cache
         std::uint32_t set = 0;
         std::uint32_t way = 0;
         bool hit = false;
+        /** A miss evicted a dirty line from (set, way): the whole
+         *  victim was read out of the array before the fill. */
+        bool wroteBack = false;
     };
 
     /**
      * Ensure the line containing @p addr is resident; returns where it
      * lives and the accumulated latency.  @p is_write marks the line
-     * dirty.  @p rip / @p upc tag any write-back this access triggers.
+     * dirty.  A miss overwrites every word of line (set, way).
      */
-    AccessResult access(Addr addr, bool is_write, Cycle now, Rip rip,
-                        Upc upc);
+    AccessResult access(Addr addr, bool is_write);
 
     /** Read up to 8 bytes from a resident line (no alignment checks). */
     std::uint64_t readBytes(std::uint32_t set, std::uint32_t way,
@@ -104,8 +73,8 @@ class Cache
 
     /** Write up to 8 bytes into a resident line. */
     void writeBytes(std::uint32_t set, std::uint32_t way,
-                    std::uint32_t offset, unsigned size, std::uint64_t value,
-                    Cycle now);
+                    std::uint32_t offset, unsigned size,
+                    std::uint64_t value);
 
     /** Flip one bit of the data array (fault injection). */
     void flipBit(EntryIndex word, unsigned bit);
@@ -121,13 +90,10 @@ class Cache
     /** Apply every dirty line onto @p mem (architectural memory view). */
     void applyDirtyLines(isa::SegmentedMemory &mem) const;
 
-    /** Attach the profiler sink (L1D only). */
-    void setEventSink(CacheEventSink *sink) { sink_ = sink; }
-
     /**
      * Re-target the hierarchy pointers after a memberwise copy (core
      * snapshot/restore).  Exactly one of @p lower / @p mem must be
-     * non-null; any event sink is dropped.
+     * non-null.
      */
     void repoint(Cache *lower, isa::SegmentedMemory *mem);
 
@@ -224,17 +190,14 @@ class Cache
     std::uint8_t *lineDataMut(std::uint32_t set, std::uint32_t way);
 
     /** Recursive line read from below; returns latency. */
-    std::uint32_t readLineFromBelow(Addr line_addr, std::uint8_t *out,
-                                    Cycle now, Rip rip, Upc upc);
+    std::uint32_t readLineFromBelow(Addr line_addr, std::uint8_t *out);
     /** Recursive line write-back into the level below. */
-    std::uint32_t writeLineBelow(Addr line_addr, const std::uint8_t *data,
-                                 Cycle now, Rip rip, Upc upc);
+    void writeLineBelow(Addr line_addr, const std::uint8_t *data);
 
     std::string name_;
     CacheConfig cfg_;
     Cache *lower_;
     isa::SegmentedMemory *mem_;
-    CacheEventSink *sink_ = nullptr;
 
     std::uint32_t numSets_;
     bool pow2_;                 ///< line size and set count powers of two

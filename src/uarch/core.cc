@@ -22,6 +22,18 @@ namespace
 {
 /** The uop a fetch-trap entry carries (it never executes). */
 const StaticUop kNoUop{};
+
+/**
+ * Bytes [offset, offset + size) of an 8-byte entry as a byte mask.
+ * Loads and stores are 1, 2, 4 or 8 bytes and SegmentedMemory::check
+ * traps misaligned ones, so no access straddles an entry.
+ */
+std::uint8_t
+byteMask(unsigned offset, unsigned size)
+{
+    MERLIN_ASSERT(offset + size <= 8, "access straddles an 8-byte entry");
+    return static_cast<std::uint8_t>(((1u << size) - 1u) << offset);
+}
 } // namespace
 
 Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
@@ -53,10 +65,15 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
     prf_[isa::REG_SP] = isa::layout::STACK_TOP;
     // Initial architectural state is a physical write at cycle 0.
     if (probe_) {
+        MERLIN_ASSERT(probe_->entries(Structure::RegisterFile) ==
+                              numRegisterFileEntries() &&
+                          probe_->entries(Structure::StoreQueue) ==
+                              numStoreQueueEntries() &&
+                          probe_->entries(Structure::L1DCache) ==
+                              numL1dWords(),
+                      "probe sized for a different machine");
         for (unsigned i = 0; i < isa::NUM_RENAMEABLE_REGS; ++i)
-            probe_->onWrite(Structure::RegisterFile, i, 0, phase::Init);
-        l1dSink_.core = this;
-        l1d_.setEventSink(&l1dSink_);
+            probe_->initWrite(Structure::RegisterFile, i);
     }
     freeList_.reserve(cfg_.numPhysIntRegs);
     for (unsigned p = cfg_.numPhysIntRegs;
@@ -108,16 +125,13 @@ Core::decodeText(const isa::SegmentedMemory &mem)
 void
 Core::fixupAfterCopy()
 {
-    // Restored cores never profile: the probe belongs to the golden
-    // run, and so does the effect-trace sink.
+    // Restored cores never record: the probe belongs to the golden run.
     probe_ = nullptr;
-    esink_ = nullptr;
     pending_.clear();
     pending_.shrink_to_fit();
     l2_.repoint(nullptr, &mem_);
     l1i_.repoint(&l2_, nullptr);
     l1d_.repoint(&l2_, nullptr);
-    l1dSink_.core = this;
 }
 
 std::uint64_t
@@ -241,10 +255,7 @@ Core::stateEquals(const Core &o) const
         sqNextSeq_ != o.sqNextSeq_ || sqHeadSeq_ != o.sqHeadSeq_ ||
         lqOccupancy_ != o.lqOccupancy_ || fetchPc_ != o.fetchPc_ ||
         fetchResumeCycle_ != o.fetchResumeCycle_ ||
-        fetchHalted_ != o.fetchHalted_ ||
-        l1dWbReadPhase_ != o.l1dWbReadPhase_ ||
-        l1dWritePhase_ != o.l1dWritePhase_ ||
-        l1dCtxSeq_ != o.l1dCtxSeq_) {
+        fetchHalted_ != o.fetchHalted_) {
         return false;
     }
     if (!(stats_ == o.stats_) || !(result_ == o.result_))
@@ -349,13 +360,29 @@ Core::archMemoryView() const
 
 void
 Core::addPendingRead(const RobEntry &e, Structure s, EntryIndex entry,
-                     Cycle cycle, std::uint8_t ph)
+                     std::uint8_t ph)
 {
-    if (!probe_)
-        return;
     PendingReads &p = pending_[robSlot(e.seq)];
     MERLIN_ASSERT(p.n < 4, "pending read overflow");
-    p.reads[p.n++] = PendingRead{s, entry, cycle, ph};
+    p.reads[p.n++] = PendingRead{s, entry, cycle_, ph};
+}
+
+void
+Core::recordL1dMiss(const Cache::AccessResult &ar, std::uint8_t wb_phase,
+                    std::uint8_t fill_phase, Rip rip, Upc upc, SeqNum seq)
+{
+    if (ar.hit)
+        return;
+    const EntryIndex first = l1d_.wordIndex(ar.set, ar.way, 0);
+    const EntryIndex end = first + cfg_.l1d.wordsPerLine();
+    // The dirty victim left the array before the fill overwrote it.
+    if (ar.wroteBack) {
+        for (EntryIndex w = first; w < end; ++w)
+            probe_->read(Structure::L1DCache, w, cycle_, wb_phase, rip, upc,
+                         seq, 0xff);
+    }
+    for (EntryIndex w = first; w < end; ++w)
+        probe_->write(Structure::L1DCache, w, cycle_, fill_phase, 0xff);
 }
 
 Core::FetchedUop &
@@ -407,54 +434,9 @@ Core::uopQueueEquals(const Core &o) const
 std::uint64_t
 Core::readPhysReg(RobEntry &e, std::uint16_t preg)
 {
-    addPendingRead(e, Structure::RegisterFile, preg, cycle_,
-                   phase::RegRead);
-    emitEffect(Structure::RegisterFile, preg, 0xff, false);
+    if (probe_)
+        recordRead(e, Structure::RegisterFile, preg, phase::RegRead, 0xff);
     return prf_[preg];
-}
-
-void
-Core::setEffectSink(EffectSink *sink)
-{
-    esink_ = sink;
-    if (esink_) {
-        l1dSink_.core = this;
-        l1d_.setEventSink(&l1dSink_);
-    }
-}
-
-void
-Core::L1dSink::onCacheWordWrite(EntryIndex word, Cycle cycle)
-{
-    if (core->probe_) {
-        core->probe_->onWrite(Structure::L1DCache, word, cycle,
-                              core->l1dWritePhase_);
-    }
-}
-
-void
-Core::L1dSink::onCacheWordWritebackRead(EntryIndex word, Cycle cycle,
-                                        Rip rip, Upc upc)
-{
-    if (core->probe_) {
-        core->probe_->onCommittedRead(Structure::L1DCache, word, cycle,
-                                      core->l1dWbReadPhase_, rip, upc,
-                                      core->l1dCtxSeq_);
-    }
-}
-
-void
-Core::L1dSink::onCacheWordWriteMasked(EntryIndex word, std::uint8_t mask,
-                                      Cycle /*cycle*/)
-{
-    core->emitEffect(Structure::L1DCache, word, mask, true);
-}
-
-void
-Core::L1dSink::onCacheWordReadMasked(EntryIndex word, std::uint8_t mask,
-                                     Cycle /*cycle*/)
-{
-    core->emitEffect(Structure::L1DCache, word, mask, false);
 }
 
 void
@@ -502,8 +484,7 @@ Core::stageFetch()
             return;
         }
 
-        Cache::AccessResult ar =
-            l1i_.access(fetchPc_, false, cycle_, fetchPc_, 0);
+        Cache::AccessResult ar = l1i_.access(fetchPc_, false);
         if (!ar.hit) {
             // Line is now resident; retry once the fill completes.
             fetchResumeCycle_ = cycle_ + ar.latency;
@@ -711,17 +692,15 @@ Core::loadBlocked(const RobEntry &e, Addr addr, unsigned size,
             addr >= q.addr && addr + size <= q.addr + q.size;
         if (!contained)
             return true; // partial overlap: wait for drain
-        const unsigned shift =
-            static_cast<unsigned>(addr - q.addr) * 8;
+        const unsigned offset = static_cast<unsigned>(addr - q.addr);
         // Physical consumption of the SQ data field — recorded even
         // when the caller is only probing issue eligibility (a
-        // conservative over-report; see EffectSink).
-        emitEffect(Structure::StoreQueue, slot,
-                   static_cast<std::uint8_t>(
-                       (size >= 8 ? 0xffu : (1u << size) - 1u)
-                       << (shift / 8)),
-                   false);
-        std::uint64_t v = sqData_[slot] >> shift;
+        // conservative over-report; see uarch/probe.hh).
+        if (probe_) {
+            probe_->physicalRead(Structure::StoreQueue, slot, cycle_,
+                                 byteMask(offset, size));
+        }
+        std::uint64_t v = sqData_[slot] >> (offset * 8);
         if (size < 8)
             v &= (1ULL << (size * 8)) - 1;
         fwd_value = v;
@@ -787,9 +766,10 @@ Core::executeUop(RobEntry &e)
       case UopKind::Load: {
         ++stats_.loadsExecuted;
         const Addr addr = prf_[e.physSrc1] + su.imm;
-        addPendingRead(e, Structure::RegisterFile, e.physSrc1, cycle_,
-                       phase::RegRead);
-        emitEffect(Structure::RegisterFile, e.physSrc1, 0xff, false);
+        if (probe_) {
+            recordRead(e, Structure::RegisterFile, e.physSrc1,
+                       phase::RegRead, 0xff);
+        }
         const TrapKind t = mem_.check(addr, su.memSize, false);
         if (t != TrapKind::None) {
             e.trap = t;
@@ -805,35 +785,24 @@ Core::executeUop(RobEntry &e)
         Cycle done_at;
         if (can_forward) {
             ++stats_.storeForwards;
-            addPendingRead(e, Structure::StoreQueue, fwd_slot, cycle_,
-                           phase::SqForwardRead);
+            // loadBlocked() recorded the physical read.
+            if (probe_) {
+                addPendingRead(e, Structure::StoreQueue, fwd_slot,
+                               phase::SqForwardRead);
+            }
             done_at = cycle_ + cfg_.forwardLatency;
         } else {
-            l1dWbReadPhase_ = phase::L1dIssueWbRead;
-            l1dWritePhase_ = phase::L1dIssueWrite;
-            l1dCtxSeq_ = e.seq;
-            Cache::AccessResult ar =
-                l1d_.access(addr, false, cycle_, e.rip, e.upc);
+            Cache::AccessResult ar = l1d_.access(addr, false);
             const std::uint32_t off = static_cast<std::uint32_t>(
                 addr & (cfg_.l1d.lineSize - 1));
             value = l1d_.readBytes(ar.set, ar.way, off, su.memSize);
-            addPendingRead(e, Structure::L1DCache,
-                           l1d_.wordIndex(ar.set, ar.way, off), cycle_,
-                           phase::L1dLoadRead);
-            if (esink_) {
-                // Exact bytes consumed, per touched word (a load may
-                // straddle an 8-byte word boundary).
-                for (std::uint32_t b = off; b < off + su.memSize;) {
-                    const std::uint32_t run = std::min<std::uint32_t>(
-                        off + su.memSize, (b & ~7u) + 8);
-                    std::uint8_t mask = 0;
-                    for (std::uint32_t i = b; i < run; ++i)
-                        mask |= static_cast<std::uint8_t>(1u << (i & 7u));
-                    emitEffect(Structure::L1DCache,
-                               l1d_.wordIndex(ar.set, ar.way, b), mask,
-                               false);
-                    b = run;
-                }
+            if (probe_) {
+                recordL1dMiss(ar, phase::L1dIssueWbRead,
+                              phase::L1dIssueWrite, e.rip, e.upc, e.seq);
+                recordRead(e, Structure::L1DCache,
+                           l1d_.wordIndex(ar.set, ar.way, off),
+                           phase::L1dLoadRead,
+                           byteMask(off % 8, su.memSize));
             }
             done_at = cycle_ + ar.latency;
             ar.hit ? ++stats_.l1dHits : ++stats_.l1dMisses;
@@ -860,12 +829,10 @@ Core::executeUop(RobEntry &e)
             q.addrReady = true;
             sqData_[e.sqSlot] = data;
             q.dataReady = true;
-            emitEffect(Structure::StoreQueue,
-                       static_cast<EntryIndex>(e.sqSlot), 0xff, true);
             if (probe_) {
-                probe_->onWrite(Structure::StoreQueue,
-                                static_cast<EntryIndex>(e.sqSlot), cycle_,
-                                phase::SqWrite);
+                probe_->write(Structure::StoreQueue,
+                              static_cast<EntryIndex>(e.sqSlot), cycle_,
+                              phase::SqWrite, 0xff);
             }
         }
         scheduleCompletion(e, cycle_ + 1);
@@ -965,7 +932,10 @@ Core::stageIssue()
             // Scheduling read: the register value decides whether the
             // load can issue this cycle, so it is physically consumed
             // even when the load ends up blocked.
-            emitEffect(Structure::RegisterFile, e.physSrc1, 0xff, false);
+            if (probe_) {
+                probe_->physicalRead(Structure::RegisterFile, e.physSrc1,
+                                     cycle_, 0xff);
+            }
             if (mem_.check(addr, e.su.memSize, false) == TrapKind::None) {
                 bool fwd = false;
                 std::uint64_t v = 0;
@@ -1058,10 +1028,9 @@ Core::stageWriteback()
         if (e.physDst != NO_PREG) {
             prf_[e.physDst] = e.resultValue;
             prfReady_[e.physDst] = 1;
-            emitEffect(Structure::RegisterFile, e.physDst, 0xff, true);
             if (probe_) {
-                probe_->onWrite(Structure::RegisterFile, e.physDst,
-                                c.cycle, phase::RegWrite);
+                probe_->write(Structure::RegisterFile, e.physDst, cycle_,
+                              phase::RegWrite, 0xff);
             }
         }
         e.done = true;
@@ -1086,24 +1055,21 @@ Core::stageDrainStores()
     if (!q.committed)
         return;
 
-    l1dWbReadPhase_ = phase::L1dDrainWbRead;
-    l1dWritePhase_ = phase::L1dDrainWrite;
-    l1dCtxSeq_ = q.seqNum;
-    Cache::AccessResult ar = l1d_.access(q.addr, true, cycle_, q.rip,
-                                         q.upc);
+    Cache::AccessResult ar = l1d_.access(q.addr, true);
     const std::uint32_t off =
         static_cast<std::uint32_t>(q.addr & (cfg_.l1d.lineSize - 1));
-    // Draining physically reads the low q.size bytes of the data field.
-    emitEffect(Structure::StoreQueue, slot,
-               static_cast<std::uint8_t>(q.size >= 8 ? 0xffu
-                                                     : (1u << q.size) - 1u),
-               false);
-    l1d_.writeBytes(ar.set, ar.way, off, q.size, sqData_[slot], cycle_);
+    l1d_.writeBytes(ar.set, ar.way, off, q.size, sqData_[slot]);
     if (probe_) {
-        // Draining reads the SQ data field one last time.
-        probe_->onCommittedRead(Structure::StoreQueue, slot, cycle_,
-                                phase::SqDrainRead, q.rip, q.upc,
-                                q.seqNum);
+        recordL1dMiss(ar, phase::L1dDrainWbRead, phase::L1dDrainWrite,
+                      q.rip, q.upc, q.seqNum);
+        // Draining reads the low q.size bytes of the SQ data field one
+        // last time, and overwrites those bytes of one L1D word.
+        probe_->read(Structure::StoreQueue, slot, cycle_,
+                     phase::SqDrainRead, q.rip, q.upc, q.seqNum,
+                     byteMask(0, q.size));
+        probe_->write(Structure::L1DCache,
+                      l1d_.wordIndex(ar.set, ar.way, off), cycle_,
+                      phase::L1dDrainWrite, byteMask(off % 8, q.size));
     }
     q.valid = false;
     ++sqHeadSeq_;
@@ -1134,8 +1100,8 @@ Core::stageCommit()
             const PendingReads &pr = pending_[robSlot(e.seq)];
             for (unsigned i = 0; i < pr.n; ++i) {
                 const PendingRead &p = pr.reads[i];
-                probe_->onCommittedRead(p.s, p.entry, p.cycle, p.phase,
-                                        e.rip, e.upc, e.seq);
+                probe_->committedRead(p.s, p.entry, p.cycle, p.phase,
+                                      e.rip, e.upc, e.seq);
             }
         }
 
@@ -1161,7 +1127,7 @@ Core::stageCommit()
                 ++stats_.condBranches;
                 tournament_.update(e.rip, e.actualTaken, e.predState);
                 if (probe_)
-                    probe_->onCommitBranch(e.rip, e.actualTaken, e.seq);
+                    probe_->branch(e.rip, e.actualTaken, e.seq);
             } else if (e.su.base == Opcode::JR) {
                 btb_.update(e.rip, e.actualTarget);
             }
@@ -1170,8 +1136,6 @@ Core::stageCommit()
         ++stats_.uopsRetired;
         if (e.lastUop) {
             ++stats_.instret;
-            if (probe_)
-                probe_->onCommitInstruction(e.rip, e.seq);
             if (cfg_.instructionWindowEnd != 0 &&
                 stats_.instret >= cfg_.instructionWindowEnd) {
                 ++robHeadSeq_;

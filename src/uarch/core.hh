@@ -10,8 +10,12 @@
  * on branch mispredictions.
  *
  * Reliability hooks:
- *  - a Probe observes physical writes and committed reads of the three
- *    MeRLiN target structures (RF, SQ data field, L1D data array);
+ *  - the golden run carries a Probe, the one recorder the core writes
+ *    every physical write, committed read and physical read of the
+ *    three MeRLiN target structures (RF, SQ data field, L1D data array)
+ *    to, one inline call per site; L1D fills and write-backs are
+ *    recorded from each access's result, since the core knows the
+ *    phase and the accessing uop (the cache itself reports nothing);
  *  - flip*Bit() methods let the injector corrupt live storage mid-run.
  *
  * Stage evaluation order within a cycle is commit -> writeback -> issue ->
@@ -97,6 +101,8 @@ class Core
      */
     class Snapshot;
 
+    /** @p probe, when given, records the run; its entry counts must
+     *  be this machine's. */
     Core(const isa::Program &prog, const CoreConfig &cfg,
          Probe *probe = nullptr);
 
@@ -123,7 +129,7 @@ class Core
     /**
      * Deep state equality with the core stored in @p snap: memory and
      * cache data compare chunk-pointer-first, everything else
-     * field-wise.  Probe-only bookkeeping (pending profiler reads) is
+     * field-wise.  Probe-only bookkeeping (pending committed reads) is
      * excluded — it never influences a probe-free run.  True means the
      * two cores are on identical future trajectories.
      */
@@ -158,15 +164,6 @@ class Core
     unsigned numRegisterFileEntries() const { return cfg_.numPhysIntRegs; }
     unsigned numStoreQueueEntries() const { return cfg_.sqEntries; }
     unsigned numL1dWords() const { return cfg_.l1d.totalWords(); }
-
-    /**
-     * Attach a raw physical-effect listener (the replay effect-trace
-     * recorder).  Must be attached AFTER construction — the
-     * constructor's initialisation writes are the pre-run state, not
-     * replayable effects — and before the first tick().  Snapshots
-     * never carry the sink (it belongs to the recording run only).
-     */
-    void setEffectSink(EffectSink *sink);
 
     // ---- architectural state extraction (window-end comparison) ----
     /** Committed value of architectural register @p arch. */
@@ -237,32 +234,6 @@ class Core
     /** Decode every instruction slot of @p mem's text segment. */
     static std::shared_ptr<const DecodedText>
     decodeText(const isa::SegmentedMemory &mem);
-
-    /**
-     * Forwards L1D data-array events to the probe with phase context,
-     * and raw masked events to the effect sink.
-     */
-    struct L1dSink : CacheEventSink
-    {
-        Core *core = nullptr;
-        void onCacheWordWrite(EntryIndex word, Cycle cycle) override;
-        void onCacheWordWritebackRead(EntryIndex word, Cycle cycle,
-                                      Rip rip, Upc upc) override;
-        void onCacheWordWriteMasked(EntryIndex word, std::uint8_t mask,
-                                    Cycle cycle) override;
-        void onCacheWordReadMasked(EntryIndex word, std::uint8_t mask,
-                                   Cycle cycle) override;
-    };
-    friend struct L1dSink;
-
-    /** Record a physical touch of a target structure, if recording. */
-    void
-    emitEffect(Structure s, EntryIndex entry, std::uint8_t mask,
-               bool is_write)
-    {
-        if (esink_)
-            esink_->onEffect(s, entry, cycle_, mask, is_write);
-    }
 
     /** One ROB slot; fields grouped by width to keep the entry small. */
     struct RobEntry
@@ -414,8 +385,25 @@ class Core
     void squashAfter(SeqNum branch_seq, Addr redirect_to);
     void terminate(isa::TerminateReason reason, int exit_code);
     void raiseTrapAtCommit(RobEntry &e);
+
+    // Recording (probe_ non-null).
+    /** Buffer @p e's committed read until it commits. */
     void addPendingRead(const RobEntry &e, Structure s, EntryIndex entry,
-                        Cycle cycle, std::uint8_t phase);
+                        std::uint8_t phase);
+    /** @p e reads now: a physical read, and a committed one if it
+     *  commits. */
+    void
+    recordRead(const RobEntry &e, Structure s, EntryIndex entry,
+               std::uint8_t phase, std::uint8_t mask)
+    {
+        probe_->physicalRead(s, entry, cycle_, mask);
+        addPendingRead(e, s, entry, phase);
+    }
+    /** The write-back reads and fill writes of an L1D miss @p ar, on
+     *  behalf of the access (@p rip, @p upc, @p seq). */
+    void recordL1dMiss(const Cache::AccessResult &ar,
+                       std::uint8_t wb_phase, std::uint8_t fill_phase,
+                       Rip rip, Upc upc, SeqNum seq);
 
     // Uop queue (fixed ring).
     bool uopQueueEmpty() const { return uopCount_ == 0; }
@@ -433,7 +421,6 @@ class Core
 
     CoreConfig cfg_;
     Probe *probe_;
-    EffectSink *esink_ = nullptr;
 
     // Memory system.
     isa::SegmentedMemory mem_;
@@ -484,12 +471,6 @@ class Core
 
     // Execution resources.
     std::vector<Cycle> divBusyUntil_;
-
-    // Probe plumbing for L1D data-array events.
-    L1dSink l1dSink_;
-    std::uint8_t l1dWbReadPhase_ = phase::L1dIssueWbRead;
-    std::uint8_t l1dWritePhase_ = phase::L1dIssueWrite;
-    SeqNum l1dCtxSeq_ = 0;
 
     // Run state.
     Cycle cycle_ = 0;

@@ -1,23 +1,44 @@
 /**
  * @file
- * Observer interface between the core and reliability tooling.
+ * The golden-run recorder: one concrete sink the core writes to.
  *
- * The ACE-like profiler (profile/) attaches a Probe to the golden run.
- * Injection runs attach nothing, so the hot path stays probe-free.
+ * MeRLiN's preprocessing is a single profiled golden run (Section
+ * 3.1.1).  The core reports every touch of the three target structures
+ * straight into a Probe, one inline call per site; injection runs carry
+ * no Probe, so their hot path pays one null check per site.  The Probe
+ * keeps two views of the run in plain vectors:
  *
- * Event semantics follow the paper's Figure 3:
- *  - write events are *physical*: they fire whenever storage is
- *    overwritten, including by wrong-path uops and cache fills;
- *  - read events are *committed*: the core buffers each uop's reads and
- *    delivers them only if the uop commits, discarding them on squash.
- *    Cache write-backs are the exception — the data has already left the
- *    array, so they are delivered immediately with the RIP/uPC of the
- *    access that caused the eviction.
+ *  - the ACE view, from which profile::AceProfiler builds vulnerable
+ *    intervals (semantics of the paper's Figure 3):
+ *     - writes are *physical*: they are recorded whenever storage is
+ *       overwritten, including by wrong-path uops and cache fills;
+ *     - reads are *committed*: the core buffers each uop's reads and
+ *       reports them only if the uop commits, discarding them on
+ *       squash.  Cache write-backs and store drains are the exception:
+ *       the data leaves the structure then, so they are reported at
+ *       once, with the RIP/uPC/seq of the access that caused them;
+ *     - the committed conditional branches (Relyzer's path key).
+ *  - the effect view, from which replay::EffectTrace answers "what
+ *    first touches this flipped byte?"  Recorded only on request
+ *    (recordEffects()).  Every *physical* touch lands here the moment
+ *    it happens, wrong-path, scheduling and squashed accesses
+ *    included.  Reads may be over-reported (a spurious read only costs
+ *    a handoff into full simulation), but a write is recorded exactly
+ *    when the bytes are overwritten with data independent of their
+ *    prior content.  That asymmetry makes the trace a sound divergence
+ *    detector.
+ *
+ * A physical write feeds both views in one call.
  */
 
 #ifndef MERLIN_UARCH_PROBE_HH
 #define MERLIN_UARCH_PROBE_HH
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "base/logging.hh"
 #include "base/types.hh"
 
 namespace merlin::uarch
@@ -54,64 +75,189 @@ constexpr std::uint8_t L1dIssueWrite = 9; ///< fill during a load miss
 constexpr std::uint8_t L1dLoadRead = 10;
 } // namespace phase
 
-/**
- * Raw physical effect listener for the replay fast path (replay/).
- *
- * Unlike Probe, which follows the paper's committed-read semantics for
- * ACE analysis, an EffectSink sees every PHYSICAL touch of a target
- * structure's storage the moment it happens — wrong-path reads,
- * scheduling reads and squashed writes included.  That conservatism is
- * what makes the recorded trace a sound divergence detector: a read
- * may be over-reported (costing only a handoff into full simulation),
- * but a write is reported exactly when the bytes are overwritten with
- * data independent of their prior content.
- *
- * @p byte_mask selects the touched bytes of the 8-byte entry (bit i =
- * byte i).  Events for one entry arrive in nondecreasing cycle order,
- * and within a cycle in physical stage order.
- */
-class EffectSink
+/** One ACE-view event of one entry: a physical write or committed read. */
+struct AceEvent
 {
-  public:
-    virtual ~EffectSink() = default;
-
-    virtual void onEffect(Structure s, EntryIndex entry, Cycle cycle,
-                          std::uint8_t byte_mask, bool is_write) = 0;
+    Cycle cycle;
+    Rip rip;   ///< reader's RIP (reads only)
+    SeqNum seq; ///< reader's commit sequence number (reads only)
+    EntryIndex entry;
+    Upc upc;   ///< reader's uPC (reads only)
+    std::uint8_t phase;
+    bool isRead;
 };
 
-/** Core event listener; default implementations ignore everything. */
+/** A committed conditional branch (Relyzer control-path heuristic). */
+struct BranchRecord
+{
+    SeqNum seq = 0;
+    Rip rip = 0;
+    bool taken = false;
+};
+
+/**
+ * The effect view: one stream of packed events per (structure, entry).
+ *
+ * Event packing: cycle << kCycleShift | byte_mask << 1 | is_write,
+ * where bit i of byte_mask is byte i of the 8-byte entry.  Events of
+ * one entry are appended in nondecreasing cycle order, and within a
+ * cycle in physical stage order.
+ */
+struct EffectStreams
+{
+    /** Cycle budget of the packing (55 bits of cycle). */
+    static constexpr unsigned kCycleShift = 9;
+
+    /** Entry counts per structure, indexed by Structure value. */
+    std::array<std::uint32_t, 3> counts{};
+    /** streams offset of each structure's first entry. */
+    std::array<std::size_t, 3> base{};
+    std::vector<std::vector<std::uint64_t>> streams;
+
+    EffectStreams() = default;
+    EffectStreams(unsigned rf_entries, unsigned sq_entries,
+                  unsigned l1d_words);
+
+    std::size_t
+    slot(Structure s, EntryIndex entry) const
+    {
+        const auto si = static_cast<std::size_t>(s);
+        MERLIN_ASSERT(si < 3 && entry < counts[si],
+                      "effect-stream entry out of range");
+        return base[si] + entry;
+    }
+};
+
+/** The golden-run recorder (see the file comment). */
 class Probe
 {
   public:
-    virtual ~Probe() = default;
+    /**
+     * Entry counts: physical registers, SQ slots, L1D 8-byte words.
+     * @p ace records the ACE view; the effect view is off until
+     * recordEffects().
+     */
+    Probe(unsigned rf_entries, unsigned sq_entries, unsigned l1d_words,
+          bool ace = true);
 
-    /** Storage written: entry @p entry of @p s at @p cycle. */
-    virtual void
-    onWrite(Structure /*s*/, EntryIndex /*entry*/, Cycle /*cycle*/,
-            std::uint8_t /*phase*/)
-    {}
+    /** Also record the effect view (before the run starts). */
+    void
+    recordEffects()
+    {
+        effects_ = EffectStreams(counts_[0], counts_[1], counts_[2]);
+        recordingEffects_ = true;
+    }
+
+    // ---- written by the core ----
+
+    /** Storage overwritten: both views. */
+    void
+    write(Structure s, EntryIndex entry, Cycle cycle, std::uint8_t ph,
+          std::uint8_t mask)
+    {
+        if (ace_)
+            events_[idx(s)].push_back(
+                AceEvent{cycle, 0, 0, entry, 0, ph, false});
+        if (recordingEffects_)
+            effect(s, entry, cycle, mask, true);
+    }
+
+    /** Initial state at cycle 0: the ACE view only (not replayable). */
+    void
+    initWrite(Structure s, EntryIndex entry)
+    {
+        if (ace_)
+            events_[idx(s)].push_back(
+                AceEvent{0, 0, 0, entry, 0, phase::Init, false});
+    }
+
+    /** A read that is committed as it happens: both views. */
+    void
+    read(Structure s, EntryIndex entry, Cycle cycle, std::uint8_t ph,
+         Rip rip, Upc upc, SeqNum seq, std::uint8_t mask)
+    {
+        committedRead(s, entry, cycle, ph, rip, upc, seq);
+        physicalRead(s, entry, cycle, mask);
+    }
 
     /**
-     * Storage read by a uop that committed.  @p read_cycle is when the
-     * bits were actually consumed (issue/drain/write-back time), not the
-     * commit time.  @p seq is the reader's commit sequence number (used
-     * by the Relyzer control-path heuristic).
+     * A buffered read whose uop committed: the ACE view only.
+     * @p cycle is when the bits were consumed, not the commit time.
      */
-    virtual void
-    onCommittedRead(Structure /*s*/, EntryIndex /*entry*/,
-                    Cycle /*read_cycle*/, std::uint8_t /*phase*/,
-                    Rip /*rip*/, Upc /*upc*/, SeqNum /*seq*/)
-    {}
+    void
+    committedRead(Structure s, EntryIndex entry, Cycle cycle,
+                  std::uint8_t ph, Rip rip, Upc upc, SeqNum seq)
+    {
+        if (ace_)
+            events_[idx(s)].push_back(
+                AceEvent{cycle, rip, seq, entry, upc, ph, true});
+    }
 
-    /** A macro instruction committed (Relyzer path profiling). */
-    virtual void
-    onCommitInstruction(Rip /*rip*/, SeqNum /*seq*/)
-    {}
+    /** A physical read, committed or not: the effect view only. */
+    void
+    physicalRead(Structure s, EntryIndex entry, Cycle cycle,
+                 std::uint8_t mask)
+    {
+        if (recordingEffects_)
+            effect(s, entry, cycle, mask, false);
+    }
 
     /** A committed conditional branch resolved @p taken. */
-    virtual void
-    onCommitBranch(Rip /*rip*/, bool /*taken*/, SeqNum /*seq*/)
-    {}
+    void
+    branch(Rip rip, bool taken, SeqNum seq)
+    {
+        if (ace_)
+            branches_.push_back(BranchRecord{seq, rip, taken});
+    }
+
+    // ---- read by the consumers ----
+
+    unsigned entries(Structure s) const { return counts_[idx(s)]; }
+
+    /** ACE-view events of @p s, in arrival order. */
+    const std::vector<AceEvent> &
+    events(Structure s) const
+    {
+        return events_[idx(s)];
+    }
+
+    /** Committed conditional branches, ordered by sequence number. */
+    const std::vector<BranchRecord> &branches() const { return branches_; }
+
+    /** Move the effect view out (recording stops). */
+    EffectStreams takeEffects();
+
+  protected:
+    static std::size_t
+    idx(Structure s)
+    {
+        return static_cast<std::size_t>(s);
+    }
+
+    std::array<std::vector<AceEvent>, 3> events_;
+    std::vector<BranchRecord> branches_;
+
+  private:
+    void
+    effect(Structure s, EntryIndex entry, Cycle cycle, std::uint8_t mask,
+           bool is_write)
+    {
+        constexpr unsigned shift = EffectStreams::kCycleShift;
+        MERLIN_ASSERT(cycle < (1ULL << (64 - shift)),
+                      "effect-stream cycle overflow");
+        std::vector<std::uint64_t> &v =
+            effects_.streams[effects_.slot(s, entry)];
+        MERLIN_ASSERT(v.empty() || (v.back() >> shift) <= cycle,
+                      "effect events must arrive in cycle order");
+        v.push_back((cycle << shift) |
+                    (static_cast<std::uint64_t>(mask) << 1) |
+                    (is_write ? 1u : 0u));
+    }
+
+    std::array<std::uint32_t, 3> counts_;
+    bool ace_;
+    bool recordingEffects_ = false;
+    EffectStreams effects_;
 };
 
 } // namespace merlin::uarch

@@ -66,12 +66,11 @@ TEST(ProfilerProperty, MatchesBruteForceReference)
                 ev.rip = 0x1000 + rng.nextBelow(8) * 8;
                 events[e].push_back(ev);
                 if (ev.isRead) {
-                    prof.onCommittedRead(Structure::RegisterFile, e,
-                                         ev.cycle, ev.phase, ev.rip, 0,
-                                         0);
+                    prof.committedRead(Structure::RegisterFile, e,
+                                       ev.cycle, ev.phase, ev.rip, 0, 0);
                 } else {
-                    prof.onWrite(Structure::RegisterFile, e, ev.cycle,
-                                 ev.phase);
+                    prof.write(Structure::RegisterFile, e, ev.cycle,
+                               ev.phase, 0xff);
                 }
             }
         }
@@ -120,11 +119,12 @@ TEST(ProfilerProperty, EventsAtSameCycleRespectPhaseOrder)
     // after the write, so a flip at that cycle is overwritten first ->
     // empty interval, nothing vulnerable at that cycle.
     AceProfiler prof(1, 1, 1);
-    prof.onWrite(Structure::RegisterFile, 0, 10, uarch::phase::RegWrite);
-    prof.onCommittedRead(Structure::RegisterFile, 0, 10,
-                         uarch::phase::RegRead, 0x1000, 0, 0);
-    prof.onCommittedRead(Structure::RegisterFile, 0, 20,
-                         uarch::phase::RegRead, 0x2000, 0, 1);
+    prof.write(Structure::RegisterFile, 0, 10, uarch::phase::RegWrite,
+               0xff);
+    prof.committedRead(Structure::RegisterFile, 0, 10,
+                       uarch::phase::RegRead, 0x1000, 0, 0);
+    prof.committedRead(Structure::RegisterFile, 0, 20,
+                       uarch::phase::RegRead, 0x2000, 0, 1);
     prof.finalize();
     const auto &p = prof.profile(Structure::RegisterFile);
     EXPECT_EQ(p.find(0, 10), nullptr);  // overwritten mid-cycle
@@ -134,10 +134,10 @@ TEST(ProfilerProperty, EventsAtSameCycleRespectPhaseOrder)
     // Reverse phase order (drain-read before issue-write): the read at
     // that cycle consumes the flip.
     AceProfiler prof2(1, 1, 1);
-    prof2.onWrite(Structure::StoreQueue, 0, 5, uarch::phase::SqWrite);
-    prof2.onCommittedRead(Structure::StoreQueue, 0, 10,
-                          uarch::phase::SqDrainRead, 0x3000, 0, 2);
-    prof2.onWrite(Structure::StoreQueue, 0, 10, uarch::phase::SqWrite);
+    prof2.write(Structure::StoreQueue, 0, 5, uarch::phase::SqWrite, 0xff);
+    prof2.committedRead(Structure::StoreQueue, 0, 10,
+                        uarch::phase::SqDrainRead, 0x3000, 0, 2);
+    prof2.write(Structure::StoreQueue, 0, 10, uarch::phase::SqWrite, 0xff);
     prof2.finalize();
     const auto &q = prof2.profile(Structure::StoreQueue);
     ASSERT_NE(q.find(0, 10), nullptr); // drain read happens first

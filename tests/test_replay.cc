@@ -2,8 +2,8 @@
  * @file
  * Effect-trace tests: packing/query semantics and exact-cycle
  * divergence detection against two independent observers (the
- * committed-read Probe on a branch-free program, and the per-cycle
- * injectHook seam).
+ * recorder's committed-read ACE view on a branch-free program, and the
+ * per-cycle injectHook seam).
  */
 
 #include <gtest/gtest.h>
@@ -32,11 +32,14 @@ using uarch::Structure;
 
 TEST(EffectTrace, FirstTouchReturnsExactCycleAndKind)
 {
-    EffectTrace t(/*rf=*/4, /*sq=*/2, /*l1d=*/2);
+    uarch::Probe rec(/*rf=*/4, /*sq=*/2, /*l1d=*/2, /*ace=*/false);
+    rec.recordEffects();
     // Entry 1: full write at 10, full read at 20, byte-1 read at 30.
-    t.onEffect(Structure::RegisterFile, 1, 10, 0xff, true);
-    t.onEffect(Structure::RegisterFile, 1, 20, 0xff, false);
-    t.onEffect(Structure::RegisterFile, 1, 30, 0x02, false);
+    rec.write(Structure::RegisterFile, 1, 10, uarch::phase::RegWrite,
+              0xff);
+    rec.physicalRead(Structure::RegisterFile, 1, 20, 0xff);
+    rec.physicalRead(Structure::RegisterFile, 1, 30, 0x02);
+    const EffectTrace t(rec.takeEffects());
 
     // Any bit, asked from the beginning: killed by the write at 10.
     for (unsigned bit : {0u, 17u, 63u}) {
@@ -70,46 +73,14 @@ TEST(EffectTrace, FirstTouchReturnsExactCycleAndKind)
               Touch::None);
 }
 
-namespace
-{
-
-/** Committed-read/physical-write recorder for the cross-check below. */
-struct RecordingProbe final : uarch::Probe
-{
-    struct Ev
-    {
-        Cycle cycle;
-        std::uint8_t phase;
-        bool isWrite;
-    };
-    std::map<EntryIndex, std::vector<Ev>> rf;
-
-    void
-    onWrite(Structure s, EntryIndex entry, Cycle cycle,
-            std::uint8_t phase) override
-    {
-        if (s == Structure::RegisterFile && phase != uarch::phase::Init)
-            rf[entry].push_back(Ev{cycle, phase, true});
-    }
-
-    void
-    onCommittedRead(Structure s, EntryIndex entry, Cycle read_cycle,
-                    std::uint8_t phase, Rip, Upc, SeqNum) override
-    {
-        if (s == Structure::RegisterFile)
-            rf[entry].push_back(Ev{read_cycle, phase, false});
-    }
-};
-
-} // namespace
-
 /**
  * Divergence detection fires on the EXACT cycle the flipped storage is
  * first consumed or overwritten.  On a branch-free program there is no
- * wrong path and no speculative read, so the committed-read Probe and
- * the physical effect trace must observe the same per-entry event
- * stream — for every register and every flip cycle, the trace's
- * firstTouch answer must equal the probe-derived one, cycle for cycle.
+ * wrong path and no speculative read, so the recorder's two views of
+ * the one golden run -- the ACE view's committed reads and physical
+ * writes, and the physical effect trace -- must agree per entry: for
+ * every register and every flip cycle, the trace's firstTouch answer
+ * must equal the ACE-view-derived one, cycle for cycle.
  */
 TEST(EffectTrace, DivergenceMatchesProbeOnBranchFreeProgram)
 {
@@ -124,17 +95,26 @@ TEST(EffectTrace, DivergenceMatchesProbeOnBranchFreeProgram)
                                "t");
     uarch::CoreConfig cfg;
     InjectionRunner runner(prog, cfg);
-    RecordingProbe probe;
+    uarch::Probe probe(cfg.numPhysIntRegs, cfg.sqEntries,
+                       cfg.l1d.totalWords());
     auto g = runner.golden(&probe);
     ASSERT_NE(g.trace, nullptr);
 
+    // The ACE view per register, without the cycle-0 initial state
+    // (not a replayable effect).
+    std::map<EntryIndex, std::vector<uarch::AceEvent>> rf;
+    for (const uarch::AceEvent &ev :
+         probe.events(Structure::RegisterFile)) {
+        if (ev.phase != uarch::phase::Init)
+            rf[ev.entry].push_back(ev);
+    }
+
     unsigned checked = 0, diverged = 0;
-    for (auto &[entry, evs] : probe.rf) {
-        // Probe reads are delivered at commit time; order by when the
-        // bits were physically touched (cycle, then stage phase).
+    for (auto &[entry, evs] : rf) {
+        // Committed reads are recorded at commit time; order by when
+        // the bits were physically touched (cycle, then stage phase).
         std::sort(evs.begin(), evs.end(),
-                  [](const RecordingProbe::Ev &a,
-                     const RecordingProbe::Ev &b) {
+                  [](const uarch::AceEvent &a, const uarch::AceEvent &b) {
                       return a.cycle != b.cycle ? a.cycle < b.cycle
                                                 : a.phase < b.phase;
                   });
@@ -146,7 +126,7 @@ TEST(EffectTrace, DivergenceMatchesProbeOnBranchFreeProgram)
         for (const Cycle from : probes) {
             auto it = std::find_if(
                 evs.begin(), evs.end(),
-                [from](const RecordingProbe::Ev &ev) {
+                [from](const uarch::AceEvent &ev) {
                     return ev.cycle >= from;
                 });
             const FirstTouch ft = g.trace->firstTouch(
@@ -155,12 +135,12 @@ TEST(EffectTrace, DivergenceMatchesProbeOnBranchFreeProgram)
                 EXPECT_EQ(ft.kind, Touch::None)
                     << "entry " << entry << " from " << from;
             } else {
-                EXPECT_EQ(ft.kind, it->isWrite ? Touch::Killed
-                                               : Touch::Diverged)
+                EXPECT_EQ(ft.kind, it->isRead ? Touch::Diverged
+                                              : Touch::Killed)
                     << "entry " << entry << " from " << from;
                 EXPECT_EQ(ft.cycle, it->cycle)
                     << "entry " << entry << " from " << from;
-                if (!it->isWrite)
+                if (it->isRead)
                     ++diverged;
             }
             ++checked;

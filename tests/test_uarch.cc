@@ -37,9 +37,9 @@ TEST(Cache, HitAfterMiss)
 {
     auto mem = flatMemory();
     Cache l1("l1", CacheConfig{16 * 1024, 4, 64, 3}, nullptr, &mem);
-    auto r1 = l1.access(0x10040, false, 0, 0, 0);
+    auto r1 = l1.access(0x10040, false);
     EXPECT_FALSE(r1.hit);
-    auto r2 = l1.access(0x10044, false, 1, 0, 0);
+    auto r2 = l1.access(0x10044, false);
     EXPECT_TRUE(r2.hit);
     EXPECT_EQ(r2.set, r1.set);
     EXPECT_EQ(r2.way, r1.way);
@@ -51,7 +51,7 @@ TEST(Cache, ReadBytesSeesMemoryContent)
     auto mem = flatMemory();
     mem.write(0x10100, 8, 0x1122334455667788ULL);
     Cache l1("l1", CacheConfig{16 * 1024, 4, 64, 3}, nullptr, &mem);
-    auto r = l1.access(0x10100, false, 0, 0, 0);
+    auto r = l1.access(0x10100, false);
     EXPECT_EQ(l1.readBytes(r.set, r.way, 0x100 & 63, 8),
               0x1122334455667788ULL);
     EXPECT_EQ(l1.readBytes(r.set, r.way, (0x100 & 63) + 2, 2), 0x5566ULL);
@@ -63,8 +63,8 @@ TEST(Cache, WriteBackOnEviction)
     CacheConfig cfg{4 * 1024, 4, 64, 3}; // 16 sets: easy to thrash
     Cache l1("l1", cfg, nullptr, &mem);
 
-    auto r = l1.access(0x10000, true, 0, 0, 0);
-    l1.writeBytes(r.set, r.way, 0, 8, 0xdeadbeef, 0);
+    auto r = l1.access(0x10000, true);
+    l1.writeBytes(r.set, r.way, 0, 8, 0xdeadbeef);
     // Memory must NOT see the write yet (write-back).
     std::uint64_t v = 0;
     mem.read(0x10000, 8, v);
@@ -72,10 +72,43 @@ TEST(Cache, WriteBackOnEviction)
 
     // Evict by touching 4 more lines mapping to the same set.
     for (int i = 1; i <= 4; ++i)
-        l1.access(0x10000 + i * 4096, false, i, 0, 0);
+        l1.access(0x10000 + i * 4096, false);
     mem.read(0x10000, 8, v);
     EXPECT_EQ(v, 0xdeadbeefULL);
     EXPECT_GE(l1.writebacks(), 1u);
+}
+
+TEST(Cache, WroteBackOnlyOnDirtyVictimMiss)
+{
+    auto mem = flatMemory();
+    CacheConfig cfg{4 * 1024, 4, 64, 3}; // 16 sets, 4 ways
+    Cache l1("l1", cfg, nullptr, &mem);
+
+    // A clean miss into an empty set, then a hit (read and write).
+    auto r = l1.access(0x10000, false);
+    EXPECT_FALSE(r.hit);
+    EXPECT_FALSE(r.wroteBack);
+    r = l1.access(0x10000, true);
+    EXPECT_TRUE(r.hit);
+    EXPECT_FALSE(r.wroteBack);
+
+    // Three clean misses fill the set; the next miss evicts the LRU
+    // line, 0x10000, which the write above made dirty.
+    for (int i = 1; i <= 3; ++i) {
+        r = l1.access(0x10000 + i * 4096, false);
+        EXPECT_FALSE(r.hit);
+        EXPECT_FALSE(r.wroteBack) << i;
+    }
+    r = l1.access(0x10000 + 4 * 4096, false);
+    EXPECT_FALSE(r.hit);
+    EXPECT_TRUE(r.wroteBack);
+    EXPECT_EQ(l1.writebacks(), 1u);
+
+    // Evicting a clean line is a miss without a write-back.
+    r = l1.access(0x10000 + 5 * 4096, false);
+    EXPECT_FALSE(r.hit);
+    EXPECT_FALSE(r.wroteBack);
+    EXPECT_EQ(l1.writebacks(), 1u);
 }
 
 TEST(Cache, FlipBitCorruptsAndRefillHeals)
@@ -84,13 +117,13 @@ TEST(Cache, FlipBitCorruptsAndRefillHeals)
     mem.write(0x10000, 8, 0xff);
     CacheConfig cfg{4 * 1024, 4, 64, 3};
     Cache l1("l1", cfg, nullptr, &mem);
-    auto r = l1.access(0x10000, false, 0, 0, 0);
+    auto r = l1.access(0x10000, false);
     l1.flipBit(l1.wordIndex(r.set, r.way, 0), 0);
     EXPECT_EQ(l1.readBytes(r.set, r.way, 0, 8), 0xfeULL);
     // Clean line: eviction drops the corruption; refill restores.
     for (int i = 1; i <= 4; ++i)
-        l1.access(0x10000 + i * 4096, false, i, 0, 0);
-    auto r2 = l1.access(0x10000, false, 9, 0, 0);
+        l1.access(0x10000 + i * 4096, false);
+    auto r2 = l1.access(0x10000, false);
     EXPECT_EQ(l1.readBytes(r2.set, r2.way, 0, 8), 0xffULL);
 }
 
@@ -100,13 +133,13 @@ TEST(Cache, TwoLevelPropagation)
     mem.write(0x10000, 8, 42);
     Cache l2("l2", CacheConfig{64 * 1024, 8, 64, 12}, nullptr, &mem);
     Cache l1("l1", CacheConfig{4 * 1024, 4, 64, 3}, &l2, nullptr);
-    auto r = l1.access(0x10000, false, 0, 0, 0);
+    auto r = l1.access(0x10000, false);
     EXPECT_EQ(l1.readBytes(r.set, r.way, 0, 8), 42u);
     EXPECT_EQ(l2.misses(), 1u);
     // L1 miss that hits in L2 is cheaper than memory.
     for (int i = 1; i <= 4; ++i)
-        l1.access(0x10000 + i * 4096, false, i, 0, 0);
-    auto r2 = l1.access(0x10000, false, 9, 0, 0);
+        l1.access(0x10000 + i * 4096, false);
+    auto r2 = l1.access(0x10000, false);
     EXPECT_FALSE(r2.hit);
     EXPECT_LT(r2.latency, 3u + 12u + 80u);
 }
@@ -126,11 +159,11 @@ TEST(CacheProperty, RandomOpsMatchFlatMemory)
         Addr addr = 0x10000 + (rng.nextBelow((1 << 16) - 8) & ~(size - 1));
         if (rng.nextBelow(2)) {
             std::uint64_t val = rng.next();
-            auto r = l1.access(addr, true, op, 0, 0);
-            l1.writeBytes(r.set, r.way, addr & 63, size, val, op);
+            auto r = l1.access(addr, true);
+            l1.writeBytes(r.set, r.way, addr & 63, size, val);
             ref.write(addr, size, val);
         } else {
-            auto r = l1.access(addr, false, op, 0, 0);
+            auto r = l1.access(addr, false);
             std::uint64_t got = l1.readBytes(r.set, r.way, addr & 63,
                                              size);
             std::uint64_t want = 0;
