@@ -32,6 +32,13 @@ struct SamplingSpec
 
     /** Sample size for a population of @p population faults. */
     std::uint64_t count(double population) const;
+
+    /** A confidence or error margin: a fraction strictly in (0, 1). */
+    static bool
+    validFraction(double x)
+    {
+        return x > 0.0 && x < 1.0;
+    }
 };
 
 /** The paper's named campaign sizes. */

@@ -122,6 +122,29 @@ u32Member(const Json &j, const char *name, unsigned def)
     return static_cast<unsigned>(v);
 }
 
+/**
+ * A u32 member that must be at least 1.  The library clamps 0 to 1, so
+ * accepting 0 would give one computation two store keys.
+ */
+unsigned
+positiveU32Member(const Json &j, const char *name, unsigned def)
+{
+    const unsigned v = u32Member(j, name, def);
+    if (v == 0)
+        fatal("suite spec: ", name, " 0 must be at least 1");
+    return v;
+}
+
+/** A sampling fraction member (confidence, error_margin) in (0, 1). */
+double
+fractionMember(const Json &j, const char *name, double def)
+{
+    const double v = j.numOr(name, def);
+    if (!core::SamplingSpec::validFraction(v))
+        fatal("suite spec: ", name, " ", v, " must be in (0, 1)");
+    return v;
+}
+
 } // namespace
 
 bool
@@ -219,17 +242,18 @@ CampaignSpec::fromJson(const Json &j)
         s.sampling = core::specFixed(f->asU64());
     } else {
         s.sampling.confidence =
-            j.numOr("confidence", s.sampling.confidence);
+            fractionMember(j, "confidence", s.sampling.confidence);
         s.sampling.errorMargin =
-            j.numOr("error_margin", s.sampling.errorMargin);
+            fractionMember(j, "error_margin", s.sampling.errorMargin);
     }
     s.grouping.split = splitFromTag(j.strOr("split", "byte"));
     s.grouping.maxGroupSize =
-        u32Member(j, "max_group_size", s.grouping.maxGroupSize);
+        positiveU32Member(j, "max_group_size", s.grouping.maxGroupSize);
     s.grouping.repsPerGroup =
-        u32Member(j, "reps_per_group", s.grouping.repsPerGroup);
+        positiveU32Member(j, "reps_per_group", s.grouping.repsPerGroup);
     s.seed = j.u64Or("seed", s.seed);
-    s.timeoutFactor = u32Member(j, "timeout_factor", s.timeoutFactor);
+    s.timeoutFactor =
+        positiveU32Member(j, "timeout_factor", s.timeoutFactor);
     s.mode = modeFromTag(j.strOr("mode", "estimate"));
     s.relyzer = j.boolOr("relyzer", false);
     s.pathDepth = u32Member(j, "path_depth", s.pathDepth);

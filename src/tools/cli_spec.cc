@@ -216,11 +216,21 @@ campaignConfig(const Args &args, std::uint64_t default_window)
                   .withStoreQueue(sq)
                   .withL1dKb(l1d);
     cc.core.instructionWindowEnd = args.getU("window", default_window);
+    // Sampling fractions are checked by flag name, not left to trip the
+    // statistics library's domain assertions.
+    if (args.has("conf") && !args.has("margin"))
+        fatal("--conf requires --margin");
+    const double margin = args.getD("margin", 0.0063);
+    if (!core::SamplingSpec::validFraction(margin))
+        fatal("--margin: ", margin, " must be in (0, 1)");
+    const double conf = args.getD("conf", 0.998);
+    if (!core::SamplingSpec::validFraction(conf))
+        fatal("--conf: ", conf, " must be in (0, 1)");
     if (args.has("faults")) {
         cc.sampling = core::specFixed(args.getU("faults", 2000));
     } else if (args.has("margin")) {
-        cc.sampling.errorMargin = args.getD("margin", 0.0063);
-        cc.sampling.confidence = args.getD("conf", 0.998);
+        cc.sampling.errorMargin = margin;
+        cc.sampling.confidence = conf;
     } else {
         cc.sampling = core::specFixed(2000);
     }
@@ -235,6 +245,8 @@ campaignConfig(const Args &args, std::uint64_t default_window)
     cc.replay = args.getOnOff("replay", true);
     cc.timeoutFactor = args.getU32(
         "timeout-factor", faultsim::RunnerOptions::kDefaultTimeoutFactor);
+    if (cc.timeoutFactor == 0)
+        fatal("--timeout-factor: 0 must be at least 1");
     const std::uint64_t chunk = args.getU(
         "mem-chunk-bytes", isa::SegmentedMemory::kDefaultChunkBytes);
     if (!isa::isValidChunkBytes(chunk))

@@ -210,6 +210,18 @@ TEST(Manifest, RejectsTyposAndMissingFields)
                                "timeout_factor", "path_depth"})
         expectRejected("\"" + std::string(member) + "\":4294967296",
                        member);
+    // Sampling fractions outside (0, 1) would trip the statistics
+    // library's domain assertions mid-suite.
+    expectRejected("\"error_margin\":0", "error_margin");
+    expectRejected("\"error_margin\":-1", "error_margin");
+    expectRejected("\"error_margin\":1", "error_margin");
+    expectRejected("\"confidence\":1.5", "confidence");
+    expectRejected("\"confidence\":0", "confidence");
+    // 0 is clamped to 1 inside the library: accepting it would give one
+    // computation two store keys.
+    for (const char *member :
+         {"max_group_size", "reps_per_group", "timeout_factor"})
+        expectRejected("\"" + std::string(member) + "\":0", member);
     // The edges of the accepted ranges still parse.
     const auto specs = parseManifest(Json::parse(
         "{\"campaigns\":[{\"workload\":\"qsort\",\"regs\":35,"
