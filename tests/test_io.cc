@@ -19,6 +19,7 @@
 #include "io/journal.hh"
 #include "io/json.hh"
 #include "io/result_store.hh"
+#include "mutants.hh"
 
 namespace merlin::io
 {
@@ -840,6 +841,83 @@ TEST_F(JournalFixture, RemoveDeletesTheFile)
     j.remove();
     EXPECT_FALSE(std::filesystem::exists(p));
     j.remove(); // idempotent
+}
+
+// ------------------------------------------------- parser mutators
+
+/** Write @p bytes to @p path verbatim. */
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/**
+ * Every strict prefix and every single-bit flip of a valid journal
+ * (header plus entries, one quarantined) either restores or fails with
+ * FatalError.  Every prefix restores: a strict prefix ends at a line
+ * boundary or in a torn final line, which restore() truncates by
+ * design.
+ */
+TEST_F(JournalFixture, MutantsRestoreOrFailCleanly)
+{
+    const std::string p = journalPath("mutants");
+    {
+        OutcomeJournal j(p, "spec-a");
+        j.open();
+        faultsim::InjectDetail plain;
+        faultsim::InjectDetail sick;
+        sick.quarantined = true;
+        sick.reason = "simulator exception: boom";
+        j.append(1, faultsim::Outcome::Masked, plain);
+        j.append(0x123456789abcULL, faultsim::Outcome::SDC, plain);
+        j.append(3, faultsim::Outcome::Crash, sick);
+        j.append(4, faultsim::Outcome::Timeout, plain);
+        j.close();
+    }
+    const std::string doc = storeText(p);
+    const auto restore = [&p](const std::string &bytes) {
+        writeBytes(p, bytes);
+        OutcomeJournal j(p, "spec-a");
+        j.restore([](std::uint64_t, faultsim::Outcome) {});
+    };
+    restore(doc);
+
+    const test::MutantTally prefixes = test::feedPrefixes(doc, restore);
+    EXPECT_EQ(prefixes.accepted, doc.size());
+    const test::MutantTally flips = test::feedBitFlips(doc, restore);
+    EXPECT_GT(flips.rejected, 0u);
+    EXPECT_EQ(flips.accepted + flips.rejected, doc.size() * 8);
+}
+
+/**
+ * Every strict prefix and every single-bit flip of a valid store file
+ * either loads or fails with FatalError.
+ */
+TEST_F(StoreFixture, MutantsLoadOrFailCleanly)
+{
+    const std::string p = track(path("mutants"));
+    {
+        ResultStore store(p);
+        store.put("k1", Json::object(), sampleResult(true));
+        store.save();
+    }
+    const std::string doc = storeText(p);
+    const auto load = [&p](const std::string &bytes) {
+        writeBytes(p, bytes);
+        ResultStore store(p);
+        store.load();
+    };
+    load(doc);
+
+    // A strict prefix is a torn document, except the one that only
+    // drops trailing whitespace.
+    const test::MutantTally prefixes = test::feedPrefixes(doc, load);
+    EXPECT_LE(prefixes.accepted, 1u);
+    EXPECT_GE(prefixes.rejected, doc.size() - 1);
+    const test::MutantTally flips = test::feedBitFlips(doc, load);
+    EXPECT_GT(flips.rejected, 0u);
+    EXPECT_EQ(flips.accepted + flips.rejected, doc.size() * 8);
 }
 
 } // namespace

@@ -18,6 +18,8 @@
 #include "base/logging.hh"
 #include "io/json.hh"
 #include "io/wire.hh"
+#include "mutants.hh"
+#include "sched/suite.hh"
 
 namespace merlin::io
 {
@@ -182,6 +184,67 @@ TEST(Wire, ListenConnectAcceptAndStaleSocketReplacement)
     EXPECT_GE(relisten, 0);
     ::close(relisten);
     ::unlink(path.c_str());
+}
+
+/**
+ * Parser mutators: every strict prefix and every single-bit flip of a
+ * valid submit frame (length prefix, JSON payload, campaign spec) is
+ * either read or refused with FatalError — never a crash, another
+ * exception or a sanitizer report.
+ */
+TEST(WireFuzz, SubmitFrameMutantsParseOrFailCleanly)
+{
+    sched::CampaignSpec spec;
+    spec.workload = "qsort";
+    spec.sampling = core::specFixed(50);
+    Json submit = Json::object();
+    submit.set("type", Json("submit"));
+    submit.set("id", Json(std::uint64_t(3)));
+    submit.set("spec", spec.toJson());
+
+    // The frame as it travels: a socketpair captures the exact bytes.
+    std::string frame;
+    {
+        int fds[2];
+        ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        wireWriteFrame(fds[0], submit.dump());
+        ::close(fds[0]);
+        char buf[4096];
+        ssize_t n;
+        while ((n = ::read(fds[1], buf, sizeof buf)) > 0)
+            frame.append(buf, static_cast<std::size_t>(n));
+        ::close(fds[1]);
+    }
+    ASSERT_EQ(frame.size(), submit.dump().size() + 4);
+
+    // Deliver the bytes, close the sender, read one message, and parse
+    // its spec the way the daemon does.
+    const auto read = [](const std::string &bytes) {
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+            throw std::runtime_error("socketpair failed");
+        WireConnection reader(fds[1]);
+        const bool sent =
+            ::write(fds[0], bytes.data(), bytes.size()) ==
+            static_cast<ssize_t>(bytes.size());
+        ::close(fds[0]);
+        if (!sent)
+            throw std::runtime_error("short write");
+        Json msg;
+        if (!reader.read(msg))
+            return;
+        if (const Json *s = msg.find("spec"))
+            sched::CampaignSpec::fromJson(*s);
+    };
+    read(frame); // the valid frame parses
+
+    // Only the empty prefix is a clean EOF; every other one is torn.
+    const test::MutantTally prefixes = test::feedPrefixes(frame, read);
+    EXPECT_EQ(prefixes.accepted, 1u);
+    EXPECT_EQ(prefixes.rejected, frame.size() - 1);
+    const test::MutantTally flips = test::feedBitFlips(frame, read);
+    EXPECT_GT(flips.rejected, 0u);
+    EXPECT_EQ(flips.accepted + flips.rejected, frame.size() * 8);
 }
 
 } // namespace
