@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -365,6 +366,30 @@ recordingRecord(const isa::Program &p, const uarch::CoreConfig &cfg)
     return j;
 }
 
+/** Compare @p actual with tests/golden/@p name.json, key by key. */
+void
+expectMatchesGolden(const io::Json &actual, const std::string &name)
+{
+    const std::string goldenPath = std::string(MERLIN_SOURCE_DIR) +
+                                   "/tests/golden/" + name + ".json";
+    const std::string actualPath =
+        testing::TempDir() + name + "_actual.json";
+    std::ofstream(actualPath, std::ios::trunc) << actual.dump(2) << "\n";
+
+    std::ifstream in(goldenPath);
+    ASSERT_TRUE(in.good()) << "missing golden file " << goldenPath
+                           << "; seed it from " << actualPath;
+    std::stringstream text;
+    text << in.rdbuf();
+    const io::Json golden = io::Json::parse(text.str());
+    ASSERT_EQ(golden.size(), actual.size()) << "grid changed";
+    for (const auto &[key, got] : actual.members()) {
+        const io::Json *want = golden.find(key);
+        ASSERT_NE(want, nullptr) << key << " missing from " << goldenPath;
+        EXPECT_EQ(want->dump(), got.dump()) << key;
+    }
+}
+
 /**
  * Pins what the profiled golden run records -- every ACE interval, the
  * committed branch trace and every effect-trace event -- for all
@@ -387,25 +412,33 @@ TEST(GoldenRecording, MatchesCommittedGolden)
         for (const auto &[vname, cfg] : variants)
             actual.set(name + "/" + vname, recordingRecord(w.program, cfg));
     }
+    expectMatchesGolden(actual, "golden_recording");
+}
 
-    const std::string goldenPath = std::string(MERLIN_SOURCE_DIR) +
-                                   "/tests/golden/golden_recording.json";
-    const std::string actualPath =
-        testing::TempDir() + "golden_recording_actual.json";
-    std::ofstream(actualPath, std::ios::trunc) << actual.dump(2) << "\n";
-
-    std::ifstream in(goldenPath);
-    ASSERT_TRUE(in.good()) << "missing golden file " << goldenPath
-                           << "; seed it from " << actualPath;
-    std::stringstream text;
-    text << in.rdbuf();
-    const io::Json golden = io::Json::parse(text.str());
-    ASSERT_EQ(golden.size(), actual.size()) << "grid changed";
-    for (const auto &[key, got] : actual.members()) {
-        const io::Json *want = golden.find(key);
-        ASSERT_NE(want, nullptr) << key << " missing from " << goldenPath;
-        EXPECT_EQ(want->dump(), got.dump()) << key;
+/**
+ * Every bundled workload fits the L1Ds above, so none of those runs
+ * writes a dirty line back.  A 1 KB L1D (four sets) makes most MiBench
+ * programs evict dirty lines constantly, which pins the write-back half
+ * of the recording too: committed write-back reads tagged with the
+ * evicting access, and their physical effect reads.
+ */
+TEST(GoldenRecording, WriteBacksMatchCommittedGolden)
+{
+    const auto &spec = workloads::specWorkloads();
+    const uarch::CoreConfig cfg = uarch::CoreConfig{}.withL1dKb(1);
+    io::Json actual = io::Json::object();
+    std::uint64_t writebacks = 0;
+    for (const std::string &name : workloads::allWorkloadNames()) {
+        if (std::find(spec.begin(), spec.end(), name) != spec.end())
+            continue;
+        const auto w = workloads::buildWorkload(name);
+        uarch::Core core(w.program, cfg);
+        core.run();
+        writebacks += core.l1d().writebacks();
+        actual.set(name + "/l1d1", recordingRecord(w.program, cfg));
     }
+    EXPECT_GT(writebacks, 1000u);
+    expectMatchesGolden(actual, "golden_recording_writeback");
 }
 
 } // namespace
