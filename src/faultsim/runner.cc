@@ -244,16 +244,16 @@ InjectionRunner::golden(uarch::Probe *probe) const
     // cycle.
     const bool record = opts_.replay && !opts_.injectHook;
     std::optional<uarch::Probe> own;
+    if (record && !probe) {
+        probe = &own.emplace(cfg_.numPhysIntRegs, cfg_.sqEntries,
+                             cfg_.l1d.totalWords(), /*ace=*/false);
+    }
+    uarch::Core core(prog_, cfg_, probe);
     std::optional<obs::Span> tspan;
     if (record) {
         tspan.emplace("replay", "record " + prog_.name);
-        if (!probe) {
-            probe = &own.emplace(cfg_.numPhysIntRegs, cfg_.sqEntries,
-                                 cfg_.l1d.totalWords(), /*ace=*/false);
-        }
         probe->recordEffects();
     }
-    uarch::Core core(prog_, cfg_, probe);
 
     if (opts_.checkpointInterval == 0) {
         g.arch = core.run();

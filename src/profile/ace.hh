@@ -98,7 +98,7 @@ class AceProfiler : public uarch::Probe
     /** Committed conditional-branch trace, ordered by sequence number. */
     const std::vector<BranchRecord> &branchTrace() const
     {
-        return branches();
+        return branches_;
     }
 
     /**

@@ -21,6 +21,11 @@
  * Set and tag extraction use a shift and a mask, computed once, when
  * the line size and set count are powers of two; any other geometry
  * (a 48 KB four-way L1D has 192 sets) keeps exact division.
+ *
+ * The cache reports no events.  An access's result says what moved
+ * (a miss refilled line (set, way); wroteBack: its dirty victim was
+ * read out first), and the core, which knows the phase and the
+ * accessing uop, records that for the golden-run recorder itself.
  */
 
 #ifndef MERLIN_UARCH_CACHE_HH

@@ -10,12 +10,12 @@
  * on branch mispredictions.
  *
  * Reliability hooks:
- *  - the golden run carries a Probe, the one recorder the core writes
- *    every physical write, committed read and physical read of the
+ *  - the golden run carries a Probe, its one recorder: the core writes
+ *    each physical write, physical read and committed read of the
  *    three MeRLiN target structures (RF, SQ data field, L1D data array)
- *    to, one inline call per site; L1D fills and write-backs are
- *    recorded from each access's result, since the core knows the
- *    phase and the accessing uop (the cache itself reports nothing);
+ *    straight into it, one inline call per site.  The cache reports
+ *    nothing; the core records L1D fills and write-backs from each
+ *    access's result, since it knows the phase and the accessing uop;
  *  - flip*Bit() methods let the injector corrupt live storage mid-run.
  *
  * Stage evaluation order within a cycle is commit -> writeback -> issue ->

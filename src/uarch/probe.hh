@@ -221,9 +221,6 @@ class Probe
         return events_[idx(s)];
     }
 
-    /** Committed conditional branches, ordered by sequence number. */
-    const std::vector<BranchRecord> &branches() const { return branches_; }
-
     /** Move the effect view out (recording stops). */
     EffectStreams takeEffects();
 
