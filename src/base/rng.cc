@@ -18,12 +18,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -33,31 +27,13 @@ Rng::Rng(std::uint64_t seed)
         w = splitMix64(s);
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
+Rng::Bound::Bound(std::uint64_t bound)
+    : value(bound), threshold(0), pow2((bound & (bound - 1)) == 0)
 {
     MERLIN_ASSERT(bound != 0, "nextBelow(0)");
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
+    // 2^64 mod bound, which is 0 for a power of two.
+    if (!pow2)
+        threshold = -bound % bound;
 }
 
 std::uint64_t

@@ -114,20 +114,14 @@ outcomeName(Outcome o)
 
 OutcomeMemo::OutcomeMemo(std::size_t expected_faults)
 {
-    if (expected_faults == 0)
-        return;
-    const std::size_t per_shard = expected_faults / kShards + 1;
-    for (Shard &s : shards_)
-        s.map.reserve(per_shard);
+    map_.reserve(expected_faults);
 }
 
 bool
 OutcomeMemo::lookup(std::uint64_t key, Outcome &out) const
 {
-    const Shard &s = shards_[shardOf(key)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.map.find(key);
-    if (it == s.map.end())
+    auto it = map_.find(key);
+    if (it == map_.end())
         return false;
     out = it->second;
     return true;
@@ -136,20 +130,7 @@ OutcomeMemo::lookup(std::uint64_t key, Outcome &out) const
 void
 OutcomeMemo::insert(std::uint64_t key, Outcome o)
 {
-    Shard &s = shards_[shardOf(key)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.map.emplace(key, o);
-}
-
-std::size_t
-OutcomeMemo::size() const
-{
-    std::size_t n = 0;
-    for (const Shard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        n += s.map.size();
-    }
-    return n;
+    map_.emplace(key, o);
 }
 
 // ------------------------------------------------------ InjectionRunner

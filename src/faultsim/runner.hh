@@ -97,10 +97,10 @@ struct GoldenRun
 };
 
 /**
- * Concurrency-safe per-fault outcome cache keyed by faultKey().
- * Sharded by the low key bits (the fault cycle) so a cycle-sorted batch
- * spreads its insertions across shards; each shard's table is reserved
- * up front to avoid rehash churn in the injection hot loop.
+ * Per-fault outcome cache keyed by faultKey(): outcomes a batch need
+ * not simulate, such as those restored from a journal.  Not
+ * synchronized; only the single-threaded planBatch()/finishBatch() and
+ * the caller that seeds it touch it, never the injecting workers.
  */
 class OutcomeMemo
 {
@@ -110,25 +110,13 @@ class OutcomeMemo
     /** @return true and set @p out if @p key is present. */
     bool lookup(std::uint64_t key, Outcome &out) const;
 
+    /** Keep the first outcome inserted for @p key. */
     void insert(std::uint64_t key, Outcome o);
 
-    std::size_t size() const;
+    std::size_t size() const { return map_.size(); }
 
   private:
-    static constexpr unsigned kShards = 16;
-
-    static unsigned
-    shardOf(std::uint64_t key)
-    {
-        return static_cast<unsigned>(key & (kShards - 1));
-    }
-
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::unordered_map<std::uint64_t, Outcome, FaultKeyHash> map;
-    };
-    std::array<Shard, kShards> shards_;
+    std::unordered_map<std::uint64_t, Outcome, FaultKeyHash> map_;
 };
 
 /**

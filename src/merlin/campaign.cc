@@ -80,11 +80,13 @@ Campaign::prepare(bool inject_all, bool relyzer, unsigned path_depth,
     PreparedCampaign prep;
     CampaignResult &res = prep.result;
     Rng rng(cfg_.seed);
+    // A grouping-only campaign injects nothing, so its golden run
+    // captures no checkpoints and records no effect trace.
     faultsim::RunnerOptions ropts;
-    ropts.checkpointInterval = cfg_.checkpointInterval;
+    ropts.checkpointInterval = grouping_only ? 0 : cfg_.checkpointInterval;
     ropts.maxCheckpoints = cfg_.maxCheckpoints;
     ropts.earlyExit = cfg_.earlyExit;
-    ropts.replay = cfg_.replay;
+    ropts.replay = cfg_.replay && !grouping_only;
     ropts.timeoutFactor = cfg_.timeoutFactor;
     ropts.wallClockLimit = cfg_.injectWallLimit;
     ropts.quarantine = cfg_.quarantineFail

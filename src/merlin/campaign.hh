@@ -196,6 +196,11 @@ class Campaign
      * returned faults can be injected by an external driver; fold the
      * outcomes back with finish().  run()/runRelyzer()/runGroupingOnly()
      * are thin wrappers over this split.
+     *
+     * With @p grouping_only the golden run is bare: no checkpoints are
+     * captured and no effect trace is recorded, since nothing injects.
+     * runner() can still inject correctly against such a golden run,
+     * only without the checkpoint, early-exit and replay fast paths.
      */
     PreparedCampaign prepare(bool inject_all = false, bool relyzer = false,
                              unsigned path_depth = 5,

@@ -9,9 +9,11 @@ namespace merlin::core
 std::uint64_t
 SamplingSpec::count(double population) const
 {
+    // Compared as doubles: a population past 2^64 has no uint64 value.
     if (fixedCount)
-        return std::min<std::uint64_t>(
-            *fixedCount, static_cast<std::uint64_t>(population));
+        return population < static_cast<double>(*fixedCount)
+                   ? static_cast<std::uint64_t>(population)
+                   : *fixedCount;
     return stats::sampleSize(population, errorMargin, confidence);
 }
 
@@ -45,14 +47,17 @@ sampleFaults(uarch::Structure structure, unsigned num_entries,
                               static_cast<double>(total_cycles);
     const std::uint64_t n = spec.count(population);
 
+    // Thresholds hoisted out of the loop; the draws are exactly those
+    // of nextBelow(num_entries), nextBelow(64), nextBelow(total_cycles).
+    const Rng::Bound entries(num_entries), bits(64), cycles(total_cycles);
     std::vector<faultsim::Fault> list;
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         faultsim::Fault f;
         f.structure = structure;
-        f.entry = static_cast<EntryIndex>(rng.nextBelow(num_entries));
-        f.bit = static_cast<std::uint8_t>(rng.nextBelow(64));
-        f.cycle = rng.nextBelow(total_cycles);
+        f.entry = static_cast<EntryIndex>(rng.nextBelow(entries));
+        f.bit = static_cast<std::uint8_t>(rng.nextBelow(bits));
+        f.cycle = rng.nextBelow(cycles);
         list.push_back(f);
     }
     return list;

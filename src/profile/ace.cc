@@ -50,6 +50,7 @@ const StructureProfile &
 AceProfiler::profile(Structure s) const
 {
     MERLIN_ASSERT(finalized_, "profile queried before finalize()");
+    std::call_once(built_[idx(s)], [this, s] { build(s); });
     return profiles_[idx(s)];
 }
 
@@ -58,41 +59,42 @@ AceProfiler::finalize()
 {
     MERLIN_ASSERT(!finalized_, "finalize() called twice");
     finalized_ = true;
+    pending_.swap(events_);
+}
 
-    for (Structure s : {Structure::RegisterFile, Structure::StoreQueue,
-                        Structure::L1DCache}) {
-        std::vector<uarch::AceEvent> &evs = events_[idx(s)];
-        StructureProfile &prof = profiles_[idx(s)];
+void
+AceProfiler::build(Structure s) const
+{
+    std::vector<uarch::AceEvent> &evs = pending_[idx(s)];
+    StructureProfile &prof = profiles_[idx(s)];
 
-        // Committed reads arrive at commit time, out of physical order;
-        // restore it.  stable_sort keeps arrival order for exact ties.
-        std::stable_sort(evs.begin(), evs.end(),
-                         [](const uarch::AceEvent &a,
-                            const uarch::AceEvent &b) {
-                             if (a.entry != b.entry)
-                                 return a.entry < b.entry;
-                             if (a.cycle != b.cycle)
-                                 return a.cycle < b.cycle;
-                             return a.phase < b.phase;
-                         });
+    // Committed reads arrive at commit time, out of physical order;
+    // restore it.  stable_sort keeps arrival order for exact ties.
+    std::stable_sort(evs.begin(), evs.end(),
+                     [](const uarch::AceEvent &a, const uarch::AceEvent &b) {
+                         if (a.entry != b.entry)
+                             return a.entry < b.entry;
+                         if (a.cycle != b.cycle)
+                             return a.cycle < b.cycle;
+                         return a.phase < b.phase;
+                     });
 
-        EntryIndex cur = ~EntryIndex(0);
-        Cycle last = 0;
-        for (const uarch::AceEvent &e : evs) {
-            if (e.entry != cur) {
-                cur = e.entry;
-                last = 0; // implicit initial write at cycle 0
-            }
-            if (e.isRead && e.cycle > last) {
-                prof.perEntry_[e.entry].push_back(VulnerableInterval{
-                    last, e.cycle, e.rip, e.upc, e.seq});
-                prof.totalVulnerable_ += e.cycle - last;
-            }
-            last = e.cycle;
+    EntryIndex cur = ~EntryIndex(0);
+    Cycle last = 0;
+    for (const uarch::AceEvent &e : evs) {
+        if (e.entry != cur) {
+            cur = e.entry;
+            last = 0; // implicit initial write at cycle 0
         }
-        evs.clear();
-        evs.shrink_to_fit();
+        if (e.isRead && e.cycle > last) {
+            prof.perEntry_[e.entry].push_back(
+                VulnerableInterval{last, e.cycle, e.rip, e.upc, e.seq});
+            prof.totalVulnerable_ += e.cycle - last;
+        }
+        last = e.cycle;
     }
+    evs.clear();
+    evs.shrink_to_fit();
 }
 
 std::uint64_t

@@ -19,6 +19,7 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "base/types.hh"
@@ -80,8 +81,9 @@ using uarch::BranchRecord;
 
 /**
  * The profiler: attach to a Core as its recorder for the golden run,
- * then finalize() once the run ends to turn the recorded ACE view into
- * interval lists.
+ * then finalize() once the run ends.  A campaign reads one structure,
+ * so each structure's events are sorted into interval lists only on
+ * its first profile() query; the events are freed once built.
  */
 class AceProfiler : public uarch::Probe
 {
@@ -90,9 +92,16 @@ class AceProfiler : public uarch::Probe
     AceProfiler(unsigned rf_entries, unsigned sq_entries,
                 unsigned l1d_words);
 
-    /** Build interval lists; call exactly once, after the golden run. */
+    /**
+     * End recording; call exactly once, after the golden run.  The
+     * interval lists are built per structure by profile().
+     */
     void finalize();
 
+    /**
+     * Intervals of @p s, built on the first query for @p s (safe from
+     * any number of threads).
+     */
     const StructureProfile &profile(uarch::Structure s) const;
 
     /** Committed conditional-branch trace, ordered by sequence number. */
@@ -108,8 +117,13 @@ class AceProfiler : public uarch::Probe
     std::uint64_t pathSignature(SeqNum seq, unsigned depth = 5) const;
 
   private:
+    /** Sort @p s's events into its interval lists, then free them. */
+    void build(uarch::Structure s) const;
+
     bool finalized_ = false;
-    std::array<StructureProfile, 3> profiles_;
+    mutable std::array<std::once_flag, 3> built_;
+    mutable std::array<std::vector<uarch::AceEvent>, 3> pending_;
+    mutable std::array<StructureProfile, 3> profiles_;
 };
 
 } // namespace merlin::profile

@@ -36,6 +36,8 @@ TEST(Sampling, PaperBaselineCounts)
 TEST(Sampling, FixedCountClampedToPopulation)
 {
     EXPECT_EQ(specFixed(1000).count(100.0), 100u);
+    // Far past 2^64 (e.g. 64 bits x 96 entries x 2^63 cycles).
+    EXPECT_EQ(specFixed(1000).count(1e30), 1000u);
 }
 
 TEST(Sampling, FaultsAreInBounds)
@@ -60,6 +62,62 @@ TEST(Sampling, SeededReproducibility)
     auto lb = sampleFaults(Structure::RegisterFile, 64, 1000,
                            specFixed(100), b);
     EXPECT_TRUE(la == lb);
+}
+
+/** Rng::nextBelow as it was before its thresholds could be hoisted. */
+std::uint64_t
+referenceBelow(Rng &rng, std::uint64_t bound)
+{
+    const std::uint64_t threshold = -bound % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+/**
+ * sampleFaults draws each fault with hoisted rejection thresholds and
+ * a masked bit draw; the faults and the generator state afterwards
+ * must equal the plain per-fault three-draw loop's, including a cycle
+ * bound just above 2^63 where half the raw draws are rejected.
+ */
+TEST(Sampling, DrawsMatchThePerFaultNextBelowLoop)
+{
+    const unsigned entry_bounds[] = {1, 16, 64, 96};
+    const Cycle cycle_bounds[] = {1, 1000, (Cycle(1) << 32) + 12345,
+                                  (Cycle(1) << 63) + 1};
+    const SamplingSpec spec = specFixed(700);
+    for (std::uint64_t seed : {1u, 77u}) {
+        for (unsigned entries : entry_bounds) {
+            for (Cycle cycles : cycle_bounds) {
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << " entries " << entries
+                             << " cycles " << cycles);
+                Rng got_rng(seed), want_rng(seed);
+                const auto got = sampleFaults(Structure::RegisterFile,
+                                              entries, cycles, spec,
+                                              got_rng);
+                const double population =
+                    entries * 64.0 * static_cast<double>(cycles);
+                const std::uint64_t n = spec.count(population);
+                EXPECT_EQ(static_cast<double>(n), std::min(population, 700.0));
+                std::vector<faultsim::Fault> want;
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    faultsim::Fault f;
+                    f.structure = Structure::RegisterFile;
+                    f.entry = static_cast<EntryIndex>(
+                        referenceBelow(want_rng, entries));
+                    f.bit = static_cast<std::uint8_t>(
+                        referenceBelow(want_rng, 64));
+                    f.cycle = referenceBelow(want_rng, cycles);
+                    want.push_back(f);
+                }
+                EXPECT_EQ(got, want);
+                EXPECT_EQ(got_rng.next(), want_rng.next());
+            }
+        }
+    }
 }
 
 TEST(Report, ClassCountsMath)
@@ -426,6 +484,70 @@ TEST(Campaign, ParallelCampaignMatchesSerial)
     EXPECT_EQ(serial.survivorTruth->counts, parallel.survivorTruth->counts);
     EXPECT_EQ(serial.injections, parallel.injections);
     EXPECT_EQ(serial.homogeneity->fine, parallel.homogeneity->fine);
+}
+
+/**
+ * A grouping-only prepare runs a bare golden run (no checkpoints, no
+ * effect trace) yet must reduce the fault list exactly like an
+ * estimate-mode prepare, and its runner must still inject correctly.
+ */
+TEST(Campaign, GroupingOnlyGoldenRunIsBare)
+{
+    struct Case
+    {
+        const char *workload;
+        bool windowed;
+    };
+    for (const Case &c : {Case{"qsort", false}, Case{"gcc", true}}) {
+        const auto w = workloads::buildWorkload(c.workload);
+        for (Structure target : {Structure::RegisterFile,
+                                 Structure::StoreQueue,
+                                 Structure::L1DCache}) {
+            SCOPED_TRACE(testing::Message()
+                         << c.workload << " "
+                         << uarch::structureName(target));
+            CampaignConfig cfg;
+            cfg.target = target;
+            cfg.sampling = specFixed(2000);
+            cfg.seed = 3;
+            if (c.windowed) {
+                cfg.core = cfg.core.withRegisterFile(128)
+                               .withStoreQueue(16)
+                               .withL1dKb(32);
+                cfg.core.instructionWindowEnd = w.suggestedWindow;
+            }
+            Campaign est(w.program, cfg), bare(w.program, cfg);
+            const PreparedCampaign pe = est.prepare();
+            const PreparedCampaign pb = bare.prepare(
+                false, false, 5, /*grouping_only=*/true);
+
+            EXPECT_FALSE(est.goldenRun().checkpoints.empty());
+            EXPECT_NE(est.goldenRun().trace, nullptr);
+            EXPECT_TRUE(bare.goldenRun().checkpoints.empty());
+            EXPECT_EQ(bare.goldenRun().trace, nullptr);
+
+            const CampaignResult &e = pe.result, &b = pb.result;
+            EXPECT_EQ(b.goldenCycles, e.goldenCycles);
+            EXPECT_EQ(b.goldenInstret, e.goldenInstret);
+            EXPECT_EQ(b.aceAvf, e.aceAvf);
+            EXPECT_EQ(b.initialFaults, e.initialFaults);
+            EXPECT_EQ(b.aceMasked, e.aceMasked);
+            EXPECT_EQ(b.survivors, e.survivors);
+            EXPECT_EQ(b.numGroups, e.numGroups);
+            EXPECT_EQ(b.injections, e.injections);
+            EXPECT_TRUE(pb.faults.empty());
+
+            // Slow path, same outcomes: a few representatives injected
+            // through both runners.
+            const std::vector<faultsim::Fault> some(
+                pe.faults.begin(),
+                pe.faults.begin() +
+                    static_cast<std::ptrdiff_t>(
+                        std::min<std::size_t>(pe.faults.size(), 4)));
+            EXPECT_EQ(bare.runner().injectBatch(some, bare.goldenRun(), 1),
+                      est.runner().injectBatch(some, est.goldenRun(), 1));
+        }
+    }
 }
 
 /** Checkpointing must not change campaign results either. */

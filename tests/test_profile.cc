@@ -210,6 +210,73 @@ TEST(AceProfiler, AceAvfIsUpperBoundButBelowOne)
     EXPECT_LT(avf, 1.0);
 }
 
+/** Every interval of @p prof, flattened, then its vulnerable total. */
+std::vector<std::uint64_t>
+flatten(const StructureProfile &prof)
+{
+    std::vector<std::uint64_t> v;
+    for (EntryIndex e = 0; e < prof.numEntries(); ++e) {
+        for (const VulnerableInterval &iv : prof.intervals(e)) {
+            v.insert(v.end(), {e, iv.start, iv.end, iv.rip, iv.upc,
+                               iv.endSeq});
+        }
+    }
+    v.push_back(prof.totalVulnerableCycles());
+    return v;
+}
+
+/**
+ * Intervals are built per structure on first query, so a structure's
+ * profile must not depend on which other structures were queried
+ * before it, or whether any were.
+ */
+TEST(AceProfiler, LazyProfilesIgnoreQueryOrder)
+{
+    auto w = workloads::buildWorkload("qsort");
+    const uarch::CoreConfig cfg =
+        uarch::CoreConfig{}.withRegisterFile(64).withL1dKb(16);
+    const auto profiled = [&] {
+        auto prof = std::make_unique<AceProfiler>(
+            cfg.numPhysIntRegs, cfg.sqEntries, cfg.l1d.totalWords());
+        uarch::Core core(w.program, cfg, prof.get());
+        core.run();
+        prof->finalize();
+        return prof;
+    };
+    const Structure all[] = {Structure::RegisterFile,
+                             Structure::StoreQueue, Structure::L1DCache};
+
+    std::vector<std::vector<std::uint64_t>> alone;
+    for (Structure s : all)
+        alone.push_back(flatten(profiled()->profile(s)));
+    for (const auto &a : alone)
+        EXPECT_GT(a.back(), 0u); // every structure has intervals
+
+    const auto forward = profiled();
+    const auto backward = profiled();
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(flatten(forward->profile(all[i])), alone[i]) << i;
+    for (int i = 2; i >= 0; --i)
+        EXPECT_EQ(flatten(backward->profile(all[i])), alone[i]) << i;
+    // A repeat query returns the built profile itself.
+    EXPECT_EQ(&forward->profile(Structure::StoreQueue),
+              &forward->profile(Structure::StoreQueue));
+    EXPECT_EQ(flatten(forward->profile(Structure::RegisterFile)),
+              alone[0]);
+}
+
+TEST(AceProfiler, FinalizeContractIsEnforced)
+{
+    const uarch::CoreConfig cfg;
+    AceProfiler prof(cfg.numPhysIntRegs, cfg.sqEntries,
+                     cfg.l1d.totalWords());
+    EXPECT_THROW(prof.profile(Structure::StoreQueue), SimAssertError);
+    prof.finalize();
+    EXPECT_THROW(prof.finalize(), SimAssertError);
+    EXPECT_EQ(prof.profile(Structure::StoreQueue).totalVulnerableCycles(),
+              0u);
+}
+
 TEST(AceProfiler, PathSignatureDiscriminatesPaths)
 {
     auto p = profileProgram(".data\ntab: .quad 1,0,1,1,0,0,1,0\n.text\n"
