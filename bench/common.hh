@@ -4,16 +4,17 @@
  *
  * Every binary regenerates one table or figure of the paper.  Defaults
  * are scaled so the whole bench suite finishes in minutes on a laptop;
- * flags restore paper scale:
+ * flags restore paper scale.  Flags are spelled --name=value; any
+ * other argument is a usage error (exit 2):
  *
- *   --faults N        initial fault-list size (default per bench)
+ *   --faults=N        initial fault-list size (default per bench)
  *   --paper           paper-scale fault lists (60,000 / 600,000)
- *   --workloads a,b   comma-separated subset (default per bench)
- *   --seed N          campaign seed
- *   --jobs N          shared suite-pool workers (0 = all hardware
+ *   --workloads=a,b   comma-separated subset (default per bench)
+ *   --seed=N          campaign seed
+ *   --jobs=N          shared suite-pool workers (0 = all hardware
  *                     threads); campaigns overlap and workers steal
  *                     injections across campaigns, results unchanged
- *   --json FILE       write a metrics snapshot (engine counters +
+ *   --json=FILE       write a metrics snapshot (engine counters +
  *                     bench measurements recorded via record()) to
  *                     FILE when the binary exits
  */
@@ -21,9 +22,9 @@
 #ifndef MERLIN_BENCH_COMMON_HH
 #define MERLIN_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -94,14 +95,21 @@ struct Options
     std::string jsonPath; ///< --json=FILE metrics snapshot on exit
     std::vector<std::string> workloads;
 
+    /**
+     * Parse the shared flags, all spelled --name=value (or bare
+     * --paper).  @p extra names the --name=value flags the caller
+     * parses itself; any other argument, and a --workloads name that
+     * is not a bundled workload, is a usage error: exit 2 naming it,
+     * never a silently-applied default.
+     */
     static Options
-    parse(int argc, char **argv)
+    parse(int argc, char **argv,
+          const std::vector<std::string> &extra = {})
     {
-        // Bench mains have no try/catch around their flag handling;
-        // turn a bad flag value into a clean usage exit, not a
-        // std::terminate.
         try {
-            Options o = parseUnchecked(argc, argv);
+            Options o;
+            for (int i = 1; i < argc; ++i)
+                o.parseOne(argv[i], extra);
             if (!o.jsonPath.empty())
                 detail::dumpMetricsAtExit(o.jsonPath);
             return o;
@@ -109,45 +117,6 @@ struct Options
             std::fprintf(stderr, "error: %s\n", e.what());
             std::exit(2);
         }
-    }
-
-    static Options
-    parseUnchecked(int argc, char **argv)
-    {
-        Options o;
-        for (int i = 1; i < argc; ++i) {
-            std::string a = argv[i];
-            auto val = [&](const char *flag) -> const char * {
-                std::size_t n = std::strlen(flag);
-                if (a.rfind(flag, 0) == 0 && a.size() > n &&
-                    a[n] == '=') {
-                    return a.c_str() + n + 1;
-                }
-                return nullptr;
-            };
-            if (a == "--paper") {
-                o.paper = true;
-            } else if (const char *v = val("--faults")) {
-                // Strict shared parser (base::parseU64): raw strtoull
-                // silently accepted "-1" (wrapping to 2^64-1),
-                // overflow and trailing junk.
-                o.faults = base::parseU64(v, "--faults");
-            } else if (const char *v2 = val("--seed")) {
-                o.seed = base::parseU64(v2, "--seed");
-            } else if (const char *v3 = val("--workloads")) {
-                o.workloads = base::splitCommaList(v3);
-            } else if (const char *v4 = val("--jobs")) {
-                o.jobs = base::parseU32(v4, "--jobs");
-            } else if (const char *v5 = val("--json")) {
-                o.jsonPath = v5;
-            } else if (a == "--help" || a == "-h") {
-                std::printf("flags: --faults=N --paper "
-                            "--workloads=a,b --seed=N --jobs=N "
-                            "--json=FILE\n");
-                std::exit(0);
-            }
-        }
-        return o;
     }
 
     /** Sampling spec given this bench's scaled default. */
@@ -163,6 +132,49 @@ struct Options
     workloadsOr(const std::vector<std::string> &def) const
     {
         return workloads.empty() ? def : workloads;
+    }
+
+  private:
+    void
+    parseOne(const std::string &a, const std::vector<std::string> &extra)
+    {
+        auto val = [&](const std::string &flag) -> const char * {
+            if (a.size() > flag.size() && a.rfind(flag, 0) == 0 &&
+                a[flag.size()] == '=') {
+                return a.c_str() + flag.size() + 1;
+            }
+            return nullptr;
+        };
+        if (a == "--paper") {
+            paper = true;
+        } else if (const char *v = val("--faults")) {
+            // Strict shared parser (base::parseU64): raw strtoull
+            // silently accepted "-1" (wrapping to 2^64-1), overflow
+            // and trailing junk.
+            faults = base::parseU64(v, "--faults");
+        } else if (const char *v2 = val("--seed")) {
+            seed = base::parseU64(v2, "--seed");
+        } else if (const char *v3 = val("--workloads")) {
+            workloads = base::splitCommaList(v3);
+            const auto known = merlin::workloads::allWorkloadNames();
+            for (const std::string &w : workloads)
+                if (std::find(known.begin(), known.end(), w) ==
+                    known.end())
+                    fatal("--workloads: unknown workload '", w, "'");
+        } else if (const char *v4 = val("--jobs")) {
+            jobs = base::parseU32(v4, "--jobs");
+        } else if (const char *v5 = val("--json")) {
+            jsonPath = v5;
+        } else if (a == "--help" || a == "-h") {
+            std::printf("flags: --faults=N --paper --workloads=a,b "
+                        "--seed=N --jobs=N --json=FILE\n");
+            std::exit(0);
+        } else if (std::none_of(extra.begin(), extra.end(),
+                                [&](const std::string &f) {
+                                    return val(f) != nullptr;
+                                })) {
+            fatal("unknown flag '", a, "' (bench flags are --name=value)");
+        }
     }
 };
 

@@ -76,7 +76,8 @@ main(int argc, char **argv)
 {
     using namespace merlin;
 
-    bench::Options opts = bench::Options::parse(argc, argv);
+    bench::Options opts = bench::Options::parse(
+        argc, argv, {"--l1d-a", "--l1d-b", "--select"});
     unsigned l1d_a = 64, l1d_b = 16;
     std::optional<sched::SpecSelector> select;
     try {

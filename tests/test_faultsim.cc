@@ -586,6 +586,49 @@ TEST(Runner, ReplayPreservesEveryOutcome)
 }
 
 /**
+ * The replay floor in simulated cycles, not seconds: on a pinned RF
+ * fault list the trace must skip at least half of the pre-divergence
+ * head, i.e. replay at least halves the head cost.  The smallest
+ * paper RF variant gives enough live entries that the list mixes
+ * Masked shortcuts with genuine handoffs.  Requiring every run to be
+ * resolved by the trace keeps a replay-off runner (both cycle
+ * counters zero) from passing trivially.
+ */
+TEST(Runner, ReplaySkipsAtLeastHalfTheHead)
+{
+    auto w = workloads::buildWorkload("qsort");
+    const uarch::CoreConfig cfg =
+        uarch::CoreConfig{}.withRegisterFile(64);
+    RunnerOptions off;
+    off.replay = false;
+    InjectionRunner fast(w.program, cfg);
+    InjectionRunner slow(w.program, cfg, off);
+    const auto g_fast = fast.golden();
+    const auto g_slow = slow.golden();
+
+    Rng rng(11);
+    std::vector<Fault> faults;
+    for (unsigned i = 0; i < 64; ++i) {
+        Fault f;
+        f.structure = Structure::RegisterFile;
+        f.entry = static_cast<EntryIndex>(
+            rng.nextBelow(cfg.numPhysIntRegs));
+        f.bit = static_cast<std::uint8_t>(rng.nextBelow(64));
+        f.cycle = rng.nextBelow(g_fast.stats.cycles);
+        faults.push_back(f);
+    }
+    EXPECT_EQ(fast.injectBatch(faults, g_fast, 1),
+              slow.injectBatch(faults, g_slow, 1));
+
+    const auto st = fast.injectionStats();
+    EXPECT_EQ(st.runs, 64u);
+    EXPECT_EQ(st.replayMasked + st.replayHandoffs, st.runs);
+    EXPECT_GE(2 * st.replayCyclesSkipped, st.replayHeadCycles)
+        << st.replayCyclesSkipped << " of " << st.replayHeadCycles
+        << " head cycles skipped";
+}
+
+/**
  * Windowed runs: a never-touched flip is still latent at the window
  * end, so replay must hand it off to the Table-4 comparison rather
  * than shortcut it — the Unknown class must survive intact.

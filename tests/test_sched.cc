@@ -15,6 +15,7 @@
 
 #include "base/logging.hh"
 #include "io/result_store.hh"
+#include "mutants.hh"
 #include "sched/suite.hh"
 #include "workloads/workloads.hh"
 
@@ -229,6 +230,36 @@ TEST(Manifest, RejectsTyposAndMissingFields)
     ASSERT_EQ(specs.size(), 1u);
     EXPECT_EQ(specs[0].regs, 35u);
     EXPECT_EQ(specs[0].l1dKb, 1u);
+}
+
+/**
+ * Every prefix and bit flip of a whole manifest, defaults merge
+ * included, either parses or fails with FatalError: no other
+ * exception escapes the manifest or the spec parser.
+ */
+TEST(ManifestFuzz, MutantsParseOrFailCleanly)
+{
+    const std::string doc = R"({
+  "defaults": {"faults": 400, "seed": 11, "window": 0, "regs": 128},
+  "campaigns": [
+    {"workload": "qsort", "structure": "rf"},
+    {"workload": "fft", "structure": "sq", "sq_entries": 16},
+    {"workload": "sha", "structure": "l1d", "l1d_kb": 16,
+     "mode": "truth", "relyzer": true, "path_depth": 2}
+  ]
+})";
+    const auto parse = [](const std::string &bytes) {
+        parseManifest(Json::parse(bytes));
+    };
+    ASSERT_EQ(parseManifest(Json::parse(doc)).size(), 3u);
+
+    const test::MutantTally prefixes = test::feedPrefixes(doc, parse);
+    EXPECT_EQ(prefixes.accepted, 0u);
+    EXPECT_EQ(prefixes.rejected, doc.size());
+    const test::MutantTally flips = test::feedBitFlips(doc, parse);
+    EXPECT_GT(flips.accepted, 0u);
+    EXPECT_GT(flips.rejected, 0u);
+    EXPECT_EQ(flips.accepted + flips.rejected, doc.size() * 8);
 }
 
 // ---------------------------------------------------- SuiteScheduler
