@@ -234,14 +234,7 @@ specConfig(std::uint64_t window)
 inline std::uint64_t
 structureBits(uarch::Structure s, const uarch::CoreConfig &cfg)
 {
-    switch (s) {
-      case uarch::Structure::RegisterFile:
-        return std::uint64_t(cfg.numPhysIntRegs) * 64;
-      case uarch::Structure::StoreQueue:
-        return std::uint64_t(cfg.sqEntries) * 64;
-      default:
-        return std::uint64_t(cfg.l1d.totalWords()) * 64;
-    }
+    return std::uint64_t(uarch::structureEntries(s, cfg)) * 64;
 }
 
 inline void

@@ -408,11 +408,6 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
                                             std::memory_order_relaxed);
                 m.replayMasked.add();
                 m.replaySkipped.observe(head);
-                if (detail) {
-                    detail->replay = ReplayAction::Masked;
-                    detail->replayCyclesSkipped = head;
-                    detail->replayHeadCycles = head;
-                }
                 return Outcome::Masked;
             }
 
@@ -453,11 +448,6 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
             m.replaySkipped.observe(skipped);
             if (ft.kind == replay::Touch::Diverged)
                 m.replayDivergence.observe(ft.cycle - fault.cycle);
-            if (detail) {
-                detail->replay = ReplayAction::Handoff;
-                detail->replayCyclesSkipped = skipped;
-                detail->replayHeadCycles = head;
-            }
         }
 
         uarch::SnapshotStats rstats;
@@ -522,8 +512,6 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
                 if (core.stateEquals(*after)) {
                     earlyExits_.fetch_add(1, std::memory_order_relaxed);
                     m.earlyExits.add();
-                    if (detail)
-                        detail->earlyExit = true;
                     return Outcome::Masked;
                 }
                 ++after;

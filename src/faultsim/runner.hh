@@ -162,26 +162,15 @@ struct QuarantineRecord
     }
 };
 
-/** How the replay fast path resolved one injection. */
-enum class ReplayAction : std::uint8_t
-{
-    None = 0,    ///< replay off / no trace: classic full simulation
-    Masked = 1,  ///< trace proved the flip dead; no simulation at all
-    Handoff = 2, ///< diverged (or windowed tail): full sim from the
-                 ///< latest pre-divergence checkpoint
-};
-
-/** Per-injection facts beyond the Outcome (for journals/quarantine). */
+/**
+ * Per-injection facts beyond the Outcome, for the journal: the
+ * quarantine verdict.  How the engine got there (early exit, replay)
+ * is counted in InjectionStats, not here.
+ */
 struct InjectDetail
 {
-    bool earlyExit = false;   ///< ended at a reconverged checkpoint
     bool quarantined = false; ///< guarded failure, outcome forced Crash
     std::string reason;       ///< quarantine reason when quarantined
-    ReplayAction replay = ReplayAction::None;
-    /** Full-simulation cycles the replay fast path avoided. */
-    Cycle replayCyclesSkipped = 0;
-    /** Pre-divergence head length (classic resume to first effect). */
-    Cycle replayHeadCycles = 0;
 };
 
 /** What to do when an injection trips the quarantine guard. */
@@ -246,7 +235,9 @@ struct RunnerOptions
     std::function<void(const Fault &, Cycle)> injectHook;
 };
 
-/** Early-exit accounting of one runner (atomic; any thread count). */
+/** How one runner's injections went: runs, early exits, quarantines
+ *  and replay (atomic; any thread count).  The one home of engine
+ *  facts; InjectDetail carries only the quarantine verdict. */
 struct InjectionStats
 {
     std::uint64_t runs = 0;       ///< faulty runs actually simulated
@@ -285,7 +276,7 @@ class InjectionRunner
      * QuarantineRecord (policy Continue; the outcome is Crash) or
      * aborts with FatalError (policy Fail) — a pathological fault can
      * never take the campaign down with it.  @p detail, when given,
-     * receives the per-run facts (early exit, quarantine reason).
+     * receives the quarantine verdict.
      */
     Outcome inject(const Fault &fault, const GoldenRun &ref,
                    InjectDetail *detail = nullptr) const;
@@ -350,8 +341,6 @@ class InjectionRunner
     static Cycle timeoutBudget(Cycle golden_cycles, unsigned factor);
 
     const uarch::CoreConfig &config() const { return cfg_; }
-    const RunnerOptions &options() const { return opts_; }
-    Cycle checkpointInterval() const { return opts_.checkpointInterval; }
 
     /** Cumulative run / early-exit counts since construction. */
     InjectionStats injectionStats() const;

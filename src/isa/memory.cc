@@ -1,5 +1,6 @@
 #include "isa/memory.hh"
 
+#include <bit>
 #include <cstring>
 
 #include "base/bits.hh"
@@ -12,7 +13,10 @@ namespace merlin::isa
 SegmentedMemory::SegmentedMemory(std::uint32_t chunk_bytes)
     : chunkBytes_(chunk_bytes)
 {
-    MERLIN_ASSERT(isValidChunkBytes(chunk_bytes),
+    // At least 64 bytes, so aligned scalars and cache lines never
+    // span chunks.
+    MERLIN_ASSERT(chunk_bytes >= 64 && chunk_bytes <= (1u << 30) &&
+                      std::has_single_bit(chunk_bytes),
                   "memory chunk size must be a power of two >= 64");
 }
 

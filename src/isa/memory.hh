@@ -27,15 +27,6 @@
 namespace merlin::isa
 {
 
-/** Valid COW chunk granularity: a power of two of at least 64 bytes
- *  (so aligned scalars and cache lines never span chunks).  Exposed
- *  so front ends can reject bad values at parse time. */
-constexpr bool
-isValidChunkBytes(std::uint64_t v)
-{
-    return v >= 64 && v <= (1u << 30) && (v & (v - 1)) == 0;
-}
-
 /** Segment permission bits. */
 enum Perm : std::uint8_t
 {

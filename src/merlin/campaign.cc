@@ -15,22 +15,6 @@ using faultsim::GoldenRun;
 using faultsim::InjectionRunner;
 using faultsim::Outcome;
 
-namespace
-{
-
-unsigned
-entriesOf(uarch::Structure s, const uarch::CoreConfig &cfg)
-{
-    switch (s) {
-      case uarch::Structure::RegisterFile: return cfg.numPhysIntRegs;
-      case uarch::Structure::StoreQueue:   return cfg.sqEntries;
-      case uarch::Structure::L1DCache:     return cfg.l1d.totalWords();
-    }
-    panic("bad structure");
-}
-
-} // namespace
-
 ClassCounts
 CampaignResult::fullTruth() const
 {
@@ -82,17 +66,11 @@ Campaign::prepare(bool inject_all, bool relyzer, unsigned path_depth,
     Rng rng(cfg_.seed);
     // A grouping-only campaign injects nothing, so its golden run
     // captures no checkpoints and records no effect trace.
-    faultsim::RunnerOptions ropts;
-    ropts.checkpointInterval = grouping_only ? 0 : cfg_.checkpointInterval;
-    ropts.maxCheckpoints = cfg_.maxCheckpoints;
-    ropts.earlyExit = cfg_.earlyExit;
-    ropts.replay = cfg_.replay && !grouping_only;
-    ropts.timeoutFactor = cfg_.timeoutFactor;
-    ropts.wallClockLimit = cfg_.injectWallLimit;
-    ropts.quarantine = cfg_.quarantineFail
-                           ? faultsim::QuarantinePolicy::Fail
-                           : faultsim::QuarantinePolicy::Continue;
-    ropts.injectHook = cfg_.injectHook;
+    faultsim::RunnerOptions ropts = cfg_.runner;
+    if (grouping_only) {
+        ropts.checkpointInterval = 0;
+        ropts.replay = false;
+    }
     runner_ = std::make_unique<InjectionRunner>(prog_, cfg_.core, ropts);
 
     // ---- Phase 1: preprocessing (profiled golden run + fault list) ----
@@ -107,7 +85,7 @@ Campaign::prepare(bool inject_all, bool relyzer, unsigned path_depth,
     const profile::StructureProfile &prof = profiler.profile(cfg_.target);
     res.aceAvf = prof.aceAvf(res.goldenCycles);
 
-    const unsigned entries = entriesOf(cfg_.target, cfg_.core);
+    const unsigned entries = uarch::structureEntries(cfg_.target, cfg_.core);
     std::vector<Fault> initial = sampleFaults(
         cfg_.target, entries, res.goldenCycles, cfg_.sampling, rng);
     res.initialFaults = initial.size();

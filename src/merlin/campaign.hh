@@ -17,7 +17,6 @@
 #define MERLIN_MERLIN_CAMPAIGN_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,46 +47,22 @@ struct CampaignConfig
      * concurrency).  Results are bit-identical for any value.
      */
     unsigned jobs = 1;
-    /** Golden-run checkpoint cadence in cycles (0 = disabled). */
-    Cycle checkpointInterval =
-        faultsim::RunnerOptions::kDefaultCheckpointInterval;
-    /** Bound on retained checkpoints (the cadence doubles past it). */
-    unsigned maxCheckpoints =
-        faultsim::RunnerOptions::kDefaultMaxCheckpoints;
     /**
-     * End faulty runs at the first golden checkpoint whose state they
-     * provably reconverged with (classification-preserving; off only
-     * for A/B validation).
+     * Injection-engine settings: checkpoints, early exit, replay, the
+     * timeout factor and the quarantine guard.  Only timeoutFactor can
+     * change an outcome; the rest decide how fast the engine gets there
+     * or how it handles a failing simulator.
      */
-    bool earlyExit = true;
-    /**
-     * Golden-trace replay fast path: skip each injection's
-     * pre-divergence head off the recorded effect trace
-     * (classification-preserving; off only for A/B validation).
-     */
-    bool replay = true;
-    /** Timeout budget multiplier (the paper's rule is 3x golden). */
-    unsigned timeoutFactor =
-        faultsim::RunnerOptions::kDefaultTimeoutFactor;
-    /**
-     * Real-wall-clock watchdog per faulty run in seconds (0 = off);
-     * see RunnerOptions::wallClockLimit.  A trip quarantines the
-     * injection instead of hanging the campaign.
-     */
-    double injectWallLimit = 0.0;
-    /** Abort the campaign on the first quarantined injection. */
-    bool quarantineFail = false;
-    /** TEST-ONLY per-cycle hook; see RunnerOptions::injectHook. */
-    std::function<void(const faultsim::Fault &, Cycle)> injectHook;
+    faultsim::RunnerOptions runner;
 };
 
 /**
  * Outcome of one campaign: a pure function of the program, the target
  * structure, the core geometry and the sampling/grouping/timeout
  * choices — never of the engine knobs (checkpoints, early exit,
- * replay, COW chunk size), the job count or the wall clock.  How the
- * engine got there is reported by InjectionRunner::injectionStats()
- * and the inject.* counters, not stored here.
+ * replay), the job count or the wall clock.  How the engine got there
+ * is reported by InjectionRunner::injectionStats() and the inject.*
+ * counters, not stored here.
  */
 struct CampaignResult
 {

@@ -535,8 +535,10 @@ CampaignService::runJob(Job &job)
     // Fault-tolerance knobs ride on the service config, not the spec:
     // they decide how failures are handled, never what a healthy
     // campaign computes.
-    cc.injectWallLimit = cfg_.injectWallLimit;
-    cc.quarantineFail = cfg_.quarantineFail;
+    cc.runner.wallClockLimit = cfg_.injectWallLimit;
+    cc.runner.quarantine = cfg_.quarantineFail
+                               ? faultsim::QuarantinePolicy::Fail
+                               : faultsim::QuarantinePolicy::Continue;
     core::Campaign camp(wl->program, cc);
     core::PreparedCampaign prep =
         camp.prepare(spec.mode == CampaignSpec::Mode::Truth, spec.relyzer,

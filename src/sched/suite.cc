@@ -175,7 +175,7 @@ CampaignSpec::campaignConfig(const workloads::BuiltWorkload &w) const
     // Intra-campaign parallelism comes from the shared suite pool, not
     // from a per-campaign pool.  The engine knobs keep their defaults.
     cc.jobs = 1;
-    cc.timeoutFactor = timeoutFactor;
+    cc.runner.timeoutFactor = timeoutFactor;
     return cc;
 }
 

@@ -45,9 +45,9 @@ namespace merlin::sched
  * The spec is the result's identity: anything that never changes the
  * result is deliberately NOT part of it, so it cannot change the cache
  * key.  That covers the job count and the engine knobs (checkpoint
- * cadence, early exit, golden-trace replay, COW chunk size), which
- * keep their defaults here and are only settable per campaign on
- * core::CampaignConfig.
+ * cadence, early exit, golden-trace replay), which keep their
+ * faultsim::RunnerOptions defaults here (library callers may set
+ * core::CampaignConfig::runner).
  */
 struct CampaignSpec
 {

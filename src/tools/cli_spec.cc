@@ -9,7 +9,6 @@
 #include "base/parse.hh"
 #include "faultsim/runner.hh"
 #include "io/json.hh"
-#include "isa/memory.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -67,19 +66,6 @@ Args::getU32(const std::string &k, unsigned def) const
     if (it == kv.end())
         return def;
     return base::parseU32(it->second, "--" + k);
-}
-
-bool
-Args::getOnOff(const std::string &k, bool def) const
-{
-    auto it = kv.find(k);
-    if (it == kv.end())
-        return def;
-    if (it->second == "on" || it->second == "1")
-        return true;
-    if (it->second == "off" || it->second == "0")
-        return false;
-    fatal("--", k, ": '", it->second, "' is not on|off");
 }
 
 double
@@ -181,6 +167,35 @@ parseStructure(const std::string &s)
     fatal("unknown structure '", s, "' (use rf | sq | l1d)");
 }
 
+namespace
+{
+
+/**
+ * Seconds value of --k, rejected by name when negative, or zero unless
+ * @p zero_ok.  The library clamps such values quietly (a negative
+ * watchdog is off, a non-positive progress period is one second), so a
+ * typo must fail here instead.
+ */
+double
+secondsFlag(const Args &args, const std::string &k, double def,
+            bool zero_ok)
+{
+    const double v = args.getD(k, def);
+    if (v < 0 || (v == 0 && !zero_ok))
+        fatal("--", k, ": ", v,
+              zero_ok ? " must be at least 0" : " must be positive");
+    return v;
+}
+
+/** --inject-wall-limit SECONDS, the same check for every command. */
+double
+injectWallLimit(const Args &args)
+{
+    return secondsFlag(args, "inject-wall-limit", 0.0, true);
+}
+
+} // namespace
+
 bool
 parseQuarantineFail(const Args &args)
 {
@@ -236,25 +251,18 @@ campaignConfig(const Args &args, std::uint64_t default_window)
     }
     cc.seed = args.getU("seed", 1);
     cc.jobs = args.getU32("jobs", 1);
-    cc.checkpointInterval = args.getU(
-        "checkpoint-interval",
-        faultsim::RunnerOptions::kDefaultCheckpointInterval);
-    cc.maxCheckpoints = args.getU32(
-        "max-checkpoints", faultsim::RunnerOptions::kDefaultMaxCheckpoints);
-    cc.earlyExit = args.getOnOff("early-exit", true);
-    cc.replay = args.getOnOff("replay", true);
-    cc.timeoutFactor = args.getU32(
+    // Engine settings keep their RunnerOptions defaults: they decide
+    // how fast the engine reaches an outcome, never which one.  The
+    // timeout factor moves the Timeout boundary; the watchdog and the
+    // quarantine policy are operational.
+    cc.runner.timeoutFactor = args.getU32(
         "timeout-factor", faultsim::RunnerOptions::kDefaultTimeoutFactor);
-    if (cc.timeoutFactor == 0)
+    if (cc.runner.timeoutFactor == 0)
         fatal("--timeout-factor: 0 must be at least 1");
-    const std::uint64_t chunk = args.getU(
-        "mem-chunk-bytes", isa::SegmentedMemory::kDefaultChunkBytes);
-    if (!isa::isValidChunkBytes(chunk))
-        fatal("--mem-chunk-bytes: ", chunk,
-              " is not a power of two >= 64");
-    cc.core.memChunkBytes = static_cast<std::uint32_t>(chunk);
-    cc.injectWallLimit = args.getD("inject-wall-limit", 0.0);
-    cc.quarantineFail = parseQuarantineFail(args);
+    cc.runner.wallClockLimit = injectWallLimit(args);
+    cc.runner.quarantine = parseQuarantineFail(args)
+                               ? faultsim::QuarantinePolicy::Fail
+                               : faultsim::QuarantinePolicy::Continue;
     return cc;
 }
 
@@ -265,13 +273,13 @@ suiteOptionsFromArgs(const Args &args)
     opts.jobs = args.getU32("jobs", 1);
     opts.storePath = args.get("out");
     opts.reuseCached = args.has("resume");
-    opts.injectWallLimit = args.getD("inject-wall-limit", 0.0);
+    opts.injectWallLimit = injectWallLimit(args);
     opts.quarantineFail = parseQuarantineFail(args);
     // --progress / --progress=SECS: periodic stderr line (a bare flag
     // parses as "1" — one second).  --progress-json FILE additionally
     // rewrites a machine-readable progress file at the same cadence.
     opts.progressStderr = args.has("progress");
-    opts.progressInterval = args.getD("progress", 1.0);
+    opts.progressInterval = secondsFlag(args, "progress", 1.0, false);
     opts.progressPath = args.get("progress-json");
     if (opts.reuseCached && opts.storePath.empty())
         fatal("--resume requires --out <results.json>");
@@ -286,7 +294,7 @@ serviceConfigFromArgs(const Args &args)
     // campaign engine — where the one-shot suite defaults to 1.
     cfg.jobs = args.getU32("jobs", 0);
     cfg.storePath = args.get("store");
-    cfg.injectWallLimit = args.getD("inject-wall-limit", 0.0);
+    cfg.injectWallLimit = injectWallLimit(args);
     cfg.quarantineFail = parseQuarantineFail(args);
     // The daemon always warms from its store: a persistent cache is
     // the point of process-lifetime service.
@@ -299,14 +307,7 @@ serviceConfigFromArgs(const Args &args)
 std::uint64_t
 structureBits(const core::CampaignConfig &cc)
 {
-    switch (cc.target) {
-      case uarch::Structure::RegisterFile:
-        return std::uint64_t(cc.core.numPhysIntRegs) * 64;
-      case uarch::Structure::StoreQueue:
-        return std::uint64_t(cc.core.sqEntries) * 64;
-      default:
-        return std::uint64_t(cc.core.l1d.totalWords()) * 64;
-    }
+    return std::uint64_t(uarch::structureEntries(cc.target, cc.core)) * 64;
 }
 
 void

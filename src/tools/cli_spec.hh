@@ -7,7 +7,7 @@
  * key the batch CLI would give it, and a daemon flag must accept
  * exactly the grammar the one-shot suite accepts.  Everything that
  * defines that grammar lives here: the --flag parser, the strict
- * numeric/on-off accessors, manifest loading, the SuiteOptions /
+ * numeric accessors, manifest loading, the SuiteOptions /
  * CampaignService::Config derivations, and the report printers both
  * front ends share.
  */
@@ -46,8 +46,6 @@ struct Args
     /** Like getU but range-checked for `unsigned` destinations, so a
      *  2^32 cannot truncate to 0 (for --jobs: "all threads"). */
     unsigned getU32(const std::string &k, unsigned def) const;
-    /** on/off value of --k; fatal() on anything else. */
-    bool getOnOff(const std::string &k, bool def) const;
     /** Floating-point value of --k; fatal() on garbage. */
     double getD(const std::string &k, double def) const;
 };

@@ -17,11 +17,9 @@ cmdCampaign(const Args &args)
     requireKnownFlags(args,
                       {"workload", "structure", "regs", "sq", "l1d",
                        "faults", "margin", "conf", "seed", "window",
-                       "truth", "relyzer", "jobs",
-                       "checkpoint-interval", "max-checkpoints",
-                       "early-exit", "replay", "mem-chunk-bytes",
-                       "timeout-factor", "inject-wall-limit",
-                       "quarantine", "trace", "metrics"},
+                       "truth", "relyzer", "jobs", "timeout-factor",
+                       "inject-wall-limit", "quarantine", "trace",
+                       "metrics"},
                       "campaign");
     auto w = workloads::buildWorkload(args.get("workload", "qsort"));
     core::CampaignConfig cc = campaignConfig(

@@ -36,6 +36,7 @@ cmdList()
 int
 cmdRun(const Args &args)
 {
+    requireKnownFlags(args, {"workload"}, "run");
     auto w = workloads::buildWorkload(args.get("workload", "qsort"));
     uarch::Core core(w.program, uarch::CoreConfig{});
     auto r = core.run();
@@ -63,6 +64,13 @@ cmdRun(const Args &args)
 int
 cmdAsm(const Args &args)
 {
+    // The campaign flags are read through campaignConfig; --campaign
+    // names the structure.
+    requireKnownFlags(args,
+                      {"file", "campaign", "regs", "sq", "l1d", "faults",
+                       "margin", "conf", "seed", "window", "truth", "jobs",
+                       "timeout-factor", "inject-wall-limit", "quarantine"},
+                      "asm");
     const std::string path = args.get("file");
     if (path.empty())
         fatal("asm requires --file <program.s>");
@@ -93,7 +101,7 @@ cmdAsm(const Args &args)
         const obs::TimePoint t0 = obs::now();
         core::Campaign camp(prog, cc);
         auto res = camp.run(a2.has("truth"));
-        printCampaign(res, 64ULL * 64);
+        printCampaign(res, structureBits(cc));
         printEngineStats(camp.runner().injectionStats(),
                          obs::secondsSince(t0));
     }

@@ -10,32 +10,23 @@
  *   merlin_cli campaign --workload qsort --structure rf
  *       [--regs N] [--sq N] [--l1d KB] [--faults N | --margin E --conf C]
  *       [--seed N] [--window N] [--truth] [--relyzer]
- *       [--jobs N] [--checkpoint-interval CYCLES] [--max-checkpoints N]
- *       [--early-exit=on|off] [--replay=on|off]
- *       [--mem-chunk-bytes N] [--timeout-factor N]
+ *       [--jobs N] [--timeout-factor N]
+ *       [--inject-wall-limit SECONDS] [--quarantine=fail|continue]
+ *       [--trace trace.json] [--metrics metrics.json]
  *       Run a MeRLiN campaign and print the reliability report.
  *       --jobs N spreads the injections over N worker threads (0 = all
  *       hardware threads); results are bit-identical for any N.
- *       --checkpoint-interval sets the golden-run snapshot cadence the
- *       injections resume from (0 disables checkpointing);
- *       --max-checkpoints bounds how many are retained.
- *       --early-exit ends faulty runs at the first golden checkpoint
- *       they provably reconverged with (classification-preserving; on
- *       by default).  --replay consults the golden effect trace to
- *       classify dead flips Masked without simulation and to resume
- *       diverging flips at the last pre-divergence checkpoint
- *       (classification-preserving; on by default — off only for A/B
- *       validation).  --mem-chunk-bytes sets the copy-on-write chunk
- *       granularity of memory/cache state (power of two >= 64).
- *       None of these engine knobs changes campaign outcomes, so they
- *       are `campaign`-only flags, never suite spec members; the
- *       report's early-exit, replay and wall-clock lines describe this
- *       run only.  --timeout-factor scales
- *       the paper's 3x-golden timeout rule — it moves the Timeout
- *       classification boundary, so keep the default when comparing
- *       against paper numbers.
+ *       The injection engine (golden-run checkpoints, early exit at
+ *       reconvergence, golden-trace replay) runs with the
+ *       faultsim::RunnerOptions defaults; none of it changes an
+ *       outcome, so it has no flags.  The report's early-exit, replay
+ *       and wall-clock lines describe this run only.  --timeout-factor
+ *       scales the paper's 3x-golden timeout rule — it moves the
+ *       Timeout classification boundary, so keep the default when
+ *       comparing against paper numbers.
  *       --inject-wall-limit SECONDS arms a real-wall-clock watchdog
- *       per faulty run (distinct from the simulated-cycle timeout);
+ *       per faulty run (distinct from the simulated-cycle timeout;
+ *       0, the default, is off and a negative value is rejected);
  *       an injection that trips it — or that throws out of the
  *       simulator — is quarantined: recorded by fault key + reason,
  *       counted Crash, and the campaign keeps going.
@@ -65,7 +56,8 @@
  *       JSON (load in chrome://tracing or Perfetto); --metrics dumps
  *       the metrics registry (counters, gauges, log2 histograms) as
  *       JSON on exit; --progress prints a progress line to stderr
- *       every SECS (default 1) seconds; --progress-json atomically
+ *       every SECS (default 1, must be positive) seconds;
+ *       --progress-json atomically
  *       rewrites FILE with machine-readable progress at the same
  *       cadence (what tools/dispatch.sh reads for heartbeats).
  *       --trace and --metrics also work on `campaign`.
@@ -104,7 +96,11 @@
  *       Merging the --out stores of a suite's --select workers
  *       reproduces the single-host store byte-for-byte.
  *   merlin_cli asm --file prog.s [--campaign rf|sq|l1d]
- *       Assemble a user program, run it, optionally run a campaign.
+ *       [--regs N] [--sq N] [--l1d KB] [--faults N | --margin E --conf C]
+ *       [--seed N] [--window N] [--truth] [--jobs N] [--timeout-factor N]
+ *       [--inject-wall-limit SECONDS] [--quarantine=fail|continue]
+ *       Assemble a user program, run it, optionally run a campaign on
+ *       the --campaign structure with `campaign`'s flags.
  *
  * Campaign-service client mode (see docs/wire-protocol.md and
  * `merlin_serve --help` for the daemon side):

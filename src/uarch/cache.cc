@@ -11,7 +11,7 @@ namespace merlin::uarch
 {
 
 Cache::Cache(std::string name, const CacheConfig &cfg, Cache *lower,
-             isa::SegmentedMemory *mem, std::uint32_t chunk_bytes)
+             isa::SegmentedMemory *mem)
     : name_(std::move(name)), cfg_(cfg), lower_(lower), mem_(mem)
 {
     MERLIN_ASSERT((lower_ == nullptr) != (mem_ == nullptr),
@@ -28,9 +28,8 @@ Cache::Cache(std::string name, const CacheConfig &cfg, Cache *lower,
     }
     // A chunk must hold whole lines so that line views never span
     // chunks; both values are powers of two, so max() suffices.
-    const std::uint32_t chunk = std::max(
-        chunk_bytes ? chunk_bytes : base::CowBytes::kDefaultChunkBytes,
-        cfg_.lineSize);
+    const std::uint32_t chunk =
+        std::max(base::CowBytes::kDefaultChunkBytes, cfg_.lineSize);
     data_ = base::CowBytes(std::size_t(numSets_) * cfg_.ways * cfg_.lineSize,
                            chunk);
     // The tag table strides sets at a power of two so a set never

@@ -47,12 +47,12 @@ class Cache
 {
   public:
     /**
-     * Exactly one of @p lower / @p mem must be non-null.
-     * @p chunk_bytes is the data-array COW granularity (0 = default);
-     * it is rounded up to at least one line.
+     * Exactly one of @p lower / @p mem must be non-null.  The data
+     * array is copy-on-write in base::CowBytes::kDefaultChunkBytes
+     * chunks, rounded up to at least one line.
      */
     Cache(std::string name, const CacheConfig &cfg, Cache *lower,
-          isa::SegmentedMemory *mem, std::uint32_t chunk_bytes = 0);
+          isa::SegmentedMemory *mem);
 
     struct AccessResult
     {

@@ -97,14 +97,6 @@ struct CoreConfig
     unsigned btbEntries = 4096;
     unsigned rasEntries = 16;
 
-    /**
-     * Copy-on-write chunk granularity (bytes) of the backing memory
-     * and cache data arrays: a power of two >= 64.  Smaller chunks
-     * detach less per write but cost more pointer table; the value
-     * never changes simulation results, only snapshot cost.
-     */
-    std::uint32_t memChunkBytes = 4096;
-
     // Watchdogs.
     std::uint64_t maxCycles = 2'000'000'000ULL;
     std::uint64_t deadlockCycles = 20'000;

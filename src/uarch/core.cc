@@ -39,10 +39,10 @@ byteMask(unsigned offset, unsigned size)
 Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
     : cfg_(cfg),
       probe_(probe),
-      mem_(prog.buildMemory(cfg.memChunkBytes)),
-      l2_("l2", cfg.l2, nullptr, &mem_, cfg.memChunkBytes),
-      l1i_("l1i", cfg.l1i, &l2_, nullptr, cfg.memChunkBytes),
-      l1d_("l1d", cfg.l1d, &l2_, nullptr, cfg.memChunkBytes),
+      mem_(prog.buildMemory()),
+      l2_("l2", cfg.l2, nullptr, &mem_),
+      l1i_("l1i", cfg.l1i, &l2_, nullptr),
+      l1d_("l1d", cfg.l1d, &l2_, nullptr),
       tournament_(cfg),
       btb_(cfg.btbEntries),
       ras_(cfg.rasEntries),
@@ -219,8 +219,7 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg,
                       cfg.iqEntries == cfg_.iqEntries &&
                       cfg.l1d.sizeBytes == cfg_.l1d.sizeBytes &&
                       cfg.l1i.sizeBytes == cfg_.l1i.sizeBytes &&
-                      cfg.l2.sizeBytes == cfg_.l2.sizeBytes &&
-                      cfg.memChunkBytes == cfg_.memChunkBytes,
+                      cfg.l2.sizeBytes == cfg_.l2.sizeBytes,
                   "snapshot restore with mismatched structural config");
     // Run-limit knobs are the only configuration allowed to change
     // between capture and restore (the injector tightens maxCycles).

@@ -16,6 +16,17 @@ structureName(Structure s)
     }
 }
 
+unsigned
+structureEntries(Structure s, const CoreConfig &cfg)
+{
+    switch (s) {
+      case Structure::RegisterFile: return cfg.numPhysIntRegs;
+      case Structure::StoreQueue:   return cfg.sqEntries;
+      case Structure::L1DCache:     return cfg.l1d.totalWords();
+    }
+    panic("bad structure");
+}
+
 EffectStreams::EffectStreams(unsigned rf_entries, unsigned sq_entries,
                              unsigned l1d_words)
     : counts{rf_entries, sq_entries, l1d_words}

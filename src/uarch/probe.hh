@@ -40,6 +40,7 @@
 
 #include "base/logging.hh"
 #include "base/types.hh"
+#include "uarch/config.hh"
 
 namespace merlin::uarch
 {
@@ -53,6 +54,10 @@ enum class Structure : std::uint8_t
 };
 
 const char *structureName(Structure s);
+
+/** Fault-injection entries of @p s on @p cfg (registers, SQ slots or
+ *  L1D words; 64 bits each). */
+unsigned structureEntries(Structure s, const CoreConfig &cfg);
 
 /**
  * Intra-cycle ordering of storage events.  An injected flip lands at the

@@ -666,8 +666,9 @@ TEST(Runner, ReplayPreservesWindowedOutcomes)
     EXPECT_GT(unknown, 0u);
 }
 
-/** Per-injection replay facts land in InjectDetail. */
-TEST(Runner, ReplayDetailReportsActionAndSkippedCycles)
+/** A replay shortcut is counted, with its skipped cycles, in the
+ *  runner's InjectionStats. */
+TEST(Runner, ReplayShortcutCountsMaskedAndSkippedCycles)
 {
     auto prog = masm::assemble("movi a0, 9\nout.d a0\nhalt 0\n", "t");
     uarch::CoreConfig cfg;
@@ -682,11 +683,16 @@ TEST(Runner, ReplayDetailReportsActionAndSkippedCycles)
     f.entry = cfg.numPhysIntRegs - 1;
     f.bit = 5;
     f.cycle = g.stats.cycles - 1;
-    InjectDetail detail;
-    EXPECT_EQ(runner.inject(f, g, &detail), Outcome::Masked);
-    EXPECT_EQ(detail.replay, ReplayAction::Masked);
-    EXPECT_EQ(detail.replayCyclesSkipped, detail.replayHeadCycles);
-    EXPECT_GT(detail.replayCyclesSkipped, 0u);
+    const InjectionStats before = runner.injectionStats();
+    EXPECT_EQ(runner.inject(f, g), Outcome::Masked);
+    const InjectionStats after = runner.injectionStats();
+    EXPECT_EQ(after.runs - before.runs, 1u);
+    EXPECT_EQ(after.replayMasked - before.replayMasked, 1u);
+    EXPECT_EQ(after.replayHandoffs, before.replayHandoffs);
+    const std::uint64_t skipped =
+        after.replayCyclesSkipped - before.replayCyclesSkipped;
+    EXPECT_EQ(skipped, after.replayHeadCycles - before.replayHeadCycles);
+    EXPECT_GT(skipped, 0u);
 }
 
 /** jobs=1 and jobs=8 must produce bit-identical outcome vectors. */

@@ -681,8 +681,6 @@ TEST_F(JournalFixture, AppendRestoreRoundTrip)
 {
     const std::string p = journalPath("roundtrip");
     faultsim::InjectDetail plain;
-    faultsim::InjectDetail early;
-    early.earlyExit = true; // engine facts are not journaled
     faultsim::InjectDetail sick;
     sick.quarantined = true;
     sick.reason = "simulator exception: boom";
@@ -694,7 +692,7 @@ TEST_F(JournalFixture, AppendRestoreRoundTrip)
         EXPECT_TRUE(none.empty());
         j.open();
         j.append(1, faultsim::Outcome::Masked, plain);
-        j.append(2, faultsim::Outcome::SDC, early);
+        j.append(2, faultsim::Outcome::SDC, plain);
         j.append(3, faultsim::Outcome::Crash, sick);
         j.close();
     }

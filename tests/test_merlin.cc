@@ -559,9 +559,9 @@ TEST(Campaign, CheckpointedCampaignMatchesUncheckpointed)
     cfg.sampling = specFixed(200);
     cfg.seed = 11;
 
-    cfg.checkpointInterval = 0;
+    cfg.runner.checkpointInterval = 0;
     auto plain = Campaign(w.program, cfg).run(false);
-    cfg.checkpointInterval = 100;
+    cfg.runner.checkpointInterval = 100;
     auto ck = Campaign(w.program, cfg).run(false);
 
     EXPECT_EQ(plain.merlinEstimate.counts, ck.merlinEstimate.counts);
@@ -570,10 +570,10 @@ TEST(Campaign, CheckpointedCampaignMatchesUncheckpointed)
 
 /**
  * Engine-knob invariance where the knobs live.  Checkpoint cadence,
- * early exit, golden-trace replay and the COW chunk size are campaign
- * configuration, never part of a result: the serialized result must be
- * byte-identical across the whole knob grid and any job count.  Only
- * the runner's own counters may tell the configurations apart.
+ * early exit and golden-trace replay are RunnerOptions, never part of
+ * a result: the serialized result must be byte-identical across the
+ * whole knob grid and any job count.  Only the runner's own counters
+ * may tell the configurations apart.
  */
 TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
 {
@@ -582,15 +582,14 @@ TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
         bool replay;
         bool earlyExit;
         Cycle checkpointInterval;
-        std::uint32_t memChunkBytes;
         const char *name;
     };
     const Cycle ck = faultsim::RunnerOptions::kDefaultCheckpointInterval;
     const Knobs grid[] = {
-        {true, true, ck, 4096, "replay+exit, default cadence, 4K"},
-        {true, false, 64, 256, "replay, cadence 64, 256B"},
-        {false, true, 0, 65536, "exit, no checkpoints, 64K"},
-        {false, false, 64, 4096, "plain, cadence 64, 4K"},
+        {true, true, ck, "replay+exit, default cadence"},
+        {true, false, 64, "replay, cadence 64"},
+        {false, true, 0, "exit, no checkpoints"},
+        {false, false, 64, "plain, cadence 64"},
     };
     struct Target
     {
@@ -621,13 +620,12 @@ TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
                 CampaignConfig cfg;
                 cfg.target = t.structure;
                 cfg.core = t.core;
-                cfg.core.memChunkBytes = k.memChunkBytes;
                 cfg.sampling = specFixed(t.faults);
                 cfg.seed = 5;
                 cfg.jobs = jobs;
-                cfg.replay = k.replay;
-                cfg.earlyExit = k.earlyExit;
-                cfg.checkpointInterval = k.checkpointInterval;
+                cfg.runner.replay = k.replay;
+                cfg.runner.earlyExit = k.earlyExit;
+                cfg.runner.checkpointInterval = k.checkpointInterval;
                 Campaign camp(w.program, cfg);
                 const std::string bytes =
                     io::resultToJson(camp.run(t.truth)).dump();
@@ -688,7 +686,7 @@ TEST(Campaign, QuarantinedInjectionsAreRecordedAndCountedCrash)
     // A pathological-fault model: any injection into a low bit blows
     // up the simulator.  The campaign must absorb every blow-up —
     // recorded, counted Crash — and still finish the rest.
-    cfg.injectHook = [](const faultsim::Fault &f, Cycle) {
+    cfg.runner.injectHook = [](const faultsim::Fault &f, Cycle) {
         if (f.bit < 8)
             throw std::runtime_error("sick bit");
     };
@@ -715,8 +713,8 @@ TEST(Campaign, QuarantinePolicyFailAbortsTheCampaign)
     cfg.target = Structure::RegisterFile;
     cfg.core.numPhysIntRegs = 128;
     cfg.sampling = specFixed(300);
-    cfg.quarantineFail = true;
-    cfg.injectHook = [](const faultsim::Fault &, Cycle) {
+    cfg.runner.quarantine = faultsim::QuarantinePolicy::Fail;
+    cfg.runner.injectHook = [](const faultsim::Fault &, Cycle) {
         throw std::runtime_error("boom");
     };
     EXPECT_THROW(Campaign(w.program, cfg).run(false), FatalError);

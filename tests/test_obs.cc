@@ -429,13 +429,11 @@ TEST(TelemetryInvariance, JournalBytesIdenticalWithTelemetryOnOrOff)
         io::OutcomeJournal j(path, "spec-key");
         j.open();
         faultsim::InjectDetail plain;
-        faultsim::InjectDetail early;
-        early.earlyExit = true;
         faultsim::InjectDetail bad;
         bad.quarantined = true;
         bad.reason = "guarded failure";
         j.append(7, faultsim::Outcome::Masked, plain);
-        j.append(11, faultsim::Outcome::SDC, early);
+        j.append(11, faultsim::Outcome::SDC, plain);
         j.append(13, faultsim::Outcome::Crash, bad);
         j.close();
     };

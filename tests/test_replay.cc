@@ -23,10 +23,8 @@ namespace
 {
 
 using faultsim::Fault;
-using faultsim::InjectDetail;
 using faultsim::InjectionRunner;
 using faultsim::Outcome;
-using faultsim::ReplayAction;
 using faultsim::RunnerOptions;
 using uarch::Structure;
 
@@ -195,9 +193,10 @@ TEST(EffectTrace, InjectHookDisablesReplayAndVisitsEveryCycle)
     auto gh = hooked.golden();
     EXPECT_EQ(gh.trace, nullptr); // no recording under a hook
 
-    InjectDetail detail;
-    const Outcome o = hooked.inject(f, gh, &detail);
-    EXPECT_EQ(detail.replay, ReplayAction::None);
+    const Outcome o = hooked.inject(f, gh);
+    const faultsim::InjectionStats st = hooked.injectionStats();
+    EXPECT_EQ(st.runs, 1u);
+    EXPECT_EQ(st.replayMasked + st.replayHandoffs, 0u); // never consulted
     EXPECT_EQ(o, fast.inject(f, g));
 
     // Every cycle from the flip onward was simulated — including the

@@ -189,7 +189,7 @@ TEST(Manifest, RejectsTyposAndMissingFields)
     // Unknown member: almost certainly a misspelled knob.
     expectRejected("\"fautls\":5", "fautls");
     // Engine knobs never change an outcome, so they are not spec
-    // members (they are `campaign` flags only).
+    // members (they are faultsim::RunnerOptions defaults).
     for (const char *knob : {"early_exit", "replay", "mem_chunk_bytes",
                              "checkpoint_interval", "max_checkpoints"})
         expectRejected("\"" + std::string(knob) + "\":1", knob);
