@@ -65,7 +65,7 @@ main(int argc, char **argv)
             cc.seed = opts.seed;
             cc.jobs = opts.jobs;
             core::Campaign camp(w.program, cc);
-            auto r = camp.run(/*inject_all=*/true);
+            auto r = camp.run(core::CampaignMode::Truth);
             groups += r.numGroups;
             injected += r.injections;
             speedup += r.speedupTotal;

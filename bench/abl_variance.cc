@@ -39,7 +39,7 @@ main(int argc, char **argv)
 
     // ---- analytic: moments from the measured group structure ----
     core::Campaign camp(w.program, cc);
-    auto truth_run = camp.run(/*inject_all=*/true);
+    auto truth_run = camp.run(core::CampaignMode::Truth);
     auto m = core::avfMoments(truth_run.groupModels,
                               truth_run.initialFaults);
     std::printf("\nanalytic (from %llu groups, max size %llu):\n",
@@ -69,7 +69,7 @@ main(int argc, char **argv)
         core::CampaignConfig c2 = cc;
         c2.seed = opts.seed * 1000 + s;
         core::Campaign c(w.program, c2);
-        auto r = c.run(/*inject_all=*/true);
+        auto r = c.run(core::CampaignMode::Truth);
         merlin_avf.push_back(r.merlinEstimate.avf());
         base_avf.push_back(r.fullTruth().avf());
     }

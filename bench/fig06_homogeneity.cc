@@ -52,7 +52,7 @@ main(int argc, char **argv)
             cc.seed = opts.seed;
             cc.jobs = opts.jobs;
             core::Campaign camp(w.program, cc);
-            auto r = camp.run(/*inject_all_survivors=*/true);
+            auto r = camp.run(core::CampaignMode::Truth);
             const auto &h = *r.homogeneity;
             std::printf("%-14s %10llu %8llu %12.3f %12.1f\n",
                         name.c_str(),

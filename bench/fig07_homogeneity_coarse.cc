@@ -54,7 +54,7 @@ main(int argc, char **argv)
             cc.seed = opts.seed;
             cc.jobs = opts.jobs;
             core::Campaign camp(w.program, cc);
-            auto r = camp.run(true);
+            auto r = camp.run(core::CampaignMode::Truth);
             coarse += r.homogeneity->coarse;
             perfect += r.homogeneity->perfectFraction;
         }

@@ -10,6 +10,7 @@
  * 90 counting campaigns run as one shared-pool suite (--jobs=N).
  */
 
+#include "base/threadpool.hh"
 #include "bench/common.hh"
 #include "obs/clock.hh"
 #include "sched/suite.hh"
@@ -44,8 +45,16 @@ main(int argc, char **argv)
         core::Campaign camp(w.program, cc);
         core::PreparedCampaign prep = camp.prepare();
         const obs::TimePoint t0 = obs::now();
-        const auto outcomes = camp.runner().injectBatch(
-            prep.faults, camp.goldenRun(), opts.jobs);
+        // One batch task on a pool of --jobs workers, as Campaign::run
+        // injects: exactly that many threads simulate.
+        base::ThreadPool pool(opts.jobs);
+        std::vector<faultsim::Outcome> outcomes;
+        pool.submit([&] {
+            base::TaskGroup group(pool);
+            outcomes = camp.runner().injectBatch(prep.faults,
+                                                 camp.goldenRun(), group);
+        });
+        pool.wait();
         if (!outcomes.empty())
             sec_per_run = obs::secondsSince(t0) /
                           static_cast<double>(outcomes.size());

@@ -39,7 +39,7 @@ main(int argc, char **argv)
             cc.seed = opts.seed;
             cc.jobs = opts.jobs;
             core::Campaign camp(w.program, cc);
-            auto r = camp.run(/*inject_all_survivors=*/true);
+            auto r = camp.run(core::CampaignMode::Truth);
             truth = truth + *r.survivorTruth;
             est = est + r.merlinSurvivorEstimate;
             max_err = std::max(

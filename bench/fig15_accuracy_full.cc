@@ -47,7 +47,7 @@ main(int argc, char **argv)
             cc.seed = opts.seed;
             cc.jobs = opts.jobs;
             core::Campaign camp(w.program, cc);
-            auto r = camp.run(/*inject_all_survivors=*/true);
+            auto r = camp.run(core::CampaignMode::Truth);
             truth = truth + r.fullTruth();
             est = est + r.merlinEstimate;
         }

@@ -55,7 +55,7 @@ main(int argc, char **argv)
             cc.seed = opts.seed;
             cc.jobs = opts.jobs;
             core::Campaign camp(w.program, cc);
-            auto r = camp.run(/*inject_all_survivors=*/true);
+            auto r = camp.run(core::CampaignMode::Truth);
             base_avf += r.fullTruth().avf();
             merlin_avf += r.merlinEstimate.avf();
             ace_avf += r.aceAvf;

@@ -47,7 +47,7 @@ main(int argc, char **argv)
             cc.jobs = opts.jobs;
             {
                 core::Campaign camp(w.program, cc);
-                auto r = camp.run(/*inject_all=*/true);
+                auto r = camp.run(core::CampaignMode::Truth);
                 worst_m = std::max(
                     worst_m, r.merlinSurvivorEstimate.maxInaccuracyVs(
                                  *r.survivorTruth));
@@ -56,7 +56,7 @@ main(int argc, char **argv)
             }
             {
                 core::Campaign camp(w.program, cc);
-                auto r = camp.runRelyzer(/*inject_all=*/true, 5);
+                auto r = camp.run(core::CampaignMode::Truth, /*relyzer=*/true);
                 worst_r = std::max(
                     worst_r, r.merlinSurvivorEstimate.maxInaccuracyVs(
                                  *r.survivorTruth));

@@ -39,7 +39,7 @@ main(int argc, char **argv)
             cc.seed = opts.seed;
             cc.jobs = opts.jobs;
             core::Campaign camp(w.program, cc);
-            auto r = camp.run(false);
+            auto r = camp.run();
             avf += r.merlinEstimate.avf();
             ace += r.aceAvf;
         }

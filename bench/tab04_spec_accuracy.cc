@@ -43,7 +43,7 @@ main(int argc, char **argv)
         cc.seed = opts.seed;
         cc.jobs = opts.jobs;
         core::Campaign camp(w.program, cc);
-        auto r = camp.run(/*inject_all_survivors=*/true);
+        auto r = camp.run(core::CampaignMode::Truth);
         auto truth = r.fullTruth();
         const auto &est = r.merlinEstimate;
 

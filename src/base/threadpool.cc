@@ -1,8 +1,5 @@
 #include "base/threadpool.hh"
 
-#include <atomic>
-#include <memory>
-
 #include "obs/clock.hh"
 
 namespace merlin::base
@@ -133,30 +130,6 @@ ThreadPool::wait()
         firstError_ = nullptr;
         std::rethrow_exception(e);
     }
-}
-
-void
-ThreadPool::parallelFor(std::uint64_t n,
-                        const std::function<void(std::uint64_t)> &fn)
-{
-    if (n == 0)
-        return;
-    if (workers_.empty() || n == 1) {
-        for (std::uint64_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    auto next = std::make_shared<std::atomic<std::uint64_t>>(0);
-    const std::uint64_t tasks =
-        std::min<std::uint64_t>(workers_.size(), n);
-    for (std::uint64_t t = 0; t < tasks; ++t) {
-        submit([next, n, &fn] {
-            for (std::uint64_t i;
-                 (i = next->fetch_add(1, std::memory_order_relaxed)) < n;)
-                fn(i);
-        });
-    }
-    wait();
 }
 
 // ------------------------------------------------------------ TaskGroup

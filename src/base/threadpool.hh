@@ -69,15 +69,6 @@ class ThreadPool
      */
     bool runOne(const void *tag = nullptr);
 
-    /**
-     * Run fn(0) .. fn(n-1) across the pool with dynamic scheduling and
-     * block until all are done.  With an empty pool (threads == 1 would
-     * still spawn a worker; an explicit 0-item call is a no-op) the
-     * items run inline on the caller.
-     */
-    void parallelFor(std::uint64_t n,
-                     const std::function<void(std::uint64_t)> &fn);
-
     /** std::thread::hardware_concurrency with a floor of 1. */
     static unsigned hardwareThreads();
 

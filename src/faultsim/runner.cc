@@ -183,12 +183,7 @@ InjectionRunner::quarantineRecords() const
         std::lock_guard<std::mutex> lock(quarantineMu_);
         q = quarantine_;
     }
-    std::sort(q.begin(), q.end(),
-              [](const QuarantineRecord &a, const QuarantineRecord &b) {
-                  return a.faultKey != b.faultKey
-                             ? a.faultKey < b.faultKey
-                             : a.reason < b.reason;
-              });
+    std::sort(q.begin(), q.end());
     return q;
 }
 
@@ -603,33 +598,6 @@ InjectionRunner::finishBatch(BatchPlan &plan, OutcomeMemo *memo) const
     }
     for (auto [dst, src] : plan.aliases)
         plan.outcomes[dst] = plan.outcomes[src];
-}
-
-std::vector<Outcome>
-InjectionRunner::injectBatch(const std::vector<Fault> &faults,
-                             const GoldenRun &ref, unsigned jobs,
-                             OutcomeMemo *memo) const
-{
-    BatchPlan plan = planBatch(faults, memo);
-
-    const auto runOne = [&](std::uint64_t w) {
-        const std::uint32_t i = plan.work[w];
-        plan.outcomes[i] = inject(faults[i], ref);
-    };
-
-    if (jobs == 0)
-        jobs = base::ThreadPool::hardwareThreads();
-    if (jobs <= 1 || plan.work.size() <= 1) {
-        for (std::uint64_t w = 0; w < plan.work.size(); ++w)
-            runOne(w);
-    } else {
-        base::ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, plan.work.size())));
-        pool.parallelFor(plan.work.size(), runOne);
-    }
-
-    finishBatch(plan, memo);
-    return std::move(plan.outcomes);
 }
 
 std::vector<Outcome>

@@ -1,8 +1,8 @@
 /**
  * @file
  * Injection harness: golden-run capture (with periodic state
- * checkpoints), single-fault runs, the deterministic multi-threaded
- * batch API, and the outcome classifier.
+ * checkpoints), single-fault runs, the deterministic batch API (one
+ * pool task per fresh injection), and the outcome classifier.
  *
  * Classification (priority order, Table 2 + DESIGN.md):
  *   Assert  - a simulator invariant tripped (SimAssertError)
@@ -160,6 +160,14 @@ struct QuarantineRecord
     {
         return faultKey == o.faultKey && reason == o.reason;
     }
+
+    /** The one record order: by fault key, then reason. */
+    bool
+    operator<(const QuarantineRecord &o) const
+    {
+        return faultKey != o.faultKey ? faultKey < o.faultKey
+                                      : reason < o.reason;
+    }
 };
 
 /**
@@ -292,25 +300,16 @@ class InjectionRunner
         std::uint64_t key, Outcome o, const InjectDetail &detail)>;
 
     /**
-     * Inject every fault of @p faults and return their outcomes in the
-     * same order.  Duplicate faults (and faults already in @p memo) run
-     * once; fresh work is sorted by flip cycle for checkpoint locality
-     * and fanned out over @p jobs worker threads (0 = hardware
-     * concurrency, 1 = inline).  Results are bit-identical for any
-     * thread count: each outcome is a pure function of its fault.
-     */
-    std::vector<Outcome> injectBatch(const std::vector<Fault> &faults,
-                                     const GoldenRun &ref, unsigned jobs,
-                                     OutcomeMemo *memo = nullptr) const;
-
-    /**
-     * injectBatch on an EXTERNAL shared pool: every fresh injection is
-     * submitted to @p group at per-injection granularity, so workers of
-     * the shared pool interleave (steal) work from concurrent batches.
-     * Blocks until the batch is done, help-running queued pool tasks
-     * meanwhile (safe to call from inside a pool task).  @p group must
-     * be used by one batch at a time.  Results are identical to the
-     * jobs-overload for any pool size or schedule.
+     * Inject every fault of @p faults on @p group's pool and return
+     * their outcomes in the same order.  Duplicate faults (and faults
+     * already in @p memo) run once; every fresh injection is one task
+     * of @p group, submitted in flip-cycle order for checkpoint
+     * locality, so the workers of a shared pool interleave (steal) work
+     * from concurrent batches.  Blocks until the batch is done,
+     * help-running the group's queued tasks meanwhile (safe to call
+     * from inside a pool task).  @p group must be used by one batch at
+     * a time.  Results are bit-identical for any pool size or schedule:
+     * each outcome is a pure function of its fault.
      */
     std::vector<Outcome> injectBatch(
         const std::vector<Fault> &faults, const GoldenRun &ref,

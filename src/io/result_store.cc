@@ -97,26 +97,23 @@ quarantineToJson(const std::vector<faultsim::QuarantineRecord> &recs)
 }
 
 /**
- * Decode a quarantine array, degrading gracefully on records a newer
- * writer may have extended: take the two fields this reader
- * understands and skip the rest.  With @p skipped set, skips are
- * counted there silently (the store load aggregates them into one
- * warning); without it each skip warns individually.
+ * Decode a quarantine array.  A record is exactly {fault_key, reason};
+ * anything else is refused, naming what is wrong, so a stored result
+ * never serves fewer records than its Crash count includes.
  */
 void
 quarantineFromJson(const Json &q,
-                   std::vector<faultsim::QuarantineRecord> &out,
-                   std::size_t *skipped)
+                   std::vector<faultsim::QuarantineRecord> &out)
 {
     out.reserve(out.size() + q.size());
     for (const Json &e : q.items()) {
-        if (!e.isObject() || !e.find("fault_key") || !e.find("reason")) {
-            if (skipped)
-                ++*skipped;
-            else
-                warn("result store: skipping unrecognized quarantine "
-                     "record (newer schema?); outcomes are unaffected");
-            continue;
+        if (!e.isObject())
+            fatal("result store: quarantine record is not an object");
+        for (const auto &[member, value] : e.members()) {
+            (void)value;
+            if (member != "fault_key" && member != "reason")
+                fatal("result store: unknown quarantine record member '",
+                      member, "'");
         }
         out.push_back(faultsim::QuarantineRecord{
             e.at("fault_key").asU64(), e.at("reason").asString()});
@@ -176,7 +173,7 @@ resultToJson(const CampaignResult &r)
 }
 
 CampaignResult
-resultFromJson(const Json &j, std::size_t *skipped_quarantine)
+resultFromJson(const Json &j)
 {
     CampaignResult r;
     r.goldenCycles = j.at("golden_cycles").asU64();
@@ -214,7 +211,7 @@ resultFromJson(const Json &j, std::size_t *skipped_quarantine)
     r.speedupAce = j.at("speedup_ace").asDouble();
     r.speedupTotal = j.at("speedup_total").asDouble();
     if (const Json *q = j.find("quarantine"))
-        quarantineFromJson(*q, r.quarantine, skipped_quarantine);
+        quarantineFromJson(*q, r.quarantine);
     return r;
 }
 
@@ -268,20 +265,12 @@ ResultStore::load()
               "keyed results by engine knobs and are not read); re-run "
               "the suite or delete the file");
     entries_.clear();
-    // One aggregated warning per store for quarantine records a newer
-    // writer extended, not one per record: a large store read by an
-    // old binary must not flood stderr with identical lines.
-    std::size_t skipped = 0;
     for (const auto &[key, entry] : doc.at("campaigns").members()) {
         // Validate eagerly: a malformed entry should fail the load,
         // not the lookup that happens to hit it mid-suite.
-        resultFromJson(entry.at("result"), &skipped);
+        resultFromJson(entry.at("result"));
         entries_[key] = Entry{entry.at("spec"), entry.at("result")};
     }
-    if (skipped > 0)
-        warn("result store '", path_, "': skipped ", skipped,
-             " unrecognized quarantine record", skipped == 1 ? "" : "s",
-             " (newer schema?); outcomes are unaffected");
     return true;
 }
 
@@ -348,10 +337,7 @@ ResultStore::lookup(const std::string &key, CampaignResult &out) const
     auto it = entries_.find(key);
     if (it == entries_.end())
         return false;
-    // Silent skip counter: load() already warned (once) about any
-    // unrecognized quarantine records in this store.
-    std::size_t skipped = 0;
-    out = resultFromJson(it->second.result, &skipped);
+    out = resultFromJson(it->second.result);
     return true;
 }
 

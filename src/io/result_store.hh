@@ -46,15 +46,11 @@ namespace merlin::io
 Json resultToJson(const core::CampaignResult &r);
 
 /**
- * JSON -> CampaignResult; throws FatalError on malformed input.
- * Quarantine records this reader does not understand (a newer writer
- * may have extended them) are skipped: with @p skipped_quarantine set
- * they are counted there silently — load() aggregates the counts into
- * ONE warning per store — and without it each skip warns individually.
+ * JSON -> CampaignResult; throws FatalError on malformed input,
+ * including a quarantine record with a member other than fault_key
+ * and reason.
  */
-core::CampaignResult
-resultFromJson(const Json &j,
-               std::size_t *skipped_quarantine = nullptr);
+core::CampaignResult resultFromJson(const Json &j);
 
 class ResultStore
 {

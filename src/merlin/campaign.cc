@@ -35,30 +35,8 @@ Campaign::Campaign(const isa::Program &prog, const CampaignConfig &cfg)
 {
 }
 
-CampaignResult
-Campaign::run(bool inject_all_survivors)
-{
-    return runImpl(inject_all_survivors, /*relyzer=*/false, 0);
-}
-
-CampaignResult
-Campaign::runRelyzer(bool inject_all_survivors, unsigned path_depth)
-{
-    return runImpl(inject_all_survivors, /*relyzer=*/true, path_depth);
-}
-
-CampaignResult
-Campaign::runGroupingOnly(bool relyzer, unsigned path_depth)
-{
-    groupingOnly_ = true;
-    CampaignResult r = runImpl(false, relyzer, path_depth);
-    groupingOnly_ = false;
-    return r;
-}
-
 PreparedCampaign
-Campaign::prepare(bool inject_all, bool relyzer, unsigned path_depth,
-                  bool grouping_only)
+Campaign::prepare(CampaignMode mode, bool relyzer, unsigned path_depth)
 {
     obs::Span span("campaign", "prepare " + prog_.name);
     PreparedCampaign prep;
@@ -66,6 +44,7 @@ Campaign::prepare(bool inject_all, bool relyzer, unsigned path_depth,
     Rng rng(cfg_.seed);
     // A grouping-only campaign injects nothing, so its golden run
     // captures no checkpoints and records no effect trace.
+    const bool grouping_only = mode == CampaignMode::GroupingOnly;
     faultsim::RunnerOptions ropts = cfg_.runner;
     if (grouping_only) {
         ropts.checkpointInterval = 0;
@@ -111,21 +90,21 @@ Campaign::prepare(bool inject_all, bool relyzer, unsigned path_depth,
                   static_cast<double>(res.injections)
             : static_cast<double>(res.initialFaults);
 
-    prep.injectAll = inject_all;
-    prep.groupingOnly = grouping_only;
+    prep.mode = mode;
     if (grouping_only)
         return prep;
 
     // Phase-3 work list: representatives first, then (for ground truth)
     // every survivor.  Representatives reappear among the members; batch
     // dedup runs each distinct fault once and aliases the repeats.
+    const bool truth = mode == CampaignMode::Truth;
     prep.faults.reserve(res.injections +
-                        (inject_all ? grouping.survivors.size() : 0));
+                        (truth ? grouping.survivors.size() : 0));
     for (const FaultGroup &g : grouping.groups)
         for (std::uint32_t rep : g.representatives)
             prep.faults.push_back(grouping.survivors[rep].fault);
     prep.numRepFaults = prep.faults.size();
-    if (inject_all) {
+    if (truth) {
         for (const FaultGroup &g : grouping.groups)
             for (std::uint32_t m : g.members)
                 prep.faults.push_back(grouping.survivors[m].fault);
@@ -139,7 +118,7 @@ Campaign::finish(PreparedCampaign prep,
 {
     obs::Span span("campaign", "finish " + prog_.name);
     CampaignResult res = std::move(prep.result);
-    if (prep.groupingOnly)
+    if (prep.mode == CampaignMode::GroupingOnly)
         return res;
     MERLIN_ASSERT(outcomes.size() == prep.faults.size(),
                   "outcome count does not match the prepared faults");
@@ -161,7 +140,7 @@ Campaign::finish(PreparedCampaign prep,
     // ACE-pruned faults are Masked by construction.
     res.merlinEstimate.add(Outcome::Masked, res.aceMasked);
 
-    if (prep.injectAll) {
+    if (prep.mode == CampaignMode::Truth) {
         // Ground truth from the member sweep (outcomes after the
         // representative prefix).
         ClassCounts truth;
@@ -197,24 +176,28 @@ Campaign::finish(PreparedCampaign prep,
 }
 
 CampaignResult
-Campaign::runImpl(bool inject_all, bool relyzer, unsigned path_depth)
+Campaign::run(CampaignMode mode, bool relyzer, unsigned path_depth)
 {
-    PreparedCampaign prep =
-        prepare(inject_all, relyzer, path_depth, groupingOnly_);
-    if (prep.groupingOnly)
-        return std::move(prep.result);
+    PreparedCampaign prep = prepare(mode, relyzer, path_depth);
 
     // ---- Phase 3: injection campaign ----
     // One combined batch (representatives + ground-truth members);
     // planBatch's duplicate collapse makes representative runs reused
-    // by the sweep and duplicate sampled faults cost one run only, so
-    // no cross-batch memo is needed.
-    const unsigned jobs =
-        cfg_.jobs ? cfg_.jobs : base::ThreadPool::hardwareThreads();
-    const std::vector<Outcome> outcomes = [&] {
-        obs::Span span("campaign", "inject-batch " + prog_.name);
-        return runner_->injectBatch(prep.faults, golden_, jobs);
-    }();
+    // by the sweep and duplicate sampled faults cost one run only.  The
+    // batch runs as one task on a pool of `jobs` workers, as the
+    // suite's drivers run theirs: the batch's wait() help-runs its own
+    // injections on that worker while this thread only waits, so
+    // exactly `jobs` threads simulate.
+    std::vector<Outcome> outcomes;
+    if (!prep.faults.empty()) {
+        base::ThreadPool pool(cfg_.jobs);
+        pool.submit([&] {
+            obs::Span span("campaign", "inject-batch " + prog_.name);
+            base::TaskGroup group(pool);
+            outcomes = runner_->injectBatch(prep.faults, golden_, group);
+        });
+        pool.wait();
+    }
     return finish(std::move(prep), outcomes);
 }
 

@@ -33,6 +33,14 @@
 namespace merlin::core
 {
 
+/** How much of the Figure 2 flow a campaign runs. */
+enum class CampaignMode : std::uint8_t
+{
+    Estimate,     ///< MeRLiN estimate only (representatives)
+    Truth,        ///< + ground-truth sweep of every survivor
+    GroupingOnly, ///< fault-list reduction only, no injections
+};
+
 /** Everything a campaign needs besides the program. */
 struct CampaignConfig
 {
@@ -43,7 +51,7 @@ struct CampaignConfig
     std::uint64_t seed = 1;
 
     /**
-     * Worker threads for the injection campaign (0 = hardware
+     * Worker threads of Campaign::run()'s injection pool (0 = hardware
      * concurrency).  Results are bit-identical for any value.
      */
     unsigned jobs = 1;
@@ -84,7 +92,7 @@ struct CampaignResult
     // Same estimate restricted to the post-ACE survivors.
     ClassCounts merlinSurvivorEstimate;
 
-    // Ground truth over survivors (only when injectAll was requested).
+    // Ground truth over survivors (CampaignMode::Truth only).
     std::optional<ClassCounts> survivorTruth;
     std::optional<HomogeneityReport> homogeneity;
     /** Per-group sizes and non-masking rates (Section 4.4.5 model). */
@@ -114,9 +122,9 @@ struct CampaignResult
 /**
  * A campaign paused between its phases: profiling/grouping done
  * (phases 1-2), injections (phase 3) not yet run.  Produced by
- * Campaign::prepare(); hand `faults` to any injection driver — the
- * in-process injectBatch, or the suite scheduler's shared pool — then
- * fold the outcomes back with Campaign::finish().
+ * Campaign::prepare(); hand `faults` to an injection driver — the
+ * TaskGroup injectBatch on any pool, as Campaign::run() and the suite
+ * scheduler do — then fold the outcomes back with Campaign::finish().
  */
 struct PreparedCampaign
 {
@@ -131,8 +139,7 @@ struct PreparedCampaign
      */
     std::vector<faultsim::Fault> faults;
     std::size_t numRepFaults = 0;
-    bool injectAll = false;
-    bool groupingOnly = false;
+    CampaignMode mode = CampaignMode::Estimate;
 };
 
 /** Drives one (program, structure, configuration) campaign. */
@@ -142,44 +149,35 @@ class Campaign
     Campaign(const isa::Program &prog, const CampaignConfig &cfg);
 
     /**
-     * Run the full MeRLiN flow.
+     * Run the MeRLiN flow in @p mode: prepare(), then inject the
+     * prepared faults on a pool of CampaignConfig::jobs workers, then
+     * finish().
      *
-     * @param inject_all_survivors also inject every post-ACE fault to
-     *        obtain ground truth (expensive; used by the accuracy and
-     *        homogeneity experiments).
+     * @param mode Truth also injects every post-ACE fault to obtain
+     *        ground truth (expensive; used by the accuracy and
+     *        homogeneity experiments); GroupingOnly injects nothing,
+     *        which suffices for the speedup figures (8-13) — the class
+     *        distributions in its result are empty.
+     * @param relyzer use Relyzer's control-equivalence heuristic instead
+     *        of MeRLiN's step 2 (Section 4.4.4 comparison), following
+     *        control paths @p path_depth branches deep.
      */
-    CampaignResult run(bool inject_all_survivors = false);
-
-    /**
-     * Run with Relyzer's control-equivalence heuristic instead of
-     * MeRLiN's step 2 (Section 4.4.4 comparison).
-     */
-    CampaignResult runRelyzer(bool inject_all_survivors = false,
-                              unsigned path_depth = 5);
-
-    /**
-     * Profile + prune + group but skip all injections: sufficient for
-     * the speedup figures (8-13), which only need fault-list reduction
-     * ratios.  Class distributions in the result are empty.
-     */
-    CampaignResult runGroupingOnly(bool relyzer = false,
-                                   unsigned path_depth = 5);
+    CampaignResult run(CampaignMode mode = CampaignMode::Estimate,
+                       bool relyzer = false, unsigned path_depth = 5);
 
     /**
      * Phases 1-2 only: profiled golden run, fault sampling, ACE prune +
      * grouping.  Afterwards goldenRun()/runner() are valid and the
-     * returned faults can be injected by an external driver; fold the
-     * outcomes back with finish().  run()/runRelyzer()/runGroupingOnly()
-     * are thin wrappers over this split.
+     * returned faults can be injected by any driver; fold the outcomes
+     * back with finish().  Parameters as for run().
      *
-     * With @p grouping_only the golden run is bare: no checkpoints are
+     * In GroupingOnly mode the golden run is bare: no checkpoints are
      * captured and no effect trace is recorded, since nothing injects.
      * runner() can still inject correctly against such a golden run,
      * only without the checkpoint, early-exit and replay fast paths.
      */
-    PreparedCampaign prepare(bool inject_all = false, bool relyzer = false,
-                             unsigned path_depth = 5,
-                             bool grouping_only = false);
+    PreparedCampaign prepare(CampaignMode mode = CampaignMode::Estimate,
+                             bool relyzer = false, unsigned path_depth = 5);
 
     /**
      * Phase 3 epilogue: @p outcomes must hold the outcome of
@@ -190,10 +188,10 @@ class Campaign
     CampaignResult finish(PreparedCampaign prep,
                           const std::vector<faultsim::Outcome> &outcomes) const;
 
-    /** The golden reference (valid after prepare()/run()/...). */
+    /** The golden reference (valid after prepare()/run()). */
     const faultsim::GoldenRun &goldenRun() const { return golden_; }
 
-    /** The injection harness (valid after prepare()/run()/...). */
+    /** The injection harness (valid after prepare()/run()). */
     const faultsim::InjectionRunner &
     runner() const
     {
@@ -202,14 +200,10 @@ class Campaign
     }
 
   private:
-    CampaignResult runImpl(bool inject_all, bool relyzer,
-                           unsigned path_depth);
-
     const isa::Program &prog_;
     CampaignConfig cfg_;
     faultsim::GoldenRun golden_;
     std::unique_ptr<faultsim::InjectionRunner> runner_;
-    bool groupingOnly_ = false;
 };
 
 } // namespace merlin::core

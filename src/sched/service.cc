@@ -541,9 +541,7 @@ CampaignService::runJob(Job &job)
                                : faultsim::QuarantinePolicy::Continue;
     core::Campaign camp(wl->program, cc);
     core::PreparedCampaign prep =
-        camp.prepare(spec.mode == CampaignSpec::Mode::Truth, spec.relyzer,
-                     spec.pathDepth,
-                     spec.mode == CampaignSpec::Mode::GroupingOnly);
+        camp.prepare(spec.mode, spec.relyzer, spec.pathDepth);
 
     std::vector<faultsim::Outcome> outcomes;
     io::OutcomeJournal journal(journalPathFor(spec), spec.key());
@@ -595,13 +593,7 @@ CampaignService::runJob(Job &job)
         res.quarantine.insert(res.quarantine.end(),
                               restoredQuarantine.begin(),
                               restoredQuarantine.end());
-        std::sort(res.quarantine.begin(), res.quarantine.end(),
-                  [](const faultsim::QuarantineRecord &a,
-                     const faultsim::QuarantineRecord &b) {
-                      return a.faultKey != b.faultKey
-                                 ? a.faultKey < b.faultKey
-                                 : a.reason < b.reason;
-                  });
+        std::sort(res.quarantine.begin(), res.quarantine.end());
     }
     {
         // Persist after EVERY campaign: an interrupted service

@@ -173,8 +173,7 @@ CampaignSpec::campaignConfig(const workloads::BuiltWorkload &w) const
     cc.grouping = grouping;
     cc.seed = seed;
     // Intra-campaign parallelism comes from the shared suite pool, not
-    // from a per-campaign pool.  The engine knobs keep their defaults.
-    cc.jobs = 1;
+    // from CampaignConfig::jobs.  The engine knobs keep their defaults.
     cc.runner.timeoutFactor = timeoutFactor;
     return cc;
 }

@@ -5,10 +5,11 @@
  *
  * Execution model.  One looping driver task per pool worker pulls
  * campaigns off a shared cursor (so at most `jobs` campaigns are
- * resident at a time), runs each campaign's golden/profile and
- * grouping phases (profiles of different campaigns overlap), then
- * fans its injections into the SAME pool at per-injection granularity
- * through a base::TaskGroup.  The pool's queue therefore interleaves
+ * resident at a time), runs each campaign's Campaign::prepare() —
+ * golden/profile and grouping (profiles of different campaigns
+ * overlap) — then fans its injections into the SAME pool at
+ * per-injection granularity through a base::TaskGroup, the executor
+ * Campaign::run() drives on a private pool.  The queue interleaves
  * injections of every in-flight campaign, and a driver whose chain
  * runs dry frees its worker to execute the queued injections of the
  * campaigns still running — cross-campaign work stealing without any
@@ -51,12 +52,8 @@ namespace merlin::sched
  */
 struct CampaignSpec
 {
-    enum class Mode : std::uint8_t
-    {
-        Estimate,     ///< MeRLiN estimate only (representatives)
-        Truth,        ///< + ground-truth sweep of every survivor
-        GroupingOnly, ///< fault-list reduction only, no injections
-    };
+    /** What the campaign runs (manifest member "mode"). */
+    using Mode = core::CampaignMode;
 
     std::string workload; ///< bundled workload name (workloads::)
     uarch::Structure structure = uarch::Structure::RegisterFile;

@@ -31,50 +31,54 @@ Args::parse(int argc, char **argv, int start)
             a.kv[k.substr(0, eq)] = k.substr(eq + 1);
             continue;
         }
-        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
             a.kv[k] = argv[++i];
-        } else {
-            a.kv[k] = "1"; // boolean flag
-        }
+        else
+            a.kv[k] = std::nullopt; // bare flag
     }
     return a;
+}
+
+const std::string *
+Args::value(const std::string &k) const
+{
+    auto it = kv.find(k);
+    if (it == kv.end())
+        return nullptr;
+    if (!it->second)
+        fatal("--", k, " needs a value");
+    return &*it->second;
 }
 
 std::string
 Args::get(const std::string &k, const std::string &def) const
 {
-    auto it = kv.find(k);
-    return it == kv.end() ? def : it->second;
+    const std::string *v = value(k);
+    return v ? *v : def;
 }
 
 std::uint64_t
 Args::getU(const std::string &k, std::uint64_t def) const
 {
-    auto it = kv.find(k);
-    if (it == kv.end())
-        return def;
     // One strict parser for every numeric flag (base::parseU64):
     // signs, whitespace, trailing junk and overflow are all fatal,
     // where raw strtoull would wrap "-1" to 2^64-1 silently.
-    return base::parseU64(it->second, "--" + k);
+    const std::string *v = value(k);
+    return v ? base::parseU64(*v, "--" + k) : def;
 }
 
 unsigned
 Args::getU32(const std::string &k, unsigned def) const
 {
-    auto it = kv.find(k);
-    if (it == kv.end())
-        return def;
-    return base::parseU32(it->second, "--" + k);
+    const std::string *v = value(k);
+    return v ? base::parseU32(*v, "--" + k) : def;
 }
 
 double
 Args::getD(const std::string &k, double def) const
 {
-    auto it = kv.find(k);
-    if (it == kv.end())
-        return def;
-    return base::parseDouble(it->second, "--" + k);
+    const std::string *v = value(k);
+    return v ? base::parseDouble(*v, "--" + k) : def;
 }
 
 void
@@ -276,10 +280,11 @@ suiteOptionsFromArgs(const Args &args)
     opts.injectWallLimit = injectWallLimit(args);
     opts.quarantineFail = parseQuarantineFail(args);
     // --progress / --progress=SECS: periodic stderr line (a bare flag
-    // parses as "1" — one second).  --progress-json FILE additionally
-    // rewrites a machine-readable progress file at the same cadence.
+    // means one second).  --progress-json FILE additionally rewrites a
+    // machine-readable progress file at the same cadence.
     opts.progressStderr = args.has("progress");
-    opts.progressInterval = secondsFlag(args, "progress", 1.0, false);
+    if (opts.progressStderr && args.kv.at("progress"))
+        opts.progressInterval = secondsFlag(args, "progress", 1.0, false);
     opts.progressPath = args.get("progress-json");
     if (opts.reuseCached && opts.storePath.empty())
         fatal("--resume requires --out <results.json>");

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,11 +33,16 @@ namespace merlin::tools
 /** Minimal --key value / --flag parser. */
 struct Args
 {
-    std::map<std::string, std::string> kv;
+    /** Flag -> value; nullopt for a bare flag (`--truth`). */
+    std::map<std::string, std::optional<std::string>> kv;
 
     static Args parse(int argc, char **argv, int start);
 
+    /** True for a flag given with or without a value. */
     bool has(const std::string &k) const { return kv.count(k) != 0; }
+    /** Value of --k, @p def when absent; fatal() on a bare --k, so a
+     *  forgotten value cannot silently become one (every value
+     *  accessor below does the same). */
     std::string get(const std::string &k,
                     const std::string &def = "") const;
     /** Unsigned value of --k; fatal() on garbage instead of reading
@@ -48,6 +54,10 @@ struct Args
     unsigned getU32(const std::string &k, unsigned def) const;
     /** Floating-point value of --k; fatal() on garbage. */
     double getD(const std::string &k, double def) const;
+
+  private:
+    /** The value of --k: null when absent, fatal() when bare. */
+    const std::string *value(const std::string &k) const;
 };
 
 /** Reject flags outside @p known — a typo'd flag must not silently

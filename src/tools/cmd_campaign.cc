@@ -27,8 +27,9 @@ cmdCampaign(const Args &args)
     startTelemetry(args);
     const obs::TimePoint t0 = obs::now();
     core::Campaign camp(w.program, cc);
-    auto r = args.has("relyzer") ? camp.runRelyzer(args.has("truth"))
-                                 : camp.run(args.has("truth"));
+    auto r = camp.run(args.has("truth") ? core::CampaignMode::Truth
+                                        : core::CampaignMode::Estimate,
+                      args.has("relyzer"));
     const double seconds = obs::secondsSince(t0);
     finishTelemetry(args);
     std::printf("== %s / %s ==\n", w.program.name.c_str(),

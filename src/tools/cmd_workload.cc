@@ -100,7 +100,8 @@ cmdAsm(const Args &args)
         core::CampaignConfig cc = campaignConfig(a2, 0);
         const obs::TimePoint t0 = obs::now();
         core::Campaign camp(prog, cc);
-        auto res = camp.run(a2.has("truth"));
+        auto res = camp.run(a2.has("truth") ? core::CampaignMode::Truth
+                                            : core::CampaignMode::Estimate);
         printCampaign(res, structureBits(cc));
         printEngineStats(camp.runner().injectionStats(),
                          obs::secondsSince(t0));

@@ -14,6 +14,7 @@
 
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "base/threadpool.hh"
 
 #include "faultsim/runner.hh"
 #include "masm/asm.hh"
@@ -25,6 +26,18 @@ namespace
 {
 
 using uarch::Structure;
+
+/** The batch executor on a fresh pool of @p jobs workers (the calling
+ *  thread helps run the batch). */
+std::vector<Outcome>
+injectOnPool(const InjectionRunner &runner, const std::vector<Fault> &faults,
+             const GoldenRun &ref, unsigned jobs,
+             OutcomeMemo *memo = nullptr)
+{
+    base::ThreadPool pool(jobs);
+    base::TaskGroup group(pool);
+    return runner.injectBatch(faults, ref, group, memo);
+}
 
 TEST(OutcomeNames, AllDistinct)
 {
@@ -293,7 +306,7 @@ TEST(FaultKey, LargeL1dEntriesInjectThroughTheBatchPath)
         faults.push_back(f);
     }
     OutcomeMemo memo(faults.size());
-    const auto outs = runner.injectBatch(faults, g, 2, &memo);
+    const auto outs = injectOnPool(runner, faults, g, 2, &memo);
     ASSERT_EQ(outs.size(), faults.size());
     EXPECT_EQ(memo.size(), faults.size());
     for (Outcome o : outs)
@@ -483,8 +496,8 @@ TEST(Runner, EarlyExitPreservesEveryOutcome)
         f.cycle = rng.nextBelow(g_fast.stats.cycles);
         faults.push_back(f);
     }
-    const auto with = fast.injectBatch(faults, g_fast, 1);
-    const auto without = slow.injectBatch(faults, g_slow, 1);
+    const auto with = injectOnPool(fast, faults, g_fast, 1);
+    const auto without = injectOnPool(slow, faults, g_slow, 1);
     EXPECT_EQ(with, without);
 
     // Random RF flips mostly land in dead registers: the exit must
@@ -569,8 +582,8 @@ TEST(Runner, ReplayPreservesEveryOutcome)
         f.cycle = rng.nextBelow(g_fast.stats.cycles);
         faults.push_back(f);
     }
-    const auto with = fast.injectBatch(faults, g_fast, 1);
-    const auto without = slow.injectBatch(faults, g_slow, 1);
+    const auto with = injectOnPool(fast, faults, g_fast, 1);
+    const auto without = injectOnPool(slow, faults, g_slow, 1);
     EXPECT_EQ(with, without);
 
     // Every replay-enabled injection is resolved by the trace, one way
@@ -617,8 +630,8 @@ TEST(Runner, ReplaySkipsAtLeastHalfTheHead)
         f.cycle = rng.nextBelow(g_fast.stats.cycles);
         faults.push_back(f);
     }
-    EXPECT_EQ(fast.injectBatch(faults, g_fast, 1),
-              slow.injectBatch(faults, g_slow, 1));
+    EXPECT_EQ(injectOnPool(fast, faults, g_fast, 1),
+              injectOnPool(slow, faults, g_slow, 1));
 
     const auto st = fast.injectionStats();
     EXPECT_EQ(st.runs, 64u);
@@ -718,8 +731,8 @@ TEST(Runner, InjectBatchIsDeterministicAcrossThreadCounts)
     faults.push_back(faults[3]);
     faults.push_back(faults[17]);
 
-    const auto serial = runner.injectBatch(faults, g, 1);
-    const auto parallel = runner.injectBatch(faults, g, 8);
+    const auto serial = injectOnPool(runner, faults, g, 1);
+    const auto parallel = injectOnPool(runner, faults, g, 8);
     ASSERT_EQ(serial.size(), faults.size());
     EXPECT_EQ(serial, parallel);
 
@@ -748,11 +761,11 @@ TEST(Runner, InjectBatchReusesTheMemo)
         faults.push_back(f);
     }
     OutcomeMemo memo(faults.size());
-    const auto first = runner.injectBatch(faults, g, 2, &memo);
+    const auto first = injectOnPool(runner, faults, g, 2, &memo);
     EXPECT_EQ(memo.size(), faults.size());
     // Second batch over the same faults is answered from the memo and
     // must agree exactly.
-    const auto second = runner.injectBatch(faults, g, 2, &memo);
+    const auto second = injectOnPool(runner, faults, g, 2, &memo);
     EXPECT_EQ(first, second);
     EXPECT_EQ(memo.size(), faults.size());
 }
@@ -881,7 +894,7 @@ TEST(Quarantine, BatchCompletesAroundAPathologicalFault)
     std::vector<Fault> faults;
     for (EntryIndex e = 36; e < 44; ++e)
         faults.push_back(midRunFault(g, e));
-    const auto outcomes = runner.injectBatch(faults, g, 2);
+    const auto outcomes = injectOnPool(runner, faults, g, 2);
     ASSERT_EQ(outcomes.size(), faults.size());
     for (std::size_t i = 0; i < faults.size(); ++i) {
         if (faults[i].entry == sick_entry)

@@ -549,70 +549,36 @@ TEST(ResultJson, QuarantineRoundTripsAndIsOmittedWhenEmpty)
     EXPECT_TRUE(back.quarantine[1] == r.quarantine[1]);
 }
 
-TEST(ResultJson, UnrecognizedQuarantineRecordsAreSkippedNotFatal)
+/**
+ * A quarantine record is exactly {fault_key, reason}: a store holding
+ * any other shape is refused with an error naming the foreign member,
+ * never served with fewer records than its Crash count includes.
+ */
+TEST_F(StoreFixture, UnrecognizedQuarantineRecordIsRefusedByName)
 {
-    CampaignResult r = sampleResult(false);
-    r.quarantine.push_back({7, "known shape"});
-    std::string text = resultToJson(r).dump();
-    // Splice a record of a shape this build does not know — what a
-    // store written by a NEWER engine might contain — ahead of the
-    // good one.  The reader must keep every outcome and the readable
-    // record, and only drop the foreign one (with a warning).
-    const std::size_t at = text.find('[', text.find("\"quarantine\""));
-    ASSERT_NE(at, std::string::npos);
-    text.insert(at + 1, "{\"schema_v2_token\": 9},");
-    const CampaignResult back = resultFromJson(Json::parse(text));
-    ASSERT_EQ(back.quarantine.size(), 1u);
-    EXPECT_TRUE(back.quarantine[0] == r.quarantine[0]);
-    expectSameResult(r, back);
-}
-
-TEST_F(StoreFixture, UnrecognizedQuarantineWarnsOncePerStoreLoad)
-{
-    // Three foreign records spread over three campaign entries must
-    // produce ONE aggregated warning naming the count — not three
-    // identical lines.
-    const std::string p = track(path("quarantine_dedupe"));
+    const std::string p = track(path("quarantine_foreign"));
     {
         ResultStore store(p);
         CampaignResult r = sampleResult(false);
         r.quarantine.push_back({1, "known"});
         store.put("k1", Json::object(), r);
-        store.put("k2", Json::object(), r);
-        store.put("k3", Json::object(), r);
         store.save();
     }
     std::string text = storeText(p);
-    std::size_t spliced = 0;
     const std::string marker = "\"quarantine\": [";
-    for (std::size_t at = text.find(marker); at != std::string::npos;
-         at = text.find(marker, at + 1)) {
-        text.insert(at + marker.size(), "{\"future_field\": 9},");
-        ++spliced;
-    }
-    ASSERT_EQ(spliced, 3u);
+    const std::size_t at = text.find(marker);
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at + marker.size(), "{\"future_field\": 9},");
     std::ofstream(p, std::ios::trunc) << text;
 
     ResultStore loaded(p);
-    testing::internal::CaptureStderr();
-    ASSERT_TRUE(loaded.load());
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("skipped 3 unrecognized quarantine records"),
-              std::string::npos)
-        << err;
-    // One line, not one per record.
-    std::size_t warnings = 0;
-    const std::string warned = "unrecognized quarantine";
-    for (std::size_t at = err.find(warned); at != std::string::npos;
-         at = err.find(warned, at + 1))
-        ++warnings;
-    EXPECT_EQ(warnings, 1u) << err;
-    // Every readable record survived the skip.
-    for (const char *key : {"k1", "k2", "k3"}) {
-        CampaignResult out;
-        ASSERT_TRUE(loaded.lookup(key, out));
-        ASSERT_EQ(out.quarantine.size(), 1u);
-        EXPECT_EQ(out.quarantine[0].reason, "known");
+    try {
+        loaded.load();
+        ADD_FAILURE() << "store with a foreign quarantine record loaded";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'future_field'"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

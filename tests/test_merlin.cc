@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "base/logging.hh"
+#include "base/threadpool.hh"
 #include "io/result_store.hh"
 #include "merlin/campaign.hh"
 #include "workloads/workloads.hh"
@@ -308,7 +309,7 @@ TEST(Campaign, MajorityVoteAtLeastAsAccurate)
     cfg.sampling = specFixed(1000);
     cfg.grouping.repsPerGroup = 3;
     Campaign camp(w.program, cfg);
-    auto r = camp.run(true);
+    auto r = camp.run(CampaignMode::Truth);
     EXPECT_LT(
         r.merlinSurvivorEstimate.maxInaccuracyVs(*r.survivorTruth),
         10.0);
@@ -360,7 +361,7 @@ TEST(Campaign, EndToEndEstimateMatchesTruth)
     cfg.seed = 2024;
 
     Campaign camp(w.program, cfg);
-    auto res = camp.run(/*inject_all_survivors=*/true);
+    auto res = camp.run(CampaignMode::Truth);
 
     EXPECT_EQ(res.initialFaults, 1500u);
     EXPECT_EQ(res.aceMasked + res.survivors, 1500u);
@@ -388,7 +389,7 @@ TEST(Campaign, AceAvfUpperBoundsInjectionAvf)
     cfg.target = Structure::RegisterFile;
     cfg.sampling = specFixed(600);
     Campaign camp(w.program, cfg);
-    auto res = camp.run(false);
+    auto res = camp.run();
     EXPECT_GE(res.aceAvf + 0.02, res.merlinEstimate.avf());
 }
 
@@ -399,7 +400,7 @@ TEST(Campaign, RelyzerVariantRuns)
     cfg.target = Structure::RegisterFile;
     cfg.sampling = specFixed(500);
     Campaign camp(w.program, cfg);
-    auto res = camp.runRelyzer(false, 5);
+    auto res = camp.run(CampaignMode::Estimate, /*relyzer=*/true);
     EXPECT_GT(res.injections, 0u);
     EXPECT_EQ(res.merlinEstimate.total(), 500u);
 }
@@ -413,7 +414,7 @@ TEST(Campaign, WindowedCampaignUsesUnknown)
     cfg.core.instructionWindowEnd = w.suggestedWindow;
     cfg.sampling = specFixed(400);
     Campaign camp(w.program, cfg);
-    auto res = camp.run(false);
+    auto res = camp.run();
     EXPECT_EQ(res.merlinEstimate.total(), 400u);
     // Windowed classification may produce Unknowns but never Timeouts
     // from the window end itself.
@@ -428,7 +429,7 @@ TEST(Campaign, StoreQueueCampaignEndToEnd)
     cfg.core = cfg.core.withStoreQueue(16);
     cfg.sampling = specFixed(800);
     Campaign camp(w.program, cfg);
-    auto res = camp.run(false);
+    auto res = camp.run();
     EXPECT_EQ(res.merlinEstimate.total(), 800u);
     EXPECT_GT(res.speedupTotal, 10.0); // SQ prunes hard (paper Fig. 9)
 }
@@ -441,7 +442,7 @@ TEST(Campaign, L1dCampaignEndToEnd)
     cfg.core = cfg.core.withL1dKb(16);
     cfg.sampling = specFixed(400);
     Campaign camp(w.program, cfg);
-    auto res = camp.run(false);
+    auto res = camp.run();
     EXPECT_EQ(res.merlinEstimate.total(), 400u);
     EXPECT_GT(res.speedupAce, 1.0);
 }
@@ -453,8 +454,8 @@ TEST(Campaign, SeededCampaignsReproduce)
     cfg.target = Structure::RegisterFile;
     cfg.sampling = specFixed(300);
     cfg.seed = 5;
-    auto r1 = Campaign(w.program, cfg).run(false);
-    auto r2 = Campaign(w.program, cfg).run(false);
+    auto r1 = Campaign(w.program, cfg).run();
+    auto r2 = Campaign(w.program, cfg).run();
     EXPECT_EQ(r1.merlinEstimate.counts, r2.merlinEstimate.counts);
     EXPECT_EQ(r1.injections, r2.injections);
 }
@@ -472,9 +473,9 @@ TEST(Campaign, ParallelCampaignMatchesSerial)
     cfg.seed = 7;
 
     cfg.jobs = 1;
-    auto serial = Campaign(w.program, cfg).run(true);
+    auto serial = Campaign(w.program, cfg).run(CampaignMode::Truth);
     cfg.jobs = 8;
-    auto parallel = Campaign(w.program, cfg).run(true);
+    auto parallel = Campaign(w.program, cfg).run(CampaignMode::Truth);
 
     EXPECT_EQ(serial.merlinEstimate.counts,
               parallel.merlinEstimate.counts);
@@ -518,8 +519,8 @@ TEST(Campaign, GroupingOnlyGoldenRunIsBare)
             }
             Campaign est(w.program, cfg), bare(w.program, cfg);
             const PreparedCampaign pe = est.prepare();
-            const PreparedCampaign pb = bare.prepare(
-                false, false, 5, /*grouping_only=*/true);
+            const PreparedCampaign pb =
+                bare.prepare(CampaignMode::GroupingOnly);
 
             EXPECT_FALSE(est.goldenRun().checkpoints.empty());
             EXPECT_NE(est.goldenRun().trace, nullptr);
@@ -544,8 +545,11 @@ TEST(Campaign, GroupingOnlyGoldenRunIsBare)
                 pe.faults.begin() +
                     static_cast<std::ptrdiff_t>(
                         std::min<std::size_t>(pe.faults.size(), 4)));
-            EXPECT_EQ(bare.runner().injectBatch(some, bare.goldenRun(), 1),
-                      est.runner().injectBatch(some, est.goldenRun(), 1));
+            base::ThreadPool pool(1);
+            base::TaskGroup group(pool);
+            EXPECT_EQ(
+                bare.runner().injectBatch(some, bare.goldenRun(), group),
+                est.runner().injectBatch(some, est.goldenRun(), group));
         }
     }
 }
@@ -560,9 +564,9 @@ TEST(Campaign, CheckpointedCampaignMatchesUncheckpointed)
     cfg.seed = 11;
 
     cfg.runner.checkpointInterval = 0;
-    auto plain = Campaign(w.program, cfg).run(false);
+    auto plain = Campaign(w.program, cfg).run();
     cfg.runner.checkpointInterval = 100;
-    auto ck = Campaign(w.program, cfg).run(false);
+    auto ck = Campaign(w.program, cfg).run();
 
     EXPECT_EQ(plain.merlinEstimate.counts, ck.merlinEstimate.counts);
     EXPECT_EQ(plain.injections, ck.injections);
@@ -597,17 +601,17 @@ TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
         uarch::CoreConfig core;
         Structure structure;
         std::uint64_t faults;
-        bool truth;
+        CampaignMode mode;
     };
     // L1D lines live far longer than registers or SQ slots, so with a
     // tight cadence the replay handoff skips real head cycles.
     const Target targets[] = {
         {"qsort", uarch::CoreConfig{}.withRegisterFile(128),
-         Structure::RegisterFile, 120, true},
+         Structure::RegisterFile, 120, CampaignMode::Truth},
         {"fft", uarch::CoreConfig{}.withStoreQueue(16),
-         Structure::StoreQueue, 120, false},
+         Structure::StoreQueue, 120, CampaignMode::Estimate},
         {"qsort", uarch::CoreConfig{}.withL1dKb(16), Structure::L1DCache,
-         80, false},
+         80, CampaignMode::Estimate},
     };
 
     std::uint64_t exits = 0;
@@ -628,7 +632,7 @@ TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
                 cfg.runner.checkpointInterval = k.checkpointInterval;
                 Campaign camp(w.program, cfg);
                 const std::string bytes =
-                    io::resultToJson(camp.run(t.truth)).dump();
+                    io::resultToJson(camp.run(t.mode)).dump();
                 if (ref.empty())
                     ref = bytes;
                 EXPECT_EQ(bytes, ref) << t.workload << " ["
@@ -671,7 +675,7 @@ TEST(Campaign, LargeL1dCampaignSurvivesKeyPacking)
     cfg.core = cfg.core.withL1dKb(256);
     ASSERT_GT(cfg.core.l1d.totalWords(), 1u << 14);
     cfg.sampling = specFixed(150);
-    auto res = Campaign(w.program, cfg).run(false);
+    auto res = Campaign(w.program, cfg).run();
     EXPECT_EQ(res.merlinEstimate.total(), 150u);
 }
 
@@ -690,7 +694,7 @@ TEST(Campaign, QuarantinedInjectionsAreRecordedAndCountedCrash)
         if (f.bit < 8)
             throw std::runtime_error("sick bit");
     };
-    auto res = Campaign(w.program, cfg).run(false);
+    auto res = Campaign(w.program, cfg).run();
 
     ASSERT_FALSE(res.quarantine.empty());
     for (std::size_t i = 0; i < res.quarantine.size(); ++i) {
@@ -717,7 +721,7 @@ TEST(Campaign, QuarantinePolicyFailAbortsTheCampaign)
     cfg.runner.injectHook = [](const faultsim::Fault &, Cycle) {
         throw std::runtime_error("boom");
     };
-    EXPECT_THROW(Campaign(w.program, cfg).run(false), FatalError);
+    EXPECT_THROW(Campaign(w.program, cfg).run(), FatalError);
 }
 
 } // namespace

@@ -351,18 +351,7 @@ TEST_F(SuiteFixture, MatchesDirectlyRunCampaigns)
     for (std::size_t i = 0; i < specs.size(); ++i) {
         auto w = workloads::buildWorkload(specs[i].workload);
         core::Campaign camp(w.program, specs[i].campaignConfig(w));
-        core::CampaignResult direct;
-        switch (specs[i].mode) {
-          case CampaignSpec::Mode::Truth:
-            direct = camp.run(true);
-            break;
-          case CampaignSpec::Mode::Estimate:
-            direct = camp.run(false);
-            break;
-          case CampaignSpec::Mode::GroupingOnly:
-            direct = camp.runGroupingOnly();
-            break;
-        }
+        const core::CampaignResult direct = camp.run(specs[i].mode);
         EXPECT_EQ(suite.results[i].merlinEstimate.counts,
                   direct.merlinEstimate.counts)
             << "campaign " << i;

@@ -86,7 +86,7 @@ TEST(Theory, CampaignModelMatchesMeasuredTruth)
     cfg.core = cfg.core.withRegisterFile(128);
     cfg.sampling = specFixed(1000);
     Campaign camp(w.program, cfg);
-    auto r = camp.run(/*inject_all=*/true);
+    auto r = camp.run(CampaignMode::Truth);
     ASSERT_FALSE(r.groupModels.empty());
 
     auto m = avfMoments(r.groupModels, r.initialFaults);
@@ -111,7 +111,7 @@ TEST(Theory, EmpiricalMeanPreservation)
         cfg.sampling = specFixed(800);
         cfg.seed = seed;
         Campaign camp(w.program, cfg);
-        auto r = camp.run(true);
+        auto r = camp.run(CampaignMode::Truth);
         est.push_back(r.merlinEstimate.avf());
         truth.push_back(r.fullTruth().avf());
     }

@@ -1,16 +1,15 @@
 /**
  * @file
- * ThreadPool tests: completion, dynamic parallelFor coverage,
- * exception propagation, reuse across waves; TaskGroup tests: subset
- * completion on a shared pool, nested help-running waits (the suite
- * scheduler's deadlock-freedom), per-group exception isolation.
+ * ThreadPool tests: completion, exception propagation, reuse across
+ * waves; TaskGroup tests: subset completion on a shared pool, nested
+ * help-running waits (the suite scheduler's deadlock-freedom),
+ * per-group exception isolation.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -38,29 +37,6 @@ TEST(ThreadPool, RunsEverySubmittedTask)
     EXPECT_EQ(hits.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
-{
-    ThreadPool pool(8);
-    std::vector<std::atomic<int>> seen(1000);
-    pool.parallelFor(1000, [&seen](std::uint64_t i) { ++seen[i]; });
-    for (const auto &s : seen)
-        EXPECT_EQ(s.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForWithMoreWorkersThanItems)
-{
-    ThreadPool pool(16);
-    std::atomic<std::uint64_t> sum{0};
-    pool.parallelFor(3, [&sum](std::uint64_t i) { sum += i + 1; });
-    EXPECT_EQ(sum.load(), 6u);
-}
-
-TEST(ThreadPool, ZeroItemsIsANoOp)
-{
-    ThreadPool pool(2);
-    pool.parallelFor(0, [](std::uint64_t) { FAIL(); });
-}
-
 TEST(ThreadPool, WaitRethrowsFirstTaskException)
 {
     ThreadPool pool(2);
@@ -79,7 +55,9 @@ TEST(ThreadPool, ReusableAcrossWaves)
     std::uint64_t total = 0;
     for (int wave = 0; wave < 5; ++wave) {
         std::atomic<std::uint64_t> sum{0};
-        pool.parallelFor(50, [&sum](std::uint64_t i) { sum += i; });
+        for (std::uint64_t i = 0; i < 50; ++i)
+            pool.submit([&sum, i] { sum += i; });
+        pool.wait();
         total += sum.load();
     }
     EXPECT_EQ(total, 5u * (49u * 50u / 2));
