@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "base/bits.hh"
+
 namespace merlin::base
 {
 
@@ -88,6 +90,28 @@ CowBytes::contentEquals(const CowBytes &o) const
         off += run;
     }
     return true;
+}
+
+void
+CowBytes::diffWords(const CowBytes &o, std::vector<WordDiff> &out) const
+{
+    MERLIN_ASSERT(size() == o.size() && chunkBytes_ == o.chunkBytes_ &&
+                      size() % 8 == 0,
+                  "CowBytes word diff needs matching layouts");
+    for (std::size_t c = 0; c < numChunks(); ++c) {
+        const std::uint8_t *a = arr_.chunk(c);
+        const std::uint8_t *b = o.arr_.chunk(c);
+        const std::size_t base = c << chunkShift_;
+        const std::size_t n = std::min<std::size_t>(chunkBytes_,
+                                                    size() - base);
+        if (a == b || std::memcmp(a, b, n) == 0)
+            continue;
+        for (std::size_t i = 0; i < n; i += 8) {
+            const std::uint64_t x = loadLE(a + i, 8) ^ loadLE(b + i, 8);
+            if (x != 0)
+                out.push_back(WordDiff{(base + i) / 8, x});
+        }
+    }
 }
 
 } // namespace merlin::base

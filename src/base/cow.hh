@@ -221,6 +221,22 @@ class CowBytes
      */
     bool contentEquals(const CowBytes &o) const;
 
+    /** One differing 8-byte word: its index (byte offset / 8) and the
+     *  XOR of the two words. */
+    struct WordDiff
+    {
+        std::size_t word;
+        std::uint64_t mask;
+    };
+
+    /**
+     * Append every 8-byte word in which this array differs from @p o
+     * (same size and granularity; the size a multiple of 8) to @p out,
+     * in ascending order.  Shared chunks are skipped by pointer
+     * identity, as in contentEquals().
+     */
+    void diffWords(const CowBytes &o, std::vector<WordDiff> &out) const;
+
     /** Chunks physically shared with @p o (same granularity only). */
     std::size_t
     sharedChunksWith(const CowBytes &o) const

@@ -43,16 +43,21 @@ struct Fault
  * Lossless 64-bit packing of a fault within one campaign (the target
  * structure is fixed per campaign, so it is not part of the key):
  * cycle in bits [0,40), entry in [40,58), bit position in [58,64).
- * 18 entry bits cover L1D data arrays up to 2 MB (2^18 8-byte words).
+ * The uarch::kFaultEntryBits = 18 entry bits cover L1D data arrays up
+ * to 2 MB (2^18 8-byte words), the largest CoreConfig::validL1dKb()
+ * accepts.
  */
 inline std::uint64_t
 faultKey(const Fault &f)
 {
-    MERLIN_ASSERT(f.cycle < (1ULL << 40) && f.entry < (1u << 18) &&
+    static_assert(40 + uarch::kFaultEntryBits + 6 == 64);
+    MERLIN_ASSERT(f.cycle < (1ULL << 40) &&
+                      f.entry < (1u << uarch::kFaultEntryBits) &&
                       f.bit < 64,
                   "fault key overflow");
     return f.cycle | (static_cast<std::uint64_t>(f.entry) << 40) |
-           (static_cast<std::uint64_t>(f.bit) << 58);
+           (static_cast<std::uint64_t>(f.bit)
+            << (40 + uarch::kFaultEntryBits));
 }
 
 /**

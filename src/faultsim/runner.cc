@@ -52,6 +52,12 @@ struct InjectMetrics
         obs::Registry::global().counter("inject.replay_masked");
     obs::Counter &replayHandoffs =
         obs::Registry::global().counter("inject.replay_handoffs");
+    obs::Counter &deltaResumes =
+        obs::Registry::global().counter("inject.delta_resumes");
+    obs::Counter &deltaDecided =
+        obs::Registry::global().counter("inject.delta_decided");
+    obs::Counter &deltaSkipped =
+        obs::Registry::global().counter("inject.delta_cycles_skipped");
     obs::Histogram &replaySkipped =
         obs::Registry::global().histogram("inject.replay_cycles_skipped");
     obs::Histogram &replayDivergence =
@@ -92,6 +98,80 @@ struct ScopeTimer
     obs::TimePoint t0 = obs::now();
     ~ScopeTimer() { h.observe(obs::microsSince(t0)); }
 };
+
+/** Adds a local count to @p sink on every exit path of a scope. */
+struct ScopeTally
+{
+    std::atomic<std::uint64_t> &sink;
+    std::uint64_t n = 0;
+    ~ScopeTally() { sink.fetch_add(n, std::memory_order_relaxed); }
+};
+
+constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+/** What the golden effect trace says about a delta (see
+ *  "Reconvergence" in runner.hh). */
+struct Step
+{
+    /** No delta byte is read again, and none stays live to a window
+     *  end: the run's outcome is known. */
+    bool decided = false;
+    Outcome outcome = Outcome::Masked; ///< when decided
+    /** First golden read of any delta byte (kNever: none). */
+    Cycle firstRead = kNever;
+};
+
+/** The first golden touch of each byte that word @p w corrupts, at or
+ *  after cycle @p from, as f(byte mask, touch). */
+template <typename F>
+void
+forEachTouch(const replay::EffectTrace &t, const uarch::StateDelta::Word &w,
+             Cycle from, F &&f)
+{
+    for (unsigned b = 0; b < 8; ++b) {
+        const std::uint64_t m = 0xffULL << (8 * b);
+        if (w.mask & m)
+            f(m, t.firstTouch(w.s, w.entry, 8 * b, from));
+    }
+}
+
+/** The golden run is the faulty run XOR @p d from cycle @p at on. */
+Step
+reconverge(const replay::EffectTrace &t, const GoldenRun &ref,
+           const uarch::StateDelta &d, Cycle at)
+{
+    Step st;
+    bool untouched = false;
+    for (const uarch::StateDelta::Word &w : d.words) {
+        forEachTouch(t, w, at, [&](std::uint64_t, replay::FirstTouch ft) {
+            if (ft.kind == replay::Touch::Diverged)
+                st.firstRead = std::min(st.firstRead, ft.cycle);
+            untouched |= ft.kind == replay::Touch::None;
+        });
+    }
+    // A byte untouched to the end of a to-completion run never shows;
+    // at a window end it is still compared (Table 4).
+    st.decided = st.firstRead == kNever && !(untouched && ref.windowed);
+    st.outcome = d.output.empty() ? Outcome::Masked : Outcome::SDC;
+    return st;
+}
+
+/** Drop from @p d every byte the golden run overwrites, before any
+ *  read, in cycles [from, to). */
+void
+dropKilled(const replay::EffectTrace &t, uarch::StateDelta &d, Cycle from,
+           Cycle to)
+{
+    for (uarch::StateDelta::Word &w : d.words) {
+        forEachTouch(t, w, from, [&](std::uint64_t m, replay::FirstTouch ft) {
+            if (ft.kind == replay::Touch::Killed && ft.cycle < to)
+                w.mask &= ~m;
+        });
+    }
+    std::erase_if(d.words, [](const uarch::StateDelta::Word &w) {
+        return w.mask == 0;
+    });
+}
 
 } // namespace
 
@@ -168,6 +248,11 @@ InjectionRunner::injectionStats() const
         replayCyclesSkipped_.load(std::memory_order_relaxed);
     s.replayHeadCycles =
         replayHeadCycles_.load(std::memory_order_relaxed);
+    s.deltaResumes = deltaResumes_.load(std::memory_order_relaxed);
+    s.deltaDecided = deltaDecided_.load(std::memory_order_relaxed);
+    s.deltaCyclesSkipped =
+        deltaCyclesSkipped_.load(std::memory_order_relaxed);
+    s.postFlipCycles = postFlipCycles_.load(std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lock(quarantineMu_);
         s.quarantined = quarantine_.size();
@@ -355,45 +440,60 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
     m.runs.add();
     obs::Span span("inject", "injection");
     const ScopeTimer timed{m.wallUs};
+    ScopeTally post_flip{postFlipCycles_};
 
     const bool watchdog = opts_.wallClockLimit > 0.0;
     const obs::TimePoint wall_start = timed.t0;
     std::uint32_t wall_tick = 0;
 
     try {
-        // Checkpoints are sorted ascending by construction; `after`
-        // is the first one past the flip, `prev(after)` the resume
-        // point.
-        auto after = std::upper_bound(
-            ref.checkpoints.begin(), ref.checkpoints.end(), fault.cycle,
-            [](Cycle c, const uarch::Core::Snapshot &s) {
-                return c < s.cycle();
-            });
+        const std::vector<uarch::Core::Snapshot> &cks = ref.checkpoints;
+        // Checkpoints are sorted ascending by construction: the number
+        // of them at or before cycle c.
+        const auto upTo = [&](Cycle c) {
+            return static_cast<std::size_t>(
+                std::upper_bound(cks.begin(), cks.end(), c,
+                                 [](Cycle x, const uarch::Core::Snapshot &s) {
+                                     return x < s.cycle();
+                                 }) -
+                cks.begin());
+        };
+        std::optional<uarch::Core> core;
+        const auto restore = [&](const uarch::Core::Snapshot &snap) {
+            uarch::SnapshotStats rstats;
+            const obs::TimePoint t0 = obs::now();
+            core.emplace(prog_, cfg, snap, &rstats);
+            m.restoreUs.observe(obs::microsBetween(t0, obs::now()));
+            m.restoreCopied.add(rstats.bytesCopied);
+            m.restoreShared.add(rstats.bytesShared);
+        };
+
+        // The faulty run is the golden run XOR `delta` from the flip
+        // cycle on; `next` indexes the first checkpoint past the
+        // resume point, which is the latest one at or before the flip.
+        MERLIN_ASSERT(fault.bit < 64, "flip bit out of range");
+        uarch::StateDelta delta;
+        delta.words.push_back(uarch::StateDelta::Word{
+            fault.structure, fault.entry, 1ULL << fault.bit});
+        std::size_t next = upTo(fault.cycle);
         const uarch::Core::Snapshot *resume =
-            after != ref.checkpoints.begin() ? &*std::prev(after)
-                                             : nullptr;
+            next ? &cks[next - 1] : nullptr;
 
         // Replay fast path: ask the golden effect trace for the flip's
         // first architectural consequence before simulating anything.
         const replay::EffectTrace *trace =
             (opts_.replay && !opts_.injectHook) ? ref.trace.get()
                                                 : nullptr;
-        bool flip_at_restore = false;
+        bool applied = false;
         if (trace) {
             // Classic resume cycle — the baseline every head/skip
             // figure is measured against.
             const Cycle r0 = resume ? resume->cycle() : 0;
-            const replay::FirstTouch ft = trace->firstTouch(
-                fault.structure, fault.entry, fault.bit, fault.cycle);
-
-            if (ft.kind == replay::Touch::Killed ||
-                (ft.kind == replay::Touch::None && !ref.windowed)) {
+            const Step st = reconverge(*trace, ref, delta, fault.cycle);
+            if (st.decided) {
                 // The flip is overwritten before any read (or never
-                // touched in a to-completion run): the faulty run's
-                // observable behaviour is the golden run's.  Masked,
-                // zero cycles simulated.  Windowed never-touched flips
-                // do NOT take this exit — they are still live at the
-                // window end and must run the Table-4 comparison.
+                // touched in a to-completion run): Masked, zero cycles
+                // simulated.
                 obs::Span rspan("replay", "shortcut-masked");
                 const Cycle head = ref.stats.cycles - r0;
                 replayMasked_.fetch_add(1, std::memory_order_relaxed);
@@ -403,90 +503,46 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
                                             std::memory_order_relaxed);
                 m.replayMasked.add();
                 m.replaySkipped.observe(head);
-                return Outcome::Masked;
+                return st.outcome;
             }
-
-            // Diverged at ft.cycle: any checkpoint in [flip, ft.cycle]
-            // holds state identical to the faulty run's except for the
-            // flipped byte itself, so full simulation may start there
-            // with the flip applied at restore.  Windowed never-touched
-            // flips hand off the same way with no divergence bound
-            // (latest checkpoint), keeping the window-end comparison.
-            const Cycle limit = ft.kind == replay::Touch::Diverged
-                                    ? ft.cycle
-                                    : std::numeric_limits<Cycle>::max();
-            auto ub = std::upper_bound(
-                ref.checkpoints.begin(), ref.checkpoints.end(), limit,
-                [](Cycle c, const uarch::Core::Snapshot &s) {
-                    return c < s.cycle();
-                });
-            const uarch::Core::Snapshot *handoff =
-                ub != ref.checkpoints.begin() ? &*std::prev(ub) : nullptr;
+            // Hand off to full simulation at the latest checkpoint in
+            // [flip, first read] with the flip applied at restore; with
+            // no checkpoint inside the head, the classic path (the
+            // handoff still counted, skipping nothing).
+            const std::size_t upto = upTo(st.firstRead);
             Cycle skipped = 0;
-            if (handoff && handoff->cycle() >= fault.cycle) {
-                skipped = handoff->cycle() - r0;
-                resume = handoff;
-                after = ub;
-                flip_at_restore = true;
+            if (upto && cks[upto - 1].cycle() >= fault.cycle) {
+                next = upto;
+                resume = &cks[upto - 1];
+                skipped = resume->cycle() - r0;
+                applied = true;
             }
-            // else: no checkpoint inside the head — classic path, with
-            // the handoff still counted (skipped = 0).
-            const Cycle head = (ft.kind == replay::Touch::Diverged
-                                    ? ft.cycle
-                                    : ref.stats.cycles) -
-                               r0;
+            const Cycle head = std::min(st.firstRead, ref.stats.cycles) - r0;
             replayHandoffs_.fetch_add(1, std::memory_order_relaxed);
             replayCyclesSkipped_.fetch_add(skipped,
                                            std::memory_order_relaxed);
             replayHeadCycles_.fetch_add(head, std::memory_order_relaxed);
             m.replayHandoffs.add();
             m.replaySkipped.observe(skipped);
-            if (ft.kind == replay::Touch::Diverged)
-                m.replayDivergence.observe(ft.cycle - fault.cycle);
+            if (st.firstRead != kNever)
+                m.replayDivergence.observe(st.firstRead - fault.cycle);
         }
 
-        uarch::SnapshotStats rstats;
-        const obs::TimePoint restore_t0 = obs::now();
-        uarch::Core core =
-            resume ? uarch::Core(prog_, cfg, *resume, &rstats)
-                   : uarch::Core(prog_, cfg);
-        if (resume) {
-            m.restoreUs.observe(obs::microsBetween(restore_t0,
-                                                   obs::now()));
-            m.restoreCopied.add(rstats.bytesCopied);
-            m.restoreShared.add(rstats.bytesShared);
-        }
-        const auto applyFlip = [&](uarch::Core &c) {
-            switch (fault.structure) {
-              case uarch::Structure::RegisterFile:
-                c.flipRegisterFileBit(fault.entry, fault.bit);
-                break;
-              case uarch::Structure::StoreQueue:
-                c.flipStoreQueueBit(fault.entry, fault.bit);
-                break;
-              case uarch::Structure::L1DCache:
-                c.flipL1dBit(fault.entry, fault.bit);
-                break;
-            }
-        };
-        bool applied = false;
-        if (flip_at_restore) {
-            // Handoff resume: the golden state at this checkpoint
-            // differs from the faulty run's only in the flipped byte
-            // (the trace proved nothing touched it since the flip), so
-            // applying the flip here reconstructs it exactly.
-            applyFlip(core);
-            applied = true;
-        }
+        if (resume)
+            restore(*resume);
+        else
+            core.emplace(prog_, cfg);
+        if (applied)
+            core->applyDelta(delta);
         for (;;) {
-            if (!applied && core.cycle() == fault.cycle) {
-                applyFlip(core);
+            if (!applied && core->cycle() == fault.cycle) {
+                core->applyDelta(delta);
                 applied = true;
             }
             // Test hook: model a fault that corrupts the simulator
             // itself (throw) or wedges it (burn wall clock).
             if (applied && opts_.injectHook)
-                opts_.injectHook(fault, core.cycle());
+                opts_.injectHook(fault, core->cycle());
             // Real-wall-clock watchdog, checked every few hundred
             // cycles: a livelocking simulator that keeps ticking is
             // quarantined instead of stalling the whole campaign.
@@ -494,27 +550,54 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
                 obs::secondsSince(wall_start) > opts_.wallClockLimit) {
                 throw WallClockExceeded{};
             }
-            // Golden-reconvergence early exit: at each checkpoint
-            // cycle past the flip, a full state match proves the
-            // faulty run's future is the golden run's future, whose
-            // classification against itself is Masked by definition.
-            // The compare is cheap when it fails (divergent registers
-            // hit first) and chunk-identity-fast when memory is still
-            // shared with the snapshot.
-            if (applied && opts_.earlyExit &&
-                after != ref.checkpoints.end() &&
-                core.cycle() == after->cycle()) {
-                if (core.stateEquals(*after)) {
+            // Reconvergence: at each checkpoint past the flip, one diff
+            // against the golden snapshot (see runner.hh).
+            if (applied && opts_.earlyExit && next < cks.size() &&
+                core->cycle() == cks[next].cycle()) {
+                const Cycle at = core->cycle();
+                const bool golden_xor_delta = core->diff(cks[next], delta);
+                if (golden_xor_delta && delta.empty()) {
                     earlyExits_.fetch_add(1, std::memory_order_relaxed);
                     m.earlyExits.add();
                     return Outcome::Masked;
                 }
-                ++after;
+                // Without a trace to resolve it, a non-empty delta is
+                // as good as a mismatch.
+                if (golden_xor_delta && trace) {
+                    const Step st = reconverge(*trace, ref, delta, at);
+                    if (st.decided) {
+                        const Cycle tail = ref.stats.cycles - at;
+                        deltaDecided_.fetch_add(1, std::memory_order_relaxed);
+                        deltaCyclesSkipped_.fetch_add(
+                            tail, std::memory_order_relaxed);
+                        m.deltaDecided.add();
+                        m.deltaSkipped.add(tail);
+                        return st.outcome;
+                    }
+                    // Resume at the latest checkpoint before the first
+                    // read, unless that is this one.
+                    const std::size_t upto = upTo(st.firstRead);
+                    if (upto - 1 > next) {
+                        next = upto - 1;
+                        const Cycle to = cks[next].cycle();
+                        dropKilled(*trace, delta, at, to);
+                        restore(cks[next]);
+                        core->applyDelta(delta);
+                        deltaResumes_.fetch_add(1, std::memory_order_relaxed);
+                        deltaCyclesSkipped_.fetch_add(
+                            to - at, std::memory_order_relaxed);
+                        m.deltaResumes.add();
+                        m.deltaSkipped.add(to - at);
+                    }
+                }
+                ++next;
             }
-            if (!core.tick())
+            if (!core->tick())
                 break;
+            if (applied)
+                ++post_flip.n;
         }
-        return classify(core.result(), core, ref);
+        return classify(core->result(), *core, ref);
     } catch (const SimAssertError &) {
         // A flipped bit drove the simulator into an invariant violation.
         return Outcome::Assert;

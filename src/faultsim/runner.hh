@@ -29,25 +29,29 @@
  * Snapshots are copy-on-write (O(dirty state) to capture), so the
  * default checkpoint grid is much denser than the seed engine's.
  *
- * Early exit: after the flip, whenever the injected core reaches a
- * golden checkpoint cycle its state is compared against that snapshot
- * (chunk-pointer identity first, bytes only for detached chunks).  A
- * full match proves the faulty run has reconverged with the golden
- * run: identical state at cycle c implies an identical future, so the
- * run is terminated immediately with the golden outcome (Masked) —
- * classifications are unchanged by construction, only the post-mask
- * tail simulation is skipped.
- *
- * Replay fast path: the golden run additionally records a per-cycle
- * effect trace (replay/trace.hh).  Each injection first consults the
- * trace for the flip's first architectural consequence: a flip that is
- * overwritten before any read (or never touched at all) is Masked with
- * zero simulation, and a flip first read at cycle D resumes full
- * simulation from the latest checkpoint in [flip, D] with the flip
- * applied at restore — the pre-divergence head between the classic
- * resume point and that checkpoint is never simulated.  Early exit
- * then still trims the tail, compressing the simulated window to
- * roughly [divergence, reconvergence).
+ * Reconvergence: a faulty run is the golden run XOR a delta — XOR
+ * masks over RF values, SQ data fields, L1D data words and the output
+ * bytes already emitted — whenever every other piece of core state
+ * matches (uarch::Core::diff).  At the flip the delta is the flipped
+ * bit; at each golden checkpoint past it, with early exit on, one diff
+ * against the snapshot finds it (no match: keep simulating).  An empty
+ * delta is the golden future itself: Masked at once (without replay,
+ * the only delta that counts).  With replay on, the golden effect
+ * trace (replay/trace.hh) then tells where the golden run first reads
+ * any delta byte, and the run continues from the latest checkpoint at
+ * or before that read with the delta XORed in — less the bytes the
+ * golden run overwrote before that checkpoint — skipping every cycle
+ * in between.  If no delta byte is ever read again, a to-completion
+ * run is decided there: SDC when the output delta is non-empty, else
+ * Masked; a windowed run with a delta byte still untouched at the
+ * window end resumes at the latest checkpoint instead and takes the
+ * Table-4 comparison.  At the flip
+ * this is the replay fast path (a dead flip is Masked with zero
+ * simulation, a live one skips its pre-divergence head); at later
+ * checkpoints it compresses the simulated window to the cycles around
+ * reads of corrupted bytes.  Outcomes are unchanged by construction:
+ * until a delta byte is read, nothing the golden run does depends on
+ * it.
  */
 
 #ifndef MERLIN_FAULTSIM_RUNNER_HH
@@ -204,17 +208,23 @@ struct RunnerOptions
 
     Cycle checkpointInterval = kDefaultCheckpointInterval;
     unsigned maxCheckpoints = kDefaultMaxCheckpoints;
-    /** Terminate runs that provably reconverged with the golden run. */
+    /**
+     * Diff the faulty core against each golden checkpoint past the
+     * flip, and end runs that provably reconverged with the golden
+     * run (see "Reconvergence" above).
+     */
     bool earlyExit = true;
     /**
      * Golden-trace replay fast path: record the golden run's effect
      * trace and let each injection skip its pre-divergence head
      * (consult the trace, classify dead flips Masked outright, resume
-     * live ones from the latest pre-divergence checkpoint).  Outcome-
-     * invariant by construction; like earlyExit it is an engine knob,
-     * never part of a result.  Automatically disabled while an
-     * injectHook is set — the hook observes every simulated cycle, so
-     * skipping cycles would change what tests see.
+     * live ones from the latest pre-divergence checkpoint).  With
+     * earlyExit also on, the same trace resolves every delta a
+     * checkpoint diff finds.  Outcome-invariant by construction; like
+     * earlyExit it is an engine knob, never part of a result.
+     * Automatically disabled while an injectHook is set — the hook
+     * observes every simulated cycle, so skipping cycles would change
+     * what tests see.
      */
     bool replay = true;
     /** Timeout budget multiplier (0 is treated as 1). */
@@ -243,9 +253,9 @@ struct RunnerOptions
     std::function<void(const Fault &, Cycle)> injectHook;
 };
 
-/** How one runner's injections went: runs, early exits, quarantines
- *  and replay (atomic; any thread count).  The one home of engine
- *  facts; InjectDetail carries only the quarantine verdict. */
+/** How one runner's injections went: runs, early exits, quarantines,
+ *  replay and reconvergence (atomic; any thread count).  The one home
+ *  of engine facts; InjectDetail carries only the quarantine verdict. */
 struct InjectionStats
 {
     std::uint64_t runs = 0;       ///< faulty runs actually simulated
@@ -255,6 +265,14 @@ struct InjectionStats
     std::uint64_t replayHandoffs = 0; ///< diverged into full simulation
     std::uint64_t replayCyclesSkipped = 0; ///< full-sim cycles avoided
     std::uint64_t replayHeadCycles = 0;    ///< pre-divergence head total
+    /** Checkpoint diffs that resumed at a later golden checkpoint. */
+    std::uint64_t deltaResumes = 0;
+    /** Runs classified at a checkpoint off a non-empty delta. */
+    std::uint64_t deltaDecided = 0;
+    /** Post-flip cycles those resumes and decisions did not simulate. */
+    std::uint64_t deltaCyclesSkipped = 0;
+    /** Cycles simulated with the flip applied. */
+    std::uint64_t postFlipCycles = 0;
 };
 
 /** Runs golden and faulty executions of one program/configuration. */
@@ -364,6 +382,10 @@ class InjectionRunner
     mutable std::atomic<std::uint64_t> replayHandoffs_{0};
     mutable std::atomic<std::uint64_t> replayCyclesSkipped_{0};
     mutable std::atomic<std::uint64_t> replayHeadCycles_{0};
+    mutable std::atomic<std::uint64_t> deltaResumes_{0};
+    mutable std::atomic<std::uint64_t> deltaDecided_{0};
+    mutable std::atomic<std::uint64_t> deltaCyclesSkipped_{0};
+    mutable std::atomic<std::uint64_t> postFlipCycles_{0};
     mutable std::mutex quarantineMu_;
     mutable std::vector<QuarantineRecord> quarantine_;
 };

@@ -40,8 +40,21 @@ struct ArchResult
                output == o.output && traps == o.traps;
     }
 
-    /** Exact equality, all fields (reconvergence check). */
+    /** Exact equality, all fields. */
     bool operator==(const ArchResult &) const = default;
+
+    /**
+     * Every field equal, the output in length only: the reconvergence
+     * diff (uarch::Core::diff) carries differing output bytes in its
+     * delta.  Keep in step with the fields above.
+     */
+    bool
+    sameUpToOutputBytes(const ArchResult &o) const
+    {
+        return reason == o.reason && exitCode == o.exitCode &&
+               output.size() == o.output.size() && traps == o.traps &&
+               instret == o.instret && uopsRetired == o.uopsRetired;
+    }
 };
 
 /** Functional interpreter state + driver. */

@@ -8,25 +8,35 @@
  * scheduling accesses included) as one packed event per (structure,
  * entry).  After the run the trace takes those streams over.
  *
- * An injection then asks one question: starting from the flip cycle,
- * what is the FIRST recorded event that covers the flipped byte?
+ * An injection asks one question of a set of corrupted bytes — the
+ * flipped byte at the flip cycle, or the delta a checkpoint diff found
+ * (faultsim/runner.hh, "Reconvergence"): starting from cycle T, what
+ * is the FIRST recorded event that covers each byte?
  *
- *  - none, and the run is not windowed: the byte is never consumed nor
- *    rewritten, so the faulty run's observable behaviour is the golden
- *    run's — Masked without simulating a single cycle;
- *  - a write: the flip is overwritten with data derived only from
- *    un-flipped state before anything reads it — the fault is dead,
- *    Masked (valid even for windowed runs);
- *  - a read at cycle D: the flip's first architectural consequence is
- *    at D, so full simulation can start from any golden checkpoint in
- *    [flip, D] with the flip applied at restore, skipping the whole
- *    pre-divergence head.
+ *  - a write: the byte is overwritten with data derived only from
+ *    uncorrupted state before anything reads it — it is dead from that
+ *    cycle on (valid even for windowed runs);
+ *  - none: the byte is never consumed nor rewritten; it cannot show in
+ *    a to-completion run, but at a window end it is still compared;
+ *  - a read at cycle D: the byte's first architectural consequence.
+ *
+ * Let D* be the earliest such read over the whole set.  Until D*, the
+ * golden run never reads a corrupted byte, so it does exactly what the
+ * faulty run does, and the faulty state at any cycle t <= D* is the
+ * golden state at t XOR the set, less the bytes written in [T, t).  So
+ * full simulation may start from any golden checkpoint in [T, D*] with
+ * the surviving bytes XORed in, skipping everything before it.  The
+ * written bytes must be dropped, not kept: the golden checkpoint
+ * already holds their clean overwrite, and XORing the old corruption
+ * onto it would corrupt a value the faulty run never held.  With no D*
+ * and no byte left untouched to a window end, nothing corrupted is
+ * ever read again: the run's outcome is the golden run's, up to the
+ * output bytes it already emitted.
  *
  * Soundness rests on an asymmetry in how the core reports events:
- * reads may be over-reported (a spurious read only costs a handoff
- * into full simulation, never a wrong outcome), while writes are
- * reported exactly when bytes are overwritten independently of their
- * prior content.
+ * reads may be over-reported (a spurious read only ends a skip early,
+ * never a wrong outcome), while writes are reported exactly when bytes
+ * are overwritten independently of their prior content.
  */
 
 #ifndef MERLIN_REPLAY_TRACE_HH

@@ -388,6 +388,19 @@ printEngineStats(const faultsim::InjectionStats &s, double seconds)
                               static_cast<double>(s.replayHeadCycles)
                         : 0.0);
     }
+    if (s.runs) {
+        const std::uint64_t post = s.postFlipCycles + s.deltaCyclesSkipped;
+        std::printf("reconvergence: %llu delta resumes, %llu runs decided "
+                    "off the trace, %llu of %llu post-flip cycles skipped "
+                    "(%.1f%%)\n",
+                    static_cast<unsigned long long>(s.deltaResumes),
+                    static_cast<unsigned long long>(s.deltaDecided),
+                    static_cast<unsigned long long>(s.deltaCyclesSkipped),
+                    static_cast<unsigned long long>(post),
+                    post ? 100.0 * static_cast<double>(s.deltaCyclesSkipped) /
+                               static_cast<double>(post)
+                         : 0.0);
+    }
     std::printf("wall clock: %.2fs (%llu injection runs)\n", seconds,
                 static_cast<unsigned long long>(s.runs));
 }

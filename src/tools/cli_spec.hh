@@ -112,8 +112,9 @@ void printCampaign(const core::CampaignResult &r, std::uint64_t bits);
 
 /**
  * Print how the engine produced a campaign run in this process — early
- * exits, replay, wall clock — from the runner's own counters.  Never
- * part of a stored result, so only commands that simulated print it.
+ * exits, replay, reconvergence, wall clock — from the runner's own
+ * counters.  Never part of a stored result, so only commands that
+ * simulated print it.
  */
 void printEngineStats(const faultsim::InjectionStats &s, double seconds);
 

@@ -181,12 +181,11 @@ Cache::writeBytes(std::uint32_t set, std::uint32_t way, std::uint32_t offset,
 }
 
 void
-Cache::flipBit(EntryIndex word, unsigned bit)
+Cache::xorWord(EntryIndex word, std::uint64_t mask)
 {
     MERLIN_ASSERT(word < cfg_.totalWords(), "cache word out of range");
-    MERLIN_ASSERT(bit < 64, "bit out of range");
-    *data_.writePtr(std::size_t(word) * 8 + bit / 8, 1) ^=
-        static_cast<std::uint8_t>(1u << (bit % 8));
+    std::uint8_t *p = data_.writePtr(std::size_t(word) * 8, 8);
+    storeLE(p, loadLE(p, 8) ^ mask, 8);
 }
 
 void
@@ -206,12 +205,18 @@ Cache::applyDirtyLines(isa::SegmentedMemory &mem) const
 bool
 Cache::stateEquals(const Cache &o) const
 {
-    // Counters first (cheap, and divergent timing shows up here), the
-    // COW data array last (pointer identity makes it nearly free when
-    // the two cores still share it).
+    // The COW data array last: pointer identity makes it nearly free
+    // when the two cores still share it.
+    return metaEquals(o) && data_.contentEquals(o.data_);
+}
+
+bool
+Cache::metaEquals(const Cache &o) const
+{
+    // Counters first: cheap, and divergent timing shows up here.
     return lruCounter_ == o.lruCounter_ && hits_ == o.hits_ &&
            misses_ == o.misses_ && writebacks_ == o.writebacks_ &&
-           lines_ == o.lines_ && data_.contentEquals(o.data_);
+           lines_ == o.lines_;
 }
 
 } // namespace merlin::uarch

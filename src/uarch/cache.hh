@@ -81,8 +81,9 @@ class Cache
                     std::uint32_t offset, unsigned size,
                     std::uint64_t value);
 
-    /** Flip one bit of the data array (fault injection). */
-    void flipBit(EntryIndex word, unsigned bit);
+    /** XOR @p mask into 8-byte data word @p word (fault injection;
+     *  the line's dirty bit is left as it is). */
+    void xorWord(EntryIndex word, std::uint64_t mask);
 
     /** Global 8-byte-word index of (set, way, byte offset). */
     EntryIndex
@@ -108,6 +109,18 @@ class Cache
      * tag and data chunks compare by pointer identity.
      */
     bool stateEquals(const Cache &o) const;
+
+    /** stateEquals() without the data array. */
+    bool metaEquals(const Cache &o) const;
+
+    /** Append the data words that differ from @p o's (word index =
+     *  wordIndex(), see base::CowBytes::diffWords). */
+    void
+    diffWords(const Cache &o,
+              std::vector<base::CowBytes::WordDiff> &out) const
+    {
+        data_.diffWords(o.data_, out);
+    }
 
     /** Tag-table and data-array bytes (COW-shared by a copy). */
     std::uint64_t

@@ -20,6 +20,12 @@
 namespace merlin::uarch
 {
 
+/**
+ * Width of the entry field of a packed fault key (faultsim::faultKey):
+ * it bounds the L1D sizes validL1dKb() accepts.
+ */
+inline constexpr unsigned kFaultEntryBits = 18;
+
 /** Geometry and timing of one cache level. */
 struct CacheConfig
 {
@@ -121,11 +127,12 @@ struct CoreConfig
         return n > 0;
     }
     /** L1D sizes (KB) the cache model can build at the default
-     *  associativity and line size. */
+     *  associativity and line size, with every 8-byte word nameable by
+     *  a fault key (at most 2 MB). */
     static bool
     validL1dKb(std::uint64_t kb)
     {
-        return kb <= UINT32_MAX / 1024 &&
+        return kb <= (8ULL << kFaultEntryBits) / 1024 &&
                CoreConfig{}.withL1dKb(static_cast<unsigned>(kb))
                    .l1d.validGeometry();
     }

@@ -234,16 +234,45 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg,
     }
 }
 
-// ------------------------------------------------------ state equality
+// ------------------------------------------------------------ state diff
+
+bool
+Core::diff(const Snapshot &snap, StateDelta &delta) const
+{
+    return diff(requireState(snap), delta);
+}
 
 bool
 Core::stateEquals(const Snapshot &snap) const
 {
-    return stateEquals(requireState(snap));
+    StateDelta delta;
+    return diff(snap, delta) && delta.empty();
 }
 
 bool
-Core::stateEquals(const Core &o) const
+Core::robMatches(const Core &o) const
+{
+    // Same head and tail (the caller checked), so liveness is per slot.
+    const SeqNum live = robTailSeq_ - robHeadSeq_;
+    for (std::size_t i = 0; i < rob_.size(); ++i) {
+        const RobEntry &a = rob_[i];
+        if (a == o.rob_[i])
+            continue;
+        // A dead slot's result copy is never read: rename resets the
+        // slot before it is reused.  A live one may still write back
+        // or commit, and those copies are not traced.
+        if (((i - robHeadSeq_) & robMask_) < live)
+            return false;
+        RobEntry b = o.rob_[i];
+        b.resultValue = a.resultValue;
+        if (!(a == b))
+            return false;
+    }
+    return true;
+}
+
+bool
+Core::diff(const Core &o, StateDelta &delta) const
 {
     // Cheapest and most-divergence-prone state first, so runs that
     // have not reconverged bail out early; the big COW arrays compare
@@ -257,20 +286,19 @@ Core::stateEquals(const Core &o) const
         fetchHalted_ != o.fetchHalted_) {
         return false;
     }
-    if (!(stats_ == o.stats_) || !(result_ == o.result_))
+    const isa::ArchResult &r = result_;
+    const isa::ArchResult &ro = o.result_;
+    if (!(stats_ == o.stats_) || !r.sameUpToOutputBytes(ro))
         return false;
-    if (prf_ != o.prf_ || prfReady_ != o.prfReady_ ||
-        freeList_ != o.freeList_ ||
+    if (prfReady_ != o.prfReady_ || freeList_ != o.freeList_ ||
         !std::equal(std::begin(renameMap_), std::end(renameMap_),
                     std::begin(o.renameMap_)) ||
         !std::equal(std::begin(commitMap_), std::end(commitMap_),
                     std::begin(o.commitMap_))) {
         return false;
     }
-    if (sqData_ != o.sqData_ || sq_ != o.sq_)
-        return false;
-    if (rob_ != o.rob_ || iq_ != o.iq_ || !uopQueueEquals(o) ||
-        divBusyUntil_ != o.divBusyUntil_) {
+    if (sq_ != o.sq_ || !robMatches(o) || iq_ != o.iq_ ||
+        !uopQueueEquals(o) || divBusyUntil_ != o.divBusyUntil_) {
         return false;
     }
     // In-flight completions: the heap's internal layout depends on
@@ -302,31 +330,73 @@ Core::stateEquals(const Core &o) const
         !btb_.stateEquals(o.btb_) || !ras_.stateEquals(o.ras_)) {
         return false;
     }
-    return l1d_.stateEquals(o.l1d_) && l1i_.stateEquals(o.l1i_) &&
-           l2_.stateEquals(o.l2_) && mem_.contentEquals(o.mem_);
+    if (!l1d_.metaEquals(o.l1d_) || !l1i_.stateEquals(o.l1i_) ||
+        !l2_.stateEquals(o.l2_) || !mem_.contentEquals(o.mem_)) {
+        return false;
+    }
+    // Everything else matches: collect the payload differences.
+    delta.words.clear();
+    delta.output.clear();
+    const auto payload = [&](Structure s,
+                             const std::vector<std::uint64_t> &a,
+                             const std::vector<std::uint64_t> &b) {
+        if (a == b)
+            return;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            if (a[i] != b[i]) {
+                delta.words.push_back(StateDelta::Word{
+                    s, static_cast<EntryIndex>(i), a[i] ^ b[i]});
+            }
+        }
+    };
+    payload(Structure::RegisterFile, prf_, o.prf_);
+    payload(Structure::StoreQueue, sqData_, o.sqData_);
+    std::vector<base::CowBytes::WordDiff> l1d;
+    l1d_.diffWords(o.l1d_, l1d);
+    for (const auto &w : l1d) {
+        delta.words.push_back(StateDelta::Word{
+            Structure::L1DCache, static_cast<EntryIndex>(w.word), w.mask});
+    }
+    // The output up to its last differing byte.
+    const auto last = std::mismatch(r.output.rbegin(), r.output.rend(),
+                                    ro.output.rbegin())
+                          .first;
+    delta.output.resize(static_cast<std::size_t>(r.output.rend() - last));
+    for (std::size_t i = 0; i < delta.output.size(); ++i)
+        delta.output[i] = r.output[i] ^ ro.output[i];
+    return true;
 }
 
 // ---------------------------------------------------------------- faults
 
 void
-Core::flipRegisterFileBit(EntryIndex reg, unsigned bit)
+Core::xorEntry(Structure s, EntryIndex entry, std::uint64_t mask)
 {
-    MERLIN_ASSERT(reg < prf_.size() && bit < 64, "RF flip out of range");
-    prf_[reg] ^= 1ULL << bit;
+    switch (s) {
+      case Structure::RegisterFile:
+        MERLIN_ASSERT(entry < prf_.size(), "RF entry out of range");
+        prf_[entry] ^= mask;
+        return;
+      case Structure::StoreQueue:
+        MERLIN_ASSERT(entry < sqData_.size(), "SQ entry out of range");
+        sqData_[entry] ^= mask;
+        return;
+      case Structure::L1DCache:
+        l1d_.xorWord(entry, mask);
+        return;
+    }
+    panic("bad structure");
 }
 
 void
-Core::flipStoreQueueBit(EntryIndex slot, unsigned bit)
+Core::applyDelta(const StateDelta &delta)
 {
-    MERLIN_ASSERT(slot < sqData_.size() && bit < 64,
-                  "SQ flip out of range");
-    sqData_[slot] ^= 1ULL << bit;
-}
-
-void
-Core::flipL1dBit(EntryIndex word, unsigned bit)
-{
-    l1d_.flipBit(word, bit);
+    for (const StateDelta::Word &w : delta.words)
+        xorEntry(w.s, w.entry, w.mask);
+    MERLIN_ASSERT(delta.output.size() <= result_.output.size(),
+                  "output delta past the emitted output");
+    for (std::size_t i = 0; i < delta.output.size(); ++i)
+        result_.output[i] ^= delta.output[i];
 }
 
 // ----------------------------------------------------------- arch state

@@ -16,7 +16,9 @@
  *    straight into it, one inline call per site.  The cache reports
  *    nothing; the core records L1D fills and write-backs from each
  *    access's result, since it knows the phase and the accessing uop;
- *  - flip*Bit() methods let the injector corrupt live storage mid-run.
+ *  - flipBit() and applyDelta() let the injector corrupt live storage
+ *    mid-run; diff() finds how a faulty core differs from a golden
+ *    snapshot.
  *
  * Stage evaluation order within a cycle is commit -> writeback -> issue ->
  * rename/dispatch -> fetch, so dependent single-cycle ops execute on
@@ -85,6 +87,31 @@ struct SnapshotStats
     std::uint64_t total() const { return bytesCopied + bytesShared; }
 };
 
+/**
+ * How a core differs from a golden snapshot in the payloads the golden
+ * effect trace covers (replay/trace.hh): XOR masks over RF registers,
+ * SQ data fields and L1D data words, and over the output bytes emitted
+ * so far.  Core::diff() computes it and Core::applyDelta() puts it back
+ * onto a restored golden state; a single bit flip is the one-bit case.
+ */
+struct StateDelta
+{
+    /** One differing 64-bit entry of a target structure. */
+    struct Word
+    {
+        Structure s;
+        EntryIndex entry;
+        std::uint64_t mask; ///< XOR of the two entries' values
+
+        bool operator==(const Word &) const = default;
+    };
+    std::vector<Word> words;
+    /** XOR over the emitted output, up to its last differing byte. */
+    std::vector<std::uint8_t> output;
+
+    bool empty() const { return words.empty() && output.empty(); }
+};
+
 /** The out-of-order core. */
 class Core
 {
@@ -127,12 +154,20 @@ class Core
                       bool deep = false) const;
 
     /**
-     * Deep state equality with the core stored in @p snap: memory and
-     * cache data compare chunk-pointer-first, everything else
-     * field-wise.  Probe-only bookkeeping (pending committed reads) is
-     * excluded — it never influences a probe-free run.  True means the
-     * two cores are on identical future trajectories.
+     * Diff against the core stored in @p snap.  True when this core is
+     * that state XOR @p delta: every field matches except RF values,
+     * SQ data fields, L1D data words, the result copies of dead ROB
+     * slots (rewritten before any use) and the bytes of an equally
+     * long output; @p delta receives those payload differences (empty
+     * on an exact match).  False when anything else differs — live ROB entries, L1I/L2 data and memory
+     * included.  Memory and cache data compare chunk-pointer-first.
+     * Probe-only bookkeeping (pending committed reads) is excluded —
+     * it never influences a probe-free run.
      */
+    bool diff(const Snapshot &snap, StateDelta &delta) const;
+
+    /** Empty diff: the two cores are on identical future
+     *  trajectories. */
     bool stateEquals(const Snapshot &snap) const;
 
     /** Advance one cycle; false once the run has terminated. */
@@ -156,9 +191,16 @@ class Core
     const Btb &btb() const { return btb_; }
 
     // ---- fault-injection hooks (GeFIN-style bit flips) ----
-    void flipRegisterFileBit(EntryIndex reg, unsigned bit);
-    void flipStoreQueueBit(EntryIndex slot, unsigned bit);
-    void flipL1dBit(EntryIndex word, unsigned bit);
+    /** Flip @p bit of entry @p entry of target structure @p s. */
+    void
+    flipBit(Structure s, EntryIndex entry, unsigned bit)
+    {
+        MERLIN_ASSERT(bit < 64, "flip bit out of range");
+        xorEntry(s, entry, 1ULL << bit);
+    }
+
+    /** XOR @p delta in (its output part over the emitted prefix). */
+    void applyDelta(const StateDelta &delta);
 
     /** Entry counts of the injectable structures. */
     unsigned numRegisterFileEntries() const { return cfg_.numPhysIntRegs; }
@@ -185,8 +227,14 @@ class Core
     /** Re-target internal pointers after a memberwise copy. */
     void fixupAfterCopy();
 
-    /** Field-wise equality against @p o (see stateEquals(Snapshot)). */
-    bool stateEquals(const Core &o) const;
+    /** Field-wise diff against @p o (see diff(Snapshot)). */
+    bool diff(const Core &o, StateDelta &delta) const;
+
+    /** Every ROB slot matches, dead slots up to their result copy. */
+    bool robMatches(const Core &o) const;
+
+    /** XOR @p mask into entry @p entry of target structure @p s. */
+    void xorEntry(Structure s, EntryIndex entry, std::uint64_t mask);
 
     /** Bytes a memberwise copy duplicates (non-COW members). */
     std::uint64_t deepStateBytes() const;
@@ -213,7 +261,7 @@ class Core
      * probed core: they never influence timing, injected cores never
      * carry a probe, and the profiled golden core records them while
      * probe-free restored cores cannot — so they are also excluded
-     * from stateEquals().
+     * from diff().
      */
     struct PendingReads
     {

@@ -385,8 +385,8 @@ TEST(CoreFaults, RegisterFlipFlipsBack)
 {
     auto p = prog("halt 0\n");
     Core core(p, CoreConfig{});
-    core.flipRegisterFileBit(40, 5);
-    core.flipRegisterFileBit(40, 5);
+    core.flipBit(Structure::RegisterFile, 40, 5);
+    core.flipBit(Structure::RegisterFile, 40, 5);
     auto r = core.run();
     EXPECT_EQ(r.reason, isa::TerminateReason::Halted);
 }
@@ -399,7 +399,7 @@ TEST(CoreFaults, FlipInDeadRegisterIsMasked)
 
     Core core(p, CoreConfig{});
     // Flip a bit in a free physical register nothing will ever read.
-    core.flipRegisterFileBit(200, 13);
+    core.flipBit(Structure::RegisterFile, 200, 13);
     auto r = core.run();
     EXPECT_TRUE(r.sameArchOutcome(golden));
 }
@@ -430,7 +430,7 @@ TEST(CoreFaults, FlipInLiveRegisterCorruptsOutput)
     }
     ASSERT_FALSE(core.finished());
     for (unsigned reg = 0; reg < cfg.numPhysIntRegs; ++reg)
-        core.flipRegisterFileBit(reg, 3);
+        core.flipBit(Structure::RegisterFile, reg, 3);
     auto r = core.run();
     EXPECT_FALSE(r.sameArchOutcome(golden));
 }
@@ -691,11 +691,49 @@ TEST(CoreSnapshot, StateEqualsDetectsDivergenceAndReconvergence)
     Core restored(p, cfg, snap);
     EXPECT_TRUE(restored.stateEquals(snap));
     // Flip a bit nothing uses: state now differs...
-    restored.flipRegisterFileBit(cfg.numPhysIntRegs - 1, 3);
+    restored.flipBit(Structure::RegisterFile, cfg.numPhysIntRegs - 1, 3);
     EXPECT_FALSE(restored.stateEquals(snap));
     // ...and flipping it back reconverges exactly.
-    restored.flipRegisterFileBit(cfg.numPhysIntRegs - 1, 3);
+    restored.flipBit(Structure::RegisterFile, cfg.numPhysIntRegs - 1, 3);
     EXPECT_TRUE(restored.stateEquals(snap));
+}
+
+/** diff() names exactly the corrupted payload words, applyDelta() puts
+ *  them back onto a fresh restore, and a timing difference is no
+ *  delta at all. */
+TEST(CoreSnapshot, DiffCollectsPayloadWordsAndApplyDeltaReplaysThem)
+{
+    auto w = workloads::buildWorkload("qsort");
+    CoreConfig cfg;
+    Core running(w.program, cfg);
+    while (running.cycle() < 3000 && running.tick()) {
+    }
+    ASSERT_FALSE(running.finished());
+    Core::Snapshot snap = running.snapshot();
+
+    Core faulty(w.program, cfg, snap);
+    faulty.flipBit(Structure::RegisterFile, 7, 63);
+    faulty.flipBit(Structure::StoreQueue, 2, 0);
+    faulty.flipBit(Structure::L1DCache, 100, 9);
+    faulty.flipBit(Structure::L1DCache, 100, 10);
+    StateDelta d;
+    ASSERT_TRUE(faulty.diff(snap, d));
+    const std::vector<StateDelta::Word> want = {
+        {Structure::RegisterFile, 7, 1ULL << 63},
+        {Structure::StoreQueue, 2, 1},
+        {Structure::L1DCache, 100, 3ULL << 9},
+    };
+    EXPECT_EQ(d.words, want);
+    EXPECT_TRUE(d.output.empty());
+
+    EXPECT_FALSE(faulty.stateEquals(snap));
+    Core replayed(w.program, cfg, snap);
+    replayed.applyDelta(d);
+    EXPECT_TRUE(replayed.stateEquals(faulty.snapshot()));
+
+    // One more cycle is a timing difference, not a payload delta.
+    ASSERT_TRUE(faulty.tick());
+    EXPECT_FALSE(faulty.diff(snap, d));
 }
 
 TEST(CoreSnapshot, RestoringAnEmptySnapshotTrips)

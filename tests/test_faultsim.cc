@@ -18,6 +18,7 @@
 
 #include "faultsim/runner.hh"
 #include "masm/asm.hh"
+#include "profile/ace.hh"
 #include "workloads/workloads.hh"
 
 namespace merlin::faultsim
@@ -677,6 +678,76 @@ TEST(Runner, ReplayPreservesWindowedOutcomes)
             ++unknown;
     }
     EXPECT_GT(unknown, 0u);
+}
+
+/**
+ * The reconvergence floor in simulated cycles, not seconds.  On pinned
+ * lists of ACE-vulnerable faults, the kind a truth sweep injects
+ * (qsort across all three structures, windowed mcf RF and L1D), the
+ * outcomes are identical with the reconvergence step (earlyExit and
+ * replay both on) and without it (earlyExit off), and the step's
+ * resumes and decisions skip at least a third of the post-flip cycles
+ * the runner would otherwise simulate.
+ */
+TEST(Runner, ReconvergenceSkipsAThirdOfThePostFlipCycles)
+{
+    struct List
+    {
+        const char *workload;
+        bool windowed;
+        Structure structure;
+    };
+    const List lists[] = {
+        {"qsort", false, Structure::RegisterFile},
+        {"qsort", false, Structure::StoreQueue},
+        {"qsort", false, Structure::L1DCache},
+        {"mcf", true, Structure::RegisterFile},
+        {"mcf", true, Structure::L1DCache},
+    };
+    std::uint64_t skipped = 0;
+    std::uint64_t simulated = 0;
+    std::uint64_t resumes = 0;
+    for (const List &l : lists) {
+        const auto w = workloads::buildWorkload(l.workload);
+        uarch::CoreConfig cfg;
+        if (l.windowed)
+            cfg.instructionWindowEnd = w.suggestedWindow;
+        RunnerOptions off;
+        off.earlyExit = false;
+        InjectionRunner fast(w.program, cfg);
+        InjectionRunner slow(w.program, cfg, off);
+        const unsigned entries = uarch::structureEntries(l.structure, cfg);
+        profile::AceProfiler ace(cfg.numPhysIntRegs, cfg.sqEntries,
+                                 cfg.l1d.totalWords());
+        const auto g_fast = fast.golden(&ace);
+        ace.finalize();
+        const auto g_slow = slow.golden();
+        ASSERT_EQ(g_fast.windowed, l.windowed);
+
+        Rng rng(7);
+        std::vector<Fault> faults;
+        while (faults.size() < 150) {
+            Fault f;
+            f.structure = l.structure;
+            f.entry = static_cast<EntryIndex>(rng.nextBelow(entries));
+            f.bit = static_cast<std::uint8_t>(rng.nextBelow(64));
+            f.cycle = rng.nextBelow(g_fast.stats.cycles);
+            if (ace.profile(l.structure).find(f.entry, f.cycle))
+                faults.push_back(f);
+        }
+        EXPECT_EQ(injectOnPool(fast, faults, g_fast, 2),
+                  injectOnPool(slow, faults, g_slow, 2))
+            << l.workload << " " << uarch::structureName(l.structure);
+        const InjectionStats st = fast.injectionStats();
+        skipped += st.deltaCyclesSkipped;
+        simulated += st.postFlipCycles;
+        resumes += st.deltaResumes;
+        EXPECT_EQ(slow.injectionStats().deltaCyclesSkipped, 0u);
+    }
+    EXPECT_GT(resumes, 0u);
+    EXPECT_GE(3 * skipped, skipped + simulated)
+        << skipped << " of " << skipped + simulated
+        << " post-flip cycles skipped";
 }
 
 /** A replay shortcut is counted, with its skipped cycles, in the

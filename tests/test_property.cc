@@ -229,12 +229,12 @@ TEST(FaultProperty, DoubleFlipIsIdentityOnAllStructures)
         const unsigned word = static_cast<unsigned>(
             rng.nextBelow(cfg.l1d.totalWords()));
         const unsigned bit = static_cast<unsigned>(rng.nextBelow(64));
-        core.flipRegisterFileBit(reg, bit);
-        core.flipRegisterFileBit(reg, bit);
-        core.flipStoreQueueBit(slot, bit);
-        core.flipStoreQueueBit(slot, bit);
-        core.flipL1dBit(word, bit);
-        core.flipL1dBit(word, bit);
+        core.flipBit(Structure::RegisterFile, reg, bit);
+        core.flipBit(Structure::RegisterFile, reg, bit);
+        core.flipBit(Structure::StoreQueue, slot, bit);
+        core.flipBit(Structure::StoreQueue, slot, bit);
+        core.flipBit(Structure::L1DCache, word, bit);
+        core.flipBit(Structure::L1DCache, word, bit);
         auto r = core.run();
         EXPECT_TRUE(r.sameArchOutcome(golden)) << "iteration " << i;
     }

@@ -205,6 +205,8 @@ TEST(Manifest, RejectsTyposAndMissingFields)
     expectRejected("\"regs\":65536", "regs");
     expectRejected("\"l1d_kb\":4194305", "l1d_kb");
     expectRejected("\"l1d_kb\":0", "l1d_kb");
+    // Past the fault key's 2^18 entries (a 2 MB L1D).
+    expectRejected("\"l1d_kb\":4096", "l1d_kb");
     expectRejected("\"sq_entries\":0", "sq_entries");
     expectRejected("\"sq_entries\":4294967296", "sq_entries");
     for (const char *member : {"max_group_size", "reps_per_group",
@@ -230,6 +232,10 @@ TEST(Manifest, RejectsTyposAndMissingFields)
     ASSERT_EQ(specs.size(), 1u);
     EXPECT_EQ(specs[0].regs, 35u);
     EXPECT_EQ(specs[0].l1dKb, 1u);
+    const auto top = parseManifest(Json::parse(
+        "{\"campaigns\":[{\"workload\":\"qsort\",\"l1d_kb\":2048}]}"));
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].l1dKb, 2048u);
 }
 
 /**

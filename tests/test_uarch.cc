@@ -118,7 +118,7 @@ TEST(Cache, FlipBitCorruptsAndRefillHeals)
     CacheConfig cfg{4 * 1024, 4, 64, 3};
     Cache l1("l1", cfg, nullptr, &mem);
     auto r = l1.access(0x10000, false);
-    l1.flipBit(l1.wordIndex(r.set, r.way, 0), 0);
+    l1.xorWord(l1.wordIndex(r.set, r.way, 0), 1);
     EXPECT_EQ(l1.readBytes(r.set, r.way, 0, 8), 0xfeULL);
     // Clean line: eviction drops the corruption; refill restores.
     for (int i = 1; i <= 4; ++i)
