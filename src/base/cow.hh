@@ -45,20 +45,21 @@ class CowArray
   public:
     CowArray() = default;
 
-    /** @p size copies of @p fill in chunks of @p chunk_elems (pow2). */
+    /**
+     * @p size copies of @p fill in chunks of @p chunk_elems (pow2).
+     * One filled chunk is shared by every slot, so construction costs
+     * O(#chunks); the first write into a slot detaches it, as for any
+     * shared chunk.
+     */
     CowArray(std::size_t size, std::size_t chunk_elems, const T &fill = T{})
         : size_(size), chunkElems_(chunk_elems)
     {
         MERLIN_ASSERT(std::has_single_bit(chunk_elems),
                       "CowArray chunk size must be a power of two");
         shift_ = static_cast<std::uint32_t>(std::countr_zero(chunk_elems));
-        const std::size_t n = (size + chunk_elems - 1) >> shift_;
-        chunks_.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            auto c = std::make_shared_for_overwrite<T[]>(chunk_elems);
-            std::fill_n(c.get(), chunk_elems, fill);
-            chunks_.push_back(std::move(c));
-        }
+        auto c = std::make_shared_for_overwrite<T[]>(chunk_elems);
+        std::fill_n(c.get(), chunk_elems, fill);
+        chunks_.assign((size + chunk_elems - 1) >> shift_, c);
     }
 
     std::size_t size() const { return size_; }

@@ -50,8 +50,6 @@ struct InjectMetrics
         obs::Registry::global().counter("inject.memo_hits");
     obs::Counter &replayMasked =
         obs::Registry::global().counter("inject.replay_masked");
-    obs::Counter &replayHandoffs =
-        obs::Registry::global().counter("inject.replay_handoffs");
     obs::Counter &deltaResumes =
         obs::Registry::global().counter("inject.delta_resumes");
     obs::Counter &deltaDecided =
@@ -108,6 +106,12 @@ struct ScopeTally
 };
 
 constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+void
+bump(std::atomic<std::uint64_t> &a, std::uint64_t n)
+{
+    a.fetch_add(n, std::memory_order_relaxed);
+}
 
 /** What the golden effect trace says about a delta (see
  *  "Reconvergence" in runner.hh). */
@@ -220,8 +224,6 @@ InjectionRunner::InjectionRunner(const isa::Program &prog,
                                  const RunnerOptions &opts)
     : prog_(prog), cfg_(cfg), opts_(opts)
 {
-    if (opts_.maxCheckpoints == 0)
-        opts_.maxCheckpoints = 1;
 }
 
 Cycle
@@ -243,7 +245,6 @@ InjectionRunner::injectionStats() const
     s.runs = runs_.load(std::memory_order_relaxed);
     s.earlyExits = earlyExits_.load(std::memory_order_relaxed);
     s.replayMasked = replayMasked_.load(std::memory_order_relaxed);
-    s.replayHandoffs = replayHandoffs_.load(std::memory_order_relaxed);
     s.replayCyclesSkipped =
         replayCyclesSkipped_.load(std::memory_order_relaxed);
     s.replayHeadCycles =
@@ -299,11 +300,10 @@ InjectionRunner::golden(uarch::Probe *probe) const
     InjectMetrics &m = injectMetrics();
     GoldenRun g;
 
-    // The effect trace for the replay fast path is recorded on the same
-    // run, by the caller's recorder or by an effect-only one; skipped
-    // entirely under an injectHook, whose tests observe every simulated
-    // cycle.
-    const bool record = opts_.replay && !opts_.injectHook;
+    // A checkpointed golden run also records the effect trace the
+    // reconvergence step reads, by the caller's recorder or by an
+    // effect-only one.
+    const bool record = opts_.checkpointInterval != 0;
     std::optional<uarch::Probe> own;
     if (record && !probe) {
         probe = &own.emplace(cfg_.numPhysIntRegs, cfg_.sqEntries,
@@ -316,7 +316,7 @@ InjectionRunner::golden(uarch::Probe *probe) const
         probe->recordEffects();
     }
 
-    if (opts_.checkpointInterval == 0) {
+    if (!record) {
         g.arch = core.run();
     } else {
         // Snapshots are taken between ticks, exactly where inject()
@@ -327,11 +327,11 @@ InjectionRunner::golden(uarch::Probe *probe) const
         Cycle interval = opts_.checkpointInterval;
         for (;;) {
             if (core.cycle() != 0 && core.cycle() % interval == 0) {
-                if (g.checkpoints.size() >= opts_.maxCheckpoints) {
+                if (g.checkpoints.size() >= kMaxCheckpoints) {
                     // Keep every other checkpoint (those at even
                     // multiples of the doubled interval) and coarsen.
                     std::vector<uarch::Core::Snapshot> kept;
-                    kept.reserve(opts_.maxCheckpoints / 2 + 1);
+                    kept.reserve(kMaxCheckpoints / 2 + 1);
                     for (std::size_t i = 1; i < g.checkpoints.size();
                          i += 2)
                         kept.push_back(std::move(g.checkpoints[i]));
@@ -434,7 +434,7 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
     // The paper's timeout rule: timeoutFactor x the fault-free
     // execution time (saturating, never wrapping).
     cfg.maxCycles = timeoutBudget(ref.stats.cycles, opts_.timeoutFactor);
-    runs_.fetch_add(1, std::memory_order_relaxed);
+    bump(runs_, 1);
 
     InjectMetrics &m = injectMetrics();
     m.runs.add();
@@ -468,76 +468,95 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
             m.restoreShared.add(rstats.bytesShared);
         };
 
-        // The faulty run is the golden run XOR `delta` from the flip
-        // cycle on; `next` indexes the first checkpoint past the
-        // resume point, which is the latest one at or before the flip.
+        // The faulty run is the golden run XOR `delta` from cycle `at`
+        // on: the flipped bit from the flip cycle, to begin with.
+        // `next` indexes the first checkpoint past `at`; `r0`, the
+        // latest one at or before the flip, is where the plain run
+        // resumes and what every head and skip figure counts from.
         MERLIN_ASSERT(fault.bit < 64, "flip bit out of range");
         uarch::StateDelta delta;
         delta.words.push_back(uarch::StateDelta::Word{
             fault.structure, fault.entry, 1ULL << fault.bit});
-        std::size_t next = upTo(fault.cycle);
-        const uarch::Core::Snapshot *resume =
-            next ? &cks[next - 1] : nullptr;
-
-        // Replay fast path: ask the golden effect trace for the flip's
-        // first architectural consequence before simulating anything.
-        const replay::EffectTrace *trace =
-            (opts_.replay && !opts_.injectHook) ? ref.trace.get()
-                                                : nullptr;
+        Cycle at = fault.cycle;
+        std::size_t next = upTo(at);
+        const Cycle r0 = next ? cks[next - 1].cycle() : 0;
+        const replay::EffectTrace *trace = ref.trace.get();
+        MERLIN_ASSERT(trace || cks.empty(), "checkpoints without a trace");
+        // On a checkpointed golden run, enter the reconvergence step at
+        // the flip, before simulating anything.
+        bool step = trace != nullptr;
         bool applied = false;
-        if (trace) {
-            // Classic resume cycle — the baseline every head/skip
-            // figure is measured against.
-            const Cycle r0 = resume ? resume->cycle() : 0;
-            const Step st = reconverge(*trace, ref, delta, fault.cycle);
-            if (st.decided) {
-                // The flip is overwritten before any read (or never
-                // touched in a to-completion run): Masked, zero cycles
-                // simulated.
-                obs::Span rspan("replay", "shortcut-masked");
-                const Cycle head = ref.stats.cycles - r0;
-                replayMasked_.fetch_add(1, std::memory_order_relaxed);
-                replayCyclesSkipped_.fetch_add(
-                    head, std::memory_order_relaxed);
-                replayHeadCycles_.fetch_add(head,
-                                            std::memory_order_relaxed);
-                m.replayMasked.add();
-                m.replaySkipped.observe(head);
-                return st.outcome;
-            }
-            // Hand off to full simulation at the latest checkpoint in
-            // [flip, first read] with the flip applied at restore; with
-            // no checkpoint inside the head, the classic path (the
-            // handoff still counted, skipping nothing).
-            const std::size_t upto = upTo(st.firstRead);
-            Cycle skipped = 0;
-            if (upto && cks[upto - 1].cycle() >= fault.cycle) {
-                next = upto;
-                resume = &cks[upto - 1];
-                skipped = resume->cycle() - r0;
-                applied = true;
-            }
-            const Cycle head = std::min(st.firstRead, ref.stats.cycles) - r0;
-            replayHandoffs_.fetch_add(1, std::memory_order_relaxed);
-            replayCyclesSkipped_.fetch_add(skipped,
-                                           std::memory_order_relaxed);
-            replayHeadCycles_.fetch_add(head, std::memory_order_relaxed);
-            m.replayHandoffs.add();
-            m.replaySkipped.observe(skipped);
-            if (st.firstRead != kNever)
-                m.replayDivergence.observe(st.firstRead - fault.cycle);
-        }
-
-        if (resume)
-            restore(*resume);
-        else
-            core.emplace(prog_, cfg);
-        if (applied)
-            core->applyDelta(delta);
         for (;;) {
+            if (step) {
+                // The reconvergence step (see runner.hh); entered at
+                // the flip, before there is a core.
+                step = false;
+                const bool at_flip = !core;
+                const Cycle from = at_flip ? r0 : at;
+                const Step st = reconverge(*trace, ref, delta, at);
+                const std::size_t upto = upTo(st.firstRead);
+                const bool resume = !st.decided && upto > next;
+                Cycle skipped = st.decided ? ref.stats.cycles - from : 0;
+                if (resume) {
+                    // The latest checkpoint before the first read, with
+                    // the delta XORed in.
+                    next = upto;
+                    const Cycle to = cks[next - 1].cycle();
+                    dropKilled(*trace, delta, at, to);
+                    restore(cks[next - 1]);
+                    core->applyDelta(delta);
+                    applied = true;
+                    skipped = to - from;
+                }
+                if (at_flip) {
+                    // A flip is decided only Masked: overwritten before
+                    // any read, or never touched to completion.
+                    bump(replayHeadCycles_,
+                         std::min(st.firstRead, ref.stats.cycles) - r0);
+                    bump(replayCyclesSkipped_, skipped);
+                    bump(replayMasked_, st.decided);
+                    m.replayMasked.add(st.decided);
+                    m.replaySkipped.observe(skipped);
+                    if (st.firstRead != kNever)
+                        m.replayDivergence.observe(st.firstRead - at);
+                } else {
+                    bump(deltaCyclesSkipped_, skipped);
+                    bump(deltaDecided_, st.decided);
+                    bump(deltaResumes_, resume);
+                    m.deltaSkipped.add(skipped);
+                    m.deltaDecided.add(st.decided);
+                    m.deltaResumes.add(resume);
+                }
+                if (st.decided)
+                    return st.outcome;
+            }
+            if (!core) {
+                // The plain run, from the latest checkpoint at or
+                // before the flip.
+                if (next)
+                    restore(cks[next - 1]);
+                else
+                    core.emplace(prog_, cfg);
+            }
             if (!applied && core->cycle() == fault.cycle) {
                 core->applyDelta(delta);
                 applied = true;
+            }
+            // At each checkpoint past the flip, one diff against the
+            // golden snapshot: an empty delta is the golden future
+            // itself, a non-empty one goes to the step.
+            if (applied && next < cks.size() &&
+                core->cycle() == cks[next].cycle()) {
+                at = core->cycle();
+                if (core->diff(cks[next++], delta)) {
+                    if (delta.empty()) {
+                        bump(earlyExits_, 1);
+                        m.earlyExits.add();
+                        return Outcome::Masked;
+                    }
+                    step = true;
+                    continue;
+                }
             }
             // Test hook: model a fault that corrupts the simulator
             // itself (throw) or wedges it (burn wall clock).
@@ -549,48 +568,6 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
             if (watchdog && (++wall_tick & kWallCheckMask) == 0 &&
                 obs::secondsSince(wall_start) > opts_.wallClockLimit) {
                 throw WallClockExceeded{};
-            }
-            // Reconvergence: at each checkpoint past the flip, one diff
-            // against the golden snapshot (see runner.hh).
-            if (applied && opts_.earlyExit && next < cks.size() &&
-                core->cycle() == cks[next].cycle()) {
-                const Cycle at = core->cycle();
-                const bool golden_xor_delta = core->diff(cks[next], delta);
-                if (golden_xor_delta && delta.empty()) {
-                    earlyExits_.fetch_add(1, std::memory_order_relaxed);
-                    m.earlyExits.add();
-                    return Outcome::Masked;
-                }
-                // Without a trace to resolve it, a non-empty delta is
-                // as good as a mismatch.
-                if (golden_xor_delta && trace) {
-                    const Step st = reconverge(*trace, ref, delta, at);
-                    if (st.decided) {
-                        const Cycle tail = ref.stats.cycles - at;
-                        deltaDecided_.fetch_add(1, std::memory_order_relaxed);
-                        deltaCyclesSkipped_.fetch_add(
-                            tail, std::memory_order_relaxed);
-                        m.deltaDecided.add();
-                        m.deltaSkipped.add(tail);
-                        return st.outcome;
-                    }
-                    // Resume at the latest checkpoint before the first
-                    // read, unless that is this one.
-                    const std::size_t upto = upTo(st.firstRead);
-                    if (upto - 1 > next) {
-                        next = upto - 1;
-                        const Cycle to = cks[next].cycle();
-                        dropKilled(*trace, delta, at, to);
-                        restore(cks[next]);
-                        core->applyDelta(delta);
-                        deltaResumes_.fetch_add(1, std::memory_order_relaxed);
-                        deltaCyclesSkipped_.fetch_add(
-                            to - at, std::memory_order_relaxed);
-                        m.deltaResumes.add();
-                        m.deltaSkipped.add(to - at);
-                    }
-                }
-                ++next;
             }
             if (!core->tick())
                 break;
@@ -642,6 +619,14 @@ InjectionRunner::planBatch(const std::vector<Fault> &faults,
     plan.work.reserve(faults.size());
     std::uint64_t memo_hits = 0;
     for (std::uint32_t i = 0; i < faults.size(); ++i) {
+        // A fault key does not name the structure: one batch, one
+        // structure, or distinct faults would alias one outcome.
+        if (faults[i].structure != faults[0].structure) {
+            fatal("planBatch: one batch mixes ",
+                  uarch::structureName(faults[0].structure), " and ",
+                  uarch::structureName(faults[i].structure),
+                  " faults; inject one batch per structure");
+        }
         plan.keys[i] = faultKey(faults[i]);
         Outcome cached;
         if (memo && memo->lookup(plan.keys[i], cached)) {

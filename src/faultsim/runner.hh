@@ -20,38 +20,39 @@
  * latent at the window end — different architectural register or memory
  * state — is Unknown (Table 4).
  *
- * Acceleration: the golden run records full core snapshots every
- * `checkpoint_interval` cycles (the list is thinned and the interval
- * doubled whenever it would exceed `max_checkpoints`, so memory stays
- * bounded on long workloads).  Each injection then resumes from the
- * latest checkpoint at or before the flip cycle instead of re-simulating
- * from cycle 0 — on average that skips half the pre-fault execution.
- * Snapshots are copy-on-write (O(dirty state) to capture), so the
- * default checkpoint grid is much denser than the seed engine's.
+ * Acceleration: `checkpoint_interval` selects the engine.  At 0 every
+ * injection is the plain run: a fresh core at cycle 0, the bit flipped
+ * at the fault cycle, simulated to the end.  Above 0 the golden run
+ * records core snapshots every `checkpoint_interval` cycles (the list
+ * is thinned and the interval doubled whenever it would exceed
+ * kMaxCheckpoints, so memory stays bounded on long workloads) together
+ * with its effect trace (replay/trace.hh), and every injection runs the
+ * reconvergence step below.  Snapshots are copy-on-write (O(dirty
+ * state) to capture), so the checkpoint grid can be dense.
  *
  * Reconvergence: a faulty run is the golden run XOR a delta — XOR
  * masks over RF values, SQ data fields, L1D data words and the output
  * bytes already emitted — whenever every other piece of core state
- * matches (uarch::Core::diff).  At the flip the delta is the flipped
- * bit; at each golden checkpoint past it, with early exit on, one diff
- * against the snapshot finds it (no match: keep simulating).  An empty
- * delta is the golden future itself: Masked at once (without replay,
- * the only delta that counts).  With replay on, the golden effect
- * trace (replay/trace.hh) then tells where the golden run first reads
- * any delta byte, and the run continues from the latest checkpoint at
- * or before that read with the delta XORed in — less the bytes the
- * golden run overwrote before that checkpoint — skipping every cycle
- * in between.  If no delta byte is ever read again, a to-completion
- * run is decided there: SDC when the output delta is non-empty, else
- * Masked; a windowed run with a delta byte still untouched at the
- * window end resumes at the latest checkpoint instead and takes the
- * Table-4 comparison.  At the flip
- * this is the replay fast path (a dead flip is Masked with zero
- * simulation, a live one skips its pre-divergence head); at later
- * checkpoints it compresses the simulated window to the cycles around
- * reads of corrupted bytes.  Outcomes are unchanged by construction:
- * until a delta byte is read, nothing the golden run does depends on
- * it.
+ * matches (uarch::Core::diff).  The step is entered with the flipped
+ * bit as a one-bit delta at the fault cycle, and again at each golden
+ * checkpoint past it with the delta one diff against the snapshot
+ * finds (no match: keep simulating; an empty delta is the golden
+ * future itself, Masked at once).  The golden effect trace tells where
+ * the golden run first reads any delta byte, and the run continues
+ * from the latest checkpoint at or before that read with the delta
+ * XORed in — less the bytes the golden run overwrote before that
+ * checkpoint — skipping every cycle in between (with no checkpoint
+ * there, the run goes on where it is: from the latest checkpoint at or
+ * before the flip when entered at the flip).  If no delta byte is ever
+ * read again, a to-completion run is decided there: SDC when the
+ * output delta is non-empty, else Masked; a windowed run with a delta
+ * byte still untouched at the window end resumes at the latest
+ * checkpoint instead and takes the Table-4 comparison.  At the flip
+ * the step classifies a dead flip Masked with zero simulation and
+ * skips a live one's pre-divergence head; at later checkpoints it
+ * compresses the simulated window to the cycles around reads of
+ * corrupted bytes.  Outcomes are unchanged by construction: until a
+ * delta byte is read, nothing the golden run does depends on it.
  */
 
 #ifndef MERLIN_FAULTSIM_RUNNER_HH
@@ -94,8 +95,8 @@ struct GoldenRun
     /** Periodic core checkpoints, ascending by cycle (possibly empty). */
     std::vector<uarch::Core::Snapshot> checkpoints;
     /**
-     * Per-cycle effect trace of the golden run (replay fast path);
-     * null when RunnerOptions::replay is off or an injectHook is set.
+     * Per-cycle effect trace of the golden run (the reconvergence
+     * step's oracle); null exactly when checkpointInterval is 0.
      */
     std::shared_ptr<const replay::EffectTrace> trace;
 };
@@ -195,38 +196,20 @@ enum class QuarantinePolicy : std::uint8_t
 /** Policy knobs of the injection harness. */
 struct RunnerOptions
 {
-    /** Default checkpoint cadence (cycles); 0 disables checkpointing. */
+    /** Default checkpoint cadence (cycles). */
     static constexpr Cycle kDefaultCheckpointInterval = 512;
-    /**
-     * Checkpoint-count bound; the interval doubles past it.  COW
-     * snapshots cost O(dirty state), so the same memory budget now
-     * affords a 4x denser grid than the seed engine's 32.
-     */
-    static constexpr unsigned kDefaultMaxCheckpoints = 128;
     /** The paper's timeout rule: this many times the golden cycles. */
     static constexpr unsigned kDefaultTimeoutFactor = 3;
 
+    /**
+     * The one engine selector.  Above 0: the golden run takes a
+     * checkpoint every this many cycles and records its effect trace,
+     * and every injection runs the reconvergence step (see
+     * "Reconvergence" above).  0: each injection is the plain run from
+     * a fresh core.  Outcome-invariant by construction; an engine
+     * setting, never part of a result.
+     */
     Cycle checkpointInterval = kDefaultCheckpointInterval;
-    unsigned maxCheckpoints = kDefaultMaxCheckpoints;
-    /**
-     * Diff the faulty core against each golden checkpoint past the
-     * flip, and end runs that provably reconverged with the golden
-     * run (see "Reconvergence" above).
-     */
-    bool earlyExit = true;
-    /**
-     * Golden-trace replay fast path: record the golden run's effect
-     * trace and let each injection skip its pre-divergence head
-     * (consult the trace, classify dead flips Masked outright, resume
-     * live ones from the latest pre-divergence checkpoint).  With
-     * earlyExit also on, the same trace resolves every delta a
-     * checkpoint diff finds.  Outcome-invariant by construction; like
-     * earlyExit it is an engine knob, never part of a result.
-     * Automatically disabled while an injectHook is set — the hook
-     * observes every simulated cycle, so skipping cycles would change
-     * what tests see.
-     */
-    bool replay = true;
     /** Timeout budget multiplier (0 is treated as 1). */
     unsigned timeoutFactor = kDefaultTimeoutFactor;
     /**
@@ -247,27 +230,34 @@ struct RunnerOptions
      * TEST-ONLY hook, invoked once per simulated cycle after the flip
      * has been applied.  Lets tests model a pathological fault that
      * corrupts the simulator: throw to exercise the quarantine guard,
-     * or burn wall clock to exercise the watchdog.  Never set in
-     * production paths; not part of any content hash.
+     * or burn wall clock to exercise the watchdog.  Cycles the
+     * reconvergence step skips are not simulated, so a test that must
+     * see every post-flip cycle sets checkpointInterval to 0.  Never
+     * set in production paths; not part of any content hash.
      */
     std::function<void(const Fault &, Cycle)> injectHook;
 };
 
-/** How one runner's injections went: runs, early exits, quarantines,
- *  replay and reconvergence (atomic; any thread count).  The one home
- *  of engine facts; InjectDetail carries only the quarantine verdict. */
+/** How one runner's injections went: runs, early exits, quarantines
+ *  and reconvergence steps (atomic; any thread count).  The one home
+ *  of engine facts; InjectDetail carries only the quarantine verdict.
+ *  On a checkpointed runner every run enters the step at the flip, so
+ *  runs - replayMasked of them went on to simulate. */
 struct InjectionStats
 {
-    std::uint64_t runs = 0;       ///< faulty runs actually simulated
-    std::uint64_t earlyExits = 0; ///< ended at a reconverged checkpoint
+    std::uint64_t runs = 0;       ///< faulty runs injected
+    std::uint64_t earlyExits = 0; ///< Masked at a checkpoint, empty delta
     std::uint64_t quarantined = 0; ///< of which tripped the guard
-    std::uint64_t replayMasked = 0;   ///< classified Masked off the trace
-    std::uint64_t replayHandoffs = 0; ///< diverged into full simulation
-    std::uint64_t replayCyclesSkipped = 0; ///< full-sim cycles avoided
-    std::uint64_t replayHeadCycles = 0;    ///< pre-divergence head total
-    /** Checkpoint diffs that resumed at a later golden checkpoint. */
+    /** Decided Masked by the step at the flip: zero cycles simulated. */
+    std::uint64_t replayMasked = 0;
+    /** Pre-divergence heads: from the latest checkpoint at or before
+     *  the flip to the first golden read of the flipped byte (or to
+     *  the run's end when none comes). */
+    std::uint64_t replayHeadCycles = 0;
+    std::uint64_t replayCyclesSkipped = 0; ///< of which not simulated
+    /** Checkpoint steps that resumed at a later golden checkpoint. */
     std::uint64_t deltaResumes = 0;
-    /** Runs classified at a checkpoint off a non-empty delta. */
+    /** Runs decided by a checkpoint step off a non-empty delta. */
     std::uint64_t deltaDecided = 0;
     /** Post-flip cycles those resumes and decisions did not simulate. */
     std::uint64_t deltaCyclesSkipped = 0;
@@ -285,17 +275,18 @@ class InjectionRunner
 
     /**
      * Execute the fault-free run (optionally recorded by @p probe, e.g.
-     * a profile::AceProfiler) and capture the reference outcome plus
-     * periodic state checkpoints for fast injection resume.  With
-     * replay on, the effect trace is recorded on @p probe too and moved
-     * out of it into GoldenRun::trace.
+     * a profile::AceProfiler) and capture the reference outcome.  With
+     * checkpointing on, it also captures the periodic state checkpoints
+     * and records the effect trace, on @p probe too, moved out of it
+     * into GoldenRun::trace.
      */
     GoldenRun golden(uarch::Probe *probe = nullptr) const;
 
     /**
      * Inject @p fault, run to termination, classify against @p ref.
-     * Resumes from the latest checkpoint at or before the flip cycle
-     * when @p ref carries checkpoints.
+     * When @p ref carries checkpoints and a trace, the run goes
+     * through the reconvergence step at the flip and at every
+     * checkpoint past it.
      *
      * The run is executed under the quarantine guard: a simulator
      * exception or a wall-clock-watchdog trip is recorded as a
@@ -336,7 +327,9 @@ class InjectionRunner
 
     /**
      * Build the deterministic plan for @p faults: resolve @p memo hits,
-     * collapse duplicates, cycle-sort the remaining work.  Callers then
+     * collapse duplicates, cycle-sort the remaining work.  The faults
+     * must all target one structure (faultKey() does not name it);
+     * a mixed batch is a FatalError.  Callers then
      * run plan.work items in any order/thread
      * (`plan.outcomes[i] = inject(faults[i], ref)`) and finishBatch().
      */
@@ -359,6 +352,11 @@ class InjectionRunner
 
     const uarch::CoreConfig &config() const { return cfg_; }
 
+    /** Checkpoint-count bound; the golden run's interval doubles past
+     *  it.  COW snapshots cost O(dirty state), so the memory budget
+     *  affords a 4x denser grid than the seed engine's 32. */
+    static constexpr unsigned kMaxCheckpoints = 128;
+
     /** Cumulative run / early-exit counts since construction. */
     InjectionStats injectionStats() const;
 
@@ -379,7 +377,6 @@ class InjectionRunner
     mutable std::atomic<std::uint64_t> runs_{0};
     mutable std::atomic<std::uint64_t> earlyExits_{0};
     mutable std::atomic<std::uint64_t> replayMasked_{0};
-    mutable std::atomic<std::uint64_t> replayHandoffs_{0};
     mutable std::atomic<std::uint64_t> replayCyclesSkipped_{0};
     mutable std::atomic<std::uint64_t> replayHeadCycles_{0};
     mutable std::atomic<std::uint64_t> deltaResumes_{0};

@@ -42,14 +42,12 @@ Campaign::prepare(CampaignMode mode, bool relyzer, unsigned path_depth)
     PreparedCampaign prep;
     CampaignResult &res = prep.result;
     Rng rng(cfg_.seed);
-    // A grouping-only campaign injects nothing, so its golden run
-    // captures no checkpoints and records no effect trace.
+    // A grouping-only campaign injects nothing, so its golden run is
+    // the plain one: no checkpoints, no effect trace.
     const bool grouping_only = mode == CampaignMode::GroupingOnly;
     faultsim::RunnerOptions ropts = cfg_.runner;
-    if (grouping_only) {
+    if (grouping_only)
         ropts.checkpointInterval = 0;
-        ropts.replay = false;
-    }
     runner_ = std::make_unique<InjectionRunner>(prog_, cfg_.core, ropts);
 
     // ---- Phase 1: preprocessing (profiled golden run + fault list) ----

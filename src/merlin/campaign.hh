@@ -56,8 +56,8 @@ struct CampaignConfig
      */
     unsigned jobs = 1;
     /**
-     * Injection-engine settings: checkpoints, early exit, replay, the
-     * timeout factor and the quarantine guard.  Only timeoutFactor can
+     * Injection-engine settings: the checkpoint cadence, the timeout
+     * factor and the quarantine guard.  Only timeoutFactor can
      * change an outcome; the rest decide how fast the engine gets there
      * or how it handles a failing simulator.
      */
@@ -67,8 +67,8 @@ struct CampaignConfig
 /**
  * Outcome of one campaign: a pure function of the program, the target
  * structure, the core geometry and the sampling/grouping/timeout
- * choices — never of the engine knobs (checkpoints, early exit,
- * replay), the job count or the wall clock.  How the engine got there
+ * choices — never of the checkpoint cadence, the job count or the
+ * wall clock.  How the engine got there
  * is reported by InjectionRunner::injectionStats() and the inject.*
  * counters, not stored here.
  */
@@ -174,7 +174,7 @@ class Campaign
      * In GroupingOnly mode the golden run is bare: no checkpoints are
      * captured and no effect trace is recorded, since nothing injects.
      * runner() can still inject correctly against such a golden run,
-     * only without the checkpoint, early-exit and replay fast paths.
+     * as the plain run (checkpointInterval 0).
      */
     PreparedCampaign prepare(CampaignMode mode = CampaignMode::Estimate,
                              bool relyzer = false, unsigned path_depth = 5);

@@ -555,7 +555,7 @@ CampaignService::runJob(Job &job)
         faultsim::OutcomeMemo memo(prep.faults.size());
         std::uint64_t restored = 0;
         if (job.resume) {
-            obs::Span replay_span("io", "journal.replay");
+            obs::Span restore_span("io", "journal.restore");
             restoredQuarantine = journal.restore(
                 [&](std::uint64_t key, faultsim::Outcome o) {
                     memo.insert(key, o);

@@ -45,10 +45,9 @@ namespace merlin::sched
  * it can be hashed, serialized into manifests/results, and compared.
  * The spec is the result's identity: anything that never changes the
  * result is deliberately NOT part of it, so it cannot change the cache
- * key.  That covers the job count and the engine knobs (checkpoint
- * cadence, early exit, golden-trace replay), which keep their
- * faultsim::RunnerOptions defaults here (library callers may set
- * core::CampaignConfig::runner).
+ * key.  That covers the job count and the engine setting (the
+ * checkpoint cadence), which keeps its faultsim::RunnerOptions
+ * default here (library callers may set core::CampaignConfig::runner).
  */
 struct CampaignSpec
 {

@@ -363,21 +363,19 @@ void
 printEngineStats(const faultsim::InjectionStats &s, double seconds)
 {
     if (s.runs) {
+        const double runs = static_cast<double>(s.runs);
         std::printf("early exit: %llu of %llu runs reconverged with the "
                     "golden state (%.1f%%)\n",
                     static_cast<unsigned long long>(s.earlyExits),
                     static_cast<unsigned long long>(s.runs),
-                    100.0 * static_cast<double>(s.earlyExits) /
-                        static_cast<double>(s.runs));
-    }
-    if (const std::uint64_t consulted = s.replayMasked + s.replayHandoffs) {
+                    100.0 * static_cast<double>(s.earlyExits) / runs);
         std::printf("replay: %llu dead flips shortcut Masked, %llu "
                     "handed off to simulation (divergence rate %.1f%%)"
                     "\n",
                     static_cast<unsigned long long>(s.replayMasked),
-                    static_cast<unsigned long long>(s.replayHandoffs),
-                    100.0 * static_cast<double>(s.replayHandoffs) /
-                        static_cast<double>(consulted));
+                    static_cast<unsigned long long>(s.runs - s.replayMasked),
+                    100.0 * static_cast<double>(s.runs - s.replayMasked) /
+                        runs);
         std::printf("replay: %llu of %llu head cycles skipped "
                     "(%.1f%%)\n",
                     static_cast<unsigned long long>(s.replayCyclesSkipped),
@@ -387,8 +385,6 @@ printEngineStats(const faultsim::InjectionStats &s, double seconds)
                               static_cast<double>(s.replayCyclesSkipped) /
                               static_cast<double>(s.replayHeadCycles)
                         : 0.0);
-    }
-    if (s.runs) {
         const std::uint64_t post = s.postFlipCycles + s.deltaCyclesSkipped;
         std::printf("reconvergence: %llu delta resumes, %llu runs decided "
                     "off the trace, %llu of %llu post-flip cycles skipped "

@@ -16,11 +16,11 @@
  *       Run a MeRLiN campaign and print the reliability report.
  *       --jobs N spreads the injections over N worker threads (0 = all
  *       hardware threads); results are bit-identical for any N.
- *       The injection engine (golden-run checkpoints, early exit at
- *       reconvergence, golden-trace replay) runs with the
- *       faultsim::RunnerOptions defaults; none of it changes an
- *       outcome, so it has no flags.  The report's early-exit, replay
- *       and wall-clock lines describe this run only.  --timeout-factor
+ *       The injection engine (golden-run checkpoints, each feeding
+ *       the reconvergence step) runs at the faultsim::RunnerOptions
+ *       default cadence; it changes no outcome, so it has no flags.
+ *       The report's early-exit, replay, reconvergence and wall-clock
+ *       lines describe this run only.  --timeout-factor
  *       scales the paper's 3x-golden timeout rule — it moves the
  *       Timeout classification boundary, so keep the default when
  *       comparing against paper numbers.

@@ -317,9 +317,24 @@ TEST(CowArray, SizeNotAChunkMultiple)
     EXPECT_TRUE(a == b);
 }
 
+TEST(CowArray, FillSharesOneChunkUntilWritten)
+{
+    base::CowArray<Pair> a(64, 16, Pair{1, 2});
+    EXPECT_EQ(a.numChunks(), 4u);
+    EXPECT_EQ(a.exclusiveChunks(), 0u); // one fill chunk in every slot
+    a.mut(20).b = 99;
+    EXPECT_EQ(a.bytesDetached(), 16 * sizeof(Pair));
+    EXPECT_EQ(a.exclusiveChunks(), 1u);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(a[i], (Pair{1, i == 20 ? 99u : 2u})) << i;
+}
+
 TEST(CowArray, DetachAllPrivatizesEveryChunk)
 {
     base::CowArray<Pair> a(50, 16);
+    // A value per chunk: every chunk of `a` is its own.
+    for (std::size_t c = 0; c < a.numChunks(); ++c)
+        a.mut(c * 16).b = c + 1;
     base::CowArray<Pair> b = a;
     b.detachAll();
     EXPECT_EQ(b.sharedChunksWith(a), 0u);

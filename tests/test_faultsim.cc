@@ -314,6 +314,34 @@ TEST(FaultKey, LargeL1dEntriesInjectThroughTheBatchPath)
         EXPECT_LT(static_cast<unsigned>(o), NUM_OUTCOMES);
 }
 
+/** A fault key does not name the structure, so a batch that mixes
+ *  structures would alias distinct faults onto one outcome: refused. */
+TEST(FaultKey, MixedStructureBatchIsRefusedByName)
+{
+    auto prog = masm::assemble("movi a0, 9\nout.d a0\nhalt 0\n", "t");
+    InjectionRunner runner(prog, uarch::CoreConfig{});
+    Fault rf;
+    rf.structure = Structure::RegisterFile;
+    rf.entry = 3;
+    rf.cycle = 2;
+    Fault sq = rf;
+    sq.structure = Structure::StoreQueue;
+    ASSERT_EQ(faultKey(rf), faultKey(sq));
+    try {
+        runner.planBatch({rf, rf, sq});
+        ADD_FAILURE() << "a mixed batch was planned";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(uarch::structureName(rf.structure)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(uarch::structureName(sq.structure)),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(runner.planBatch({sq, sq}).work.size(), 1u);
+}
+
 TEST(FaultKey, OverflowTripsTheAssert)
 {
     Fault f;
@@ -373,12 +401,12 @@ TEST(Runner, CheckpointListIsAscendingAndBounded)
     auto w = workloads::buildWorkload("qsort");
     uarch::CoreConfig cfg;
     RunnerOptions opts;
-    opts.checkpointInterval = 64;
-    opts.maxCheckpoints = 8;
+    opts.checkpointInterval = 8; // reaches the bound on qsort
     InjectionRunner runner(w.program, cfg, opts);
     auto g = runner.golden();
     ASSERT_FALSE(g.checkpoints.empty());
-    EXPECT_LE(g.checkpoints.size(), opts.maxCheckpoints);
+    EXPECT_LE(g.checkpoints.size(), InjectionRunner::kMaxCheckpoints);
+    EXPECT_GT(g.checkpoints[0].cycle(), opts.checkpointInterval);
     for (std::size_t i = 1; i < g.checkpoints.size(); ++i)
         EXPECT_LT(g.checkpoints[i - 1].cycle(),
                   g.checkpoints[i].cycle());
@@ -397,24 +425,24 @@ TEST(Runner, ThinnedCheckpointsHoldBitIdenticalGoldenState)
 {
     auto w = workloads::buildWorkload("qsort");
     uarch::CoreConfig cfg;
-    const Cycle interval = 64;
-    for (const unsigned max_ckpts : {16u, 8u}) {
+    // qsort runs ~21,600 cycles: a 128-cycle grid passes the bound of
+    // InjectionRunner::kMaxCheckpoints once, a 32-cycle grid thrice.
+    for (const Cycle interval : {128u, 32u}) {
         RunnerOptions opts;
         opts.checkpointInterval = interval;
-        opts.maxCheckpoints = max_ckpts;
         InjectionRunner runner(w.program, cfg, opts);
         auto g = runner.golden();
         ASSERT_GE(g.checkpoints.size(), 2u);
 
         // Thinning fired: the kept grid is coarser than requested, and
-        // the tighter bound has been through at least one more round.
+        // the denser grid has been through at least one more round.
         const Cycle spacing =
             g.checkpoints[1].cycle() - g.checkpoints[0].cycle();
         unsigned rounds = 0;
         for (Cycle s = interval; s < spacing; s *= 2)
             ++rounds;
-        EXPECT_GE(rounds, max_ckpts == 16u ? 1u : 2u)
-            << "max " << max_ckpts << " spacing " << spacing;
+        EXPECT_GE(rounds, interval == 128u ? 1u : 2u)
+            << "interval " << interval << " spacing " << spacing;
 
         // Uniform grid through the back: the last checkpoint survived
         // every thinning round.
@@ -464,9 +492,12 @@ TEST(Runner, TimeoutBudgetIsSaturatingAndFactorScaled)
 }
 
 /**
- * The early-exit acceptance property: outcomes are bit-identical with
- * the golden-reconvergence exit on vs off (it only skips simulation
- * past a proven state match), and the exit actually fires.
+ * The early-exit acceptance property: outcomes are bit-identical on a
+ * checkpointed runner and on the plain one (the exit only skips
+ * simulation past a proven state match), and the exit actually fires.
+ * The step at the flip decides almost every dead flip before the first
+ * checkpoint, so the list holds ACE-vulnerable flips, the ones a truth
+ * sweep injects.
  */
 TEST(Runner, EarlyExitPreservesEveryOutcome)
 {
@@ -474,35 +505,35 @@ TEST(Runner, EarlyExitPreservesEveryOutcome)
     uarch::CoreConfig cfg;
     RunnerOptions on;
     on.checkpointInterval = 128;
-    // Replay would resolve most of these flips before the early-exit
-    // machinery ever runs; this test isolates the early-exit property.
-    on.replay = false;
-    RunnerOptions off = on;
-    off.earlyExit = false;
+    RunnerOptions off;
+    off.checkpointInterval = 0;
 
     InjectionRunner fast(w.program, cfg, on);
     InjectionRunner slow(w.program, cfg, off);
-    auto g_fast = fast.golden();
+    profile::AceProfiler ace(cfg.numPhysIntRegs, cfg.sqEntries,
+                             cfg.l1d.totalWords());
+    auto g_fast = fast.golden(&ace);
+    ace.finalize();
     auto g_slow = slow.golden();
     ASSERT_EQ(g_fast.stats.cycles, g_slow.stats.cycles);
 
     Rng rng(17);
     std::vector<Fault> faults;
-    for (unsigned i = 0; i < 60; ++i) {
+    while (faults.size() < 100) {
         Fault f;
         f.structure = Structure::RegisterFile;
         f.entry = static_cast<EntryIndex>(
             rng.nextBelow(cfg.numPhysIntRegs));
         f.bit = static_cast<std::uint8_t>(rng.nextBelow(64));
         f.cycle = rng.nextBelow(g_fast.stats.cycles);
-        faults.push_back(f);
+        if (ace.profile(f.structure).find(f.entry, f.cycle))
+            faults.push_back(f);
     }
     const auto with = injectOnPool(fast, faults, g_fast, 1);
     const auto without = injectOnPool(slow, faults, g_slow, 1);
     EXPECT_EQ(with, without);
 
-    // Random RF flips mostly land in dead registers: the exit must
-    // have fired, and only on the runner that has it enabled.
+    // The exit must have fired, and only on the checkpointed runner.
     EXPECT_GT(fast.injectionStats().earlyExits, 0u);
     EXPECT_GT(fast.injectionStats().runs, 0u);
     EXPECT_LE(fast.injectionStats().earlyExits,
@@ -516,10 +547,9 @@ TEST(Runner, EarlyExitMatchesAcrossStructures)
 {
     auto w = workloads::buildWorkload("fft");
     uarch::CoreConfig cfg = uarch::CoreConfig{}.withStoreQueue(16);
-    RunnerOptions on;
     RunnerOptions off;
-    off.earlyExit = false;
-    InjectionRunner fast(w.program, cfg, on);
+    off.checkpointInterval = 0;
+    InjectionRunner fast(w.program, cfg);
     InjectionRunner slow(w.program, cfg, off);
     auto g = fast.golden();
     auto g_off = slow.golden();
@@ -548,18 +578,18 @@ TEST(Runner, EarlyExitMatchesAcrossStructures)
 
 /**
  * The replay acceptance property: outcomes are bit-identical with the
- * golden-trace fast path on vs off, across all three target
- * structures, and the trace actually resolves faults both ways
- * (shortcut Masked and divergence handoff).
+ * step at the flip (a checkpointed runner) and without it (the plain
+ * one), across all three target structures, one batch per structure,
+ * and the trace actually resolves faults both ways (shortcut Masked
+ * and divergence handoff).
  */
 TEST(Runner, ReplayPreservesEveryOutcome)
 {
     auto w = workloads::buildWorkload("qsort");
     uarch::CoreConfig cfg;
-    RunnerOptions on;
     RunnerOptions off;
-    off.replay = false;
-    InjectionRunner fast(w.program, cfg, on);
+    off.checkpointInterval = 0;
+    InjectionRunner fast(w.program, cfg);
     InjectionRunner slow(w.program, cfg, off);
     auto g_fast = fast.golden();
     auto g_slow = slow.golden();
@@ -568,7 +598,7 @@ TEST(Runner, ReplayPreservesEveryOutcome)
     EXPECT_GT(g_fast.trace->numEvents(), 0u);
 
     Rng rng(41);
-    std::vector<Fault> faults;
+    std::vector<Fault> batches[3];
     for (unsigned i = 0; i < 90; ++i) {
         Fault f;
         f.structure = i % 3 == 0   ? Structure::RegisterFile
@@ -581,21 +611,22 @@ TEST(Runner, ReplayPreservesEveryOutcome)
         f.entry = static_cast<EntryIndex>(rng.nextBelow(entries));
         f.bit = static_cast<std::uint8_t>(rng.nextBelow(64));
         f.cycle = rng.nextBelow(g_fast.stats.cycles);
-        faults.push_back(f);
+        batches[i % 3].push_back(f);
     }
-    const auto with = injectOnPool(fast, faults, g_fast, 1);
-    const auto without = injectOnPool(slow, faults, g_slow, 1);
-    EXPECT_EQ(with, without);
+    for (const std::vector<Fault> &faults : batches) {
+        EXPECT_EQ(injectOnPool(fast, faults, g_fast, 1),
+                  injectOnPool(slow, faults, g_slow, 1))
+            << uarch::structureName(faults[0].structure);
+    }
 
-    // Every replay-enabled injection is resolved by the trace, one way
-    // or the other; the replay-off runner never consults it.
+    // The trace resolves faults both ways; the plain runner never
+    // consults it.
     const auto st = fast.injectionStats();
     EXPECT_GT(st.replayMasked, 0u);
-    EXPECT_GT(st.replayHandoffs, 0u);
-    EXPECT_EQ(st.replayMasked + st.replayHandoffs, st.runs);
+    EXPECT_LT(st.replayMasked, st.runs);
     EXPECT_GT(st.replayCyclesSkipped, 0u);
     EXPECT_EQ(slow.injectionStats().replayMasked, 0u);
-    EXPECT_EQ(slow.injectionStats().replayHandoffs, 0u);
+    EXPECT_EQ(slow.injectionStats().replayHeadCycles, 0u);
     EXPECT_EQ(slow.injectionStats().replayCyclesSkipped, 0u);
 }
 
@@ -604,9 +635,9 @@ TEST(Runner, ReplayPreservesEveryOutcome)
  * fault list the trace must skip at least half of the pre-divergence
  * head, i.e. replay at least halves the head cost.  The smallest
  * paper RF variant gives enough live entries that the list mixes
- * Masked shortcuts with genuine handoffs.  Requiring every run to be
- * resolved by the trace keeps a replay-off runner (both cycle
- * counters zero) from passing trivially.
+ * Masked shortcuts with genuine handoffs.  Requiring a non-empty head
+ * keeps a runner that skips the step at the flip (both cycle counters
+ * zero) from passing trivially.
  */
 TEST(Runner, ReplaySkipsAtLeastHalfTheHead)
 {
@@ -614,7 +645,7 @@ TEST(Runner, ReplaySkipsAtLeastHalfTheHead)
     const uarch::CoreConfig cfg =
         uarch::CoreConfig{}.withRegisterFile(64);
     RunnerOptions off;
-    off.replay = false;
+    off.checkpointInterval = 0;
     InjectionRunner fast(w.program, cfg);
     InjectionRunner slow(w.program, cfg, off);
     const auto g_fast = fast.golden();
@@ -636,7 +667,7 @@ TEST(Runner, ReplaySkipsAtLeastHalfTheHead)
 
     const auto st = fast.injectionStats();
     EXPECT_EQ(st.runs, 64u);
-    EXPECT_EQ(st.replayMasked + st.replayHandoffs, st.runs);
+    EXPECT_GT(st.replayHeadCycles, 0u);
     EXPECT_GE(2 * st.replayCyclesSkipped, st.replayHeadCycles)
         << st.replayCyclesSkipped << " of " << st.replayHeadCycles
         << " head cycles skipped";
@@ -652,10 +683,9 @@ TEST(Runner, ReplayPreservesWindowedOutcomes)
     auto w = workloads::buildWorkload("mcf");
     uarch::CoreConfig cfg;
     cfg.instructionWindowEnd = w.suggestedWindow;
-    RunnerOptions on;
     RunnerOptions off;
-    off.replay = false;
-    InjectionRunner fast(w.program, cfg, on);
+    off.checkpointInterval = 0;
+    InjectionRunner fast(w.program, cfg);
     InjectionRunner slow(w.program, cfg, off);
     auto g_fast = fast.golden();
     auto g_slow = slow.golden();
@@ -684,8 +714,8 @@ TEST(Runner, ReplayPreservesWindowedOutcomes)
  * The reconvergence floor in simulated cycles, not seconds.  On pinned
  * lists of ACE-vulnerable faults, the kind a truth sweep injects
  * (qsort across all three structures, windowed mcf RF and L1D), the
- * outcomes are identical with the reconvergence step (earlyExit and
- * replay both on) and without it (earlyExit off), and the step's
+ * outcomes are identical with the reconvergence step (a checkpointed
+ * runner) and without it (the plain one), and the checkpoint steps'
  * resumes and decisions skip at least a third of the post-flip cycles
  * the runner would otherwise simulate.
  */
@@ -713,7 +743,7 @@ TEST(Runner, ReconvergenceSkipsAThirdOfThePostFlipCycles)
         if (l.windowed)
             cfg.instructionWindowEnd = w.suggestedWindow;
         RunnerOptions off;
-        off.earlyExit = false;
+        off.checkpointInterval = 0;
         InjectionRunner fast(w.program, cfg);
         InjectionRunner slow(w.program, cfg, off);
         const unsigned entries = uarch::structureEntries(l.structure, cfg);
@@ -772,7 +802,6 @@ TEST(Runner, ReplayShortcutCountsMaskedAndSkippedCycles)
     const InjectionStats after = runner.injectionStats();
     EXPECT_EQ(after.runs - before.runs, 1u);
     EXPECT_EQ(after.replayMasked - before.replayMasked, 1u);
-    EXPECT_EQ(after.replayHandoffs, before.replayHandoffs);
     const std::uint64_t skipped =
         after.replayCyclesSkipped - before.replayCyclesSkipped;
     EXPECT_EQ(skipped, after.replayHeadCycles - before.replayHeadCycles);
@@ -905,6 +934,8 @@ TEST(Quarantine, EscapedSimulatorExceptionIsRecordedAsCrash)
 {
     auto prog = loopProgram();
     RunnerOptions opts;
+    // The plain run simulates every post-flip cycle the hook watches.
+    opts.checkpointInterval = 0;
     // Model a fault that corrupts the simulator: the run throws a few
     // cycles after the flip lands.
     opts.injectHook = [](const Fault &f, Cycle c) {
@@ -932,6 +963,7 @@ TEST(Quarantine, NonStandardExceptionIsGuardedToo)
 {
     auto prog = loopProgram();
     RunnerOptions opts;
+    opts.checkpointInterval = 0;
     opts.injectHook = [](const Fault &f, Cycle c) {
         if (c >= f.cycle + 3)
             throw 42; // immune to catch (std::exception&)
@@ -949,6 +981,7 @@ TEST(Quarantine, BatchCompletesAroundAPathologicalFault)
 {
     auto prog = loopProgram();
     RunnerOptions opts;
+    opts.checkpointInterval = 0;
     const EntryIndex sick_entry = 40;
     opts.injectHook = [sick_entry](const Fault &f, Cycle) {
         if (f.structure == Structure::RegisterFile &&
@@ -983,6 +1016,7 @@ TEST(Quarantine, PolicyFailAbortsTheCampaign)
     auto prog = loopProgram();
     RunnerOptions opts;
     opts.quarantine = QuarantinePolicy::Fail;
+    opts.checkpointInterval = 0;
     opts.injectHook = [](const Fault &, Cycle) {
         throw std::runtime_error("boom");
     };
@@ -996,6 +1030,7 @@ TEST(Quarantine, WallClockWatchdogTripsOnAWedgedRun)
     auto prog = loopProgram();
     RunnerOptions opts;
     opts.wallClockLimit = 0.02;
+    opts.checkpointInterval = 0;
     // A livelock model: every post-flip cycle burns ~1ms of real time
     // while the simulated cycle budget stays far from its bound, so
     // only the watchdog can end the run.  The check cadence is every

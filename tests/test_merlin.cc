@@ -573,28 +573,16 @@ TEST(Campaign, CheckpointedCampaignMatchesUncheckpointed)
 }
 
 /**
- * Engine-knob invariance where the knobs live.  Checkpoint cadence,
- * early exit and golden-trace replay are RunnerOptions, never part of
- * a result: the serialized result must be byte-identical across the
- * whole knob grid and any job count.  Only the runner's own counters
- * may tell the configurations apart.
+ * Engine-setting invariance where the setting lives.  The checkpoint
+ * cadence is a RunnerOptions member, never part of a result: the
+ * serialized result must be byte-identical for the plain engine
+ * (cadence 0), a tight and the default cadence, and any job count.
+ * Only the runner's own counters may tell the settings apart.
  */
 TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
 {
-    struct Knobs
-    {
-        bool replay;
-        bool earlyExit;
-        Cycle checkpointInterval;
-        const char *name;
-    };
-    const Cycle ck = faultsim::RunnerOptions::kDefaultCheckpointInterval;
-    const Knobs grid[] = {
-        {true, true, ck, "replay+exit, default cadence"},
-        {true, false, 64, "replay, cadence 64"},
-        {false, true, 0, "exit, no checkpoints"},
-        {false, false, 64, "plain, cadence 64"},
-    };
+    const Cycle grid[] = {
+        0, 64, faultsim::RunnerOptions::kDefaultCheckpointInterval};
     struct Target
     {
         const char *workload;
@@ -604,7 +592,7 @@ TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
         CampaignMode mode;
     };
     // L1D lines live far longer than registers or SQ slots, so with a
-    // tight cadence the replay handoff skips real head cycles.
+    // tight cadence the step at the flip skips real head cycles.
     const Target targets[] = {
         {"qsort", uarch::CoreConfig{}.withRegisterFile(128),
          Structure::RegisterFile, 120, CampaignMode::Truth},
@@ -619,7 +607,7 @@ TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
     for (const Target &t : targets) {
         const auto w = workloads::buildWorkload(t.workload);
         std::string ref;
-        for (const Knobs &k : grid) {
+        for (const Cycle cadence : grid) {
             for (const unsigned jobs : {1u, 4u}) {
                 CampaignConfig cfg;
                 cfg.target = t.structure;
@@ -627,35 +615,28 @@ TEST(Campaign, ResultBytesInvariantToEngineKnobsAndJobs)
                 cfg.sampling = specFixed(t.faults);
                 cfg.seed = 5;
                 cfg.jobs = jobs;
-                cfg.runner.replay = k.replay;
-                cfg.runner.earlyExit = k.earlyExit;
-                cfg.runner.checkpointInterval = k.checkpointInterval;
+                cfg.runner.checkpointInterval = cadence;
                 Campaign camp(w.program, cfg);
                 const std::string bytes =
                     io::resultToJson(camp.run(t.mode)).dump();
                 if (ref.empty())
                     ref = bytes;
-                EXPECT_EQ(bytes, ref) << t.workload << " ["
-                                      << k.name << "] jobs " << jobs;
+                EXPECT_EQ(bytes, ref) << t.workload << " [cadence "
+                                      << cadence << "] jobs " << jobs;
 
-                // The counters record what actually happened: replay
-                // consults every run when on and none when off; the
-                // early exit never fires when off.
+                // The counters record what actually happened: the plain
+                // engine neither consults the trace nor exits early.
                 const faultsim::InjectionStats st =
                     camp.runner().injectionStats();
-                if (k.replay) {
-                    EXPECT_EQ(st.replayMasked + st.replayHandoffs, st.runs)
-                        << k.name;
+                if (cadence != 0) {
+                    EXPECT_GT(st.replayHeadCycles, 0u) << cadence;
                     skipped += st.replayCyclesSkipped;
-                } else {
-                    EXPECT_EQ(st.replayMasked, 0u) << k.name;
-                    EXPECT_EQ(st.replayHandoffs, 0u) << k.name;
-                    EXPECT_EQ(st.replayCyclesSkipped, 0u) << k.name;
-                }
-                if (k.earlyExit)
                     exits += st.earlyExits;
-                else
-                    EXPECT_EQ(st.earlyExits, 0u) << k.name;
+                } else {
+                    EXPECT_EQ(st.replayMasked, 0u);
+                    EXPECT_EQ(st.replayHeadCycles, 0u);
+                    EXPECT_EQ(st.earlyExits, 0u);
+                }
             }
         }
     }
@@ -687,6 +668,8 @@ TEST(Campaign, QuarantinedInjectionsAreRecordedAndCountedCrash)
     cfg.core.numPhysIntRegs = 128;
     cfg.sampling = specFixed(600);
     cfg.seed = 11;
+    // The plain engine simulates every run the hook must see.
+    cfg.runner.checkpointInterval = 0;
     // A pathological-fault model: any injection into a low bit blows
     // up the simulator.  The campaign must absorb every blow-up —
     // recorded, counted Crash — and still finish the rest.
@@ -718,6 +701,7 @@ TEST(Campaign, QuarantinePolicyFailAbortsTheCampaign)
     cfg.core.numPhysIntRegs = 128;
     cfg.sampling = specFixed(300);
     cfg.runner.quarantine = faultsim::QuarantinePolicy::Fail;
+    cfg.runner.checkpointInterval = 0;
     cfg.runner.injectHook = [](const faultsim::Fault &, Cycle) {
         throw std::runtime_error("boom");
     };

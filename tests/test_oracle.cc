@@ -2,10 +2,11 @@
  * @file
  * Differential oracle for the injection engine.
  *
- * Every fast path of faultsim::InjectionRunner — checkpoint resume,
- * golden-trace replay, golden-reconvergence early exit and the
- * reconvergence step that resumes a golden-XOR-delta run at the next
- * read of its corrupted bytes — is checked against a reference injector
+ * Both engine settings of faultsim::InjectionRunner — the plain run
+ * (checkpointInterval 0) and the checkpointed one, whose reconvergence
+ * step decides a run or resumes it at the next read of its corrupted
+ * bytes, at the flip and at every checkpoint past it, and whose empty
+ * diffs end runs early — are checked against a reference injector
  * that shares only uarch::Core and InjectionRunner::classify with it:
  * a fresh core at cycle 0, the bit flipped at the fault cycle, a run
  * under the paper's timeout budget, then classification.
@@ -136,8 +137,9 @@ describe(const Fault &f)
 
 /**
  * Run @p faults through InjectionRunner under every engine setting
- * ({earlyExit, replay} x jobs {1, 4}) and compare with @p want; the
- * reconvergence counters of the setting that has it go to @p total.
+ * (checkpoint interval {16, 0} x jobs {1, 4}) and compare with
+ * @p want; the reconvergence counters of the checkpointed setting go
+ * to @p total.
  */
 void
 compareEngines(const isa::Program &prog, const uarch::CoreConfig &cfg,
@@ -145,41 +147,38 @@ compareEngines(const isa::Program &prog, const uarch::CoreConfig &cfg,
                const std::vector<Outcome> &want, unsigned seed,
                InjectionStats &total)
 {
-    for (const bool early_exit : {true, false}) {
-        for (const bool replay : {true, false}) {
-            RunnerOptions opts;
-            opts.checkpointInterval = 16;
-            opts.earlyExit = early_exit;
-            opts.replay = replay;
-            for (const unsigned jobs : {1u, 4u}) {
-                InjectionRunner runner(prog, cfg, opts);
-                const GoldenRun g = runner.golden();
-                base::ThreadPool pool(jobs);
-                base::TaskGroup group(pool);
-                const std::vector<Outcome> got =
-                    runner.injectBatch(faults, g, group);
-                ASSERT_EQ(got.size(), want.size());
-                unsigned shown = 0;
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    if (got[i] != want[i] && shown++ < 5) {
-                        ADD_FAILURE()
-                            << "seed " << seed << " earlyExit "
-                            << early_exit << " replay " << replay
-                            << " jobs " << jobs << ": "
-                            << describe(faults[i]) << " engine "
-                            << outcomeName(got[i]) << ", reference "
-                            << outcomeName(want[i]);
-                    }
+    for (const Cycle interval : {16u, 0u}) {
+        RunnerOptions opts;
+        opts.checkpointInterval = interval;
+        for (const unsigned jobs : {1u, 4u}) {
+            InjectionRunner runner(prog, cfg, opts);
+            const GoldenRun g = runner.golden();
+            base::ThreadPool pool(jobs);
+            base::TaskGroup group(pool);
+            const std::vector<Outcome> got =
+                runner.injectBatch(faults, g, group);
+            ASSERT_EQ(got.size(), want.size());
+            unsigned shown = 0;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                if (got[i] != want[i] && shown++ < 5) {
+                    ADD_FAILURE()
+                        << "seed " << seed << " interval " << interval
+                        << " jobs " << jobs << ": " << describe(faults[i])
+                        << " engine " << outcomeName(got[i])
+                        << ", reference " << outcomeName(want[i]);
                 }
-                const InjectionStats st = runner.injectionStats();
-                if (!(early_exit && replay)) {
-                    EXPECT_EQ(st.deltaResumes + st.deltaDecided, 0u);
-                    continue;
-                }
-                total.deltaResumes += st.deltaResumes;
-                total.deltaDecided += st.deltaDecided;
-                total.deltaCyclesSkipped += st.deltaCyclesSkipped;
             }
+            const InjectionStats st = runner.injectionStats();
+            if (interval == 0) {
+                EXPECT_EQ(st.replayMasked + st.earlyExits +
+                              st.deltaResumes + st.deltaDecided,
+                          0u);
+                continue;
+            }
+            total.replayMasked += st.replayMasked;
+            total.deltaResumes += st.deltaResumes;
+            total.deltaDecided += st.deltaDecided;
+            total.deltaCyclesSkipped += st.deltaCyclesSkipped;
         }
     }
 }
@@ -231,6 +230,7 @@ TEST(Oracle, EveryEngineSettingMatchesTheReferenceInjector)
     }
     // The space reaches every kind of reconvergence step.
     EXPECT_GT(pruned, 0u);
+    EXPECT_GT(total.replayMasked, 0u);
     EXPECT_GT(total.deltaResumes, 0u);
     EXPECT_GT(total.deltaDecided, 0u);
     EXPECT_GT(total.deltaCyclesSkipped, 0u);

@@ -370,9 +370,9 @@ struct Fnv
 io::Json
 recordingRecord(const isa::Program &p, const uarch::CoreConfig &cfg)
 {
-    faultsim::RunnerOptions opts;
-    opts.checkpointInterval = 0; // the recording is a function of the run
-    faultsim::InjectionRunner runner(p, cfg, opts);
+    // Checkpointed, so the run records the effect trace; checkpoints
+    // do not change what the run records.
+    faultsim::InjectionRunner runner(p, cfg);
     AceProfiler profiler(cfg.numPhysIntRegs, cfg.sqEntries,
                          cfg.l1d.totalWords());
     const faultsim::GoldenRun g = runner.golden(&profiler);

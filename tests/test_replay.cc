@@ -150,12 +150,12 @@ TEST(EffectTrace, DivergenceMatchesProbeOnBranchFreeProgram)
 }
 
 /**
- * The injectHook seam (PR 6) disables replay entirely: the hook
- * observes every simulated post-flip cycle, so nothing may be skipped.
- * The hook-equipped run therefore visits the trace's divergence cycle
- * exactly, and classifies identically to the replay-accelerated run.
+ * The injectHook seam observes every simulated post-flip cycle.  On
+ * the plain engine (checkpoint interval 0) nothing is skipped, so the
+ * hooked run visits the trace's divergence cycle exactly, and
+ * classifies identically to the checkpointed run.
  */
-TEST(EffectTrace, InjectHookDisablesReplayAndVisitsEveryCycle)
+TEST(EffectTrace, PlainHookedRunVisitsEveryPostFlipCycle)
 {
     auto prog = masm::assemble("  movi s0, 0\n"
                                "  movi s1, 1\n"
@@ -186,17 +186,18 @@ TEST(EffectTrace, InjectHookDisablesReplayAndVisitsEveryCycle)
 
     std::vector<Cycle> seen;
     RunnerOptions opts;
+    opts.checkpointInterval = 0;
     opts.injectHook = [&seen](const Fault &, Cycle c) {
         seen.push_back(c);
     };
     InjectionRunner hooked(prog, cfg, opts);
     auto gh = hooked.golden();
-    EXPECT_EQ(gh.trace, nullptr); // no recording under a hook
+    EXPECT_EQ(gh.trace, nullptr); // the plain engine records no trace
 
     const Outcome o = hooked.inject(f, gh);
     const faultsim::InjectionStats st = hooked.injectionStats();
     EXPECT_EQ(st.runs, 1u);
-    EXPECT_EQ(st.replayMasked + st.replayHandoffs, 0u); // never consulted
+    EXPECT_EQ(st.replayHeadCycles, 0u); // never consulted
     EXPECT_EQ(o, fast.inject(f, g));
 
     // Every cycle from the flip onward was simulated — including the
