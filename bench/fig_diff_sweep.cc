@@ -88,8 +88,7 @@ main(int argc, char **argv)
             else if (std::strncmp(arg, "--l1d-b=", 8) == 0)
                 l1d_b = base::parseU32(arg + 8, "--l1d-b");
             else if (std::strncmp(arg, "--select=", 9) == 0)
-                select = sched::SpecSelector::parse(
-                    arg + 9, sched::SpecSelector::Mode::RoundRobin);
+                select = sched::SpecSelector::parse(arg + 9);
         }
     } catch (const merlin::FatalError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
@@ -111,10 +110,15 @@ main(int argc, char **argv)
 
     const auto names =
         opts.workloadsOr(workloads::mibenchWorkloads());
-    const io::ResultStore a =
-        runSide(names, l1d_a, opts, default_faults, select);
-    const io::ResultStore b =
-        runSide(names, l1d_b, opts, default_faults, select);
+    io::ResultStore a, b;
+    try {
+        a = runSide(names, l1d_a, opts, default_faults, select);
+        b = runSide(names, l1d_b, opts, default_faults, select);
+    } catch (const merlin::FatalError &e) {
+        // An empty --select share fails like a bad flag.
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
 
     sched::DiffOptions dopts;
     dopts.axis = {"l1d_kb"};

@@ -109,9 +109,9 @@ ProgressSink::emit(const char *state) const
             elapsed, std::string(state) == "done" ? " [done]" : "");
     }
     if (!opts_.jsonPath.empty()) {
-        // Atomic rewrite: readers (dispatch.sh) always see a complete
-        // document.  No fsync — this is an operational signal, not
-        // durable state; a crash simply leaves the previous rewrite.
+        // Atomic rewrite: readers always see a complete document.
+        // No fsync — this is an operational signal, not durable
+        // state; a crash simply leaves the previous rewrite.
         const std::string tmp = opts_.jsonPath + ".tmp";
         {
             std::ofstream os(tmp, std::ios::trunc);

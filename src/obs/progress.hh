@@ -1,8 +1,8 @@
 /**
  * @file
  * Live progress for long suites: a periodic stderr line for humans
- * and an atomically-rewritten progress.json for machines (the
- * heartbeat source tools/dispatch.sh reads).
+ * and an atomically-rewritten progress.json for machines (a
+ * heartbeat for whatever supervises a suite worker).
  *
  * The sink is a bundle of relaxed atomic counters the scheduler and
  * injection callbacks bump, plus an optional background emitter
@@ -25,8 +25,8 @@
  *   }
  *
  * Each rewrite is temp-file + rename, so a reader never sees a torn
- * document; "epoch" freezing while "injections" stops growing is the
- * stall signature dispatch.sh keys on.  Strictly out-of-band: the
+ * document; an "epoch" that falls behind the clock while "state" is
+ * still "running" is a stalled worker.  Strictly out-of-band: the
  * sink only ever reads engine state.
  */
 

@@ -312,11 +312,13 @@ parseManifest(const Json &manifest)
 std::vector<CampaignSpec>
 selectSpecs(const std::vector<CampaignSpec> &specs, const SpecSelector &sel)
 {
+    if (sel.index >= specs.size())
+        fatal("selection ", sel.describe(), " selects no campaign of the ",
+              specs.size(), "-campaign manifest — use at most ",
+              specs.size(), " worker", specs.size() == 1 ? "" : "s");
     std::vector<CampaignSpec> share;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (sel.selects(i, specs[i].key()))
-            share.push_back(specs[i]);
-    }
+    for (std::size_t i = sel.index; i < specs.size(); i += sel.count)
+        share.push_back(specs[i]);
     return share;
 }
 

@@ -114,9 +114,11 @@ bool isSpecMember(const std::string &name);
 
 /**
  * The specs of @p specs that @p sel keeps, in manifest order: one
- * worker's share of a distributed suite (`suite --select`, `--plan`).
+ * worker's share of a distributed suite (`suite --select i/n`).
  * Running each share into its own store and merging the stores
- * reproduces the single-host store byte-for-byte.
+ * reproduces the single-host store byte-for-byte.  fatal() when the
+ * share is empty (i >= the manifest size): that worker would write
+ * no store to merge.
  */
 std::vector<CampaignSpec> selectSpecs(const std::vector<CampaignSpec> &specs,
                                       const SpecSelector &sel);

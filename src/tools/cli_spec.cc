@@ -442,9 +442,7 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                     static_cast<double>(suite.injectionsSimulated) /
                         suite.wallSeconds);
     }
-    // An empty share (possible under --select-hash) runs nothing and
-    // writes no store.
-    if (!opts.storePath.empty() && !specs.empty())
+    if (!opts.storePath.empty())
         std::printf("results written to %s\n", opts.storePath.c_str());
 }
 

@@ -34,7 +34,7 @@
  *       instead (default: continue).
  *   merlin_cli suite manifest.json
  *       [--jobs N] [--out results.json] [--resume]
- *       [--select i/n | --select-hash i/n]
+ *       [--select i/n]
  *       [--quarantine=fail|continue] [--inject-wall-limit SECONDS]
  *       [--trace trace.json] [--metrics metrics.json]
  *       [--progress[=SECS]] [--progress-json FILE]
@@ -59,27 +59,18 @@
  *       every SECS (default 1, must be positive) seconds;
  *       --progress-json atomically
  *       rewrites FILE with machine-readable progress at the same
- *       cadence (what tools/dispatch.sh reads for heartbeats).
+ *       cadence (a heartbeat for whatever supervises the worker).
  *       --trace and --metrics also work on `campaign`.
  *       --select i/n runs only worker i's share of the suite
- *       (round-robin over the manifest order); --select-hash i/n
- *       partitions on the spec content hash instead, so the share is
- *       invariant to manifest reordering.  The filter applies to the
- *       manifest before anything runs, so the worker's --out store
- *       holds exactly its share.  Selections 0/n..n-1/n are disjoint
- *       and complete: run each share on its own machine with its own
- *       --out and `store merge` the worker stores back into a store
- *       byte-identical to the single-host run (see tools/dispatch.sh).
- *       The report ends with "selection i/n: X of Y manifest
- *       campaigns"; an empty hash share runs nothing and writes no
- *       store.
- *   merlin_cli suite manifest.json --plan n [--hash] [--plan-dir DIR]
- *       Instead of running, emit n per-worker manifests
- *       DIR/worker-<i>-of-<n>.json (defaults resolved, one fully
- *       explicit spec per campaign) partitioned round-robin (or by
- *       content hash with --hash) — for schedulers that ship a
- *       manifest per machine rather than passing --select.  Their
- *       --out stores merge exactly like --select workers' stores.
+ *       (round-robin over the manifest order).  The filter applies to
+ *       the manifest before anything runs, so the worker's --out
+ *       store holds exactly its share.  Selections 0/n..n-1/n are
+ *       disjoint and complete: run each share on its own machine with
+ *       its own --out and `store merge` the worker stores back into a
+ *       store byte-identical to the single-host run (README,
+ *       "Distributed suites").  The report ends with "selection i/n:
+ *       X of Y manifest campaigns"; a share that selects no campaign
+ *       (i >= the manifest size) is fatal.
  *   merlin_cli suite --diff A.json B.json
  *       [--axis knob,...] [--confidence C] [--out diff.json]
  *       Differential sweep: join two result stores on the spec content
@@ -171,14 +162,13 @@ main(int argc, char **argv)
                              "usage: merlin_cli suite manifest.json "
                              "[--jobs N] [--out results.json] "
                              "[--resume] "
-                             "[--select i/n | --select-hash i/n] "
+                             "[--select i/n] "
                              "[--quarantine=fail|continue] "
                              "[--inject-wall-limit SECONDS] "
                              "[--trace trace.json] "
                              "[--metrics metrics.json] "
                              "[--progress[=SECS]] "
-                             "[--progress-json FILE] | "
-                             "--plan n [--hash] [--plan-dir DIR]\n");
+                             "[--progress-json FILE]\n");
                 return 2;
             }
             return cmdSuite(argv[2], Args::parse(argc, argv, 3));

@@ -185,11 +185,11 @@ TEST_F(ChaosFixture, KilledAndResumedStoreIsByteIdentical)
 }
 
 /**
- * The distributed variant dispatch.sh leans on: one of the workers
- * (disjoint --select shares, each into a private store) is killed
- * mid-run and re-dispatched with --resume; merging the worker stores
- * must still reproduce the single-host store byte-for-byte.  One
- * worker per campaign, so every share is non-empty.
+ * The distributed variant: one of the workers (disjoint --select
+ * shares, each into a private store) is killed mid-run and re-run
+ * with --resume; merging the worker stores must still reproduce the
+ * single-host store byte-for-byte.  One worker per campaign, so every
+ * share is non-empty.
  */
 TEST_F(ChaosFixture, KilledWorkerShareMergesByteIdentical)
 {
@@ -209,11 +209,10 @@ TEST_F(ChaosFixture, KilledWorkerShareMergesByteIdentical)
         opts.reuseCached = true;
         opts.storePath =
             storePath("worker-" + std::to_string(w) + ".json");
-        const auto share = selectSpecs(
-            specs, SpecSelector{SpecSelector::Mode::RoundRobin, w, 2});
+        const auto share = selectSpecs(specs, SpecSelector{w, 2});
         worker_stores.push_back(opts.storePath);
 
-        // Worker 1 is the casualty: killed mid-run, then re-dispatched.
+        // Worker 1 is the casualty: killed mid-run, then re-run.
         bool finished = w != 1;
         if (w == 1)
             finished = runAndKill(share, opts, rng);

@@ -207,11 +207,7 @@ TEST_F(MergeFixture, ShardSpillPlusMergeEqualsSingleStoreBytes)
         SuiteOptions wopts;
         wopts.jobs = 2;
         wopts.storePath = path(w == 0 ? "worker0" : "worker1");
-        SuiteScheduler(
-            selectSpecs(specs,
-                        SpecSelector{SpecSelector::Mode::RoundRobin, w, 2}),
-            wopts)
-            .run();
+        SuiteScheduler(selectSpecs(specs, SpecSelector{w, 2}), wopts).run();
         workers.push_back(wopts.storePath);
     }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Distributed-dispatch tests: SpecSelector parsing and partition
- * laws (disjoint + complete for both modes), and the headline
+ * Distributed-suite tests: SpecSelector parsing and partition laws
+ * (disjoint + complete; an empty share is refused), and the headline
  * scatter/gather property — per-worker stores of the filtered spec
  * lists, merged back, are byte-identical to the single-host store for
  * any worker count, job count and gather order, including workers
@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -32,22 +33,16 @@ using io::Json;
 
 TEST(SpecSelector, ParsesStrictIOverN)
 {
-    const auto s =
-        SpecSelector::parse("2/5", SpecSelector::Mode::RoundRobin);
+    const auto s = SpecSelector::parse("2/5");
     EXPECT_EQ(s.index, 2u);
     EXPECT_EQ(s.count, 5u);
-    EXPECT_EQ(s.mode, SpecSelector::Mode::RoundRobin);
-    EXPECT_EQ(s.describe(), "2/5 round-robin");
-
-    const auto h = SpecSelector::parse("0/1", SpecSelector::Mode::Hash);
-    EXPECT_EQ(h.describe(), "0/1 hash");
+    EXPECT_EQ(s.describe(), "2/5");
 }
 
 TEST(SpecSelector, RejectsGarbageAndOutOfRange)
 {
     const auto parse = [](const char *text) {
-        return SpecSelector::parse(text,
-                                   SpecSelector::Mode::RoundRobin);
+        return SpecSelector::parse(text);
     };
     // i >= n and n == 0 are usage errors, not empty selections.
     EXPECT_THROW(parse("3/3"), FatalError);
@@ -82,68 +77,38 @@ manySpecs(std::size_t n)
     return specs;
 }
 
-TEST(SpecSelector, PartitionIsDisjointAndCompleteInBothModes)
+TEST(SpecSelector, PartitionIsDisjointAndComplete)
 {
     const auto specs = manySpecs(23);
-    for (const auto mode : {SpecSelector::Mode::RoundRobin,
-                            SpecSelector::Mode::Hash}) {
-        for (std::uint64_t n : {1u, 2u, 3u, 5u}) {
-            for (std::size_t i = 0; i < specs.size(); ++i) {
-                unsigned owners = 0;
-                for (std::uint64_t w = 0; w < n; ++w) {
-                    SpecSelector sel;
-                    sel.mode = mode;
-                    sel.index = w;
-                    sel.count = n;
-                    owners += sel.selects(i, specs[i].key()) ? 1 : 0;
-                }
-                // Every spec belongs to exactly one worker.
-                EXPECT_EQ(owners, 1u)
-                    << "mode " << (mode == SpecSelector::Mode::Hash)
-                    << " n " << n << " spec " << i;
-            }
+    for (std::uint64_t n : {1u, 2u, 3u, 5u}) {
+        std::map<std::string, unsigned> owners;
+        for (std::uint64_t w = 0; w < n; ++w) {
+            for (const CampaignSpec &spec :
+                 selectSpecs(specs, SpecSelector{w, n}))
+                ++owners[spec.key()];
         }
+        // Every spec belongs to exactly one worker.
+        ASSERT_EQ(owners.size(), specs.size()) << "n " << n;
+        for (const CampaignSpec &spec : specs)
+            EXPECT_EQ(owners[spec.key()], 1u) << "n " << n;
     }
 }
 
-TEST(SpecSelector, HashShareIsInvariantToManifestPosition)
+TEST(SpecSelector, EmptyShareIsFatalAndNamesTheManifestSize)
 {
-    const auto specs = manySpecs(12);
-    SpecSelector sel;
-    sel.mode = SpecSelector::Mode::Hash;
-    sel.index = 1;
-    sel.count = 3;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        // Moving the spec anywhere in the manifest changes nothing.
-        EXPECT_EQ(sel.selects(i, specs[i].key()),
-                  sel.selects((i + 7) % specs.size(), specs[i].key()));
+    // A worker past the manifest's end would write no store, and the
+    // gather step would then fail on a missing file instead.
+    const auto specs = manySpecs(2);
+    EXPECT_EQ(selectSpecs(specs, SpecSelector{1, 2}).size(), 1u);
+    try {
+        selectSpecs(specs, SpecSelector{2, 3});
+        FAIL() << "an empty share must be fatal";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("selection 2/3"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("2-campaign manifest"), std::string::npos)
+            << msg;
     }
-}
-
-TEST(SpecSelector, PlanStyleManifestRoundTripsTheSelection)
-{
-    // What `suite --plan n` emits: a manifest whose campaigns are the
-    // selection's specs, fully resolved.  Parsing it back must yield
-    // exactly the selected spec keys, so running a per-worker
-    // manifest equals running the full manifest under --select.
-    const auto specs = manySpecs(9);
-    SpecSelector sel;
-    sel.index = 1;
-    sel.count = 2;
-    Json camps = Json::array();
-    std::vector<std::string> want;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (sel.selects(i, specs[i].key())) {
-            camps.push(specs[i].toJson());
-            want.push_back(specs[i].key());
-        }
-    }
-    Json manifest = Json::object();
-    manifest.set("campaigns", camps);
-    const auto parsed = parseManifest(Json::parse(manifest.dump(2)));
-    ASSERT_EQ(parsed.size(), want.size());
-    for (std::size_t i = 0; i < parsed.size(); ++i)
-        EXPECT_EQ(parsed[i].key(), want[i]);
 }
 
 // ------------------------------------------- scatter/gather suites
@@ -242,7 +207,7 @@ mergedBytes(const std::vector<std::string> &stores, const std::string &path)
  * "workers", each running its filtered spec list into its own store;
  * merging the worker stores (in forward or reverse gather order)
  * reproduces the single-host store byte-for-byte, for n in {1,2,3} x
- * jobs in {1,4} and both modes.
+ * jobs in {1,4}.
  */
 TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
 {
@@ -254,48 +219,36 @@ TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
     SuiteScheduler(specs, ref_opts).run();
     const std::string ref = fileBytes(ref_opts.storePath);
 
-    for (const auto mode : {SpecSelector::Mode::RoundRobin,
-                            SpecSelector::Mode::Hash}) {
-        for (std::uint64_t n : {1u, 2u, 3u}) {
-            for (unsigned jobs : {1u, 4u}) {
-                const std::string tag =
-                    std::to_string(static_cast<int>(mode)) + "_" +
-                    std::to_string(n) + "_" + std::to_string(jobs);
-                std::vector<std::string> worker_stores;
-                std::size_t selected_total = 0;
-                for (std::uint64_t w = 0; w < n; ++w) {
-                    const auto share =
-                        selectSpecs(specs, SpecSelector{mode, w, n});
-                    selected_total += share.size();
-                    // Hash shares can legitimately be empty and write
-                    // no store; gather only the workers that ran
-                    // something (what tools/dispatch.sh does after
-                    // checking worker exit codes).
-                    if (share.empty())
-                        continue;
-                    SuiteOptions opts;
-                    opts.jobs = jobs;
-                    opts.storePath =
-                        scratch(tag + "_w" + std::to_string(w) + ".json");
-                    SuiteScheduler(share, opts).run();
-                    worker_stores.push_back(opts.storePath);
-                }
-                EXPECT_EQ(selected_total, specs.size())
-                    << tag << ": shares are not a partition";
+    for (std::uint64_t n : {1u, 2u, 3u}) {
+        for (unsigned jobs : {1u, 4u}) {
+            const std::string tag =
+                std::to_string(n) + "_" + std::to_string(jobs);
+            std::vector<std::string> worker_stores;
+            std::size_t selected_total = 0;
+            for (std::uint64_t w = 0; w < n; ++w) {
+                const auto share = selectSpecs(specs, SpecSelector{w, n});
+                selected_total += share.size();
+                SuiteOptions opts;
+                opts.jobs = jobs;
+                opts.storePath =
+                    scratch(tag + "_w" + std::to_string(w) + ".json");
+                SuiteScheduler(share, opts).run();
+                worker_stores.push_back(opts.storePath);
+            }
+            EXPECT_EQ(selected_total, specs.size())
+                << tag << ": shares are not a partition";
 
-                // Gather forward and reverse: same bytes either way.
-                for (const bool reverse : {false, true}) {
-                    auto inputs = worker_stores;
-                    if (reverse)
-                        std::reverse(inputs.begin(), inputs.end());
-                    EXPECT_EQ(mergedBytes(inputs,
-                                          scratch(tag +
-                                                  (reverse ? "_rev"
-                                                           : "_fwd") +
-                                                  ".json")),
-                              ref)
-                        << tag << (reverse ? " reverse" : " forward");
-                }
+            // Gather forward and reverse: same bytes either way.
+            for (const bool reverse : {false, true}) {
+                auto inputs = worker_stores;
+                if (reverse)
+                    std::reverse(inputs.begin(), inputs.end());
+                EXPECT_EQ(mergedBytes(inputs,
+                                      scratch(tag +
+                                              (reverse ? "_rev" : "_fwd") +
+                                              ".json")),
+                          ref)
+                    << tag << (reverse ? " reverse" : " forward");
             }
         }
     }
@@ -327,8 +280,7 @@ TEST_F(DispatchFixture, ResumeSkipsForeignEntriesInsteadOfRespilling)
             scratch("seed_w" + std::to_string(w) + ".json");
         std::filesystem::copy_file(ref_opts.storePath, opts.storePath);
 
-        const auto share = selectSpecs(
-            specs, SpecSelector{SpecSelector::Mode::RoundRobin, w, 2});
+        const auto share = selectSpecs(specs, SpecSelector{w, 2});
         SuiteResult r = SuiteScheduler(share, opts).run();
         worker_stores.push_back(opts.storePath);
 
