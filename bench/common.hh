@@ -12,7 +12,8 @@
  *   --workloads=a,b   comma-separated subset (default per bench)
  *   --seed=N          campaign seed
  *   --jobs=N          shared suite-pool workers (0 = all hardware
- *                     threads); campaigns overlap and workers steal
+ *                     threads, at most ThreadPool::kMaxThreads);
+ *                     campaigns overlap and workers steal
  *                     injections across campaigns, results unchanged
  *   --json=FILE       write a metrics snapshot (engine counters +
  *                     bench measurements recorded via record()) to
@@ -31,6 +32,7 @@
 
 #include "base/parse.hh"
 #include "base/strings.hh"
+#include "base/threadpool.hh"
 #include "merlin/campaign.hh"
 #include "obs/metrics.hh"
 #include "workloads/workloads.hh"
@@ -97,19 +99,17 @@ struct Options
 
     /**
      * Parse the shared flags, all spelled --name=value (or bare
-     * --paper).  @p extra names the --name=value flags the caller
-     * parses itself; any other argument, and a --workloads name that
-     * is not a bundled workload, is a usage error: exit 2 naming it,
+     * --paper).  Any other argument, and a --workloads name that is
+     * not a bundled workload, is a usage error: exit 2 naming it,
      * never a silently-applied default.
      */
     static Options
-    parse(int argc, char **argv,
-          const std::vector<std::string> &extra = {})
+    parse(int argc, char **argv)
     {
         try {
             Options o;
             for (int i = 1; i < argc; ++i)
-                o.parseOne(argv[i], extra);
+                o.parseOne(argv[i]);
             if (!o.jsonPath.empty())
                 detail::dumpMetricsAtExit(o.jsonPath);
             return o;
@@ -136,7 +136,7 @@ struct Options
 
   private:
     void
-    parseOne(const std::string &a, const std::vector<std::string> &extra)
+    parseOne(const std::string &a)
     {
         auto val = [&](const std::string &flag) -> const char * {
             if (a.size() > flag.size() && a.rfind(flag, 0) == 0 &&
@@ -162,17 +162,15 @@ struct Options
                     known.end())
                     fatal("--workloads: unknown workload '", w, "'");
         } else if (const char *v4 = val("--jobs")) {
-            jobs = base::parseU32(v4, "--jobs");
+            jobs = base::ThreadPool::checkThreads(
+                base::parseU32(v4, "--jobs"), "--jobs");
         } else if (const char *v5 = val("--json")) {
             jsonPath = v5;
         } else if (a == "--help" || a == "-h") {
             std::printf("flags: --faults=N --paper --workloads=a,b "
                         "--seed=N --jobs=N --json=FILE\n");
             std::exit(0);
-        } else if (std::none_of(extra.begin(), extra.end(),
-                                [&](const std::string &f) {
-                                    return val(f) != nullptr;
-                                })) {
+        } else {
             fatal("unknown flag '", a, "' (bench flags are --name=value)");
         }
     }

@@ -1,5 +1,6 @@
 #include "base/threadpool.hh"
 
+#include "base/logging.hh"
 #include "obs/clock.hh"
 
 namespace merlin::base
@@ -10,6 +11,15 @@ ThreadPool::hardwareThreads()
 {
     const unsigned n = std::thread::hardware_concurrency();
     return n ? n : 1;
+}
+
+unsigned
+ThreadPool::checkThreads(unsigned threads, const std::string &what)
+{
+    if (threads > kMaxThreads)
+        fatal(what, ": ", threads, " exceeds the ", kMaxThreads,
+              "-thread cap");
+    return threads;
 }
 
 ThreadPool::ThreadPool(unsigned threads)

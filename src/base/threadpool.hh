@@ -31,6 +31,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,6 +43,14 @@ namespace merlin::base
 class ThreadPool
 {
   public:
+    /**
+     * Most worker threads one pool starts.  Each pool thread is an OS
+     * thread, so a typo such as `--jobs 40000` would exhaust the
+     * host's process ids; every thread-count flag is checked against
+     * this cap (checkThreads) before a pool exists.
+     */
+    static constexpr unsigned kMaxThreads = 1024;
+
     /** @p threads worker threads; 0 picks the hardware concurrency. */
     explicit ThreadPool(unsigned threads = 0);
 
@@ -71,6 +80,10 @@ class ThreadPool
 
     /** std::thread::hardware_concurrency with a floor of 1. */
     static unsigned hardwareThreads();
+
+    /** @p threads, or fatal() naming @p what when it exceeds
+     *  kMaxThreads (0, every hardware thread, passes). */
+    static unsigned checkThreads(unsigned threads, const std::string &what);
 
   private:
     struct QueuedTask

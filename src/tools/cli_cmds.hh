@@ -2,7 +2,7 @@
  * @file
  * merlin_cli subcommand handlers, one translation unit per family:
  * cmd_workload.cc (list/run/asm), cmd_campaign.cc (campaign),
- * cmd_suite.cc (suite/plan/diff/store merge), cmd_client.cc (the
+ * cmd_suite.cc (suite/store merge), cmd_client.cc (the
  * daemon client: submit/status/result/shutdown).  main() in
  * merlin_cli.cc only dispatches; all parsing lives in cli_spec.
  */
@@ -27,8 +27,6 @@ int cmdCampaign(const Args &args);
 
 // cmd_suite.cc
 int cmdSuite(const std::string &manifest_path, const Args &args);
-int cmdSuiteDiff(const std::string &path_a, const std::string &path_b,
-                 const Args &args);
 int cmdStoreMerge(int argc, char **argv, int start);
 
 // cmd_client.cc — talk to a running merlin_serve over its socket.

@@ -7,6 +7,7 @@
 
 #include "base/logging.hh"
 #include "base/parse.hh"
+#include "base/threadpool.hh"
 #include "faultsim/runner.hh"
 #include "io/json.hh"
 #include "obs/metrics.hh"
@@ -191,6 +192,15 @@ secondsFlag(const Args &args, const std::string &k, double def,
     return v;
 }
 
+/** --jobs N (0 = every hardware thread), capped by name for every
+ *  command before any pool exists. */
+unsigned
+jobsFlag(const Args &args, unsigned def)
+{
+    return base::ThreadPool::checkThreads(args.getU32("jobs", def),
+                                          "--jobs");
+}
+
 /** --inject-wall-limit SECONDS, the same check for every command. */
 double
 injectWallLimit(const Args &args)
@@ -254,7 +264,7 @@ campaignConfig(const Args &args, std::uint64_t default_window)
         cc.sampling = core::specFixed(2000);
     }
     cc.seed = args.getU("seed", 1);
-    cc.jobs = args.getU32("jobs", 1);
+    cc.jobs = jobsFlag(args, 1);
     // Engine settings keep their RunnerOptions defaults: they decide
     // how fast the engine reaches an outcome, never which one.  The
     // timeout factor moves the Timeout boundary; the watchdog and the
@@ -274,7 +284,7 @@ sched::SuiteOptions
 suiteOptionsFromArgs(const Args &args)
 {
     sched::SuiteOptions opts;
-    opts.jobs = args.getU32("jobs", 1);
+    opts.jobs = jobsFlag(args, 1);
     opts.storePath = args.get("out");
     opts.reuseCached = args.has("resume");
     opts.injectWallLimit = injectWallLimit(args);
@@ -297,7 +307,7 @@ serviceConfigFromArgs(const Args &args)
     sched::CampaignService::Config cfg;
     // A daemon defaults to every hardware thread — it IS the machine's
     // campaign engine — where the one-shot suite defaults to 1.
-    cfg.jobs = args.getU32("jobs", 0);
+    cfg.jobs = jobsFlag(args, 0);
     cfg.storePath = args.get("store");
     cfg.injectWallLimit = injectWallLimit(args);
     cfg.quarantineFail = parseQuarantineFail(args);

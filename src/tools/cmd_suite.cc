@@ -1,34 +1,18 @@
-/** @file `merlin_cli suite | suite --diff | store merge`: the batch
- *  suite family. */
+/** @file `merlin_cli suite | store merge`: the batch suite family. */
 
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
-#include "base/strings.hh"
 #include "io/result_store.hh"
-#include "sched/diff.hh"
 #include "sched/suite.hh"
 #include "tools/cli_cmds.hh"
 
 namespace merlin::tools
 {
-
-namespace
-{
-
-io::ResultStore
-loadStore(const std::string &path)
-{
-    io::ResultStore store(path);
-    if (!store.load())
-        fatal("cannot open result store '", path, "'");
-    return store;
-}
-
-} // namespace
 
 int
 cmdSuite(const std::string &manifest_path, const Args &args)
@@ -69,31 +53,6 @@ cmdSuite(const std::string &manifest_path, const Args &args)
 }
 
 int
-cmdSuiteDiff(const std::string &path_a, const std::string &path_b,
-             const Args &args)
-{
-    requireKnownFlags(args, {"axis", "confidence", "out"},
-                      "suite --diff");
-    const io::ResultStore a = loadStore(path_a);
-    const io::ResultStore b = loadStore(path_b);
-
-    sched::DiffOptions dopts;
-    dopts.axis = base::splitCommaList(args.get("axis"));
-    dopts.confidence = args.getD("confidence", dopts.confidence);
-
-    sched::SuiteDiffResult diff =
-        sched::SuiteDiff(a, b, dopts).run();
-    std::fputs(diff.table().c_str(), stdout);
-
-    const std::string out = args.get("out");
-    if (!out.empty()) {
-        writeTextFile(out, diff.toJson().dump(2) + "\n");
-        std::printf("diff written to %s\n", out.c_str());
-    }
-    return 0;
-}
-
-int
 cmdStoreMerge(int argc, char **argv, int start)
 {
     std::string out;
@@ -104,9 +63,12 @@ cmdStoreMerge(int argc, char **argv, int start)
         if (a == "--force-theirs") {
             force_theirs = true;
         } else if (a == "--out") {
-            if (++i >= argc)
-                fatal("--out requires a path");
-            out = argv[i];
+            // Args' rule: a following flag is not a value, so
+            // `--out --force-theirs` cannot write a store named
+            // `--force-theirs` and drop the force.
+            if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)
+                fatal("--out needs a value");
+            out = argv[++i];
         } else if (a.rfind("--out=", 0) == 0) {
             out = a.substr(6);
         } else if (a.rfind("--", 0) == 0) {

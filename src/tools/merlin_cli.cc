@@ -15,7 +15,8 @@
  *       [--trace trace.json] [--metrics metrics.json]
  *       Run a MeRLiN campaign and print the reliability report.
  *       --jobs N spreads the injections over N worker threads (0 = all
- *       hardware threads); results are bit-identical for any N.
+ *       hardware threads, at most 1024 for every command); results
+ *       are bit-identical for any N.
  *       The injection engine (golden-run checkpoints, each feeding
  *       the reconvergence step) runs at the faultsim::RunnerOptions
  *       default cadence; it changes no outcome, so it has no flags.
@@ -71,14 +72,6 @@
  *       "Distributed suites").  The report ends with "selection i/n:
  *       X of Y manifest campaigns"; a share that selects no campaign
  *       (i >= the manifest size) is fatal.
- *   merlin_cli suite --diff A.json B.json
- *       [--axis knob,...] [--confidence C] [--out diff.json]
- *       Differential sweep: join two result stores on the spec content
- *       hash modulo the swept --axis knobs (manifest member names,
- *       e.g. l1d_kb) and report per-campaign and aggregate B-A deltas
- *       (AVF, class counts, injected representatives), each with a
- *       sampling confidence interval.  Output is deterministic:
- *       sorted rows, byte-stable JSON with --out.
  *   merlin_cli store merge --out merged.json [--force-theirs]
  *       store.json...
  *       Fold result stores into one store; a missing input is fatal.
@@ -143,20 +136,6 @@ main(int argc, char **argv)
     const std::string cmd = argv[1];
     try {
         if (cmd == "suite") {
-            if (argc >= 3 && std::strcmp(argv[2], "--diff") == 0) {
-                if (argc < 5 ||
-                    std::strncmp(argv[3], "--", 2) == 0 ||
-                    std::strncmp(argv[4], "--", 2) == 0) {
-                    std::fprintf(stderr,
-                                 "usage: merlin_cli suite --diff "
-                                 "A.json B.json [--axis knob,...] "
-                                 "[--confidence C] "
-                                 "[--out diff.json]\n");
-                    return 2;
-                }
-                return cmdSuiteDiff(argv[3], argv[4],
-                                    Args::parse(argc, argv, 5));
-            }
             if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
                 std::fprintf(stderr,
                              "usage: merlin_cli suite manifest.json "

@@ -14,8 +14,7 @@
  * byte-identical result), schedules round-robin across clients, and
  * persists every completed campaign to --store exactly as a batch
  * `merlin_cli suite --out` run would — the store file is
- * byte-compatible and `store merge`/`suite --diff` work on it
- * directly.
+ * byte-compatible and `store merge` works on it directly.
  *
  * Lifecycle: the daemon prints one readiness line and serves until
  * SIGTERM/SIGINT or a client `shutdown` request.  Shutdown is

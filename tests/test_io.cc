@@ -3,7 +3,7 @@
  * io tests: JSON value semantics, writer/parser round trips, exact
  * integer preservation, CampaignResult serialization (with and
  * without the optional ground-truth fields), and ResultStore
- * load/save/lookup with deterministic on-disk bytes.
+ * load/save/lookup/merge with deterministic on-disk bytes.
  */
 
 #include <gtest/gtest.h>
@@ -504,6 +504,62 @@ TEST_F(StoreFixture, GatherMergesWorkerStoresAndRejectsGaps)
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find(missing), std::string::npos);
     }
+}
+
+TEST_F(StoreFixture, OverlappingIdenticalPayloadsAreIdempotent)
+{
+    ResultStore a, b;
+    a.put("shared", Json::object(), sampleResult(false));
+    b.put("shared", Json::object(), sampleResult(false));
+    b.put("theirs", Json::object(), sampleResult(true));
+
+    const auto stats = a.merge(b);
+    EXPECT_EQ(stats.added, 1u);
+    EXPECT_EQ(stats.identical, 1u);
+    EXPECT_EQ(stats.replaced, 0u);
+    EXPECT_EQ(a.size(), 2u);
+}
+
+TEST_F(StoreFixture, ConflictingPayloadsAreFatalUnlessForced)
+{
+    // Same key, different result bytes: a real divergence, never a
+    // silent pick.
+    CampaignResult theirs = sampleResult(false);
+    theirs.injections = 9999;
+    ResultStore a, b;
+    a.put("shared", Json::object(), sampleResult(false));
+    b.put("shared", Json::object(), theirs);
+
+    EXPECT_THROW(a.merge(b), FatalError);
+
+    const auto stats = a.merge(b, /*force_theirs=*/true);
+    EXPECT_EQ(stats.replaced, 1u);
+    CampaignResult out;
+    ASSERT_TRUE(a.lookup("shared", out));
+    EXPECT_EQ(out.injections, 9999u);
+}
+
+TEST_F(StoreFixture, MergeOrderDoesNotChangeTheBytes)
+{
+    const auto one = [](const char *key, bool with_truth) {
+        ResultStore s;
+        s.put(key, Json::object(), sampleResult(with_truth));
+        return s;
+    };
+    const ResultStore s1 = one("k1", false);
+    const ResultStore s2 = one("k2", true);
+    const ResultStore s3 = one("k3", false);
+
+    ResultStore fwd(track(path("merge_fwd"))), rev(track(path("merge_rev")));
+    fwd.merge(s1);
+    fwd.merge(s2);
+    fwd.merge(s3);
+    rev.merge(s3);
+    rev.merge(s2);
+    rev.merge(s1);
+    fwd.save();
+    rev.save();
+    EXPECT_EQ(storeText(fwd.path()), storeText(rev.path()));
 }
 
 TEST_F(StoreFixture, SerializationIsIndependentOfInsertionOrder)

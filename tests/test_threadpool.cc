@@ -11,9 +11,11 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/threadpool.hh"
 
 namespace merlin::base
@@ -24,6 +26,25 @@ namespace
 TEST(ThreadPool, HardwareThreadsIsPositive)
 {
     EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
+}
+
+TEST(ThreadPool, ThreadCountAboveTheCapIsFatalByName)
+{
+    // Checked without constructing a pool, so a broken cap cannot
+    // start a thousand threads.
+    EXPECT_EQ(ThreadPool::checkThreads(0, "--jobs"), 0u);
+    EXPECT_EQ(ThreadPool::checkThreads(ThreadPool::kMaxThreads, "--jobs"),
+              ThreadPool::kMaxThreads);
+    const unsigned over = ThreadPool::kMaxThreads + 1;
+    try {
+        ThreadPool::checkThreads(over, "--jobs");
+        FAIL() << "over-cap thread count accepted";
+    } catch (const FatalError &e) {
+        const std::string want =
+            "--jobs: " + std::to_string(over) + " exceeds";
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ThreadPool, RunsEverySubmittedTask)
