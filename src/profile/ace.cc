@@ -10,22 +10,46 @@ namespace merlin::profile
 using uarch::Structure;
 
 StructureProfile::StructureProfile(unsigned num_entries)
-    : perEntry_(num_entries)
+    : perEntry_(num_entries), entryBuckets_(num_entries)
 {
 }
 
-const VulnerableInterval *
-StructureProfile::find(EntryIndex entry, Cycle t) const
+void
+StructureProfile::outOfRange(EntryIndex entry) const
 {
-    MERLIN_ASSERT(entry < perEntry_.size(), "entry out of range");
-    const auto &iv = perEntry_[entry];
-    // First interval with end >= t; intervals are sorted and disjoint.
-    auto it = std::lower_bound(
-        iv.begin(), iv.end(), t,
-        [](const VulnerableInterval &a, Cycle v) { return a.end < v; });
-    if (it != iv.end() && it->start < t && t <= it->end)
-        return &*it;
-    return nullptr;
+    panic("entry ", entry, " out of range (", perEntry_.size(),
+          " entries)");
+}
+
+void
+StructureProfile::index()
+{
+    std::size_t size = 0;
+    for (const auto &iv : perEntry_)
+        size += iv.empty() ? 0 : iv.size() + 2;
+    MERLIN_ASSERT(size <= UINT32_MAX, "too many intervals to index");
+    buckets_.reserve(size);
+    for (std::size_t e = 0; e < perEntry_.size(); ++e) {
+        const auto &iv = perEntry_[e];
+        EntryBuckets &eb = entryBuckets_[e];
+        if (iv.empty())
+            continue;
+        const Cycle last = iv.back().end;
+        MERLIN_ASSERT(last < ~Cycle(0), "interval ends at the last cycle");
+        while (((last + 1) >> eb.shift) > iv.size())
+            ++eb.shift;
+        eb.first = static_cast<std::uint32_t>(buckets_.size());
+        eb.count = static_cast<std::uint32_t>((last >> eb.shift) + 1);
+        std::uint32_t i = 0;
+        for (Cycle k = 0; k < eb.count; ++k) {
+            // Bucket k starts at or below the last end, so i stays
+            // inside the list.
+            while (iv[i].end < (k << eb.shift))
+                ++i;
+            buckets_.push_back(Bucket{iv[i].start, iv[i].end, &iv[i]});
+        }
+        buckets_.push_back(Bucket{0, 0, iv.data() + iv.size()});
+    }
 }
 
 double
@@ -62,39 +86,73 @@ AceProfiler::finalize()
     pending_.swap(events_);
 }
 
+namespace
+{
+
+/** Physical order of one entry's events: cycle, then stage phase. */
+bool
+earlier(const uarch::AceEvent &a, const uarch::AceEvent &b)
+{
+    return a.cycle != b.cycle ? a.cycle < b.cycle : a.phase < b.phase;
+}
+
+} // namespace
+
 void
 AceProfiler::build(Structure s) const
 {
     std::vector<uarch::AceEvent> &evs = pending_[idx(s)];
     StructureProfile &prof = profiles_[idx(s)];
+    const EntryIndex entries = prof.numEntries();
 
-    // Committed reads arrive at commit time, out of physical order;
-    // restore it.  stable_sort keeps arrival order for exact ties.
-    std::stable_sort(evs.begin(), evs.end(),
-                     [](const uarch::AceEvent &a, const uarch::AceEvent &b) {
-                         if (a.entry != b.entry)
-                             return a.entry < b.entry;
-                         if (a.cycle != b.cycle)
-                             return a.cycle < b.cycle;
-                         return a.phase < b.phase;
-                     });
+    // A stable counting sort by entry, gathered one range of entries
+    // at a time (one pass over the events each) into a scratch buffer
+    // of at most half the events, or of the largest entry's.
+    std::vector<std::size_t> count(entries);
+    for (const uarch::AceEvent &e : evs)
+        ++count[e.entry];
+    std::size_t cap = (evs.size() + 1) / 2;
+    for (std::size_t c : count)
+        cap = std::max(cap, c);
+    std::vector<uarch::AceEvent> range;
+    range.reserve(cap);
+    std::vector<std::size_t> next(entries);
+    for (EntryIndex lo = 0, hi = 0; lo < entries; lo = hi) {
+        std::size_t n = 0;
+        for (; hi < entries && n + count[hi] <= cap; ++hi) {
+            next[hi] = n;
+            n += count[hi];
+        }
+        range.resize(n);
+        for (const uarch::AceEvent &e : evs) {
+            if (e.entry >= lo && e.entry < hi)
+                range[next[e.entry]++] = e;
+        }
 
-    EntryIndex cur = ~EntryIndex(0);
-    Cycle last = 0;
-    for (const uarch::AceEvent &e : evs) {
-        if (e.entry != cur) {
-            cur = e.entry;
-            last = 0; // implicit initial write at cycle 0
+        auto first = range.begin();
+        for (EntryIndex entry = lo; entry < hi; ++entry) {
+            const auto end =
+                first + static_cast<std::ptrdiff_t>(count[entry]);
+            // Committed reads arrive at commit time, out of physical
+            // order; restore it.  stable_sort keeps arrival order for
+            // exact ties.
+            if (!std::is_sorted(first, end, earlier))
+                std::stable_sort(first, end, earlier);
+            Cycle last = 0; // implicit initial write at cycle 0
+            for (; first != end; ++first) {
+                const uarch::AceEvent &e = *first;
+                if (e.isRead && e.cycle > last) {
+                    prof.perEntry_[entry].push_back(VulnerableInterval{
+                        last, e.cycle, e.rip, e.upc, e.seq});
+                    prof.totalVulnerable_ += e.cycle - last;
+                }
+                last = e.cycle;
+            }
         }
-        if (e.isRead && e.cycle > last) {
-            prof.perEntry_[e.entry].push_back(
-                VulnerableInterval{last, e.cycle, e.rip, e.upc, e.seq});
-            prof.totalVulnerable_ += e.cycle - last;
-        }
-        last = e.cycle;
     }
     evs.clear();
     evs.shrink_to_fit();
+    prof.index();
 }
 
 std::uint64_t

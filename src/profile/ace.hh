@@ -17,6 +17,7 @@
 #ifndef MERLIN_PROFILE_ACE_HH
 #define MERLIN_PROFILE_ACE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <mutex>
@@ -43,8 +44,19 @@ class StructureProfile
 {
   public:
     explicit StructureProfile(unsigned num_entries);
+    // The index points into the interval lists.
+    StructureProfile(const StructureProfile &) = delete;
+    StructureProfile &operator=(const StructureProfile &) = delete;
 
-    /** Interval of @p entry containing a flip at cycle @p t, or null. */
+    /**
+     * Interval of @p entry containing a flip at cycle @p t, or null.
+     * The cycle picks one bucket of the entry's index, which holds a
+     * copy of the first interval ending in or after it: that copy
+     * decides @p t unless @p t is past its end, and then a binary
+     * search runs over the few other intervals ending in the bucket.
+     * So a query costs O(1) for evenly spread intervals, and never
+     * more than a binary search over the whole list.
+     */
     const VulnerableInterval *find(EntryIndex entry, Cycle t) const;
 
     const std::vector<VulnerableInterval> &
@@ -73,9 +85,70 @@ class StructureProfile
 
   private:
     friend class AceProfiler;
+
+    /**
+     * One entry's cycle buckets: bucket k covers cycles
+     * [k << shift, (k + 1) << shift).  shift is the smallest with
+     * (last end + 1) >> shift <= the interval count, so an entry has at
+     * most one bucket more than it has intervals.
+     */
+    struct EntryBuckets
+    {
+        std::uint32_t first = 0; ///< bucket 0's index in buckets_
+        std::uint32_t count = 0; ///< 0 for an entry without intervals
+        std::uint8_t shift = 0;
+    };
+
+    /**
+     * A bucket's first interval (the first with end >= k << shift):
+     * a copy of its bounds, so most queries read nothing else, and a
+     * pointer into the entry's list.
+     */
+    struct Bucket
+    {
+        Cycle start;
+        Cycle end;
+        const VulnerableInterval *first;
+    };
+
+    /** Build the bucket index over the finished interval lists. */
+    void index();
+
+    /** find()'s range check failing, kept off its inlined path. */
+    [[noreturn]] void outOfRange(EntryIndex entry) const;
+
     std::vector<std::vector<VulnerableInterval>> perEntry_;
+    std::vector<EntryBuckets> entryBuckets_;
+    /** Every entry's buckets, each run followed by an end marker. */
+    std::vector<Bucket> buckets_;
     std::uint64_t totalVulnerable_ = 0;
 };
+
+inline const VulnerableInterval *
+StructureProfile::find(EntryIndex entry, Cycle t) const
+{
+    if (entry >= entryBuckets_.size()) [[unlikely]]
+        outOfRange(entry);
+    const EntryBuckets &eb = entryBuckets_[entry];
+    const Cycle k = t >> eb.shift;
+    if (k >= eb.count)
+        return nullptr; // past the last interval's end
+    const Bucket *b = &buckets_[eb.first + k];
+    // b[0] is the first interval ending at or after t's bucket; it is
+    // the one holding t unless t is past its end.
+    if (t <= b[0].end)
+        return b[0].start < t ? b[0].first : nullptr;
+    // Then the first interval with end >= t lies after it, at or
+    // before the next bucket's first (b[1]).  Intervals are sorted
+    // and disjoint.
+    const VulnerableInterval *it = std::lower_bound(
+        b[0].first + 1, b[1].first, t,
+        [](const VulnerableInterval &a, Cycle v) { return a.end < v; });
+    const auto &iv = perEntry_[entry];
+    if (it != iv.data() + iv.size() && it->start < t && t <= it->end)
+        return it;
+    return nullptr;
+}
 
 using uarch::BranchRecord;
 
@@ -117,7 +190,16 @@ class AceProfiler : public uarch::Probe
     std::uint64_t pathSignature(SeqNum seq, unsigned depth = 5) const;
 
   private:
-    /** Sort @p s's events into its interval lists, then free them. */
+    /**
+     * Sort @p s's events into its interval lists, then free them and
+     * index the lists.  Each entry's events are ordered by (cycle,
+     * phase), exact ties in arrival order: a stable counting sort by
+     * entry, then a stable sort of any entry recorded out of order.
+     * Linear in the events when they arrive in order per entry.  The
+     * counting sort gathers one range of entries at a time, so its
+     * scratch holds at most half the events (or the largest entry's,
+     * if more); sorting an entry adds a buffer of half its events.
+     */
     void build(uarch::Structure s) const;
 
     bool finalized_ = false;

@@ -238,7 +238,10 @@ CampaignSpec::fromJson(const Json &j)
             s.window = w->asU64();
     }
     if (const Json *f = j.find("faults")) {
-        s.sampling = core::specFixed(f->asU64());
+        const std::uint64_t faults = f->asU64();
+        if (faults == 0)
+            fatal("suite spec: faults 0 must be at least 1");
+        s.sampling = core::specFixed(faults);
     } else {
         s.sampling.confidence =
             fractionMember(j, "confidence", s.sampling.confidence);

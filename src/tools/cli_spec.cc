@@ -256,7 +256,10 @@ campaignConfig(const Args &args, std::uint64_t default_window)
     if (!core::SamplingSpec::validFraction(conf))
         fatal("--conf: ", conf, " must be in (0, 1)");
     if (args.has("faults")) {
-        cc.sampling = core::specFixed(args.getU("faults", 2000));
+        const std::uint64_t faults = args.getU("faults", 2000);
+        if (faults == 0)
+            fatal("--faults: 0 must be at least 1");
+        cc.sampling = core::specFixed(faults);
     } else if (args.has("margin")) {
         cc.sampling.errorMargin = margin;
         cc.sampling.confidence = conf;

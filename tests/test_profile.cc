@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <tuple>
 
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -210,6 +213,22 @@ TEST(AceProfiler, AceAvfIsUpperBoundButBelowOne)
     EXPECT_LT(avf, 1.0);
 }
 
+constexpr Structure kAll[] = {Structure::RegisterFile,
+                              Structure::StoreQueue, Structure::L1DCache};
+
+/** A finalized profiler of @p workload's golden run on @p cfg. */
+std::unique_ptr<AceProfiler>
+profileWorkload(const std::string &workload, const uarch::CoreConfig &cfg)
+{
+    auto w = workloads::buildWorkload(workload);
+    auto prof = std::make_unique<AceProfiler>(
+        cfg.numPhysIntRegs, cfg.sqEntries, cfg.l1d.totalWords());
+    uarch::Core core(w.program, cfg, prof.get());
+    core.run();
+    prof->finalize();
+    return prof;
+}
+
 /** Every interval of @p prof, flattened, then its vulnerable total. */
 std::vector<std::uint64_t>
 flatten(const StructureProfile &prof)
@@ -232,22 +251,12 @@ flatten(const StructureProfile &prof)
  */
 TEST(AceProfiler, LazyProfilesIgnoreQueryOrder)
 {
-    auto w = workloads::buildWorkload("qsort");
     const uarch::CoreConfig cfg =
         uarch::CoreConfig{}.withRegisterFile(64).withL1dKb(16);
-    const auto profiled = [&] {
-        auto prof = std::make_unique<AceProfiler>(
-            cfg.numPhysIntRegs, cfg.sqEntries, cfg.l1d.totalWords());
-        uarch::Core core(w.program, cfg, prof.get());
-        core.run();
-        prof->finalize();
-        return prof;
-    };
-    const Structure all[] = {Structure::RegisterFile,
-                             Structure::StoreQueue, Structure::L1DCache};
+    const auto profiled = [&] { return profileWorkload("qsort", cfg); };
 
     std::vector<std::vector<std::uint64_t>> alone;
-    for (Structure s : all)
+    for (Structure s : kAll)
         alone.push_back(flatten(profiled()->profile(s)));
     for (const auto &a : alone)
         EXPECT_GT(a.back(), 0u); // every structure has intervals
@@ -255,9 +264,9 @@ TEST(AceProfiler, LazyProfilesIgnoreQueryOrder)
     const auto forward = profiled();
     const auto backward = profiled();
     for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(flatten(forward->profile(all[i])), alone[i]) << i;
+        EXPECT_EQ(flatten(forward->profile(kAll[i])), alone[i]) << i;
     for (int i = 2; i >= 0; --i)
-        EXPECT_EQ(flatten(backward->profile(all[i])), alone[i]) << i;
+        EXPECT_EQ(flatten(backward->profile(kAll[i])), alone[i]) << i;
     // A repeat query returns the built profile itself.
     EXPECT_EQ(&forward->profile(Structure::StoreQueue),
               &forward->profile(Structure::StoreQueue));
@@ -275,6 +284,271 @@ TEST(AceProfiler, FinalizeContractIsEnforced)
     EXPECT_THROW(prof.finalize(), SimAssertError);
     EXPECT_EQ(prof.profile(Structure::StoreQueue).totalVulnerableCycles(),
               0u);
+}
+
+/** find() as a binary search over the whole list: the reference. */
+const VulnerableInterval *
+searchedFind(const StructureProfile &prof, EntryIndex e, Cycle t)
+{
+    const auto &iv = prof.intervals(e);
+    auto it = std::lower_bound(
+        iv.begin(), iv.end(), t,
+        [](const VulnerableInterval &a, Cycle v) { return a.end < v; });
+    if (it != iv.end() && it->start < t && t <= it->end)
+        return &*it;
+    return nullptr;
+}
+
+/**
+ * Cycles to query on each entry of @p prof: 0, the edges of every
+ * interval (start, start+1, end, end+1), past the last end, and
+ * @p random draws up to just past it.
+ */
+std::vector<std::vector<Cycle>>
+probeCycles(const StructureProfile &prof, Rng &rng, unsigned random)
+{
+    std::vector<std::vector<Cycle>> probes(prof.numEntries());
+    for (EntryIndex e = 0; e < prof.numEntries(); ++e) {
+        std::vector<Cycle> &ts = probes[e];
+        ts = {0, 1, ~Cycle(0)};
+        for (const VulnerableInterval &iv : prof.intervals(e))
+            ts.insert(ts.end(),
+                      {iv.start, iv.start + 1, iv.end, iv.end + 1});
+        const Cycle last =
+            prof.intervals(e).empty() ? 0 : prof.intervals(e).back().end;
+        ts.insert(ts.end(), {last + 1, last + 1000, 2 * last + 1});
+        for (unsigned i = 0; i < random; ++i)
+            ts.push_back(rng.nextBelow(last + 2));
+    }
+    return probes;
+}
+
+void
+expectFindMatchesSearch(const StructureProfile &prof, unsigned random)
+{
+    Rng rng(7);
+    const auto probes = probeCycles(prof, rng, random);
+    for (EntryIndex e = 0; e < prof.numEntries(); ++e) {
+        for (Cycle t : probes[e]) {
+            ASSERT_EQ(prof.find(e, t), searchedFind(prof, e, t))
+                << "entry " << e << ", cycle " << t;
+        }
+    }
+}
+
+/** One synthetic ACE event, in arrival order. */
+struct Event
+{
+    EntryIndex entry;
+    Cycle cycle;
+    std::uint8_t phase;
+    bool read;
+    SeqNum seq;
+};
+
+void
+record(AceProfiler &prof, Structure s, const Event &e)
+{
+    if (e.read)
+        prof.committedRead(s, e.entry, e.cycle, e.phase, 0x1000 + e.seq,
+                           static_cast<Upc>(e.seq), e.seq);
+    else
+        prof.write(s, e.entry, e.cycle, e.phase, 0xff);
+}
+
+/**
+ * The intervals of @p events by the definition: each entry's events
+ * in (cycle, phase) order, exact ties in arrival order.
+ */
+std::vector<std::uint64_t>
+referenceIntervals(std::vector<Event> events, unsigned entries)
+{
+    std::stable_sort(events.begin(), events.end(),
+                     [](const Event &a, const Event &b) {
+                         return std::tie(a.entry, a.cycle, a.phase) <
+                                std::tie(b.entry, b.cycle, b.phase);
+                     });
+    std::vector<std::uint64_t> v;
+    std::uint64_t total = 0;
+    std::vector<Cycle> last(entries, 0);
+    for (const Event &e : events) {
+        if (e.read && e.cycle > last[e.entry]) {
+            v.insert(v.end(), {e.entry, last[e.entry], e.cycle,
+                               0x1000 + e.seq, e.seq & 0xff, e.seq});
+            total += e.cycle - last[e.entry];
+        }
+        last[e.entry] = e.cycle;
+    }
+    v.push_back(total);
+    return v;
+}
+
+/**
+ * The bucket index must answer exactly as a binary search over the
+ * whole list, pointer for pointer, on hand-made edge cases, random
+ * out-of-order event streams and real golden runs.
+ */
+TEST(AceProfiler, IndexedFindMatchesBinarySearch)
+{
+    constexpr Cycle kHigh = Cycle(1) << 33; // above 2^32
+    constexpr unsigned kRf = 12, kSq = 4, kL1d = 64;
+    std::vector<Event> rf, sq, l1d;
+    SeqNum seq = 1;
+    const auto read = [&](std::vector<Event> &evs, EntryIndex e, Cycle c) {
+        evs.push_back({e, c, uarch::phase::RegRead, true, seq++});
+    };
+    const auto write = [&](std::vector<Event> &evs, EntryIndex e,
+                           Cycle c) {
+        evs.push_back({e, c, uarch::phase::RegWrite, false, 0});
+    };
+    // RF entry 0 has no events, entry 1 only a write (no interval),
+    // entry 2 one interval (10, 20].
+    write(rf, 1, 50);
+    write(rf, 2, 10);
+    read(rf, 2, 20);
+    // Entry 3: back-to-back 1-cycle intervals (each end is the next
+    // start), then one read far above 2^32: the whole burst shares
+    // bucket 0.
+    for (Cycle c = 1; c <= 64; ++c)
+        read(rf, 3, c);
+    read(rf, 3, kHigh);
+    // Entry 4: every event above 2^32, intervals of growing length.
+    write(rf, 4, kHigh);
+    for (Cycle c = kHigh + 1, len = 1; len < 5000; c += len, len *= 3)
+        read(rf, 4, c);
+    // Entry 5: one long interval ending above 2^32.
+    write(rf, 5, 3);
+    read(rf, 5, kHigh + 5);
+
+    // Random streams: reads land up to 40 cycles after they consumed
+    // their bits (commit order), and same-cycle reads make exact ties.
+    Rng rng(11);
+    const auto randomStream = [&](std::vector<Event> &evs,
+                                  EntryIndex first, EntryIndex entries) {
+        std::vector<std::pair<Cycle, Event>> arrivals;
+        Cycle c = 0;
+        for (int i = 0; i < 4000; ++i) {
+            c += rng.nextBelow(4) == 0 ? rng.nextBelow(200)
+                                       : rng.nextBelow(3);
+            const auto e = static_cast<EntryIndex>(
+                first + rng.nextBelow(entries - first));
+            if (rng.nextBelow(3) == 0) {
+                arrivals.push_back(
+                    {c, {e, c, uarch::phase::RegWrite, false, 0}});
+            } else {
+                arrivals.push_back({c + rng.nextBelow(40),
+                                    {e, c, uarch::phase::RegRead, true,
+                                     seq++}});
+            }
+        }
+        std::stable_sort(arrivals.begin(), arrivals.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
+                         });
+        for (const auto &a : arrivals)
+            evs.push_back(a.second);
+    };
+    randomStream(rf, 6, kRf);
+    randomStream(sq, 0, kSq);
+    randomStream(l1d, 0, kL1d);
+
+    AceProfiler prof(kRf, kSq, kL1d);
+    for (const Event &e : rf)
+        record(prof, Structure::RegisterFile, e);
+    for (const Event &e : sq)
+        record(prof, Structure::StoreQueue, e);
+    for (const Event &e : l1d)
+        record(prof, Structure::L1DCache, e);
+    prof.finalize();
+
+    const StructureProfile &rfProf = prof.profile(Structure::RegisterFile);
+    EXPECT_EQ(flatten(rfProf), referenceIntervals(rf, kRf));
+    EXPECT_EQ(flatten(prof.profile(Structure::StoreQueue)),
+              referenceIntervals(sq, kSq));
+    EXPECT_EQ(flatten(prof.profile(Structure::L1DCache)),
+              referenceIntervals(l1d, kL1d));
+    EXPECT_TRUE(rfProf.intervals(0).empty());
+    EXPECT_TRUE(rfProf.intervals(1).empty());
+    EXPECT_EQ(rfProf.intervals(2).size(), 1u);
+    EXPECT_EQ(rfProf.intervals(3).size(), 65u);
+    for (Structure s : kAll)
+        expectFindMatchesSearch(prof.profile(s), 200);
+
+    for (const char *workload : {"qsort", "fft"}) {
+        SCOPED_TRACE(workload);
+        const auto real = profileWorkload(workload, {});
+        for (Structure s : kAll)
+            expectFindMatchesSearch(real->profile(s), 20);
+    }
+}
+
+/** Index of @p prof.find(e, t) in entry e's list, or -1 for none. */
+std::vector<std::int64_t>
+findAnswers(const StructureProfile &prof,
+            const std::vector<std::vector<Cycle>> &probes)
+{
+    std::vector<std::int64_t> v;
+    for (EntryIndex e = 0; e < prof.numEntries(); ++e) {
+        for (Cycle t : probes[e]) {
+            const VulnerableInterval *hit = prof.find(e, t);
+            v.push_back(hit ? hit - prof.intervals(e).data() : -1);
+        }
+    }
+    return v;
+}
+
+/**
+ * profile() builds each structure's intervals and index once, under
+ * std::call_once: threads racing to the first queries of all three
+ * structures must all see what a serial profiler builds.
+ */
+TEST(AceProfiler, ConcurrentQueriesBuildOnce)
+{
+    const uarch::CoreConfig cfg;
+    const auto serial = profileWorkload("qsort", cfg);
+    Rng rng(3);
+    std::vector<std::vector<std::vector<Cycle>>> probes;
+    std::vector<std::vector<std::uint64_t>> lists;
+    std::vector<std::vector<std::int64_t>> answers;
+    for (Structure s : kAll) {
+        const StructureProfile &prof = serial->profile(s);
+        probes.push_back(probeCycles(prof, rng, 4));
+        lists.push_back(flatten(prof));
+        answers.push_back(findAnswers(prof, probes.back()));
+    }
+
+    const auto shared = profileWorkload("qsort", cfg);
+    constexpr int kThreads = 8;
+    struct Seen
+    {
+        std::vector<std::vector<std::uint64_t>> lists{3};
+        std::vector<std::vector<std::int64_t>> answers{3};
+    };
+    std::vector<Seen> seen(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+            while (!go.load())
+                std::this_thread::yield();
+            // Each thread starts on a different structure.
+            for (int j = 0; j < 3; ++j) {
+                const int k = (i + j) % 3;
+                const StructureProfile &prof = shared->profile(kAll[k]);
+                seen[i].answers[k] = findAnswers(prof, probes[k]);
+                seen[i].lists[k] = flatten(prof);
+            }
+        });
+    }
+    go = true;
+    for (std::thread &t : threads)
+        t.join();
+    for (int i = 0; i < kThreads; ++i) {
+        for (int k = 0; k < 3; ++k) {
+            EXPECT_EQ(seen[i].lists[k], lists[k]) << i << " " << k;
+            EXPECT_EQ(seen[i].answers[k], answers[k]) << i << " " << k;
+        }
+    }
 }
 
 TEST(AceProfiler, PathSignatureDiscriminatesPaths)

@@ -225,6 +225,8 @@ TEST(Manifest, RejectsTyposAndMissingFields)
     for (const char *member :
          {"max_group_size", "reps_per_group", "timeout_factor"})
         expectRejected("\"" + std::string(member) + "\":0", member);
+    // A fixed count of 0 samples nothing: no measurement to store.
+    expectRejected("\"faults\":0", "faults");
     // The edges of the accepted ranges still parse.
     const auto specs = parseManifest(Json::parse(
         "{\"campaigns\":[{\"workload\":\"qsort\",\"regs\":35,"
