@@ -50,7 +50,7 @@ Campaign::prepare(CampaignMode mode, bool relyzer, unsigned path_depth)
         ropts.checkpointInterval = 0;
     runner_ = std::make_unique<InjectionRunner>(prog_, cfg_.core, ropts);
 
-    // ---- Phase 1: preprocessing (profiled golden run + fault list) ----
+    // ---- Phase 1: preprocessing (profiled golden run) ----
     profile::AceProfiler profiler(cfg_.core.numPhysIntRegs,
                                   cfg_.core.sqEntries,
                                   cfg_.core.l1d.totalWords());
@@ -62,21 +62,31 @@ Campaign::prepare(CampaignMode mode, bool relyzer, unsigned path_depth)
     const profile::StructureProfile &prof = profiler.profile(cfg_.target);
     res.aceAvf = prof.aceAvf(res.goldenCycles);
 
-    const unsigned entries = uarch::structureEntries(cfg_.target, cfg_.core);
-    std::vector<Fault> initial = sampleFaults(
-        cfg_.target, entries, res.goldenCycles, cfg_.sampling, rng);
-    res.initialFaults = initial.size();
-
-    // ---- Phase 2: fault list reduction ----
-    prep.grouping =
-        relyzer ? relyzerGroupFaults(initial, prof, profiler, path_depth,
-                                     rng)
-                : groupFaults(initial, prof, cfg_.grouping, rng);
-    const GroupingResult &grouping = prep.grouping;
-    res.aceMasked = grouping.aceMasked;
-    res.survivors = grouping.survivors.size();
-    res.numGroups = grouping.groups.size();
-    res.injections = grouping.numInjections();
+    // ---- Phases 1-2: fault list and its reduction, in one pass ----
+    // Each fault is drawn, looked up once and counted; a campaign that
+    // injects (or groups by Relyzer's paths) also keeps its survivors.
+    // The rng draws after the pass are those of sampleFaults, then
+    // groupFaults, so the representatives are the same.
+    const FaultSampler sampler(
+        cfg_.target, uarch::structureEntries(cfg_.target, cfg_.core),
+        res.goldenCycles, cfg_.sampling);
+    FaultReducer reducer(prof, cfg_.grouping, !grouping_only || relyzer);
+    for (std::uint64_t i = 0; i < sampler.count(); ++i)
+        reducer.add(sampler.draw(rng));
+    res.initialFaults = sampler.count();
+    res.aceMasked = reducer.aceMasked();
+    res.survivors = reducer.survivors();
+    if (relyzer) {
+        prep.grouping = std::move(reducer).relyzerGroup(profiler,
+                                                        path_depth, rng);
+        res.numGroups = prep.grouping.groups.size();
+        res.injections = prep.grouping.numInjections();
+    } else {
+        res.numGroups = reducer.numGroups();
+        res.injections = reducer.numInjections();
+        if (!grouping_only)
+            prep.grouping = std::move(reducer).group(rng);
+    }
     res.speedupAce =
         res.survivors
             ? static_cast<double>(res.initialFaults) /
@@ -95,6 +105,7 @@ Campaign::prepare(CampaignMode mode, bool relyzer, unsigned path_depth)
     // Phase-3 work list: representatives first, then (for ground truth)
     // every survivor.  Representatives reappear among the members; batch
     // dedup runs each distinct fault once and aliases the repeats.
+    const GroupingResult &grouping = prep.grouping;
     const bool truth = mode == CampaignMode::Truth;
     prep.faults.reserve(res.injections +
                         (truth ? grouping.survivors.size() : 0));

@@ -130,6 +130,11 @@ struct PreparedCampaign
 {
     /** Phase 1-2 fields filled; phase 3 fields still empty. */
     CampaignResult result;
+    /**
+     * The reduced fault list.  Empty for a grouping-only campaign that
+     * does not use Relyzer: its counts come from the reduction's
+     * tallies, and nothing reads its groups.
+     */
     GroupingResult grouping;
     /**
      * All faults phase 3 must inject: the group representatives first

@@ -17,7 +17,9 @@
 #ifndef MERLIN_MERLIN_GROUPING_HH
 #define MERLIN_MERLIN_GROUPING_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "base/rng.hh"
@@ -73,6 +75,23 @@ struct GroupingOptions
     unsigned maxGroupSize = 100;
     /** Representatives injected per group (1 = the paper's choice). */
     unsigned repsPerGroup = 1;
+
+    /** Step 2's sub-key of a fault at bit position @p bit. */
+    std::uint8_t
+    subKey(std::uint8_t bit) const
+    {
+        switch (split) {
+          case Split::None:
+            return 255;
+          case Split::Byte:
+            return bit / 8;
+          case Split::Nibble:
+            return bit / 4;
+          case Split::Bit:
+            return bit;
+        }
+        return 255;
+    }
 };
 
 /** Result of the full fault-list reduction. */
@@ -90,6 +109,91 @@ struct GroupingResult
             n += g.representatives.size();
         return n;
     }
+};
+
+/**
+ * The fault-list reduction one fault at a time.  add() looks a fault up
+ * once: step 0 counts it ACE-masked, or it survives and is tallied under
+ * its group key (step 1's (RIP, uPC) and step 2's split sub-key), and
+ * its TaggedFault is kept when the reducer was asked to keep survivors.
+ *
+ * The tallies alone give the counts groupFaults' groups have: per key
+ * of n survivors, ceil(n / maxGroupSize) round-robin chunks, each with
+ * min(repsPerGroup, chunk size) representatives.  So a campaign that
+ * only counts needs neither the fault list nor the groups; group() and
+ * relyzerGroup() build the groups from the kept survivors.
+ */
+class FaultReducer
+{
+  public:
+    FaultReducer(const profile::StructureProfile &profile,
+                 const GroupingOptions &opts, bool keep_survivors);
+
+    /** Prune or tally one fault. */
+    void
+    add(const faultsim::Fault &f)
+    {
+        const profile::VulnerableInterval *iv =
+            profile_.find(f.entry, f.cycle);
+        if (!iv) {
+            ++aceMasked_;
+            return;
+        }
+        ++survivors_;
+        ++tallies_[Key{iv->rip, iv->upc, opts_.subKey(f.bit)}];
+        if (keep_)
+            kept_.push_back(
+                TaggedFault{f, iv->rip, iv->upc, iv->endSeq, iv->start});
+    }
+
+    std::uint64_t aceMasked() const { return aceMasked_; }
+    std::uint64_t survivors() const { return survivors_; }
+    /** Groups groupFaults would form over the added faults. */
+    std::uint64_t numGroups() const;
+    /** Representatives those groups would hold. */
+    std::uint64_t numInjections() const;
+
+    /**
+     * The two-step grouping of the kept survivors (in the order they
+     * were added); @p rng only breaks representative-selection ties.
+     */
+    GroupingResult group(Rng &rng) &&;
+
+    /** Relyzer's grouping of the kept survivors (relyzerGroupFaults). */
+    GroupingResult relyzerGroup(const profile::AceProfiler &profiler,
+                                unsigned path_depth, Rng &rng) &&;
+
+  private:
+    /** A group key at full width: no two keys share a tally. */
+    struct Key
+    {
+        Rip rip;
+        Upc upc;
+        std::uint8_t sub;
+
+        bool
+        operator==(const Key &o) const
+        {
+            return rip == o.rip && upc == o.upc && sub == o.sub;
+        }
+    };
+
+    struct KeyHash
+    {
+        std::size_t operator()(const Key &k) const noexcept;
+    };
+
+    /** Survivors kept for group()/relyzerGroup(), with the prune count. */
+    GroupingResult taken();
+
+    const profile::StructureProfile &profile_;
+    GroupingOptions opts_;
+    bool keep_;
+    std::uint64_t aceMasked_ = 0;
+    std::uint64_t survivors_ = 0;
+    /** Survivors per group key. */
+    std::unordered_map<Key, std::uint64_t, KeyHash> tallies_;
+    std::vector<TaggedFault> kept_;
 };
 
 /**

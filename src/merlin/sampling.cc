@@ -37,29 +37,39 @@ specFixed(std::uint64_t n)
     return s;
 }
 
+namespace
+{
+
+/** @p num_entries, once the fault population is known not empty. */
+unsigned
+populated(unsigned num_entries, Cycle total_cycles)
+{
+    MERLIN_ASSERT(num_entries > 0 && total_cycles > 0,
+                  "empty fault population");
+    return num_entries;
+}
+
+} // namespace
+
+FaultSampler::FaultSampler(uarch::Structure structure,
+                           unsigned num_entries, Cycle total_cycles,
+                           const SamplingSpec &spec)
+    : structure_(structure), entries_(populated(num_entries, total_cycles)),
+      bits_(64), cycles_(total_cycles),
+      count_(spec.count(static_cast<double>(num_entries) * 64.0 *
+                        static_cast<double>(total_cycles)))
+{
+}
+
 std::vector<faultsim::Fault>
 sampleFaults(uarch::Structure structure, unsigned num_entries,
              Cycle total_cycles, const SamplingSpec &spec, Rng &rng)
 {
-    MERLIN_ASSERT(num_entries > 0 && total_cycles > 0,
-                  "empty fault population");
-    const double population = static_cast<double>(num_entries) * 64.0 *
-                              static_cast<double>(total_cycles);
-    const std::uint64_t n = spec.count(population);
-
-    // Thresholds hoisted out of the loop; the draws are exactly those
-    // of nextBelow(num_entries), nextBelow(64), nextBelow(total_cycles).
-    const Rng::Bound entries(num_entries), bits(64), cycles(total_cycles);
+    const FaultSampler sampler(structure, num_entries, total_cycles, spec);
     std::vector<faultsim::Fault> list;
-    list.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        faultsim::Fault f;
-        f.structure = structure;
-        f.entry = static_cast<EntryIndex>(rng.nextBelow(entries));
-        f.bit = static_cast<std::uint8_t>(rng.nextBelow(bits));
-        f.cycle = rng.nextBelow(cycles);
-        list.push_back(f);
-    }
+    list.reserve(sampler.count());
+    for (std::uint64_t i = 0; i < sampler.count(); ++i)
+        list.push_back(sampler.draw(rng));
     return list;
 }
 

@@ -47,9 +47,43 @@ SamplingSpec spec600k(); ///< 99.8% confidence, 0.19% margin (~600,000)
 SamplingSpec specFixed(std::uint64_t n);
 
 /**
- * Draw the initial fault list for @p structure: uniform i.i.d. over
- * entries x 64 bits x [0, total_cycles) flip cycles.
+ * The initial fault list of @p structure as a generator: count() faults,
+ * each drawn by one draw() call, uniform i.i.d. over entries x 64 bits
+ * x [0, total_cycles) flip cycles.  A campaign that only counts its
+ * faults draws them one at a time instead of storing the list.
  */
+class FaultSampler
+{
+  public:
+    FaultSampler(uarch::Structure structure, unsigned num_entries,
+                 Cycle total_cycles, const SamplingSpec &spec);
+
+    /** Faults in the list. */
+    std::uint64_t count() const { return count_; }
+
+    /**
+     * The next fault.  Thresholds are hoisted into the bounds; the
+     * draws are exactly those of nextBelow(num_entries),
+     * nextBelow(64), nextBelow(total_cycles).
+     */
+    faultsim::Fault
+    draw(Rng &rng) const
+    {
+        faultsim::Fault f;
+        f.structure = structure_;
+        f.entry = static_cast<EntryIndex>(rng.nextBelow(entries_));
+        f.bit = static_cast<std::uint8_t>(rng.nextBelow(bits_));
+        f.cycle = rng.nextBelow(cycles_);
+        return f;
+    }
+
+  private:
+    uarch::Structure structure_;
+    Rng::Bound entries_, bits_, cycles_;
+    std::uint64_t count_;
+};
+
+/** The whole list of a FaultSampler, drawn in order. */
 std::vector<faultsim::Fault>
 sampleFaults(uarch::Structure structure, unsigned num_entries,
              Cycle total_cycles, const SamplingSpec &spec, Rng &rng);

@@ -98,6 +98,34 @@ earlier(const uarch::AceEvent &a, const uarch::AceEvent &b)
 
 } // namespace
 
+bool
+sortPhysical(std::span<uarch::AceEvent> events)
+{
+    const std::size_t budget = 8 * events.size();
+    std::size_t moves = 0;
+    for (std::size_t i = 1; i < events.size(); ++i) {
+        if (!earlier(events[i], events[i - 1]))
+            continue;
+        // Shift the strictly later events up one place: ties keep
+        // their arrival order.
+        const uarch::AceEvent e = events[i];
+        std::size_t j = i;
+        do {
+            events[j] = events[j - 1];
+            --j;
+        } while (j > 0 && earlier(e, events[j - 1]));
+        events[j] = e;
+        moves += i - j;
+        if (moves > budget) {
+            // The prefix is sorted stably and precedes the rest, so
+            // this sorts exactly as it would have from the start.
+            std::stable_sort(events.begin(), events.end(), earlier);
+            return true;
+        }
+    }
+    return false;
+}
+
 void
 AceProfiler::build(Structure s) const
 {
@@ -134,10 +162,8 @@ AceProfiler::build(Structure s) const
             const auto end =
                 first + static_cast<std::ptrdiff_t>(count[entry]);
             // Committed reads arrive at commit time, out of physical
-            // order; restore it.  stable_sort keeps arrival order for
-            // exact ties.
-            if (!std::is_sorted(first, end, earlier))
-                std::stable_sort(first, end, earlier);
+            // order; restore it.
+            sortPhysical({first, end});
             Cycle last = 0; // implicit initial write at cycle 0
             for (; first != end; ++first) {
                 const uarch::AceEvent &e = *first;

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "base/types.hh"
@@ -153,6 +154,19 @@ StructureProfile::find(EntryIndex entry, Cycle t) const
 using uarch::BranchRecord;
 
 /**
+ * Sort one entry's events into physical order: by cycle, then stage
+ * phase, exact ties in arrival order.  Events arrive nearly in order
+ * (a committed read is late by at most its micro-op's time in the
+ * ROB), so an insertion sort moves each only a few places.  Once its
+ * moves pass eight times the event count it falls back to
+ * std::stable_sort, so the worst case stays O(n log n).  Both sorts are
+ * stable, so the result is the same either way.
+ *
+ * @return whether the fallback ran
+ */
+bool sortPhysical(std::span<uarch::AceEvent> events);
+
+/**
  * The profiler: attach to a Core as its recorder for the golden run,
  * then finalize() once the run ends.  A campaign reads one structure,
  * so each structure's events are sorted into interval lists only on
@@ -194,11 +208,11 @@ class AceProfiler : public uarch::Probe
      * Sort @p s's events into its interval lists, then free them and
      * index the lists.  Each entry's events are ordered by (cycle,
      * phase), exact ties in arrival order: a stable counting sort by
-     * entry, then a stable sort of any entry recorded out of order.
-     * Linear in the events when they arrive in order per entry.  The
-     * counting sort gathers one range of entries at a time, so its
-     * scratch holds at most half the events (or the largest entry's,
-     * if more); sorting an entry adds a buffer of half its events.
+     * entry, then sortPhysical() per entry.  Linear in the events when
+     * each arrives at most a few places late.  The counting sort
+     * gathers one range of entries at a time, so its scratch holds at
+     * most half the events (or the largest entry's, if more); an
+     * entry sorted by the fallback adds a buffer of half its events.
      */
     void build(uarch::Structure s) const;
 

@@ -22,6 +22,12 @@ Args
 Args::parse(int argc, char **argv, int start)
 {
     Args a;
+    // A repeated flag is fatal: neither of its values may silently win.
+    const auto set = [&a](const std::string &k,
+                          std::optional<std::string> v) {
+        if (!a.kv.emplace(k, std::move(v)).second)
+            fatal("--", k, " given twice");
+    };
     for (int i = start; i < argc; ++i) {
         std::string k = argv[i];
         if (k.rfind("--", 0) != 0)
@@ -29,13 +35,13 @@ Args::parse(int argc, char **argv, int start)
         k = k.substr(2);
         // --key=value style.
         if (const auto eq = k.find('='); eq != std::string::npos) {
-            a.kv[k.substr(0, eq)] = k.substr(eq + 1);
+            set(k.substr(0, eq), k.substr(eq + 1));
             continue;
         }
         if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-            a.kv[k] = argv[++i];
+            set(k, argv[++i]);
         else
-            a.kv[k] = std::nullopt; // bare flag
+            set(k, std::nullopt); // bare flag
     }
     return a;
 }

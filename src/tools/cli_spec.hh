@@ -36,6 +36,7 @@ struct Args
     /** Flag -> value; nullopt for a bare flag (`--truth`). */
     std::map<std::string, std::optional<std::string>> kv;
 
+    /** fatal() on a flag given twice (`--faults 5 --faults=7`). */
     static Args parse(int argc, char **argv, int start);
 
     /** True for a flag given with or without a value. */

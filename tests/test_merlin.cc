@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 #include <stdexcept>
 
 #include "base/logging.hh"
@@ -346,6 +348,80 @@ TEST_F(GroupingFixture, GroupingIsDeterministic)
     }
 }
 
+/**
+ * The reducer's tallies must count exactly the groups and
+ * representatives groupFaults builds, for every split, cap and
+ * representative count, on random lists with duplicate faults and
+ * keys with fewer members than repsPerGroup.  The rips lie above 2^40
+ * and agree in their low 40 bits, so a key packed narrower than its
+ * fields would merge groups.
+ */
+TEST(Grouping, ReducerTalliesMatchGroupFaults)
+{
+    constexpr unsigned kEntries = 8;
+    constexpr Cycle kCycles = 4000;
+    const Rip rips[] = {0x1000, 0x1000 + (Rip(1) << 40),
+                        0x1000 + (Rip(1) << 63), Rip(1) << 41};
+    profile::AceProfiler profiler(kEntries, 1, 1);
+    Rng rng(5);
+    SeqNum seq = 1;
+    for (EntryIndex e = 0; e < kEntries; ++e) {
+        for (Cycle c = 1 + rng.nextBelow(20); c < kCycles;
+             c += 1 + rng.nextBelow(60)) {
+            if (rng.nextBelow(4) == 0)
+                profiler.write(Structure::RegisterFile, e, c,
+                               uarch::phase::RegWrite, 0xff);
+            else
+                profiler.committedRead(
+                    Structure::RegisterFile, e, c, uarch::phase::RegRead,
+                    rips[rng.nextBelow(4)],
+                    static_cast<Upc>(rng.nextBelow(2)), seq++);
+        }
+    }
+    profiler.finalize();
+    const profile::StructureProfile &prof =
+        profiler.profile(Structure::RegisterFile);
+
+    using Split = GroupingOptions::Split;
+    for (std::uint64_t n : {1u, 50u, 3000u}) {
+        std::vector<faultsim::Fault> faults = sampleFaults(
+            Structure::RegisterFile, kEntries, kCycles, specFixed(n), rng);
+        // Duplicates: a third of the list again, one fault ten times.
+        faults.insert(faults.end(), faults.begin(),
+                      faults.begin() + static_cast<std::ptrdiff_t>(n / 3));
+        faults.insert(faults.end(), 10, faults.front());
+        for (Split split :
+             {Split::None, Split::Byte, Split::Nibble, Split::Bit}) {
+            for (unsigned cap : {1u, 3u, 100u}) {
+                for (unsigned reps : {1u, 2u, 5u}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << n << " faults, split "
+                                 << static_cast<int>(split) << ", cap "
+                                 << cap << ", reps " << reps);
+                    const GroupingOptions opts{split, cap, reps};
+                    FaultReducer reducer(prof, opts, false);
+                    for (const faultsim::Fault &f : faults)
+                        reducer.add(f);
+                    Rng grng(1);
+                    const GroupingResult want =
+                        groupFaults(faults, prof, opts, grng);
+                    EXPECT_EQ(reducer.aceMasked(), want.aceMasked);
+                    EXPECT_EQ(reducer.survivors(), want.survivors.size());
+                    EXPECT_EQ(reducer.numGroups(), want.groups.size());
+                    EXPECT_EQ(reducer.numInjections(),
+                              want.numInjections());
+                    if (n == 3000) {
+                        std::set<Rip> seen;
+                        for (const FaultGroup &g : want.groups)
+                            seen.insert(g.rip);
+                        EXPECT_EQ(seen.size(), std::size(rips));
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---- end-to-end campaigns ----
 
 TEST(Campaign, EndToEndEstimateMatchesTruth)
@@ -551,6 +627,57 @@ TEST(Campaign, GroupingOnlyGoldenRunIsBare)
                 bare.runner().injectBatch(some, bare.goldenRun(), group),
                 est.runner().injectBatch(some, est.goldenRun(), group));
         }
+    }
+
+    // Every split, group cap and representative count, and Relyzer's
+    // grouping: a grouping-only campaign counts without building
+    // groups, and its counts must equal those of the estimate-mode
+    // campaign's groups.
+    struct Options
+    {
+        GroupingOptions grouping;
+        bool relyzer;
+    };
+    std::vector<Options> options;
+    using Split = GroupingOptions::Split;
+    for (Split split :
+         {Split::None, Split::Byte, Split::Nibble, Split::Bit}) {
+        for (unsigned cap : {1u, 3u, 100u}) {
+            for (unsigned reps : {1u, 2u})
+                options.push_back({{split, cap, reps}, false});
+        }
+    }
+    options.push_back({GroupingOptions{}, true});
+    const auto w = workloads::buildWorkload("fft");
+    for (const Options &o : options) {
+        SCOPED_TRACE(testing::Message()
+                     << "split " << static_cast<int>(o.grouping.split)
+                     << ", cap " << o.grouping.maxGroupSize << ", reps "
+                     << o.grouping.repsPerGroup << ", relyzer "
+                     << o.relyzer);
+        CampaignConfig cfg;
+        // A small register file, so keys of more than 3 survivors split.
+        cfg.core = cfg.core.withRegisterFile(64);
+        cfg.sampling = specFixed(3000);
+        cfg.seed = 3;
+        cfg.grouping = o.grouping;
+        cfg.runner.checkpointInterval = 0; // nothing here injects
+        Campaign est(w.program, cfg), bare(w.program, cfg);
+        const PreparedCampaign pe =
+            est.prepare(CampaignMode::Estimate, o.relyzer);
+        const PreparedCampaign pb =
+            bare.prepare(CampaignMode::GroupingOnly, o.relyzer);
+        const CampaignResult &e = pe.result, &b = pb.result;
+        EXPECT_EQ(b.initialFaults, e.initialFaults);
+        EXPECT_EQ(b.aceMasked, pe.grouping.aceMasked);
+        EXPECT_EQ(b.survivors, pe.grouping.survivors.size());
+        EXPECT_EQ(b.numGroups, pe.grouping.groups.size());
+        EXPECT_EQ(b.injections, pe.numRepFaults);
+        EXPECT_EQ(b.speedupAce, e.speedupAce);
+        EXPECT_EQ(b.speedupTotal, e.speedupTotal);
+        EXPECT_GT(b.numGroups, 0u);
+        EXPECT_TRUE(pb.faults.empty());
+        EXPECT_EQ(pb.grouping.groups.empty(), !o.relyzer);
     }
 }
 

@@ -391,7 +391,7 @@ referenceIntervals(std::vector<Event> events, unsigned entries)
 TEST(AceProfiler, IndexedFindMatchesBinarySearch)
 {
     constexpr Cycle kHigh = Cycle(1) << 33; // above 2^32
-    constexpr unsigned kRf = 12, kSq = 4, kL1d = 64;
+    constexpr unsigned kRf = 14, kSq = 4, kL1d = 64;
     std::vector<Event> rf, sq, l1d;
     SeqNum seq = 1;
     const auto read = [&](std::vector<Event> &evs, EntryIndex e, Cycle c) {
@@ -448,9 +448,46 @@ TEST(AceProfiler, IndexedFindMatchesBinarySearch)
         for (const auto &a : arrivals)
             evs.push_back(a.second);
     };
-    randomStream(rf, 6, kRf);
+    randomStream(rf, 6, 12);
     randomStream(sq, 0, kSq);
     randomStream(l1d, 0, kL1d);
+
+    // Entry 12: events arriving in fully reversed order, with
+    // same-cycle events of two phases and exact ties: too many moves
+    // for the insertion sort, so the build falls back to stable_sort.
+    std::vector<Event> reversed;
+    for (Cycle c = 1; c <= 300; ++c) {
+        if (c % 7 == 0)
+            write(reversed, 12, c);
+        read(reversed, 12, c);
+        if (c % 5 == 0)
+            read(reversed, 12, c); // exact tie
+    }
+    std::reverse(reversed.begin(), reversed.end());
+    // Entry 13: in-order events with a long late tail: every 50th
+    // event arrives 40 places late, and the last one belongs near the
+    // start.
+    std::vector<Event> tail;
+    for (Cycle i = 1; i <= 1000; ++i) {
+        if (i % 3 == 0)
+            write(tail, 13, 10 * i);
+        else
+            read(tail, 13, 10 * i);
+    }
+    for (std::size_t i = 50; i + 41 <= tail.size(); i += 50)
+        std::rotate(tail.begin() + i, tail.begin() + i + 1,
+                    tail.begin() + i + 41);
+    read(tail, 13, 5);
+    const auto fellBack = [](const std::vector<Event> &evs) {
+        std::vector<uarch::AceEvent> v;
+        for (const Event &e : evs)
+            v.push_back({e.cycle, 0, e.seq, e.entry, 0, e.phase, e.read});
+        return sortPhysical(v);
+    };
+    EXPECT_TRUE(fellBack(reversed));
+    EXPECT_FALSE(fellBack(tail));
+    rf.insert(rf.end(), reversed.begin(), reversed.end());
+    rf.insert(rf.end(), tail.begin(), tail.end());
 
     AceProfiler prof(kRf, kSq, kL1d);
     for (const Event &e : rf)
