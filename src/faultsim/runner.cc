@@ -23,18 +23,6 @@ namespace
 {
 
 /**
- * Raised by the in-run wall-clock watchdog.  Deliberately NOT derived
- * from std::exception: the quarantine guard must distinguish it from
- * ordinary simulator failures, and nothing else may swallow it.
- */
-struct WallClockExceeded
-{
-};
-
-/** How many simulated cycles between wall-clock watchdog checks. */
-constexpr std::uint32_t kWallCheckMask = 255;
-
-/**
  * Registry instruments for the injection hot path, resolved once per
  * process instead of per injection (the registry lookup takes a
  * mutex; the instruments themselves are lock-free shards).
@@ -442,10 +430,6 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
     const ScopeTimer timed{m.wallUs};
     ScopeTally post_flip{postFlipCycles_};
 
-    const bool watchdog = opts_.wallClockLimit > 0.0;
-    const obs::TimePoint wall_start = timed.t0;
-    std::uint32_t wall_tick = 0;
-
     try {
         const std::vector<uarch::Core::Snapshot> &cks = ref.checkpoints;
         // Checkpoints are sorted ascending by construction: the number
@@ -559,16 +543,9 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
                 }
             }
             // Test hook: model a fault that corrupts the simulator
-            // itself (throw) or wedges it (burn wall clock).
+            // itself (throw).
             if (applied && opts_.injectHook)
                 opts_.injectHook(fault, core->cycle());
-            // Real-wall-clock watchdog, checked every few hundred
-            // cycles: a livelocking simulator that keeps ticking is
-            // quarantined instead of stalling the whole campaign.
-            if (watchdog && (++wall_tick & kWallCheckMask) == 0 &&
-                obs::secondsSince(wall_start) > opts_.wallClockLimit) {
-                throw WallClockExceeded{};
-            }
             if (!core->tick())
                 break;
             if (applied)
@@ -578,12 +555,6 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
     } catch (const SimAssertError &) {
         // A flipped bit drove the simulator into an invariant violation.
         return Outcome::Assert;
-    } catch (const WallClockExceeded &) {
-        recordQuarantine(fault,
-                         "wall-clock watchdog: run exceeded the real-time "
-                         "limit while still ticking",
-                         detail);
-        return Outcome::Crash;
     } catch (const std::exception &e) {
         // Simulator-process failure: counted in the Crash class, like
         // GeFIN's "simulator crash" subcategory — and quarantined, so

@@ -149,11 +149,11 @@ struct BatchPlan
 /**
  * One quarantined injection: a fault whose run did not merely
  * misbehave architecturally (that is what the Table-2 classes are
- * for) but corrupted or wedged the simulator itself — an escaped
- * exception or a tripped real-wall-clock watchdog.  The record is
- * deterministic (packed fault key + a reproducible reason string), so
- * a campaign that hits one still produces byte-stable results and the
- * offending fault can be replayed in isolation.
+ * for) but corrupted the simulator itself — an exception escaping
+ * it.  The record is deterministic (packed fault key + a reproducible
+ * reason string), so a campaign that hits one still produces
+ * byte-stable results and the offending fault can be replayed in
+ * isolation.
  */
 struct QuarantineRecord
 {
@@ -212,28 +212,15 @@ struct RunnerOptions
     Cycle checkpointInterval = kDefaultCheckpointInterval;
     /** Timeout budget multiplier (0 is treated as 1). */
     unsigned timeoutFactor = kDefaultTimeoutFactor;
-    /**
-     * Real-wall-clock watchdog per faulty run, in seconds (0 = off).
-     * Distinct from the SIMULATED timeoutFactor budget: this one
-     * catches a fault that wedges the simulator itself (a livelock
-     * that keeps ticking without the cycle budget ever firing).  The
-     * check runs every few hundred simulated cycles, so it cannot
-     * interrupt a hang inside one tick — it is an operational guard,
-     * not a preemption mechanism.  A watchdog trip quarantines the
-     * injection; because it depends on host speed, leave it off when
-     * byte-reproducibility across machines matters more than liveness.
-     */
-    double wallClockLimit = 0.0;
     /** Quarantine-guard policy (see QuarantinePolicy). */
     QuarantinePolicy quarantine = QuarantinePolicy::Continue;
     /**
      * TEST-ONLY hook, invoked once per simulated cycle after the flip
      * has been applied.  Lets tests model a pathological fault that
-     * corrupts the simulator: throw to exercise the quarantine guard,
-     * or burn wall clock to exercise the watchdog.  Cycles the
-     * reconvergence step skips are not simulated, so a test that must
-     * see every post-flip cycle sets checkpointInterval to 0.  Never
-     * set in production paths; not part of any content hash.
+     * corrupts the simulator: throw to exercise the quarantine guard.
+     * Cycles the reconvergence step skips are not simulated, so a test
+     * that must see every post-flip cycle sets checkpointInterval to 0.
+     * Never set in production paths; not part of any content hash.
      */
     std::function<void(const Fault &, Cycle)> injectHook;
 };
@@ -289,10 +276,9 @@ class InjectionRunner
      * checkpoint past it.
      *
      * The run is executed under the quarantine guard: a simulator
-     * exception or a wall-clock-watchdog trip is recorded as a
-     * QuarantineRecord (policy Continue; the outcome is Crash) or
-     * aborts with FatalError (policy Fail) — a pathological fault can
-     * never take the campaign down with it.  @p detail, when given,
+     * exception is recorded as a QuarantineRecord (policy Continue;
+     * the outcome is Crash) or aborts with FatalError (policy Fail) —
+     * a pathological fault can never take the campaign down with it.  @p detail, when given,
      * receives the quarantine verdict.
      */
     Outcome inject(const Fault &fault, const GoldenRun &ref,

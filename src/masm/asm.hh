@@ -33,21 +33,20 @@
 #ifndef MERLIN_MASM_ASM_HH
 #define MERLIN_MASM_ASM_HH
 
-#include <stdexcept>
 #include <string>
 
+#include "base/logging.hh"
 #include "isa/program.hh"
 
 namespace merlin::masm
 {
 
-/** Raised on any syntax or semantic assembly error ("name:line: msg"). */
-class AsmError : public std::runtime_error
+/** Raised on any syntax or semantic assembly error ("name:line: msg");
+ *  a FatalError like every other malformed-input diagnostic. */
+class AsmError : public FatalError
 {
   public:
-    explicit AsmError(const std::string &msg)
-        : std::runtime_error(msg)
-    {}
+    explicit AsmError(const std::string &msg) : FatalError(msg) {}
 };
 
 /**

@@ -105,8 +105,7 @@ struct CampaignResult
 
     /**
      * Injections the quarantine guard caught (escaped simulator
-     * exceptions, wall-clock-watchdog trips), sorted by (fault key,
-     * reason).  Each counted Crash in the class distributions; the
+     * exceptions), sorted by (fault key, reason).  Each counted Crash in the class distributions; the
      * campaign completed despite them.  Empty in the common case.
      */
     std::vector<faultsim::QuarantineRecord> quarantine;

@@ -532,10 +532,9 @@ CampaignService::runJob(Job &job)
     obs::ProgressSink *progress = primaryProgress(job);
     const auto wl = workloadFor(spec.workload);
     core::CampaignConfig cc = spec.campaignConfig(*wl);
-    // Fault-tolerance knobs ride on the service config, not the spec:
-    // they decide how failures are handled, never what a healthy
+    // The quarantine policy rides on the service config, not the spec:
+    // it decides how failures are handled, never what a healthy
     // campaign computes.
-    cc.runner.wallClockLimit = cfg_.injectWallLimit;
     cc.runner.quarantine = cfg_.quarantineFail
                                ? faultsim::QuarantinePolicy::Fail
                                : faultsim::QuarantinePolicy::Continue;

@@ -70,8 +70,7 @@ class CampaignService
          * `<storePath>.journal/`; a memory-only store has none.
          */
         std::string storePath;
-        /** Quarantine knobs (operational, never part of a spec). */
-        double injectWallLimit = 0.0;
+        /** Quarantine policy (operational, never part of a spec). */
         bool quarantineFail = false;
         /**
          * Load an existing store file at construction.  The batch

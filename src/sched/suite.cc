@@ -111,12 +111,47 @@ checkSpecMembers(const Json &j, const char *what)
     }
 }
 
+/**
+ * Member @p name of @p j read by @p read, or @p def when absent.  A
+ * present member of the wrong type is fatal() by name: Json's *Or
+ * accessors would read it as the default, and the campaign would be
+ * stored under the default's key.
+ */
+template <typename T, typename Read>
+T
+member(const Json &j, const char *name, T def, Read read, const char *want)
+{
+    const Json *v = j.find(name);
+    if (!v)
+        return def;
+    try {
+        return read(*v);
+    } catch (const FatalError &) {
+        fatal("suite spec: ", name, " ", v->dump(), " is not ", want);
+    }
+}
+
+/** An unsigned integer member, plain or a whole double ("2e3"). */
+std::uint64_t
+u64Member(const Json &j, const char *name, std::uint64_t def)
+{
+    return member(j, name, def, [](const Json &v) { return v.asU64(); },
+                  "an unsigned integer");
+}
+
+std::string
+strMember(const Json &j, const char *name, const std::string &def)
+{
+    return member(j, name, def,
+                  [](const Json &v) { return v.asString(); }, "a string");
+}
+
 /** Member @p name of @p j for an `unsigned` field; fatal() by name when
  *  the value does not fit instead of truncating it. */
 unsigned
 u32Member(const Json &j, const char *name, unsigned def)
 {
-    const std::uint64_t v = j.u64Or(name, def);
+    const std::uint64_t v = u64Member(j, name, def);
     if (v > std::numeric_limits<unsigned>::max())
         fatal("suite spec: ", name, " ", v, " does not fit in 32 bits");
     return static_cast<unsigned>(v);
@@ -139,7 +174,8 @@ positiveU32Member(const Json &j, const char *name, unsigned def)
 double
 fractionMember(const Json &j, const char *name, double def)
 {
-    const double v = j.numOr(name, def);
+    const double v = member(
+        j, name, def, [](const Json &m) { return m.asDouble(); }, "a number");
     if (!core::SamplingSpec::validFraction(v))
         fatal("suite spec: ", name, " ", v, " must be in (0, 1)");
     return v;
@@ -213,10 +249,10 @@ CampaignSpec::fromJson(const Json &j)
 {
     checkSpecMembers(j, "spec");
     CampaignSpec s;
-    s.workload = j.strOr("workload", "");
+    s.workload = strMember(j, "workload", "");
     if (s.workload.empty())
         fatal("suite spec: missing 'workload'");
-    s.structure = structureFromTag(j.strOr("structure", "rf"));
+    s.structure = structureFromTag(strMember(j, "structure", "rf"));
     // Geometry is checked against the same predicates the core and
     // cache assert, so a bad manifest or wire spec fails here, by
     // member name, instead of mid-suite inside the simulator.
@@ -233,12 +269,15 @@ CampaignSpec::fromJson(const Json &j)
     if (!uarch::CoreConfig::validL1dKb(s.l1dKb))
         fatal("suite spec: l1d_kb ", s.l1dKb,
               " is not a buildable L1D size");
-    if (const Json *w = j.find("window")) {
-        if (!w->isNull())
-            s.window = w->asU64();
-    }
-    if (const Json *f = j.find("faults")) {
-        const std::uint64_t faults = f->asU64();
+    if (const Json *w = j.find("window"); w && !w->isNull())
+        s.window = u64Member(j, "window", 0);
+    if (j.find("faults")) {
+        // parseManifest sheds a style inherited from the defaults, so
+        // both styles here were given at one level.
+        if (j.find("confidence") || j.find("error_margin"))
+            fatal("suite spec: faults and confidence/error_margin are "
+                  "two sampling styles; give one");
+        const std::uint64_t faults = u64Member(j, "faults", 0);
         if (faults == 0)
             fatal("suite spec: faults 0 must be at least 1");
         s.sampling = core::specFixed(faults);
@@ -248,16 +287,18 @@ CampaignSpec::fromJson(const Json &j)
         s.sampling.errorMargin =
             fractionMember(j, "error_margin", s.sampling.errorMargin);
     }
-    s.grouping.split = splitFromTag(j.strOr("split", "byte"));
+    s.grouping.split = splitFromTag(strMember(j, "split", "byte"));
     s.grouping.maxGroupSize =
         positiveU32Member(j, "max_group_size", s.grouping.maxGroupSize);
     s.grouping.repsPerGroup =
         positiveU32Member(j, "reps_per_group", s.grouping.repsPerGroup);
-    s.seed = j.u64Or("seed", s.seed);
+    s.seed = u64Member(j, "seed", s.seed);
     s.timeoutFactor =
         positiveU32Member(j, "timeout_factor", s.timeoutFactor);
-    s.mode = modeFromTag(j.strOr("mode", "estimate"));
-    s.relyzer = j.boolOr("relyzer", false);
+    s.mode = modeFromTag(strMember(j, "mode", "estimate"));
+    s.relyzer = member(j, "relyzer", false,
+                       [](const Json &v) { return v.asBool(); },
+                       "true or false");
     s.pathDepth = u32Member(j, "path_depth", s.pathDepth);
     return s;
 }
@@ -296,15 +337,18 @@ parseManifest(const Json &manifest)
         Json merged = defaults;
         for (const auto &[name, value] : entry.members())
             merged.set(name, value);
-        // The two sampling styles compete ('faults' wins in fromJson):
-        // an entry that explicitly chooses one style must shed the
-        // other style inherited from the defaults, or a defaults-level
-        // 'faults' would silently override a per-campaign margin.
-        if (entry.find("faults")) {
+        // The two sampling styles compete: an entry that chooses one
+        // style sheds the other style inherited from the defaults, or a
+        // defaults-level 'faults' would silently override a
+        // per-campaign margin.  An entry naming both is refused by
+        // fromJson.
+        const bool fixed = entry.find("faults") != nullptr;
+        const bool margin = entry.find("confidence") ||
+                            entry.find("error_margin");
+        if (fixed && !margin) {
             merged.erase("confidence");
             merged.erase("error_margin");
-        } else if (entry.find("confidence") ||
-                   entry.find("error_margin")) {
+        } else if (margin && !fixed) {
             merged.erase("faults");
         }
         specs.push_back(CampaignSpec::fromJson(merged));
@@ -357,7 +401,6 @@ SuiteScheduler::run()
     CampaignService::Config cfg;
     cfg.jobs = opts_.jobs;
     cfg.storePath = opts_.storePath;
-    cfg.injectWallLimit = opts_.injectWallLimit;
     cfg.quarantineFail = opts_.quarantineFail;
     cfg.loadStore = opts_.reuseCached;
     cfg.startPaused = true;

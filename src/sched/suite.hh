@@ -86,9 +86,10 @@ struct CampaignSpec
     io::Json toJson() const;
 
     /**
-     * Inverse of toJson().  Unknown members, and values the engine
+     * Inverse of toJson().  Unknown members, members of the wrong
+     * JSON type, both sampling styles at once, and values the engine
      * could not run (a geometry the core or cache would reject, an
-     * integer that does not fit its field), are fatal() by member
+     * integer that does not fit its field) are fatal() by member
      * name.
      */
     static CampaignSpec fromJson(const io::Json &j);
@@ -136,13 +137,11 @@ struct SuiteOptions
      */
     bool reuseCached = false;
     /**
-     * Per-injection real-wall-clock watchdog in seconds (0 = off),
-     * and what to do when the quarantine guard fires.  Operational
-     * knobs, deliberately NOT spec members: a quarantined injection
-     * is counted Crash either way, so they never change the bytes a
-     * clean campaign stores — only whether a sick one survives.
+     * Abort on the first quarantined injection instead of counting it
+     * Crash.  Operational, deliberately NOT a spec member: it never
+     * changes the bytes a clean campaign stores — only whether a sick
+     * one completes.
      */
-    double injectWallLimit = 0.0;
     bool quarantineFail = false;
     /**
      * Live-progress outputs (strictly out-of-band, never part of the

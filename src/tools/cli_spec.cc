@@ -1,5 +1,6 @@
 #include "tools/cli_spec.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -64,16 +65,6 @@ Args::get(const std::string &k, const std::string &def) const
     return v ? *v : def;
 }
 
-std::uint64_t
-Args::getU(const std::string &k, std::uint64_t def) const
-{
-    // One strict parser for every numeric flag (base::parseU64):
-    // signs, whitespace, trailing junk and overflow are all fatal,
-    // where raw strtoull would wrap "-1" to 2^64-1 silently.
-    const std::string *v = value(k);
-    return v ? base::parseU64(*v, "--" + k) : def;
-}
-
 unsigned
 Args::getU32(const std::string &k, unsigned def) const
 {
@@ -88,6 +79,32 @@ Args::getD(const std::string &k, double def) const
     return v ? base::parseDouble(*v, "--" + k) : def;
 }
 
+namespace
+{
+
+/** Flags that no longer exist, and what a user should know instead. */
+const std::pair<const char *, const char *> kRetiredFlags[] = {
+    {"sq", "campaign's --sq is now --sq-entries"},
+    {"l1d", "campaign's --l1d is now --l1d-kb"},
+    {"margin", "campaign's --margin is now --error-margin"},
+    {"conf", "campaign's --conf is now --confidence"},
+    {"truth", "campaign's --truth is now --mode truth"},
+    {"inject-wall-limit", "the wall-clock watchdog is retired: the "
+                          "timeout factor bounds every faulty run"},
+};
+
+[[noreturn]] void
+unknownFlag(const char *what, const std::string &flag)
+{
+    for (const auto &[name, note] : kRetiredFlags) {
+        if (flag == name)
+            fatal(what, ": unknown flag '--", flag, "' (", note, ")");
+    }
+    fatal(what, ": unknown flag '--", flag, "'");
+}
+
+} // namespace
+
 void
 requireKnownFlags(const Args &args,
                   std::initializer_list<const char *> known,
@@ -95,11 +112,8 @@ requireKnownFlags(const Args &args,
 {
     for (const auto &[flag, value] : args.kv) {
         (void)value;
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || flag == k;
-        if (!ok)
-            fatal(what, ": unknown flag '--", flag, "'");
+        if (std::find(known.begin(), known.end(), flag) == known.end())
+            unknownFlag(what, flag);
     }
 }
 
@@ -166,37 +180,8 @@ finishTelemetry(const Args &args)
 
 // ------------------------------------------------------- flag grammars
 
-uarch::Structure
-parseStructure(const std::string &s)
-{
-    if (s == "rf" || s == "RF")
-        return uarch::Structure::RegisterFile;
-    if (s == "sq" || s == "SQ")
-        return uarch::Structure::StoreQueue;
-    if (s == "l1d" || s == "L1D")
-        return uarch::Structure::L1DCache;
-    fatal("unknown structure '", s, "' (use rf | sq | l1d)");
-}
-
 namespace
 {
-
-/**
- * Seconds value of --k, rejected by name when negative, or zero unless
- * @p zero_ok.  The library clamps such values quietly (a negative
- * watchdog is off, a non-positive progress period is one second), so a
- * typo must fail here instead.
- */
-double
-secondsFlag(const Args &args, const std::string &k, double def,
-            bool zero_ok)
-{
-    const double v = args.getD(k, def);
-    if (v < 0 || (v == 0 && !zero_ok))
-        fatal("--", k, ": ", v,
-              zero_ok ? " must be at least 0" : " must be positive");
-    return v;
-}
 
 /** --jobs N (0 = every hardware thread), capped by name for every
  *  command before any pool exists. */
@@ -207,11 +192,28 @@ jobsFlag(const Args &args, unsigned def)
                                           "--jobs");
 }
 
-/** --inject-wall-limit SECONDS, the same check for every command. */
-double
-injectWallLimit(const Args &args)
+/**
+ * The JSON value of spec flag --@p flag.  A bare flag is `true`, which
+ * only a boolean member of the default spec takes; any other member
+ * given bare has lost its value.
+ */
+io::Json
+flagValue(const std::string &flag, const std::optional<std::string> &text,
+          const io::Json &default_spec, const std::string &member)
 {
-    return secondsFlag(args, "inject-wall-limit", 0.0, true);
+    if (!text) {
+        const io::Json *d = default_spec.find(member);
+        if (!d || !d->isBool())
+            fatal("--", flag, " needs a value");
+        return true;
+    }
+    try {
+        io::Json v = io::Json::parse(*text);
+        if (v.isNumber() || v.isBool() || v.isNull())
+            return v;
+    } catch (const FatalError &) {
+    }
+    return *text;
 }
 
 } // namespace
@@ -227,62 +229,39 @@ parseQuarantineFail(const Args &args)
     fatal("--quarantine: '", q, "' is not fail|continue");
 }
 
-core::CampaignConfig
-campaignConfig(const Args &args, std::uint64_t default_window)
+sched::CampaignSpec
+specFromFlags(const Args &args,
+              std::initializer_list<const char *> operational,
+              const char *what)
 {
-    core::CampaignConfig cc;
-    cc.target = parseStructure(args.get("structure", "rf"));
-    // Sizes are checked by flag name against the predicates the core,
-    // the cache and suite specs use, so a bad value fails here instead
-    // of as an assertion inside the simulator.
-    const unsigned regs = args.getU32("regs", 256);
-    if (!uarch::CoreConfig::validPhysIntRegs(regs))
-        fatal("--regs: ", regs, " must exceed the ",
-              isa::NUM_RENAMEABLE_REGS,
-              " renameable architectural registers and be at most 65535");
-    const unsigned sq = args.getU32("sq", 64);
-    if (!uarch::CoreConfig::validSqEntries(sq))
-        fatal("--sq: ", sq, " must be at least 1");
-    const unsigned l1d = args.getU32("l1d", 64);
-    if (!uarch::CoreConfig::validL1dKb(l1d))
-        fatal("--l1d: ", l1d, " KB is not a buildable L1D size");
-    cc.core = uarch::CoreConfig{}
-                  .withRegisterFile(regs)
-                  .withStoreQueue(sq)
-                  .withL1dKb(l1d);
-    cc.core.instructionWindowEnd = args.getU("window", default_window);
-    // Sampling fractions are checked by flag name, not left to trip the
-    // statistics library's domain assertions.
-    if (args.has("conf") && !args.has("margin"))
-        fatal("--conf requires --margin");
-    const double margin = args.getD("margin", 0.0063);
-    if (!core::SamplingSpec::validFraction(margin))
-        fatal("--margin: ", margin, " must be in (0, 1)");
-    const double conf = args.getD("conf", 0.998);
-    if (!core::SamplingSpec::validFraction(conf))
-        fatal("--conf: ", conf, " must be in (0, 1)");
-    if (args.has("faults")) {
-        const std::uint64_t faults = args.getU("faults", 2000);
-        if (faults == 0)
-            fatal("--faults: 0 must be at least 1");
-        cc.sampling = core::specFixed(faults);
-    } else if (args.has("margin")) {
-        cc.sampling.errorMargin = margin;
-        cc.sampling.confidence = conf;
-    } else {
-        cc.sampling = core::specFixed(2000);
+    const io::Json default_spec = sched::CampaignSpec{}.toJson();
+    io::Json entry = io::Json::object();
+    for (const auto &[flag, text] : args.kv) {
+        if (std::find(operational.begin(), operational.end(), flag) !=
+            operational.end())
+            continue;
+        std::string member = flag;
+        std::replace(member.begin(), member.end(), '-', '_');
+        if (flag.find('_') != std::string::npos ||
+            !sched::isSpecMember(member))
+            unknownFlag(what, flag);
+        entry.set(member, flagValue(flag, text, default_spec, member));
     }
-    cc.seed = args.getU("seed", 1);
+    io::Json manifest = io::Json::object();
+    manifest.set("defaults",
+                 io::Json::parse(R"({"workload": "qsort", "faults": 2000})"));
+    io::Json campaigns = io::Json::array();
+    campaigns.push(std::move(entry));
+    manifest.set("campaigns", std::move(campaigns));
+    return sched::parseManifest(manifest).front();
+}
+
+core::CampaignConfig
+runConfig(const sched::CampaignSpec &spec, const workloads::BuiltWorkload &w,
+          const Args &args)
+{
+    core::CampaignConfig cc = spec.campaignConfig(w);
     cc.jobs = jobsFlag(args, 1);
-    // Engine settings keep their RunnerOptions defaults: they decide
-    // how fast the engine reaches an outcome, never which one.  The
-    // timeout factor moves the Timeout boundary; the watchdog and the
-    // quarantine policy are operational.
-    cc.runner.timeoutFactor = args.getU32(
-        "timeout-factor", faultsim::RunnerOptions::kDefaultTimeoutFactor);
-    if (cc.runner.timeoutFactor == 0)
-        fatal("--timeout-factor: 0 must be at least 1");
-    cc.runner.wallClockLimit = injectWallLimit(args);
     cc.runner.quarantine = parseQuarantineFail(args)
                                ? faultsim::QuarantinePolicy::Fail
                                : faultsim::QuarantinePolicy::Continue;
@@ -296,14 +275,19 @@ suiteOptionsFromArgs(const Args &args)
     opts.jobs = jobsFlag(args, 1);
     opts.storePath = args.get("out");
     opts.reuseCached = args.has("resume");
-    opts.injectWallLimit = injectWallLimit(args);
     opts.quarantineFail = parseQuarantineFail(args);
     // --progress / --progress=SECS: periodic stderr line (a bare flag
     // means one second).  --progress-json FILE additionally rewrites a
     // machine-readable progress file at the same cadence.
     opts.progressStderr = args.has("progress");
-    if (opts.progressStderr && args.kv.at("progress"))
-        opts.progressInterval = secondsFlag(args, "progress", 1.0, false);
+    if (opts.progressStderr && args.kv.at("progress")) {
+        // The library clamps a non-positive period to one second, so a
+        // typo must fail here instead.
+        opts.progressInterval = args.getD("progress", 1.0);
+        if (opts.progressInterval <= 0)
+            fatal("--progress: ", opts.progressInterval,
+                  " must be positive");
+    }
     opts.progressPath = args.get("progress-json");
     if (opts.reuseCached && opts.storePath.empty())
         fatal("--resume requires --out <results.json>");
@@ -318,7 +302,6 @@ serviceConfigFromArgs(const Args &args)
     // campaign engine — where the one-shot suite defaults to 1.
     cfg.jobs = jobsFlag(args, 0);
     cfg.storePath = args.get("store");
-    cfg.injectWallLimit = injectWallLimit(args);
     cfg.quarantineFail = parseQuarantineFail(args);
     // The daemon always warms from its store: a persistent cache is
     // the point of process-lifetime service.
@@ -355,9 +338,13 @@ printCampaign(const core::CampaignResult &r, std::uint64_t bits)
         std::printf("  %-8s %7.3f%%\n", faultsim::outcomeName(o),
                     100.0 * r.merlinEstimate.fraction(o));
     }
-    std::printf("AVF %.3f%%  FIT %.4f (0.01 FIT/bit x %llu bits)\n",
-                100 * r.merlinEstimate.avf(), r.merlinFit(bits),
-                static_cast<unsigned long long>(bits));
+    if (r.merlinEstimate.total() == 0)
+        std::printf("AVF not estimated: a grouping-only campaign injects "
+                    "nothing\n");
+    else
+        std::printf("AVF %.3f%%  FIT %.4f (0.01 FIT/bit x %llu bits)\n",
+                    100 * r.merlinEstimate.avf(), r.merlinFit(bits),
+                    static_cast<unsigned long long>(bits));
     if (r.survivorTruth) {
         std::printf("ground truth: AVF %.3f%%; max class inaccuracy "
                     "%.2f pp; homogeneity %.3f\n",

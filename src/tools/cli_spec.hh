@@ -33,7 +33,7 @@ namespace merlin::tools
 /** Minimal --key value / --flag parser. */
 struct Args
 {
-    /** Flag -> value; nullopt for a bare flag (`--truth`). */
+    /** Flag -> value; nullopt for a bare flag (`--relyzer`). */
     std::map<std::string, std::optional<std::string>> kv;
 
     /** fatal() on a flag given twice (`--faults 5 --faults=7`). */
@@ -46,12 +46,8 @@ struct Args
      *  accessor below does the same). */
     std::string get(const std::string &k,
                     const std::string &def = "") const;
-    /** Unsigned value of --k; fatal() on garbage instead of reading
-     *  0 (one strict parser, base::parseU64, for every numeric
-     *  flag). */
-    std::uint64_t getU(const std::string &k, std::uint64_t def) const;
-    /** Like getU but range-checked for `unsigned` destinations, so a
-     *  2^32 cannot truncate to 0 (for --jobs: "all threads"). */
+    /** Unsigned value of --k; fatal() on garbage, a sign or a value
+     *  that would truncate (to 0: "all threads" for --jobs). */
     unsigned getU32(const std::string &k, unsigned def) const;
     /** Floating-point value of --k; fatal() on garbage. */
     double getD(const std::string &k, double def) const;
@@ -62,10 +58,30 @@ struct Args
 };
 
 /** Reject flags outside @p known — a typo'd flag must not silently
- *  fall back to a default. */
+ *  fall back to a default.  A retired flag's diagnostic says what
+ *  replaced it. */
 void requireKnownFlags(const Args &args,
                        std::initializer_list<const char *> known,
                        const char *what);
+
+/**
+ * The CampaignSpec that `campaign`'s and `asm`'s flags name: each flag
+ * `--member-name` is member `member_name` of one manifest entry over
+ * {"workload": "qsort", "faults": 2000}, which parseManifest checks.
+ * A value is the JSON number, bool or null it parses as, else a
+ * string; a bare flag is `true`.  Flags in @p operational are the
+ * caller's; any other flag is fatal() by name.
+ */
+sched::CampaignSpec
+specFromFlags(const Args &args,
+              std::initializer_list<const char *> operational,
+              const char *what);
+
+/** @p spec's configuration for @p w, with --jobs and --quarantine
+ *  (how a campaign runs, never what it computes) on top. */
+core::CampaignConfig runConfig(const sched::CampaignSpec &spec,
+                               const workloads::BuiltWorkload &w,
+                               const Args &args);
 
 /** Write @p text to @p path atomically (temp file + rename). */
 void writeTextFile(const std::string &path, const std::string &text);
@@ -79,13 +95,8 @@ void writeTextFile(const std::string &path, const std::string &text);
 void startTelemetry(const Args &args);
 void finishTelemetry(const Args &args);
 
-uarch::Structure parseStructure(const std::string &s);
-
 /** --quarantine=fail|continue (the fault-tolerance policy switch). */
 bool parseQuarantineFail(const Args &args);
-
-core::CampaignConfig campaignConfig(const Args &args,
-                                    std::uint64_t default_window);
 
 /** Read and strictly parse the JSON file at @p path. */
 io::Json loadJsonFile(const std::string &path, const char *what);

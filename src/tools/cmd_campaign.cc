@@ -14,26 +14,20 @@ namespace merlin::tools
 int
 cmdCampaign(const Args &args)
 {
-    requireKnownFlags(args,
-                      {"workload", "structure", "regs", "sq", "l1d",
-                       "faults", "margin", "conf", "seed", "window",
-                       "truth", "relyzer", "jobs", "timeout-factor",
-                       "inject-wall-limit", "quarantine", "trace",
-                       "metrics"},
-                      "campaign");
-    auto w = workloads::buildWorkload(args.get("workload", "qsort"));
-    core::CampaignConfig cc = campaignConfig(
-        args, args.has("window") ? 0 : w.suggestedWindow);
+    const sched::CampaignSpec spec = specFromFlags(
+        args, {"jobs", "quarantine", "trace", "metrics"}, "campaign");
+    auto w = workloads::buildWorkload(spec.workload);
+    const core::CampaignConfig cc = runConfig(spec, w, args);
     startTelemetry(args);
     const obs::TimePoint t0 = obs::now();
     core::Campaign camp(w.program, cc);
-    auto r = camp.run(args.has("truth") ? core::CampaignMode::Truth
-                                        : core::CampaignMode::Estimate,
-                      args.has("relyzer"));
+    auto r = camp.run(spec.mode, spec.relyzer, spec.pathDepth);
     const double seconds = obs::secondsSince(t0);
     finishTelemetry(args);
     std::printf("== %s / %s ==\n", w.program.name.c_str(),
                 uarch::structureName(cc.target));
+    // The key `suite --out` stores this campaign's result under.
+    std::printf("spec key: %s\n", spec.key().c_str());
     printCampaign(r, structureBits(cc));
     printEngineStats(camp.runner().injectionStats(), seconds);
     return 0;

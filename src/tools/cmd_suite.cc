@@ -22,8 +22,7 @@ cmdSuite(const std::string &manifest_path, const Args &args)
 
     requireKnownFlags(args,
                       {"jobs", "out", "resume", "select", "quarantine",
-                       "inject-wall-limit", "trace", "metrics", "progress",
-                       "progress-json"},
+                       "trace", "metrics", "progress", "progress-json"},
                       "suite");
 
     sched::SuiteOptions opts = suiteOptionsFromArgs(args);

@@ -64,13 +64,19 @@ cmdRun(const Args &args)
 int
 cmdAsm(const Args &args)
 {
-    // The campaign flags are read through campaignConfig; --campaign
-    // names the structure.
-    requireKnownFlags(args,
-                      {"file", "campaign", "regs", "sq", "l1d", "faults",
-                       "margin", "conf", "seed", "window", "truth", "jobs",
-                       "timeout-factor", "inject-wall-limit", "quarantine"},
-                      "asm");
+    // --campaign names the structure, and the assembled program takes
+    // the workload's place, so neither member is a flag here.
+    for (const char *member : {"workload", "structure"}) {
+        if (args.has(member))
+            fatal("asm: unknown flag '--", member, "'");
+    }
+    Args spec_args = args;
+    if (args.has("campaign")) {
+        spec_args.kv.erase("campaign");
+        spec_args.kv["structure"] = args.get("campaign");
+    }
+    const sched::CampaignSpec spec =
+        specFromFlags(spec_args, {"file", "jobs", "quarantine"}, "asm");
     const std::string path = args.get("file");
     if (path.empty())
         fatal("asm requires --file <program.s>");
@@ -79,13 +85,14 @@ cmdAsm(const Args &args)
         fatal("cannot open '", path, "'");
     std::stringstream ss;
     ss << in.rdbuf();
-    isa::Program prog = masm::assemble(ss.str(), path);
+    workloads::BuiltWorkload w;
+    w.program = masm::assemble(ss.str(), path);
     std::printf("assembled %llu instructions, %zu data bytes\n",
                 static_cast<unsigned long long>(
-                    prog.instructionCount()),
-                prog.data.size());
+                    w.program.instructionCount()),
+                w.program.data.size());
 
-    uarch::Core core(prog, uarch::CoreConfig{});
+    uarch::Core core(w.program, uarch::CoreConfig{});
     auto r = core.run();
     std::printf("run: reason=%d exit=%d, %llu instructions, %llu "
                 "cycles, %zu output bytes\n",
@@ -95,13 +102,11 @@ cmdAsm(const Args &args)
                 r.output.size());
 
     if (args.has("campaign")) {
-        Args a2 = args;
-        a2.kv["structure"] = args.get("campaign");
-        core::CampaignConfig cc = campaignConfig(a2, 0);
+        // No spec key: it names a bundled workload, not this program.
+        const core::CampaignConfig cc = runConfig(spec, w, args);
         const obs::TimePoint t0 = obs::now();
-        core::Campaign camp(prog, cc);
-        auto res = camp.run(a2.has("truth") ? core::CampaignMode::Truth
-                                            : core::CampaignMode::Estimate);
+        core::Campaign camp(w.program, cc);
+        auto res = camp.run(spec.mode, spec.relyzer, spec.pathDepth);
         printCampaign(res, structureBits(cc));
         printEngineStats(camp.runner().injectionStats(),
                          obs::secondsSince(t0));

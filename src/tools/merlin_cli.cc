@@ -7,13 +7,17 @@
  *   merlin_cli run --workload qsort
  *       Execute a workload on the out-of-order core; print timing stats
  *       and verify the output against the reference implementation.
- *   merlin_cli campaign --workload qsort --structure rf
- *       [--regs N] [--sq N] [--l1d KB] [--faults N | --margin E --conf C]
- *       [--seed N] [--window N] [--truth] [--relyzer]
- *       [--jobs N] [--timeout-factor N]
- *       [--inject-wall-limit SECONDS] [--quarantine=fail|continue]
+ *   merlin_cli campaign [--workload qsort] [--structure rf|sq|l1d]
+ *       [--faults N | --confidence C --error-margin E]
+ *       [--mode estimate|truth|grouping_only] [--member-name VALUE]...
+ *       [--jobs N] [--quarantine=fail|continue]
  *       [--trace trace.json] [--metrics metrics.json]
- *       Run a MeRLiN campaign and print the reliability report.
+ *       Run a MeRLiN campaign and print the reliability report.  Each
+ *       --member-name flag sets the suite spec member member_name
+ *       (README, "Campaign suites"); the flags are one manifest entry
+ *       over {"workload": "qsort", "faults": 2000}, checked as a
+ *       manifest's are.  "spec key:" is the key `suite --out` stores
+ *       the same campaign under.
  *       --jobs N spreads the injections over N worker threads (0 = all
  *       hardware threads, at most 1024 for every command); results
  *       are bit-identical for any N.
@@ -25,18 +29,14 @@
  *       scales the paper's 3x-golden timeout rule — it moves the
  *       Timeout classification boundary, so keep the default when
  *       comparing against paper numbers.
- *       --inject-wall-limit SECONDS arms a real-wall-clock watchdog
- *       per faulty run (distinct from the simulated-cycle timeout;
- *       0, the default, is off and a negative value is rejected);
- *       an injection that trips it — or that throws out of the
- *       simulator — is quarantined: recorded by fault key + reason,
- *       counted Crash, and the campaign keeps going.
- *       --quarantine=fail aborts on the first quarantined injection
- *       instead (default: continue).
+ *       An injection that throws out of the simulator is quarantined:
+ *       recorded by fault key + reason, counted Crash, and the
+ *       campaign keeps going.  --quarantine=fail aborts on the first
+ *       quarantined injection instead (default: continue).
  *   merlin_cli suite manifest.json
  *       [--jobs N] [--out results.json] [--resume]
  *       [--select i/n]
- *       [--quarantine=fail|continue] [--inject-wall-limit SECONDS]
+ *       [--quarantine=fail|continue]
  *       [--trace trace.json] [--metrics metrics.json]
  *       [--progress[=SECS]] [--progress-json FILE]
  *       Run a whole suite of campaigns (one JSON manifest entry each)
@@ -80,11 +80,12 @@
  *       Merging the --out stores of a suite's --select workers
  *       reproduces the single-host store byte-for-byte.
  *   merlin_cli asm --file prog.s [--campaign rf|sq|l1d]
- *       [--regs N] [--sq N] [--l1d KB] [--faults N | --margin E --conf C]
- *       [--seed N] [--window N] [--truth] [--jobs N] [--timeout-factor N]
- *       [--inject-wall-limit SECONDS] [--quarantine=fail|continue]
+ *       [campaign's spec flags but --workload and --structure]
+ *       [--jobs N] [--quarantine=fail|continue]
  *       Assemble a user program, run it, optionally run a campaign on
- *       the --campaign structure with `campaign`'s flags.
+ *       the --campaign structure with `campaign`'s flags.  The report
+ *       prints no spec key: a spec names a bundled workload, not an
+ *       assembled program.
  *
  * Campaign-service client mode (see docs/wire-protocol.md and
  * `merlin_serve --help` for the daemon side):
@@ -143,7 +144,6 @@ main(int argc, char **argv)
                              "[--resume] "
                              "[--select i/n] "
                              "[--quarantine=fail|continue] "
-                             "[--inject-wall-limit SECONDS] "
                              "[--trace trace.json] "
                              "[--metrics metrics.json] "
                              "[--progress[=SECS]] "

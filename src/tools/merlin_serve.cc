@@ -3,8 +3,7 @@
  * merlin_serve — the campaign service as a daemon.
  *
  *   merlin_serve --socket /run/merlin.sock [--store results.json]
- *       [--jobs N] [--inject-wall-limit SECONDS]
- *       [--quarantine=fail|continue]
+ *       [--jobs N] [--quarantine=fail|continue]
  *       [--trace trace.json] [--metrics metrics.json]
  *
  * One resident sched::CampaignService behind a Unix domain socket
@@ -448,8 +447,7 @@ main(int argc, char **argv)
     try {
         const Args args = Args::parse(argc, argv, 1);
         tools::requireKnownFlags(args,
-                                 {"socket", "store", "jobs",
-                                  "inject-wall-limit", "quarantine",
+                                 {"socket", "store", "jobs", "quarantine",
                                   "trace", "metrics"},
                                  "merlin_serve");
         return serve(args);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -1023,42 +1022,6 @@ TEST(Quarantine, PolicyFailAbortsTheCampaign)
     InjectionRunner runner(prog, uarch::CoreConfig{}, opts);
     auto g = runner.golden();
     EXPECT_THROW(runner.inject(midRunFault(g), g), FatalError);
-}
-
-TEST(Quarantine, WallClockWatchdogTripsOnAWedgedRun)
-{
-    auto prog = loopProgram();
-    RunnerOptions opts;
-    opts.wallClockLimit = 0.02;
-    opts.checkpointInterval = 0;
-    // A livelock model: every post-flip cycle burns ~1ms of real time
-    // while the simulated cycle budget stays far from its bound, so
-    // only the watchdog can end the run.  The check cadence is every
-    // 256 ticks; 0.02s is exceeded long before then.
-    opts.injectHook = [](const Fault &, Cycle) {
-        const auto until =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(1);
-        while (std::chrono::steady_clock::now() < until) {
-        }
-    };
-    uarch::CoreConfig cfg;
-    InjectionRunner runner(prog, cfg, opts);
-    auto g = runner.golden();
-
-    // A dead-register flip early in the run: the simulation itself
-    // would run (and mask) to completion, so plenty of post-flip
-    // cycles pass a watchdog checkpoint.
-    Fault f;
-    f.structure = Structure::RegisterFile;
-    f.entry = cfg.numPhysIntRegs - 1;
-    f.bit = 5;
-    f.cycle = 1;
-    InjectDetail detail;
-    EXPECT_EQ(runner.inject(f, g, &detail), Outcome::Crash);
-    EXPECT_TRUE(detail.quarantined);
-    EXPECT_NE(detail.reason.find("wall-clock watchdog"),
-              std::string::npos);
 }
 
 } // namespace

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "base/bits.hh"
 #include "isa/isa.hh"
 #include "masm/asm.hh"
+#include "mutants.hh"
 
 namespace merlin::masm
 {
@@ -251,6 +255,46 @@ TEST(MasmErrors, ImmediateOverflow)
 {
     EXPECT_THROW(assemble("addi a0, a0, 0x100000000\nhalt 0\n", "t"),
                  AsmError);
+}
+
+/**
+ * Every prefix and bit flip of a program either assembles or fails with
+ * FatalError (AsmError is one): no other exception, crash or sanitizer
+ * report.  tiny.s is the CLI smokes' program; the inline one adds
+ * labels, data directives, memory operands and pseudo-instructions.
+ */
+TEST(MasmMutants, EveryPrefixAndBitFlipAssemblesOrFailsByName)
+{
+    std::ifstream in(std::string(MERLIN_SOURCE_DIR) +
+                     "/tests/fixtures/tiny.s");
+    ASSERT_TRUE(in);
+    std::stringstream tiny;
+    tiny << in.rdbuf();
+    const std::string rich = ".data\n"
+                             "tab: .quad 1, 2, 3\n"
+                             "b:   .byte 0xff\n"
+                             "     .align 4\n"
+                             "s:   .asciz \"hi\"\n"
+                             ".text\n"
+                             "start:\n"
+                             "  la a0, tab\n"
+                             "  ld.d a1, [a0+8]\n"
+                             "  li a2, 0x123456789\n"
+                             "  add a1, a1, a2\n"
+                             "  beq a1, a0, start\n"
+                             "  out.d a1\n"
+                             "  halt 0\n";
+    for (const std::string &doc : {tiny.str(), rich}) {
+        ASSERT_NO_THROW(assemble(doc, "original"));
+        const auto parse = [](const std::string &src) {
+            assemble(src, "mutant");
+        };
+        const test::MutantTally prefixes = test::feedPrefixes(doc, parse);
+        const test::MutantTally flips = test::feedBitFlips(doc, parse);
+        // The mutators reach both sides of the parser.
+        EXPECT_GT(prefixes.accepted + flips.accepted, 0u);
+        EXPECT_GT(prefixes.rejected + flips.rejected, 0u);
+    }
 }
 
 } // namespace

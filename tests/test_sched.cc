@@ -227,6 +227,28 @@ TEST(Manifest, RejectsTyposAndMissingFields)
         expectRejected("\"" + std::string(member) + "\":0", member);
     // A fixed count of 0 samples nothing: no measurement to store.
     expectRejected("\"faults\":0", "faults");
+    // A present member of the wrong type is refused, not read as its
+    // default (which would store the campaign under the default's key).
+    expectRejected("\"sq_entries\":\"8\"", "sq_entries");
+    expectRejected("\"seed\":-3", "seed");
+    expectRejected("\"mode\":1", "mode");
+    expectRejected("\"relyzer\":\"yes\"", "relyzer");
+    expectRejected("\"structure\":1", "structure");
+    expectRejected("\"split\":3", "split");
+    expectRejected("\"window\":\"100\"", "window");
+    expectRejected("\"faults\":\"5\"", "faults");
+    expectRejected("\"confidence\":\"0.9\"", "confidence");
+    expectRejected("\"seed\":1.5", "seed");
+    try {
+        parseManifest(Json::parse("{\"campaigns\":[{\"workload\":5}]}"));
+        ADD_FAILURE() << "a numeric workload was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("workload 5"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Both sampling styles in one entry: neither may silently win.
+    expectRejected("\"faults\":5,\"confidence\":0.9", "faults");
     // The edges of the accepted ranges still parse.
     const auto specs = parseManifest(Json::parse(
         "{\"campaigns\":[{\"workload\":\"qsort\",\"regs\":35,"
