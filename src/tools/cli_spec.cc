@@ -325,12 +325,15 @@ printCampaign(const core::CampaignResult &r, std::uint64_t bits)
                 static_cast<unsigned long long>(r.goldenInstret),
                 static_cast<unsigned long long>(r.goldenCycles),
                 100 * r.aceAvf);
+    // A grouping-only campaign plans its representatives and runs none.
+    const bool estimated = r.merlinEstimate.total() != 0;
     std::printf("faults: %llu initial -> %llu survivors -> %llu "
-                "injected (%.1fX / %.1fX)\n",
+                "%s (%.1fX / %.1fX)\n",
                 static_cast<unsigned long long>(r.initialFaults),
                 static_cast<unsigned long long>(r.survivors),
                 static_cast<unsigned long long>(r.injections),
-                r.speedupAce, r.speedupTotal);
+                estimated ? "injected" : "planned", r.speedupAce,
+                r.speedupTotal);
     for (unsigned c = 0; c < faultsim::NUM_OUTCOMES; ++c) {
         auto o = static_cast<faultsim::Outcome>(c);
         if (r.merlinEstimate.of(o) == 0)
@@ -338,7 +341,7 @@ printCampaign(const core::CampaignResult &r, std::uint64_t bits)
         std::printf("  %-8s %7.3f%%\n", faultsim::outcomeName(o),
                     100.0 * r.merlinEstimate.fraction(o));
     }
-    if (r.merlinEstimate.total() == 0)
+    if (!estimated)
         std::printf("AVF not estimated: a grouping-only campaign injects "
                     "nothing\n");
     else
@@ -425,7 +428,7 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
             specs[i].workload.c_str(),
             uarch::structureName(specs[i].structure),
             specs[i].mode == sched::CampaignSpec::Mode::GroupingOnly
-                ? "grouping-only"
+                ? "grouping_only"
                 : (specs[i].mode == sched::CampaignSpec::Mode::Truth
                        ? "truth"
                        : "estimate"),

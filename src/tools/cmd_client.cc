@@ -219,6 +219,7 @@ cmdResult(const Args &args)
     const core::CampaignConfig cc = spec.campaignConfig(w);
     std::printf("== %s / %s ==\n", spec.workload.c_str(),
                 uarch::structureName(cc.target));
+    std::printf("spec key: %s\n", spec.key().c_str());
     printCampaign(r, structureBits(cc));
     return 0;
 }

@@ -72,6 +72,18 @@ class Cache
      */
     AccessResult access(Addr addr, bool is_write);
 
+    /**
+     * A read of the line the caller knows is resident at (@p set,
+     * @p way): stamps LRU and counts the hit exactly as access() would,
+     * without the tag search.
+     */
+    void
+    touchHit(std::uint32_t set, std::uint32_t way)
+    {
+        lines_.mut(setBase(set) + way).lruStamp = ++lruCounter_;
+        ++hits_;
+    }
+
     /** Read up to 8 bytes from a resident line (no alignment checks). */
     std::uint64_t readBytes(std::uint32_t set, std::uint32_t way,
                             std::uint32_t offset, unsigned size) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
-#include <tuple>
 #include <vector>
 
 #include "base/bits.hh"
@@ -20,9 +19,6 @@ using isa::UopKind;
 
 namespace
 {
-/** The uop a fetch-trap entry carries (it never executes). */
-const StaticUop kNoUop{};
-
 /**
  * Bytes [offset, offset + size) of an 8-byte entry as a byte mask.
  * Loads and stores are 1, 2, 4 or 8 bytes and SegmentedMemory::check
@@ -82,10 +78,14 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
     }
 
     rob_.assign(std::bit_ceil(cfg_.robEntries), RobEntry{});
+    robCtrl_.assign(rob_.size(), RobCtrl{});
     robMask_ = rob_.size() - 1;
     if (probe_)
         pending_.assign(rob_.size(), PendingReads{});
-    iq_.reserve(cfg_.iqEntries);
+    robWords_ = static_cast<std::uint32_t>((rob_.size() + 63) / 64);
+    iqMask_.assign(robWords_, 0);
+    readyMask_.assign(robWords_, 0);
+    waiters_.assign(std::size_t(cfg_.numPhysIntRegs) * robWords_, 0);
     sq_.assign(cfg_.sqEntries, SqEntry{});
     sqData_.assign(cfg_.sqEntries, 0);
     // Fetch stops at kUopQueueFetchLimit uops and then adds at most a
@@ -114,6 +114,15 @@ Core::decodeText(const isa::SegmentedMemory &mem)
             d.directTarget = static_cast<std::uint32_t>(insn->imm);
             d.numUops =
                 static_cast<std::uint8_t>(isa::expand(*insn, pc, d.uops));
+            // The control uop is always the last uop of its macro.
+            const StaticUop &ctrl = d.uops[d.numUops - 1];
+            if (isa::isCondBranch(d.op))
+                d.ctrl = CtrlKind::Cond;
+            else if (d.op == Opcode::JMP || d.op == Opcode::CALL)
+                d.ctrl = CtrlKind::Direct;
+            else if (isa::isControlFlow(d.op))
+                d.ctrl = ctrl.isReturn ? CtrlKind::Return : CtrlKind::Indirect;
+            d.isCall = d.ctrl != CtrlKind::None && ctrl.isCall;
         }
         text->push_back(d);
     }
@@ -145,9 +154,10 @@ Core::deepStateBytes() const
     n += prfReady_.size();
     n += freeList_.size() * sizeof(std::uint16_t);
     n += sizeof(renameMap_) + sizeof(commitMap_);
-    n += rob_.size() * sizeof(RobEntry);
+    n += rob_.size() * (sizeof(RobEntry) + sizeof(RobCtrl));
     n += pending_.size() * sizeof(PendingReads);
-    n += iq_.size() * sizeof(IqEntry);
+    n += (iqMask_.size() + readyMask_.size() + waiters_.size()) *
+         sizeof(std::uint64_t);
     n += completions_.size() * sizeof(Completion);
     n += sq_.size() * sizeof(SqEntry);
     n += sqData_.size() * sizeof(std::uint64_t);
@@ -256,6 +266,10 @@ Core::robMatches(const Core &o) const
     const SeqNum live = robTailSeq_ - robHeadSeq_;
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         const RobEntry &a = rob_[i];
+        // A control slot's prediction and outcome sit in robCtrl_; a
+        // non-control slot's are blank, so they never differ there.
+        if (a.isCtrl && !(robCtrl_[i] == o.robCtrl_[i]))
+            return false;
         if (a == o.rob_[i])
             continue;
         // A dead slot's result copy is never read: rename resets the
@@ -297,35 +311,14 @@ Core::diff(const Core &o, StateDelta &delta) const
                     std::begin(o.commitMap_))) {
         return false;
     }
-    if (sq_ != o.sq_ || !robMatches(o) || iq_ != o.iq_ ||
+    if (sq_ != o.sq_ || !robMatches(o) || iqMask_ != o.iqMask_ ||
         !uopQueueEquals(o) || divBusyUntil_ != o.divBusyUntil_) {
         return false;
     }
-    // In-flight completions: the heap's internal layout depends on
-    // insertion history, so compare the two queues as multisets.
-    if (completions_.size() != o.completions_.size())
+    // In-flight completions are kept fully sorted, so equal multisets
+    // are equal vectors.
+    if (completions_ != o.completions_)
         return false;
-    {
-        const auto drain = [](auto q) {
-            std::vector<Completion> v;
-            v.reserve(q.size());
-            while (!q.empty()) {
-                v.push_back(q.top());
-                q.pop();
-            }
-            // top() ordering ties on (cycle, seq); break them fully.
-            std::sort(v.begin(), v.end(),
-                      [](const Completion &a, const Completion &b) {
-                          return std::tie(a.cycle, a.seq, a.robIdx,
-                                          a.gen) <
-                                 std::tie(b.cycle, b.seq, b.robIdx,
-                                          b.gen);
-                      });
-            return v;
-        };
-        if (drain(completions_) != drain(o.completions_))
-            return false;
-    }
     if (!tournament_.stateEquals(o.tournament_) ||
         !btb_.stateEquals(o.btb_) || !ras_.stateEquals(o.ras_)) {
         return false;
@@ -454,7 +447,7 @@ Core::recordL1dMiss(const Cache::AccessResult &ar, std::uint8_t wb_phase,
         probe_->write(Structure::L1DCache, w, cycle_, fill_phase, 0xff);
 }
 
-Core::FetchedUop &
+inline Core::FetchedUop &
 Core::uopQueueAppend(const StaticUop *su, Upc upc, bool last_uop,
                      TrapKind trap)
 {
@@ -477,13 +470,6 @@ Core::uopQueueAppend(const StaticUop *su, Upc upc, bool last_uop,
     return f;
 }
 
-void
-Core::uopQueuePop()
-{
-    uopHead_ = uopHead_ + 1 == uopRing_.size() ? 0 : uopHead_ + 1;
-    --uopCount_;
-}
-
 bool
 Core::uopQueueEquals(const Core &o) const
 {
@@ -500,7 +486,7 @@ Core::uopQueueEquals(const Core &o) const
     return true;
 }
 
-std::uint64_t
+inline std::uint64_t
 Core::readPhysReg(RobEntry &e, std::uint16_t preg)
 {
     if (probe_)
@@ -508,10 +494,17 @@ Core::readPhysReg(RobEntry &e, std::uint16_t preg)
     return prf_[preg];
 }
 
-void
-Core::scheduleCompletion(RobEntry &e, Cycle when)
+inline void
+Core::scheduleCompletion(const RobEntry &e, Cycle when)
 {
-    completions_.push(Completion{when, e.seq, robSlot(e.seq), e.gen});
+    // Most completions are due within a few cycles: sink the new one
+    // from the back past the few that are due earlier.
+    const Completion c{when, e.seq, robSlot(e.seq), e.gen};
+    completions_.push_back(c);
+    auto pos = completions_.end() - 1;
+    for (; pos != completions_.begin() && *(pos - 1) < c; --pos)
+        *pos = *(pos - 1);
+    *pos = c;
 }
 
 void
@@ -553,11 +546,19 @@ Core::stageFetch()
             return;
         }
 
-        Cache::AccessResult ar = l1i_.access(fetchPc_, false);
-        if (!ar.hit) {
-            // Line is now resident; retry once the fill completes.
-            fetchResumeCycle_ = cycle_ + ar.latency;
-            return;
+        const Addr line = fetchPc_ & ~Addr(cfg_.l1i.lineSize - 1);
+        if (line == l1iLine_) {
+            l1i_.touchHit(l1iSet_, l1iWay_);
+        } else {
+            const Cache::AccessResult ar = l1i_.access(fetchPc_, false);
+            l1iLine_ = line;
+            l1iSet_ = ar.set;
+            l1iWay_ = ar.way;
+            if (!ar.hit) {
+                // Line is now resident; retry once the fill completes.
+                fetchResumeCycle_ = cycle_ + ar.latency;
+                return;
+            }
         }
         // The bytes the L1I hit would return are the program image's:
         // text is mapped read+exec only, so a store to it traps at
@@ -571,70 +572,58 @@ Core::stageFetch()
             fetchHalted_ = true;
             return;
         }
-        const unsigned n = d.numUops;
+        const unsigned last = d.numUops - 1u;
+        for (unsigned i = 0; i < last; ++i) {
+            uopQueueAppend(&d.uops[i], static_cast<Upc>(i), false,
+                           TrapKind::None);
+        }
+        FetchedUop &f = uopQueueAppend(&d.uops[last], static_cast<Upc>(last),
+                                       true, TrapKind::None);
         const Addr fall = fetchPc_ + isa::INSN_BYTES;
-
-        // Branch prediction for control-flow macros (control uop is
-        // always the last uop of its macro).
-        bool is_ctrl = isa::isControlFlow(d.op);
-        bool pred_taken = false;
-        Addr pred_target = fall;
-        bool has_pred_state = false;
-        PredictionState pred_state;
-        bool ras_valid = false;
-        Ras::Snapshot ras_snap{0, 0};
-
-        if (is_ctrl) {
-            const StaticUop &ctrl = d.uops[n - 1];
-            if (isa::isCondBranch(d.op)) {
-                pred_state = tournament_.predict(fetchPc_);
-                has_pred_state = true;
-                pred_taken = pred_state.taken;
-                pred_target = pred_taken ? d.directTarget : fall;
-            } else if (d.op == Opcode::JMP || d.op == Opcode::CALL) {
-                pred_taken = true;
-                pred_target = d.directTarget;
-            } else {
-                // Indirect: JR or CALLR.
-                pred_taken = true;
-                if (ctrl.isReturn) {
-                    ras_snap = ras_.snapshot();
-                    ras_valid = true;
-                    pred_target = ras_.pop();
-                } else {
-                    auto t = btb_.lookup(fetchPc_);
-                    pred_target = t ? *t : fall;
-                }
+        if (d.ctrl == CtrlKind::None) {
+            if (d.op == Opcode::HALT) {
+                fetchHalted_ = true;
+                return;
             }
-            if (ctrl.isCall) {
-                if (!ras_valid) {
-                    ras_snap = ras_.snapshot();
-                    ras_valid = true;
-                }
-                ras_.push(fall);
-            }
+            fetchPc_ = fall;
+            continue;
         }
 
-        for (unsigned i = 0; i < n; ++i) {
-            FetchedUop &f = uopQueueAppend(&d.uops[i], static_cast<Upc>(i),
-                                           i == n - 1, TrapKind::None);
-            if (is_ctrl && i == n - 1) {
-                f.isCtrl = true;
-                f.predTaken = pred_taken;
-                f.predTarget = pred_target;
-                f.hasPredState = has_pred_state;
-                f.predState = pred_state;
-                f.rasValid = ras_valid;
-                f.rasSnap = ras_snap;
+        // Branch prediction, attached to the control uop.
+        f.isCtrl = true;
+        Prediction &p = f.pred;
+        p = Prediction{};
+        p.taken = true;
+        switch (d.ctrl) {
+          case CtrlKind::Cond:
+            p.state = tournament_.predict(fetchPc_);
+            p.hasState = true;
+            p.taken = p.state.taken;
+            p.target = p.taken ? d.directTarget : fall;
+            break;
+          case CtrlKind::Direct:
+            p.target = d.directTarget;
+            break;
+          case CtrlKind::Return:
+            p.rasSnap = ras_.snapshot();
+            p.rasValid = true;
+            p.target = ras_.pop();
+            break;
+          default: {
+            const auto t = btb_.lookup(fetchPc_);
+            p.target = t ? *t : fall;
+            break;
+          }
+        }
+        if (d.isCall) {
+            if (!p.rasValid) {
+                p.rasSnap = ras_.snapshot();
+                p.rasValid = true;
             }
+            ras_.push(fall);
         }
-
-        if (d.op == Opcode::HALT) {
-            fetchHalted_ = true;
-            return;
-        }
-        fetchPc_ = is_ctrl ? pred_target : fall;
-        if (is_ctrl && pred_target != fall)
+        fetchPc_ = p.target;
+        if (p.target != fall)
             return; // a predicted-taken branch ends the fetch group
     }
 }
@@ -644,10 +633,14 @@ Core::stageFetch()
 void
 Core::stageRename()
 {
-    for (unsigned n = 0; n < cfg_.renameWidth && !uopQueueEmpty(); ++n) {
-        const FetchedUop &f = uopQueueFront();
+    // The queue's head advances locally and is stored once at the end.
+    const auto ring = static_cast<std::uint32_t>(uopRing_.size());
+    std::uint32_t head = uopHead_;
+    std::uint32_t count = uopCount_;
+    for (unsigned n = 0; n < cfg_.renameWidth && count != 0; ++n) {
+        const FetchedUop &f = uopRing_[head];
         if (f.readyAt > cycle_ || robFull())
-            return;
+            break;
         const StaticUop &su = *f.su;
 
         const bool is_store = su.kind == UopKind::Store;
@@ -656,56 +649,48 @@ Core::stageRename()
                               su.kind != UopKind::Nop &&
                               su.kind != UopKind::Halt;
 
-        if (needs_iq && iq_.size() >= cfg_.iqEntries)
-            return;
+        if (needs_iq && iqCount_ >= cfg_.iqEntries)
+            break;
         if (is_store && sqNextSeq_ - sqHeadSeq_ >= cfg_.sqEntries)
-            return;
+            break;
         if (is_load && lqOccupancy_ >= cfg_.lqEntries)
-            return;
+            break;
         if (su.dst != isa::REG_NONE && freeList_.empty())
-            return;
+            break;
 
         const SeqNum seq = robTailSeq_++;
-        RobEntry &e = robAt(seq);
-        const std::uint32_t gen = e.gen + 1;
-        e = RobEntry{};
-        e.gen = gen;
-        e.seq = seq;
-        e.rip = f.rip;
-        e.upc = f.upc;
-        e.lastUop = f.lastUop;
-        e.su = su;
-        e.trap = f.fetchTrap;
-        if (f.isCtrl) {
-            e.isCtrl = true;
-            e.predTaken = f.predTaken;
-            e.predTarget = f.predTarget;
-            e.hasPredState = f.hasPredState;
-            e.predState = f.predState;
-            e.rasValid = f.rasValid;
-            e.rasSnap = f.rasSnap;
-        }
-
-        const std::uint16_t src1 =
-            su.src1 != isa::REG_NONE ? renameMap_[su.src1] : NO_PREG;
-        const std::uint16_t src2 =
-            su.src2 != isa::REG_NONE ? renameMap_[su.src2] : NO_PREG;
-        e.physSrc1 = src1;
-        e.physSrc2 = src2;
+        const std::uint32_t slot = robSlot(seq);
+        RobEntry &e = rob_[slot];
+        RobEntry r;
+        r.seq = seq;
+        r.rip = f.rip;
+        r.su.p = f.su;
+        r.gen = e.gen + 1;
+        r.upc = f.upc;
+        r.lastUop = f.lastUop;
+        r.trap = f.fetchTrap;
+        r.isCtrl = f.isCtrl;
+        r.kind = su.kind;
+        if (su.src1 != isa::REG_NONE)
+            r.physSrc1 = renameMap_[su.src1];
+        if (su.src2 != isa::REG_NONE)
+            r.physSrc2 = renameMap_[su.src2];
         if (su.dst != isa::REG_NONE) {
-            e.physDst = freeList_.back();
+            r.physDst = freeList_.back();
             freeList_.pop_back();
-            e.prevPhys = renameMap_[su.dst];
-            renameMap_[su.dst] = e.physDst;
-            prfReady_[e.physDst] = 0;
+            r.prevPhys = renameMap_[su.dst];
+            renameMap_[su.dst] = r.physDst;
+            prfReady_[r.physDst] = 0;
         }
+        if (f.isCtrl)
+            robCtrl_[slot] = RobCtrl{f.pred, 0, false};
 
         if (is_store) {
             // The slot stays storeSeq % sqEntries: it is the SQ fault
             // entry the injector and the profiler name.
-            e.storeSeq = sqNextSeq_;
-            e.sqSlot = static_cast<std::int32_t>(sqNextSlot_);
-            SqEntry &q = sq_[e.sqSlot];
+            r.memSeq = sqNextSeq_;
+            r.memSlot = sqNextSlot_;
+            SqEntry &q = sq_[sqNextSlot_];
             q = SqEntry{};
             q.valid = true;
             q.storeSeq = sqNextSeq_;
@@ -717,20 +702,58 @@ Core::stageRename()
                                                             : sqNextSlot_ + 1;
         }
         if (is_load) {
-            e.isLoad = true;
-            e.loadOlderStoreSeq = sqNextSeq_;
-            e.loadOlderSlot = sqNextSlot_;
+            r.memSeq = sqNextSeq_;
+            r.memSlot = sqNextSlot_;
             ++lqOccupancy_;
         }
         if (probe_)
-            pending_[robSlot(seq)].n = 0;
+            pending_[slot].n = 0;
 
+        r.done = !needs_iq;
+        e = r;
         if (needs_iq)
-            iq_.push_back(IqEntry{robSlot(seq), src1, src2, su.kind});
-        else
-            e.done = true;
+            iqInsert(slot, e);
 
-        uopQueuePop();
+        head = head + 1 == ring ? 0 : head + 1;
+        --count;
+    }
+    uopHead_ = head;
+    uopCount_ = count;
+}
+
+inline void
+Core::iqInsert(std::uint32_t slot, const RobEntry &e)
+{
+    const std::uint32_t w = slot >> 6;
+    const std::uint64_t bit = 1ULL << (slot & 63);
+    iqMask_[w] |= bit;
+    ++iqCount_;
+    bool ready = true;
+    for (const std::uint16_t p : {e.physSrc1, e.physSrc2}) {
+        if (p != NO_PREG && !prfReady_[p]) {
+            waiters_[std::size_t(p) * robWords_ + w] |= bit;
+            ready = false;
+        }
+    }
+    if (ready)
+        readyMask_[w] |= bit;
+}
+
+inline void
+Core::wake(std::uint16_t preg)
+{
+    std::uint64_t *row = &waiters_[std::size_t(preg) * robWords_];
+    for (std::uint32_t w = 0; w < robWords_; ++w) {
+        if (row[w] == 0)
+            continue;
+        // Bits of slots that left the queue since are stale: skip them.
+        std::uint64_t bits = row[w] & iqMask_[w];
+        row[w] = 0;
+        for (; bits != 0; bits &= bits - 1) {
+            const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+            if (sourcesReady(rob_[(w << 6) | b]))
+                readyMask_[w] |= 1ULL << b;
+        }
     }
 }
 
@@ -743,8 +766,8 @@ Core::loadBlocked(const RobEntry &e, Addr addr, unsigned size,
 {
     can_forward = false;
     // Scan older stores youngest-first; the closest overlap decides.
-    std::uint32_t slot = e.loadOlderSlot;
-    for (std::uint64_t s = e.loadOlderStoreSeq; s-- > sqHeadSeq_;) {
+    std::uint32_t slot = e.memSlot;
+    for (std::uint64_t s = e.memSeq; s-- > sqHeadSeq_;) {
         slot = slot == 0 ? cfg_.sqEntries - 1 : slot - 1;
         const SqEntry &q = sq_[slot];
         if (!q.valid)
@@ -783,7 +806,7 @@ Core::loadBlocked(const RobEntry &e, Addr addr, unsigned size,
 void
 Core::executeUop(RobEntry &e)
 {
-    const StaticUop &su = e.su;
+    const StaticUop &su = *e.su;
     switch (su.kind) {
       case UopKind::Alu:
       case UopKind::Mul:
@@ -811,10 +834,12 @@ Core::executeUop(RobEntry &e)
       }
 
       case UopKind::Branch: {
+        // Branch and jump uops always end a control macro (isCtrl).
+        RobCtrl &c = robCtrl_[robSlot(e.seq)];
         const std::uint64_t a = readPhysReg(e, e.physSrc1);
         const std::uint64_t b = readPhysReg(e, e.physSrc2);
-        e.actualTaken = isa::branchTaken(su.base, a, b);
-        e.actualTarget = e.actualTaken
+        c.actualTaken = isa::branchTaken(su.base, a, b);
+        c.actualTarget = c.actualTaken
                              ? static_cast<std::uint32_t>(su.imm)
                              : e.rip + isa::INSN_BYTES;
         scheduleCompletion(e, cycle_ + 1);
@@ -822,73 +847,21 @@ Core::executeUop(RobEntry &e)
       }
 
       case UopKind::Jump: {
-        e.actualTaken = true;
+        RobCtrl &c = robCtrl_[robSlot(e.seq)];
+        c.actualTaken = true;
         if (su.base == Opcode::JMP) {
-            e.actualTarget = static_cast<std::uint32_t>(su.imm);
+            c.actualTarget = static_cast<std::uint32_t>(su.imm);
         } else {
-            e.actualTarget = readPhysReg(e, e.physSrc1);
+            c.actualTarget = readPhysReg(e, e.physSrc1);
         }
         scheduleCompletion(e, cycle_ + 1);
-        break;
-      }
-
-      case UopKind::Load: {
-        ++stats_.loadsExecuted;
-        const Addr addr = prf_[e.physSrc1] + su.imm;
-        if (probe_) {
-            recordRead(e, Structure::RegisterFile, e.physSrc1,
-                       phase::RegRead, 0xff);
-        }
-        const TrapKind t = mem_.check(addr, su.memSize, false);
-        if (t != TrapKind::None) {
-            e.trap = t;
-            scheduleCompletion(e, cycle_ + 1);
-            break;
-        }
-        bool can_forward = false;
-        std::uint64_t value = 0;
-        std::uint32_t fwd_slot = 0;
-        const bool blocked =
-            loadBlocked(e, addr, su.memSize, can_forward, value, fwd_slot);
-        MERLIN_ASSERT(!blocked, "blocked load reached execute");
-        Cycle done_at;
-        if (can_forward) {
-            ++stats_.storeForwards;
-            // loadBlocked() recorded the physical read.
-            if (probe_) {
-                addPendingRead(e, Structure::StoreQueue, fwd_slot,
-                               phase::SqForwardRead);
-            }
-            done_at = cycle_ + cfg_.forwardLatency;
-        } else {
-            Cache::AccessResult ar = l1d_.access(addr, false);
-            const std::uint32_t off = static_cast<std::uint32_t>(
-                addr & (cfg_.l1d.lineSize - 1));
-            value = l1d_.readBytes(ar.set, ar.way, off, su.memSize);
-            if (probe_) {
-                recordL1dMiss(ar, phase::L1dIssueWbRead,
-                              phase::L1dIssueWrite, e.rip, e.upc, e.seq);
-                recordRead(e, Structure::L1DCache,
-                           l1d_.wordIndex(ar.set, ar.way, off),
-                           phase::L1dLoadRead,
-                           byteMask(off % 8, su.memSize));
-            }
-            done_at = cycle_ + ar.latency;
-            ar.hit ? ++stats_.l1dHits : ++stats_.l1dMisses;
-        }
-        if (su.loadSigned) {
-            value = static_cast<std::uint64_t>(
-                signExtend(value, su.memSize * 8));
-        }
-        e.resultValue = value;
-        scheduleCompletion(e, done_at);
         break;
       }
 
       case UopKind::Store: {
         const Addr addr = readPhysReg(e, e.physSrc1) + su.imm;
         const std::uint64_t data = readPhysReg(e, e.physSrc2);
-        SqEntry &q = sq_[e.sqSlot];
+        SqEntry &q = sq_[e.memSlot];
         const TrapKind t = mem_.check(addr, su.memSize, true);
         if (t != TrapKind::None) {
             e.trap = t;
@@ -896,11 +869,11 @@ Core::executeUop(RobEntry &e)
             q.addr = addr;
             q.size = su.memSize;
             q.addrReady = true;
-            sqData_[e.sqSlot] = data;
+            sqData_[e.memSlot] = data;
             q.dataReady = true;
             if (probe_) {
                 probe_->write(Structure::StoreQueue,
-                              static_cast<EntryIndex>(e.sqSlot), cycle_,
+                              static_cast<EntryIndex>(e.memSlot), cycle_,
                               phase::SqWrite, 0xff);
             }
         }
@@ -930,6 +903,59 @@ Core::executeUop(RobEntry &e)
 }
 
 void
+Core::executeLoad(RobEntry &e, const LoadIssue &li)
+{
+    const StaticUop &su = *e.su;
+    ++stats_.loadsExecuted;
+    if (probe_) {
+        recordRead(e, Structure::RegisterFile, e.physSrc1, phase::RegRead,
+                   0xff);
+    }
+    if (li.trap != TrapKind::None) {
+        e.trap = li.trap;
+        scheduleCompletion(e, cycle_ + 1);
+        return;
+    }
+    std::uint64_t value = li.value;
+    Cycle done_at;
+    if (li.forward) {
+        ++stats_.storeForwards;
+        if (probe_) {
+            // Execute consumes the forwarded SQ data field once more
+            // than issue's eligibility scan did: repeat the scan (the
+            // SQ is unchanged since) so the probe sees both reads.
+            bool fwd = false;
+            std::uint64_t v = 0;
+            std::uint32_t slot = 0;
+            loadBlocked(e, li.addr, su.memSize, fwd, v, slot);
+            addPendingRead(e, Structure::StoreQueue, li.slot,
+                           phase::SqForwardRead);
+        }
+        done_at = cycle_ + cfg_.forwardLatency;
+    } else {
+        Cache::AccessResult ar = l1d_.access(li.addr, false);
+        const std::uint32_t off = static_cast<std::uint32_t>(
+            li.addr & (cfg_.l1d.lineSize - 1));
+        value = l1d_.readBytes(ar.set, ar.way, off, su.memSize);
+        if (probe_) {
+            recordL1dMiss(ar, phase::L1dIssueWbRead, phase::L1dIssueWrite,
+                          e.rip, e.upc, e.seq);
+            recordRead(e, Structure::L1DCache,
+                       l1d_.wordIndex(ar.set, ar.way, off),
+                       phase::L1dLoadRead, byteMask(off % 8, su.memSize));
+        }
+        done_at = cycle_ + ar.latency;
+        ar.hit ? ++stats_.l1dHits : ++stats_.l1dMisses;
+    }
+    if (su.loadSigned) {
+        value =
+            static_cast<std::uint64_t>(signExtend(value, su.memSize * 8));
+    }
+    e.resultValue = value;
+    scheduleCompletion(e, done_at);
+}
+
+void
 Core::stageIssue()
 {
     unsigned issued = 0;
@@ -937,104 +963,100 @@ Core::stageIssue()
     unsigned complex_used = 0;
     unsigned mem_used = 0;
 
-    for (auto it = iq_.begin();
-         it != iq_.end() && issued < cfg_.issueWidth;) {
-        const bool ready =
-            (it->src1 == NO_PREG || prfReady_[it->src1]) &&
-            (it->src2 == NO_PREG || prfReady_[it->src2]);
-        if (!ready) {
-            ++it;
-            continue;
-        }
-        // Functional-unit availability.
-        unsigned div_unit = 0;
-        switch (it->kind) {
-          case UopKind::Alu:
-          case UopKind::Branch:
-          case UopKind::Jump:
-          case UopKind::Out:
-          case UopKind::Trap:
-            if (alu_used >= cfg_.intAluCount) {
-                ++it;
-                continue;
-            }
-            break;
-          case UopKind::Mul:
-            if (complex_used >= cfg_.complexCount) {
-                ++it;
-                continue;
-            }
-            break;
-          case UopKind::Div: {
-            bool found = false;
-            if (complex_used < cfg_.complexCount) {
-                for (unsigned u = 0; u < divBusyUntil_.size(); ++u) {
-                    if (divBusyUntil_[u] <= cycle_) {
-                        div_unit = u;
-                        found = true;
-                        break;
+    // Ready uops in program order: readyMask_ from the head slot on,
+    // wrapping once around the ring to the slots below it.
+    const std::uint32_t head = robSlot(robHeadSeq_);
+    const std::uint32_t head_word = head >> 6;
+    const std::uint64_t below_head = (1ULL << (head & 63)) - 1;
+    for (std::uint32_t k = 0; k <= robWords_ && issued < cfg_.issueWidth;
+         ++k) {
+        const std::uint32_t w = (head_word + k) & (robWords_ - 1);
+        std::uint64_t bits = readyMask_[w];
+        if (k == 0)
+            bits &= ~below_head;
+        else if (k == robWords_)
+            bits &= below_head;
+        for (; bits != 0 && issued < cfg_.issueWidth; bits &= bits - 1) {
+            const std::uint32_t slot =
+                (w << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
+            RobEntry &e = rob_[slot];
+            const UopKind kind = e.kind;
+
+            // Functional-unit availability.
+            unsigned div_unit = 0;
+            bool unit_free = true;
+            switch (kind) {
+              case UopKind::Mul:
+                unit_free = complex_used < cfg_.complexCount;
+                break;
+              case UopKind::Div:
+                unit_free = false;
+                if (complex_used < cfg_.complexCount) {
+                    for (unsigned u = 0; u < divBusyUntil_.size(); ++u) {
+                        if (divBusyUntil_[u] <= cycle_) {
+                            div_unit = u;
+                            unit_free = true;
+                            break;
+                        }
                     }
                 }
+                break;
+              case UopKind::Load:
+              case UopKind::Store:
+                unit_free = mem_used < cfg_.memPorts;
+                break;
+              default: // Alu, Branch, Jump, Out, Trap
+                unit_free = alu_used < cfg_.intAluCount;
+                break;
             }
-            if (!found) {
-                ++it;
+            if (!unit_free)
                 continue;
-            }
-            break;
-          }
-          case UopKind::Load:
-          case UopKind::Store:
-            if (mem_used >= cfg_.memPorts) {
-                ++it;
-                continue;
-            }
-            break;
-          default:
-            break;
-        }
 
-        // Memory-ordering check for loads (no pending reads recorded on
-        // a blocked attempt; the final successful issue records them).
-        RobEntry &e = rob_[it->robIdx];
-        if (it->kind == UopKind::Load) {
-            const Addr addr = prf_[e.physSrc1] + e.su.imm;
-            // Scheduling read: the register value decides whether the
-            // load can issue this cycle, so it is physically consumed
-            // even when the load ends up blocked.
-            if (probe_) {
-                probe_->physicalRead(Structure::RegisterFile, e.physSrc1,
-                                     cycle_, 0xff);
-            }
-            if (mem_.check(addr, e.su.memSize, false) == TrapKind::None) {
-                bool fwd = false;
-                std::uint64_t v = 0;
-                std::uint32_t slot = 0;
-                if (loadBlocked(e, addr, e.su.memSize, fwd, v, slot)) {
-                    ++it;
+            switch (kind) {
+              case UopKind::Load: {
+                // Memory-ordering check (no pending reads recorded on a
+                // blocked attempt; the final successful issue records
+                // them).
+                LoadIssue li;
+                li.addr = prf_[e.physSrc1] + e.su->imm;
+                // Scheduling read: the register value decides whether
+                // the load can issue this cycle, so it is physically
+                // consumed even when the load ends up blocked.
+                if (probe_) {
+                    probe_->physicalRead(Structure::RegisterFile,
+                                         e.physSrc1, cycle_, 0xff);
+                }
+                li.trap = mem_.check(li.addr, e.su->memSize, false);
+                if (li.trap == TrapKind::None &&
+                    loadBlocked(e, li.addr, e.su->memSize, li.forward,
+                                li.value, li.slot)) {
                     continue;
                 }
+                executeLoad(e, li);
+                ++mem_used;
+                break;
+              }
+              case UopKind::Store:
+                executeUop(e);
+                ++mem_used;
+                break;
+              case UopKind::Mul:
+                executeUop(e);
+                ++complex_used;
+                break;
+              case UopKind::Div:
+                executeUop(e);
+                ++complex_used;
+                divBusyUntil_[div_unit] = cycle_ + cfg_.divLatency;
+                break;
+              default:
+                executeUop(e);
+                ++alu_used;
+                break;
             }
+            iqRemove(slot);
+            ++issued;
         }
-
-        executeUop(e);
-        switch (e.su.kind) {
-          case UopKind::Mul:
-            ++complex_used;
-            break;
-          case UopKind::Div:
-            ++complex_used;
-            divBusyUntil_[div_unit] = cycle_ + cfg_.divLatency;
-            break;
-          case UopKind::Load:
-          case UopKind::Store:
-            ++mem_used;
-            break;
-          default:
-            ++alu_used;
-            break;
-        }
-        ++issued;
-        it = iq_.erase(it);
     }
 }
 
@@ -1045,36 +1067,35 @@ Core::squashAfter(SeqNum branch_seq, Addr redirect_to)
 {
     ++stats_.squashes;
     for (SeqNum s = robTailSeq_; s-- > branch_seq + 1;) {
-        RobEntry &e = robAt(s);
+        const std::uint32_t slot = robSlot(s);
+        RobEntry &e = rob_[slot];
         ++e.gen; // invalidate in-flight completions
+        if (iqMask_[slot >> 6] & (1ULL << (slot & 63)))
+            iqRemove(slot);
         if (e.physDst != NO_PREG) {
-            renameMap_[e.su.dst] = e.prevPhys;
+            renameMap_[e.su->dst] = e.prevPhys;
             freeList_.push_back(e.physDst);
         }
-        if (e.sqSlot >= 0) {
-            sq_[e.sqSlot].valid = false;
-            sqNextSeq_ = e.storeSeq;
-            sqNextSlot_ = static_cast<std::uint32_t>(e.sqSlot);
+        if (e.kind == UopKind::Store) {
+            sq_[e.memSlot].valid = false;
+            sqNextSeq_ = e.memSeq;
+            sqNextSlot_ = e.memSlot;
         }
-        if (e.isLoad)
+        if (e.kind == UopKind::Load)
             --lqOccupancy_;
     }
     robTailSeq_ = branch_seq + 1;
 
-    // Drop squashed entries from the issue queue.
-    std::erase_if(iq_, [&](const IqEntry &q) {
-        return rob_[q.robIdx].seq > branch_seq;
-    });
-
     // Repair speculative predictor state.
-    RobEntry &b = robAt(branch_seq);
-    if (b.hasPredState)
-        tournament_.repairHistory(b.predState, b.actualTaken);
-    if (b.rasValid) {
-        ras_.restore(b.rasSnap);
-        if (b.su.isCall)
+    const RobEntry &b = robAt(branch_seq);
+    const RobCtrl &bc = robCtrl_[robSlot(branch_seq)];
+    if (bc.pred.hasState)
+        tournament_.repairHistory(bc.pred.state, bc.actualTaken);
+    if (bc.pred.rasValid) {
+        ras_.restore(bc.pred.rasSnap);
+        if (b.su->isCall)
             ras_.push(b.rip + isa::INSN_BYTES);
-        else if (b.su.isReturn)
+        else if (b.su->isReturn)
             ras_.pop();
     }
 
@@ -1087,9 +1108,9 @@ Core::squashAfter(SeqNum branch_seq, Addr redirect_to)
 void
 Core::stageWriteback()
 {
-    while (!completions_.empty() && completions_.top().cycle <= cycle_) {
-        const Completion c = completions_.top();
-        completions_.pop();
+    while (!completions_.empty() && completions_.back().cycle <= cycle_) {
+        const Completion c = completions_.back();
+        completions_.pop_back();
         RobEntry &e = rob_[c.robIdx];
         if (e.gen != c.gen)
             continue; // squashed
@@ -1097,6 +1118,7 @@ Core::stageWriteback()
         if (e.physDst != NO_PREG) {
             prf_[e.physDst] = e.resultValue;
             prfReady_[e.physDst] = 1;
+            wake(e.physDst);
             if (probe_) {
                 probe_->write(Structure::RegisterFile, e.physDst, cycle_,
                               phase::RegWrite, 0xff);
@@ -1104,9 +1126,12 @@ Core::stageWriteback()
         }
         e.done = true;
 
-        if (e.isCtrl && e.actualTarget != e.predTarget) {
-            ++stats_.branchMispredicts;
-            squashAfter(e.seq, e.actualTarget);
+        if (e.isCtrl) {
+            const RobCtrl &ctrl = robCtrl_[c.robIdx];
+            if (ctrl.actualTarget != ctrl.pred.target) {
+                ++stats_.branchMispredicts;
+                squashAfter(e.seq, ctrl.actualTarget);
+            }
         }
     }
 }
@@ -1157,11 +1182,12 @@ Core::stageCommit()
             raiseTrapAtCommit(e);
             return;
         }
-        if (e.su.kind == UopKind::Halt) {
+        const StaticUop &su = *e.su;
+        if (su.kind == UopKind::Halt) {
             ++stats_.instret;
             ++stats_.uopsRetired;
             terminate(isa::TerminateReason::Halted,
-                      static_cast<int>(e.su.imm));
+                      static_cast<int>(su.imm));
             return;
         }
 
@@ -1174,31 +1200,32 @@ Core::stageCommit()
             }
         }
 
-        if (e.su.kind == UopKind::Out) {
+        if (su.kind == UopKind::Out) {
             std::uint8_t buf[8];
             storeLE(buf, e.resultValue, 8);
             result_.output.insert(result_.output.end(), buf,
-                                  buf + e.su.memSize);
+                                  buf + su.memSize);
         }
-        if (e.su.kind == UopKind::Store)
-            sq_[e.sqSlot].committed = true;
-        if (e.isLoad)
+        if (su.kind == UopKind::Store)
+            sq_[e.memSlot].committed = true;
+        if (su.kind == UopKind::Load)
             --lqOccupancy_;
 
         if (e.physDst != NO_PREG) {
             if (e.prevPhys != NO_PREG)
                 freeList_.push_back(e.prevPhys);
-            commitMap_[e.su.dst] = e.physDst;
+            commitMap_[su.dst] = e.physDst;
         }
 
         if (e.isCtrl) {
-            if (e.hasPredState) {
+            const RobCtrl &c = robCtrl_[robSlot(e.seq)];
+            if (c.pred.hasState) {
                 ++stats_.condBranches;
-                tournament_.update(e.rip, e.actualTaken, e.predState);
+                tournament_.update(e.rip, c.actualTaken, c.pred.state);
                 if (probe_)
-                    probe_->branch(e.rip, e.actualTaken, e.seq);
-            } else if (e.su.base == Opcode::JR) {
-                btb_.update(e.rip, e.actualTarget);
+                    probe_->branch(e.rip, c.actualTaken, e.seq);
+            } else if (su.base == Opcode::JR) {
+                btb_.update(e.rip, c.actualTarget);
             }
         }
 

@@ -25,10 +25,17 @@
  * back-to-back cycles, as in the gem5 O3 model.
  *
  * Host-side layout: the text segment is decoded and expanded once per
- * program (fetch still pays the L1I access for timing); the ROB is a
- * power-of-two ring and the SQ walks by decrement-with-wrap, so no
- * per-cycle path divides; the uop queue is a fixed ring; issue-queue
- * entries carry their source tags.
+ * program, with each macro's prediction kind; fetch still pays the L1I
+ * access for timing, and a fetch from the line it touched last counts
+ * the hit without a tag search.  The ROB is a power-of-two ring of
+ * 64-byte entries that point into the decoded text; a control uop's
+ * prediction sits in a side array.  The issue queue is a set of ROB
+ * slots with a ready subset that writeback wakes per register, so
+ * issue visits ready uops only, oldest first.  In-flight completions
+ * are a vector sorted latest first.  The SQ walks by decrement-with-
+ * wrap and the uop queue is a fixed ring, so no per-cycle path
+ * divides.  None of this changes a simulated event: the committed
+ * statistics (tests/golden/core_stats.json) pin that.
  */
 
 #ifndef MERLIN_UARCH_CORE_HH
@@ -36,7 +43,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "isa/interp.hh"
@@ -121,8 +127,8 @@ class Core
      * (architectural + microarchitectural + memory hierarchy).
      * Capture shares the memory image, the cache data and tag arrays,
      * the BTB and the decoded text copy-on-write, so both capture and
-     * restore copy only the small remainder (~58 KiB on the default
-     * machine) and a restored run pays only for what it dirties.
+     * restore copy only the small remainder (under 64 KiB on the
+     * default machine) and a restored run pays only for what it dirties.
      * Cheap to copy (shared ownership); safe to restore from multiple
      * threads concurrently.
      */
@@ -269,11 +275,27 @@ class Core
         PendingRead reads[4];
     };
 
+    /** The uop a fetch-trap entry and a blank ROB slot carry (it never
+     *  executes). */
+    static constexpr isa::StaticUop kNoUop{};
+
+    /** How fetch predicts past a macro; decided once, at decode. */
+    enum class CtrlKind : std::uint8_t
+    {
+        None,     ///< not control flow: fall through
+        Cond,     ///< conditional branch: the tournament predictor
+        Direct,   ///< JMP / CALL: the immediate
+        Return,   ///< indirect return: the RAS
+        Indirect, ///< other indirect jump: the BTB
+    };
+
     /** One text slot, decoded and expanded once per program. */
     struct DecodedInsn
     {
         std::uint8_t numUops = 0; ///< 0: the slot is not a valid encoding
         isa::Opcode op = isa::Opcode::NOP;
+        CtrlKind ctrl = CtrlKind::None;
+        bool isCall = false; ///< the control uop pushes the RAS
         Addr directTarget = 0; ///< the immediate, as a direct target
         isa::StaticUop uops[isa::MAX_UOPS_PER_MACRO];
     };
@@ -283,43 +305,71 @@ class Core
     static std::shared_ptr<const DecodedText>
     decodeText(const isa::SegmentedMemory &mem);
 
-    /** One ROB slot; fields grouped by width to keep the entry small. */
+    /**
+     * A static uop by reference into the decoded text (or kNoUop).  It
+     * compares by value: a core built fresh from the same program
+     * decodes its own text, so equal uops need not share an address.
+     */
+    struct UopRef
+    {
+        const isa::StaticUop *p = &kNoUop;
+
+        const isa::StaticUop *operator->() const { return p; }
+        const isa::StaticUop &operator*() const { return *p; }
+        bool operator==(const UopRef &o) const { return *p == *o.p; }
+    };
+
+    /**
+     * One ROB slot, one 64-byte line: what every stage reads.  A
+     * control uop's prediction and outcome live beside it, in robCtrl_.
+     * memSeq/memSlot are a store's own SQ sequence number and slot, and
+     * a load's youngest older store + 1 and that store's slot.
+     */
     struct RobEntry
     {
         SeqNum seq = 0;
         Rip rip = 0;
-        isa::StaticUop su;
+        UopRef su;
+        std::uint64_t resultValue = 0; ///< also an OUT's value
+        std::uint64_t memSeq = 0;
         std::uint32_t gen = 0;
-        Upc upc = 0;
-        bool lastUop = true;
-        bool done = false;
-        isa::TrapKind trap = isa::TrapKind::None;
-
+        std::uint32_t memSlot = 0;
         std::uint16_t physDst = NO_PREG;
         std::uint16_t prevPhys = NO_PREG;
         std::uint16_t physSrc1 = NO_PREG;
         std::uint16_t physSrc2 = NO_PREG;
-        std::uint64_t resultValue = 0; ///< also an OUT's value
-
-        // Control flow.
-        Addr predTarget = 0;
-        Addr actualTarget = 0;
-        Ras::Snapshot rasSnap{0, 0};
-        PredictionState predState;
+        Upc upc = 0;
+        bool lastUop = true;
+        bool done = false;
+        isa::TrapKind trap = isa::TrapKind::None;
+        isa::UopKind kind = isa::UopKind::Nop; ///< su->kind, kept at hand
         bool isCtrl = false;
-        bool predTaken = false;
-        bool actualTaken = false;
-        bool hasPredState = false;
-        bool rasValid = false;
-
-        // Memory.
-        bool isLoad = false;
-        std::uint64_t storeSeq = 0;
-        std::uint64_t loadOlderStoreSeq = 0; ///< youngest older store + 1
-        std::int32_t sqSlot = -1;
-        std::uint32_t loadOlderSlot = 0; ///< SQ slot of loadOlderStoreSeq
 
         bool operator==(const RobEntry &) const = default;
+    };
+    static_assert(sizeof(RobEntry) == 64, "a ROB entry is one line");
+
+    /** The prediction fetch attaches to a control uop. */
+    struct Prediction
+    {
+        Addr target = 0;
+        Ras::Snapshot rasSnap{0, 0};
+        PredictionState state;
+        bool taken = false;
+        bool hasState = false; ///< a conditional branch: state is set
+        bool rasValid = false;
+
+        bool operator==(const Prediction &) const = default;
+    };
+
+    /** A control uop's ROB-side state: its prediction and outcome. */
+    struct RobCtrl
+    {
+        Prediction pred;
+        Addr actualTarget = 0;
+        bool actualTaken = false;
+
+        bool operator==(const RobCtrl &) const = default;
     };
 
     struct SqEntry
@@ -344,51 +394,25 @@ class Core
         const isa::StaticUop *su = nullptr;
         Rip rip = 0;
         Cycle readyAt = 0;
-        // Prediction attached to the control uop of the macro; set, and
-        // meaningful, only when isCtrl.
-        Addr predTarget = 0;
-        Ras::Snapshot rasSnap{0, 0};
-        PredictionState predState;
+        /** Set, and meaningful, only when isCtrl. */
+        Prediction pred;
         Upc upc = 0;
         bool lastUop = true;
         isa::TrapKind fetchTrap = isa::TrapKind::None;
         bool isCtrl = false;
-        bool predTaken = false;
-        bool hasPredState = false;
-        bool rasValid = false;
 
         /**
          * Same fetched uop: within one program (rip, upc, fetchTrap)
-         * determine the static uop, and the prediction fields count
-         * only on a control uop.
+         * determine the static uop, and the prediction counts only on
+         * a control uop.
          */
         bool
         operator==(const FetchedUop &o) const
         {
-            if (rip != o.rip || readyAt != o.readyAt || upc != o.upc ||
-                lastUop != o.lastUop || fetchTrap != o.fetchTrap ||
-                isCtrl != o.isCtrl) {
-                return false;
-            }
-            return !isCtrl ||
-                   (predTarget == o.predTarget && rasSnap == o.rasSnap &&
-                    predState == o.predState && predTaken == o.predTaken &&
-                    hasPredState == o.hasPredState &&
-                    rasValid == o.rasValid);
+            return rip == o.rip && readyAt == o.readyAt && upc == o.upc &&
+                   lastUop == o.lastUop && fetchTrap == o.fetchTrap &&
+                   isCtrl == o.isCtrl && (!isCtrl || pred == o.pred);
         }
-    };
-
-    /** An issue-queue entry: its ROB slot, and the source tags and
-     *  uop kind the readiness and unit scan checks without touching
-     *  the ROB. */
-    struct IqEntry
-    {
-        std::uint32_t robIdx;
-        std::uint16_t src1;
-        std::uint16_t src2;
-        isa::UopKind kind;
-
-        bool operator==(const IqEntry &) const = default;
     };
 
     struct Completion
@@ -397,13 +421,32 @@ class Core
         SeqNum seq;
         std::uint32_t robIdx;
         std::uint32_t gen;
+
+        /** Total order: writeback takes (cycle, seq) earliest first;
+         *  robIdx and gen only break ties, so equal queues compare
+         *  equal element by element. */
         bool
-        operator>(const Completion &o) const
+        operator<(const Completion &o) const
         {
-            return cycle != o.cycle ? cycle > o.cycle : seq > o.seq;
+            if (cycle != o.cycle)
+                return cycle < o.cycle;
+            if (seq != o.seq)
+                return seq < o.seq;
+            return robIdx != o.robIdx ? robIdx < o.robIdx : gen < o.gen;
         }
 
         bool operator==(const Completion &) const = default;
+    };
+
+    /** What issue found for a load that may go: its address, its
+     *  access check and, when it forwards, the store's slot and data. */
+    struct LoadIssue
+    {
+        Addr addr = 0;
+        isa::TrapKind trap = isa::TrapKind::None;
+        bool forward = false;
+        std::uint64_t value = 0;
+        std::uint32_t slot = 0;
     };
 
     // Stages.
@@ -425,11 +468,34 @@ class Core
     bool robFull() const { return robTailSeq_ - robHeadSeq_ >= cfg_.robEntries; }
     bool robEmpty() const { return robTailSeq_ == robHeadSeq_; }
 
+    /** Add ROB slot @p slot (holding @p e) to the issue queue. */
+    void iqInsert(std::uint32_t slot, const RobEntry &e);
+    /** Drop ROB slot @p slot from the issue queue. */
+    void
+    iqRemove(std::uint32_t slot)
+    {
+        const std::uint64_t keep = ~(1ULL << (slot & 63));
+        iqMask_[slot >> 6] &= keep;
+        readyMask_[slot >> 6] &= keep;
+        --iqCount_;
+    }
+    /** Physical register @p preg became ready: re-check its waiters. */
+    void wake(std::uint16_t preg);
+    bool
+    sourcesReady(const RobEntry &e) const
+    {
+        return (e.physSrc1 == NO_PREG || prfReady_[e.physSrc1]) &&
+               (e.physSrc2 == NO_PREG || prfReady_[e.physSrc2]);
+    }
+
+    /** Execute a non-load uop at issue. */
     void executeUop(RobEntry &e);
+    /** Execute load @p e on what issue found for it (@p li). */
+    void executeLoad(RobEntry &e, const LoadIssue &li);
     bool loadBlocked(const RobEntry &e, Addr addr, unsigned size,
                      bool &can_forward, std::uint64_t &fwd_value,
                      std::uint32_t &fwd_slot);
-    void scheduleCompletion(RobEntry &e, Cycle when);
+    void scheduleCompletion(const RobEntry &e, Cycle when);
     void squashAfter(SeqNum branch_seq, Addr redirect_to);
     void terminate(isa::TerminateReason reason, int exit_code);
     void raiseTrapAtCommit(RobEntry &e);
@@ -454,13 +520,10 @@ class Core
                        Rip rip, Upc upc, SeqNum seq);
 
     // Uop queue (fixed ring).
-    bool uopQueueEmpty() const { return uopCount_ == 0; }
-    FetchedUop &uopQueueFront() { return uopRing_[uopHead_]; }
     /** Append a uop fetched at fetchPc_ this cycle; the caller fills
      *  the prediction fields of a control uop. */
     FetchedUop &uopQueueAppend(const isa::StaticUop *su, Upc upc,
                                bool last_uop, isa::TrapKind trap);
-    void uopQueuePop();
     bool uopQueueEquals(const Core &o) const;
 
     /** Fetch stops while the uop queue holds this many uops. */
@@ -490,14 +553,29 @@ class Core
 
     // Window.
     std::vector<RobEntry> rob_; ///< power-of-two ring, slot = seq & mask
+    std::vector<RobCtrl> robCtrl_; ///< by ROB slot; set for control uops
     SeqNum robMask_;
     SeqNum robHeadSeq_ = 0;
     SeqNum robTailSeq_ = 0;
-    std::vector<IqEntry> iq_; ///< program order
+    /**
+     * The issue queue as sets of ROB slots (bit s % 64 of word s / 64):
+     * iqMask_ holds the uops waiting to issue and readyMask_ those of
+     * them whose sources are ready; waiters_ (robWords_ words per
+     * physical register) holds the slots renamed while that register
+     * was pending.  Issue walks readyMask_ from the ROB head, so it
+     * visits ready uops only, oldest first, and a register's writeback
+     * re-checks only its waiters.  readyMask_ and waiters_ follow from
+     * iqMask_, the ROB and prfReady_, so diff() compares iqMask_ alone.
+     */
+    std::vector<std::uint64_t> iqMask_;
+    std::vector<std::uint64_t> readyMask_;
+    std::vector<std::uint64_t> waiters_;
+    std::uint32_t robWords_;
+    unsigned iqCount_ = 0;
     std::vector<PendingReads> pending_; ///< by ROB slot; probed cores only
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>>
-        completions_;
+    /** In-flight completions, sorted latest first: writeback pops the
+     *  earliest off the back. */
+    std::vector<Completion> completions_;
 
     // LSQ.
     std::vector<SqEntry> sq_;
@@ -511,6 +589,15 @@ class Core
     // Frontend.
     std::shared_ptr<const DecodedText> text_; ///< shared with snapshots
     Addr fetchPc_;
+    /**
+     * The L1I line fetch accessed last and where it lives.  Fetch is
+     * the L1I's only client, so that line stays resident at (set, way)
+     * until fetch itself misses elsewhere: a fetch from it is a hit
+     * without a tag search.  Host-side only; diff() ignores it.
+     */
+    Addr l1iLine_ = ~Addr(0);
+    std::uint32_t l1iSet_ = 0;
+    std::uint32_t l1iWay_ = 0;
     Cycle fetchResumeCycle_ = 0;
     bool fetchHalted_ = false; ///< stop fetching until redirect
     std::vector<FetchedUop> uopRing_;

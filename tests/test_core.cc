@@ -801,12 +801,11 @@ cacheRecord(const Cache &c)
     return j;
 }
 
-/** Every simulated statistic of one finished run. */
+/** Every simulated statistic of @p core, which has finished. */
 io::Json
-runRecord(const isa::Program &p, const CoreConfig &cfg)
+coreRecord(const Core &core)
 {
-    Core core(p, cfg);
-    const isa::ArchResult r = core.run();
+    const isa::ArchResult &r = core.result();
     const CoreStats &s = core.stats();
     io::Json j = io::Json::object();
     j.set("reason", static_cast<unsigned>(r.reason));
@@ -828,6 +827,15 @@ runRecord(const isa::Program &p, const CoreConfig &cfg)
     j.set("l1d", cacheRecord(core.l1d()));
     j.set("l2", cacheRecord(core.l2()));
     return j;
+}
+
+/** Every simulated statistic of one finished run. */
+io::Json
+runRecord(const isa::Program &p, const CoreConfig &cfg)
+{
+    Core core(p, cfg);
+    core.run();
+    return coreRecord(core);
 }
 
 /**
@@ -892,6 +900,58 @@ TEST(CoreGolden, StatisticsMatchCommittedGolden)
         const io::Json *want = golden.find(key);
         ASSERT_NE(want, nullptr) << key << " missing from " << goldenPath;
         EXPECT_EQ(want->dump(), got.dump()) << key;
+    }
+}
+
+/**
+ * Guards whatever host-side state the core keeps across cycles (the
+ * L1I line memo, the issue queue's ready and waiter masks, the control
+ * side array, the sorted completion queue) through snapshot and
+ * restore.  For every bundled workload on the default machine (SPEC
+ * programs over their window), cores restored from three golden
+ * snapshots must diff empty against every later golden snapshot and
+ * finish with the uninterrupted run's record: every statistic, the
+ * cache counters and the output FNV.
+ */
+TEST(CoreSnapshot, EveryWorkloadRestoresOntoTheGoldenRun)
+{
+    constexpr unsigned kSnapshots = 6;
+    for (const std::string &name : workloads::allWorkloadNames()) {
+        const auto w = workloads::buildWorkload(name);
+        CoreConfig cfg;
+        cfg.instructionWindowEnd = w.suggestedWindow;
+
+        Core golden(w.program, cfg);
+        golden.run();
+        const Cycle cycles = golden.stats().cycles;
+        const io::Json want = coreRecord(golden);
+
+        Core running(w.program, cfg);
+        std::vector<Core::Snapshot> snaps;
+        for (unsigned k = 1; k <= kSnapshots; ++k) {
+            const Cycle at = cycles * k / (kSnapshots + 1);
+            while (running.cycle() < at && running.tick()) {
+            }
+            ASSERT_FALSE(running.finished()) << name;
+            snaps.push_back(running.snapshot());
+        }
+
+        for (std::size_t from : {0u, 2u, 4u}) {
+            Core restored(w.program, cfg, snaps[from]);
+            for (std::size_t later = from + 1; later < snaps.size();
+                 ++later) {
+                while (restored.cycle() < snaps[later].cycle() &&
+                       restored.tick()) {
+                }
+                EXPECT_TRUE(restored.stateEquals(snaps[later]))
+                    << name << ": restored at cycle "
+                    << snaps[from].cycle() << ", diff at cycle "
+                    << snaps[later].cycle();
+            }
+            restored.run();
+            EXPECT_EQ(coreRecord(restored).dump(), want.dump())
+                << name << ": restored at cycle " << snaps[from].cycle();
+        }
     }
 }
 
